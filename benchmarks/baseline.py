@@ -3,13 +3,15 @@
 
 Runs the full, smoke *and* large benchmark tiers (see
 ``repro.experiments.bench``) and writes ``benchmarks/BENCH_<rev>.json``
-next to this script. Run it from a clean checkout after a kernel or PHY
-change that is meant to shift performance, and commit the result::
+next to this script. Run it from a clean checkout after an event-loop
+or PHY change that is meant to shift performance, and commit the
+result::
 
     PYTHONPATH=src python benchmarks/baseline.py
 
 Pass ``--no-large`` to skip the scaling tier (minutes of 200-1000-node
-runs) when only the kernel numbers changed.
+runs) when only the small-scale numbers changed. For end-to-end and
+per-layer numbers, use ``benchmarks/e2e/run.py`` instead.
 
 CI and ``repro bench`` compare later runs against the newest committed
 ``BENCH_*.json``, so the baseline should come from an otherwise idle

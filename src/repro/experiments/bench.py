@@ -106,13 +106,6 @@ SMOKE_POINTS: List[dict] = [
               height=140.0, rate_pps=5.0, n_packets=10,
               sinr=sinr_preset("shadowing")),
      "label": "sinr-shadowing"},
-    # The same scenario through the calendar kernel: CI's cheap guard
-    # that the alternative kernel neither breaks nor bit-rots (its
-    # metrics must stay identical to the unlabeled heap point's, and
-    # its events/sec rides the same regression gate).
-    {**_point("smoke", "rmac", 2, repeat=3, n_nodes=12, width=200.0,
-              height=140.0, rate_pps=5.0, n_packets=10),
-     "label": "kernel-calendar", "kernel": "calendar"},
 ]
 
 #: Field sizes for the scaling tier, chosen to keep the paper's node
@@ -146,12 +139,6 @@ def _rebuild_point(n_nodes: int, epochs: int, seed: int = 1) -> dict:
             "epochs": epochs}
 
 
-def _kernel_point(kernel: str, n_events: int = 400_000) -> dict:
-    return {"mode": "large", "protocol": "kernel", "seed": 1,
-            "kind": "kernel-micro", "label": f"kernel-{kernel}",
-            "kernel": kernel, "n_events": n_events}
-
-
 #: The scaling tier. Full-stack points run with the default ``auto``
 #: indexing (grid at these sizes); ``compare_brute`` re-runs the same
 #: scenario with indexing forced to brute and asserts bit-identical
@@ -164,14 +151,10 @@ LARGE_POINTS: List[dict] = [
     _large_point(500, False, 1),
     _large_point(500, True, 1),
     _large_point(1000, False, 1),
-    # The headline point (ROADMAP: the 1M events/sec lane) runs on the
-    # calendar kernel; ``compare_kernel`` re-runs it on the heap and
-    # asserts bit-identical metrics, recording ``heap_eps`` and the
-    # kernel speedup alongside the brute-indexing comparison. Best-of-3
-    # like the gated smoke points: a single sample of a 5-second run on
-    # a shared machine is too noisy for a headline number.
-    _large_point(1000, True, 1, repeat=3, compare_brute=True,
-                 compare_kernel=True, kernel="calendar"),
+    # The headline point. Best-of-3 like the gated smoke points: a
+    # single sample of a 5-second run on a shared machine is too noisy
+    # for a headline number.
+    _large_point(1000, True, 1, repeat=3, compare_brute=True),
     # SINR scaling point: 500 static nodes under lognormal shadowing
     # with interference accounting on -- the nightly number for "what
     # does accumulated-power reception cost at scale". Crafted by hand
@@ -185,11 +168,6 @@ LARGE_POINTS: List[dict] = [
     _rebuild_point(200, epochs=40),
     _rebuild_point(500, epochs=30),
     _rebuild_point(1000, epochs=20),
-    # Kernel microbenchmarks: the synthetic scheduling workload of
-    # :func:`_run_kernel_point` on each kernel, free of protocol-stack
-    # dilution -- the apples-to-apples number for the queues themselves.
-    _kernel_point("heap"),
-    _kernel_point("calendar"),
 ]
 
 #: ``repro bench --tier <name>`` choices.
@@ -237,9 +215,6 @@ def run_point(point: dict) -> dict:
     """
     if point.get("kind") == "neighbor-rebuild":
         return _run_rebuild_point(point)
-    if point.get("kind") == "kernel-micro":
-        return _run_kernel_point(point)
-    kernel = point.get("kernel", "heap")
     best = None
     for _ in range(max(1, int(point.get("repeat", 1)))):
         config = ScenarioConfig(
@@ -248,14 +223,13 @@ def run_point(point: dict) -> dict:
             collect_telemetry=True,
             **point["config"],
         )
-        summary = build_network(config, kernel=kernel).run()
+        summary = build_network(config).run()
         telemetry = summary.telemetry or {}
         record = {
             "mode": point["mode"],
             "protocol": point["protocol"],
             "seed": point["seed"],
             "label": point.get("label"),
-            "kernel": kernel,
             "events": summary.events_processed,
             "wall_s": summary.wall_time_s,
             "eps": summary.events_per_sec,
@@ -286,7 +260,7 @@ def run_point(point: dict) -> dict:
             collect_telemetry=True,
             **point["config"],
         )
-        network = build_network(config, kernel=kernel)
+        network = build_network(config)
         network.testbed.neighbors.force_indexing("brute")
         brute = network.run()
         brute_metrics = {name: getattr(brute, name) for name in METRIC_FIELDS}
@@ -300,30 +274,6 @@ def run_point(point: dict) -> dict:
         best["brute_eps"] = brute.events_per_sec
         if brute.events_per_sec and best["eps"]:
             best["e2e_speedup_vs_brute"] = best["eps"] / brute.events_per_sec
-    if point.get("compare_kernel"):
-        # Same scenario on the *other* kernel (heap when the primary is
-        # calendar and vice versa). Kernels are bit-identical by
-        # contract, so the metrics must match exactly; the two clocks
-        # are the end-to-end kernel comparison at full-stack scale.
-        other = "heap" if kernel != "heap" else "calendar"
-        config = ScenarioConfig(
-            protocol=point["protocol"],
-            seed=point["seed"],
-            collect_telemetry=True,
-            **point["config"],
-        )
-        alt = build_network(config, kernel=other).run()
-        alt_metrics = {name: getattr(alt, name) for name in METRIC_FIELDS}
-        if alt_metrics != best["metrics"]:
-            drifted = sorted(name for name in METRIC_FIELDS
-                             if alt_metrics[name] != best["metrics"][name])
-            raise RuntimeError(
-                f"{kernel} vs {other} kernel metrics diverged on "
-                f"{point.get('label')}: {', '.join(drifted)}"
-            )
-        best[f"{other}_eps"] = alt.events_per_sec
-        if alt.events_per_sec and best["eps"]:
-            best["kernel_speedup"] = best["eps"] / alt.events_per_sec
     return best
 
 
@@ -423,91 +373,6 @@ def _run_rebuild_point(point: dict) -> dict:
     }
 
 
-def _run_kernel_point(point: dict) -> dict:
-    """Time the event kernel alone on a synthetic scheduling workload.
-
-    The workload mirrors the simulator's real timing structure -- the
-    distribution calendar queues exploit and heaps pay log(n) for:
-
-    * 64 self-rescheduling ticks at the 20 us slot quantum with small
-      per-"node" phase skews (the MAC backoff pumps);
-    * every 16th tick, an 8-way ``schedule_many`` fan-out at
-      millisecond-scale offsets (the PHY arrival fan-out);
-    * every 32nd tick, a cancellable timer, half of them cancelled
-      before firing (lazy-deletion pressure on the queue).
-
-    Pure scheduling -- the callbacks do no protocol work -- so the
-    events/sec here is the kernel ceiling, free of stack dilution.
-    Best-of-3, min wall.
-    """
-    from time import perf_counter
-
-    from repro.sim.engine import FastEvent, Simulator
-
-    slot = 20_000  # ns, the MAC slot quantum
-
-    class _Noop(FastEvent):
-        __slots__ = ()
-        label = "kernel-fanout"
-
-        def __call__(self) -> None:
-            pass
-
-    noop = _Noop()
-
-    class _Tick(FastEvent):
-        __slots__ = ("sim", "phase", "count")
-        label = "kernel-tick"
-
-        def __init__(self, sim: Simulator, phase: int):
-            self.sim = sim
-            self.phase = phase
-            self.count = 0
-
-        def __call__(self) -> None:
-            sim = self.sim
-            count = self.count = self.count + 1
-            now = sim.now
-            if not count % 16:
-                base = now + 1_000_000 + self.phase * 131
-                sim.schedule_many(
-                    [(base + i * 37_000, noop) for i in range(8)])
-            if not count % 32:
-                handle = sim.after(250_000 + self.phase * 7,
-                                   _cancel_target, label="kernel-timer")
-                if not count % 64:
-                    handle.cancel()
-            sim.schedule_fast(now + slot + (self.phase & 7) * 1_500, self)
-
-    def _cancel_target() -> None:
-        pass
-
-    kernel = point["kernel"]
-    n_events = point["n_events"]
-    best = float("inf")
-    executed = 0
-    for _ in range(3):
-        sim = Simulator(kernel=kernel)
-        for phase in range(64):
-            sim.after(phase * 311, _Tick(sim, phase), label="kernel-tick")
-        start = perf_counter()
-        sim.run(max_events=n_events)
-        best = min(best, perf_counter() - start)
-        executed = sim.events_processed
-    return {
-        "mode": point["mode"],
-        "protocol": point["protocol"],
-        "seed": point["seed"],
-        "label": point["label"],
-        "kind": "kernel-micro",
-        "kernel": kernel,
-        "events": executed,
-        "wall_s": best,
-        "eps": (executed / best) if best > 0 else 0.0,
-        "metrics": {"events": executed},
-    }
-
-
 def run_bench(points: Sequence[dict], rev: Optional[str] = None,
               progress=None) -> dict:
     """Run ``points`` and assemble the benchmark report.
@@ -515,7 +380,7 @@ def run_bench(points: Sequence[dict], rev: Optional[str] = None,
     ``progress``, when given, is called with each finished point record.
     The report's top-level ``events_per_sec`` is the aggregate (total
     events over total wall time), which weights long runs more -- the
-    honest number for "how fast is the kernel".
+    honest number for "how fast is the event loop".
     """
     records = []
     for point in points:
@@ -634,22 +499,14 @@ def render_point(point: dict) -> str:
             f"{point['links_per_sec_grid']:,.0f} links/s vs brute "
             f"{point['links_per_sec_brute']:,.0f} ({point['speedup']:.1f}x)"
         )
-    if point.get("kind") == "kernel-micro":
-        return (f"{_point_label(point)}: {point['events']} synthetic ev @ "
-                f"{point['eps']:,.0f}/s on the {point['kernel']} kernel")
     top = sorted((point.get("subsystem_wall_s") or {}).items(),
                  key=lambda kv: -kv[1])[:4]
     subsystems = ", ".join(f"{name}={secs * 1e3:.0f}ms" for name, secs in top)
     line = (f"{_point_label(point)}: "
             f"{point['events']} ev @ {point['eps']:,.0f}/s")
-    if point.get("kernel") and point["kernel"] != "heap":
-        line += f" [{point['kernel']} kernel]"
     if point.get("brute_eps"):
         line += (f" (brute rerun {point['brute_eps']:,.0f}/s, "
                  f"{point.get('e2e_speedup_vs_brute', 0.0):.2f}x e2e)")
-    if point.get("heap_eps"):
-        line += (f" (heap rerun {point['heap_eps']:,.0f}/s, "
-                 f"{point.get('kernel_speedup', 0.0):.2f}x kernel)")
     if subsystems:
         line += f"  [{subsystems}]"
     return line

@@ -195,20 +195,6 @@ class Telemetry:
         self.sections[name] = dict(payload)
 
     # ------------------------------------------------------------------
-    def record(self, label: str, duration_s: float, heap_depth: int) -> None:
-        """Account one executed event (called by the simulator hot loop)."""
-        self.events = events = self.events + 1
-        try:
-            stats = self._label_stats[label]
-        except KeyError:
-            stats = self._label_stats[label] = [0, 0.0]
-        stats[0] += 1
-        stats[1] += duration_s
-        self._last_heap_depth = heap_depth
-        if not events % self.heap_sample_interval:
-            self.heap_samples.append(heap_depth)
-
-    # ------------------------------------------------------------------
     def report(self, sim=None) -> TelemetryReport:
         """Freeze the collected samples into a :class:`TelemetryReport`.
 

@@ -1,7 +1,12 @@
 """Bit-for-bit reproducibility from a seed."""
 
+import hashlib
 from dataclasses import asdict
 
+import pytest
+
+from repro.experiments.bench import METRIC_FIELDS
+from repro.sim.trace import TraceBuffer, TraceEvent, Tracer
 from repro.world.network import ScenarioConfig, build_network
 
 SMALL = dict(n_nodes=14, width=220, height=150, rate_pps=10, n_packets=15,
@@ -49,3 +54,77 @@ def test_trace_identical_for_same_seed():
     trace_a = [(e.time, e.node, e.kind) for e in net_a.testbed.tracer.events]
     trace_b = [(e.time, e.node, e.kind) for e in net_b.testbed.tracer.events]
     assert trace_a == trace_b
+
+
+class HashBuffer(TraceBuffer):
+    """Streams every trace event into a SHA-256; keeps nothing."""
+
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+        self._count = 0
+
+    def append(self, event: TraceEvent) -> None:
+        self._hash.update(event.to_json().encode())
+        self._hash.update(b"\n")
+        self._count += 1
+
+    def snapshot(self):
+        return []
+
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def digest(self) -> str:
+        return self._hash.hexdigest()
+
+
+#: Pinned outcomes of two small static unit-disk runs. Unlike the
+#: same-commit comparisons above, these hold across commits: a change
+#: that claims to leave behavior alone must reproduce every value
+#: exactly. A deliberate behavior change re-pins them and says why.
+GOLDEN = {
+    "rmac": dict(
+        seed=5,
+        events=11942,
+        trace_events=5638,
+        trace_sha256="31d1358818e69412a35c64e876a8cd0c"
+                     "1bc311c558a1311706acf0073894ee98",
+        metrics=dict(
+            delivery_ratio=1.0, avg_delay_s=0.007006294943589743,
+            max_delay_s=0.013494324, avg_drop_ratio=0.0,
+            avg_retx_ratio=0.0, avg_txoh_ratio=0.1871947496947497,
+            mrts_len_avg=25.0, mrts_len_max=36.0, abort_avg=0.0,
+            n_generated=15, total_deliveries=195, total_drops=0,
+            total_retransmissions=0),
+    ),
+    "bmmm": dict(
+        seed=3,
+        events=19306,
+        trace_events=7814,
+        trace_sha256="310a9637ac923944fcc2ee81f373e8dc"
+                     "8a8310dade193b690555dbfe69b7d147",
+        metrics=dict(
+            delivery_ratio=1.0, avg_delay_s=0.009939419871794872,
+            max_delay_s=0.02140899, avg_drop_ratio=0.0,
+            avg_retx_ratio=0.0, avg_txoh_ratio=0.9731884057971015,
+            mrts_len_avg=None, mrts_len_max=None, abort_avg=None,
+            n_generated=15, total_deliveries=195, total_drops=0,
+            total_retransmissions=0),
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN))
+def test_golden_run_is_bit_identical_across_commits(protocol):
+    golden = GOLDEN[protocol]
+    buffer = HashBuffer()
+    network = build_network(
+        ScenarioConfig(protocol=protocol, seed=golden["seed"], **SMALL),
+        tracer=Tracer(enabled=True, buffer=buffer))
+    summary = network.run()
+    assert {name: getattr(summary, name)
+            for name in METRIC_FIELDS} == golden["metrics"]
+    assert network.sim.events_processed == golden["events"]
+    assert len(buffer) == golden["trace_events"]
+    assert buffer.digest == golden["trace_sha256"]

@@ -1,6 +1,13 @@
-"""Property tests: the event engine never reorders time."""
+"""Property tests: the event engine never reorders time.
 
-from hypothesis import given, strategies as st
+The last three properties run hypothesis-generated programs (absolute
+schedules, cancellations, nested ``after`` + ``call_soon`` follow-ups,
+``until``/``max_events`` cuts) on :class:`Simulator` and on a
+deliberately naive reference model, and assert identical execution
+logs, clocks and event counts.
+"""
+
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
 
@@ -65,3 +72,131 @@ def test_monotonic_now_during_run(events):
         sim.at(t, lambda: observed.append(sim.now))
     sim.run()
     assert observed == sorted(observed)
+
+
+class Reference:
+    """The engine's contract, naively: re-sort every entry by
+    ``(time, seq)`` each step and fire the first one not cancelled."""
+
+    def __init__(self):
+        self.now = 0
+        self.events_processed = 0
+        self.entries = []  # [time, seq, callback, cancelled]
+        self.seq = 0
+
+    def at(self, time, callback, label=""):
+        entry = [time, self.seq, callback, False]
+        self.seq += 1
+        self.entries.append(entry)
+        return RefHandle(entry)
+
+    def after(self, delay, callback, label=""):
+        return self.at(self.now + delay, callback)
+
+    def call_soon(self, callback, label=""):
+        return self.at(self.now, callback)
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while max_events is None or executed < max_events:
+            self.entries.sort(key=lambda e: (e[0], e[1]))
+            live = [e for e in self.entries if not e[3]]
+            if not live or (until is not None and live[0][0] > until):
+                break
+            self.entries.remove(live[0])
+            self.now = live[0][0]
+            self.events_processed += 1
+            executed += 1
+            live[0][2]()
+        if until is not None:
+            self.now = max(self.now, until)
+        return self.now
+
+
+class RefHandle:
+    def __init__(self, entry):
+        self.entry = entry
+
+    def cancel(self):
+        self.entry[3] = True
+
+
+#: Times biased toward same-tick ties, plus a smearing of arbitrary values.
+times_st = st.one_of(st.integers(min_value=0, max_value=3),
+                     st.integers(min_value=0, max_value=10**6))
+
+
+def run_program(sim, schedule, cancel_mask, nested_delays):
+    """One deterministic program: absolute schedules (some cancelled),
+    each firing optionally re-scheduling relative follow-ups and a
+    same-time ``call_soon``."""
+    log = []
+    handles = []
+
+    def fire(tag, followups):
+        log.append((sim.now, tag))
+        for j, delay in enumerate(followups):
+            sim.after(delay, lambda t=f"{tag}+f{j}": log.append((sim.now, t)),
+                      label="nested")
+        if followups:
+            sim.call_soon(lambda t=f"{tag}+soon": log.append((sim.now, t)))
+
+    for i, t in enumerate(schedule):
+        followups = nested_delays if i % 3 == 0 else []
+        handles.append(sim.at(t, lambda i=i, f=tuple(followups): fire(i, f),
+                              label="root"))
+    for handle, cancel in zip(handles, cancel_mask):
+        if cancel:
+            handle.cancel()
+    sim.run()
+    return log, sim.now, sim.events_processed
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule=st.lists(times_st, min_size=1, max_size=25),
+       cancel_mask=st.lists(st.booleans(), min_size=25, max_size=25),
+       nested_delays=st.lists(st.integers(min_value=0, max_value=5000),
+                              min_size=0, max_size=3))
+def test_order_matches_reference(schedule, cancel_mask, nested_delays):
+    assert (run_program(Simulator(), schedule, cancel_mask, nested_delays)
+            == run_program(Reference(), schedule, cancel_mask, nested_delays))
+
+
+@settings(max_examples=40, deadline=None)
+@given(schedule=st.lists(times_st, min_size=1, max_size=20),
+       cancel_mask=st.lists(st.booleans(), min_size=20, max_size=20),
+       until=st.one_of(st.none(), times_st),
+       max_events=st.one_of(st.none(), st.integers(min_value=0, max_value=12)))
+def test_until_and_max_events_match_reference(schedule, cancel_mask, until,
+                                              max_events):
+    """Horizon and budget cut the engine and the reference at the same
+    event; a second unbounded run completes identically from the cut."""
+    results = []
+    for sim in (Simulator(), Reference()):
+        log = []
+        handles = [sim.at(t, lambda i=i: log.append((sim.now, i)))
+                   for i, t in enumerate(schedule)]
+        for handle, cancel in zip(handles, cancel_mask):
+            if cancel:
+                handle.cancel()
+        sim.run(until=until, max_events=max_events)
+        cut = (list(log), sim.now, sim.events_processed)
+        sim.run()
+        results.append((cut, list(log), sim.now, sim.events_processed))
+    assert results[0] == results[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(times=st.lists(times_st, min_size=1, max_size=15), horizon=times_st)
+def test_clock_parks_at_horizon(times, horizon):
+    """run(until=...) that outlives the queue parks the clock exactly at
+    the horizon, matching the reference."""
+    ends = []
+    for sim in (Simulator(), Reference()):
+        for t in times:
+            sim.at(t, lambda: None)
+        end = sim.run(until=horizon)
+        # The return value is the clock, never short of the horizon.
+        assert end == sim.now >= horizon
+        ends.append((end, sim.events_processed))
+    assert ends[0] == ends[1]

@@ -51,6 +51,10 @@ def test_cannot_schedule_in_past():
     sim.run()
     with pytest.raises(SimulationError):
         sim.at(50, lambda: None)
+    # Parking the clock at a horizon also bars the gap before it.
+    sim.run(until=500)
+    with pytest.raises(SimulationError):
+        sim.at(499, lambda: None)
 
 
 def test_negative_delay_rejected():
@@ -252,3 +256,139 @@ def test_schedule_many_via_step():
     sim.schedule_many([(10, _Probe(log, "x"))])
     assert sim.step() is True
     assert log == ["x"] and sim.now == 10
+
+
+def test_step_skips_cancelled_and_reports_empty():
+    sim = Simulator()
+    log = []
+    sim.at(5, lambda: log.append("cancelled")).cancel()
+    sim.at(7, lambda: log.append("live"))
+    assert sim.step() is True
+    assert log == ["live"] and sim.now == 7
+    assert sim.step() is False
+    assert sim.events_processed == 1
+
+
+def test_schedule_fast_and_many_interleave_with_handles():
+    """FastEvent pushes (schedule_fast / schedule_many) share the seq
+    stream with handle scheduling: ties break by overall insertion."""
+    sim = Simulator()
+    log = []
+    sim.at(100, lambda: log.append("handle-a"))
+    sim.schedule_fast(100, _Probe(log, "fast"))
+    sim.schedule_many([(100, _Probe(log, "many-1")),
+                       (100, _Probe(log, "many-2"))])
+    sim.at(100, lambda: log.append("handle-b"))
+    sim.run()
+    assert log == ["handle-a", "fast", "many-1", "many-2", "handle-b"]
+
+
+def test_run_until_does_not_consume_cancelled_beyond_horizon():
+    """A cancelled entry whose firing time is beyond ``until`` stays in
+    the queue untouched -- back-to-back ``run`` calls compose."""
+    sim = Simulator()
+    fired = []
+    sim.at(10, lambda: fired.append("early"))
+    sim.at(5000, lambda: fired.append("cancelled")).cancel()
+    sim.at(5001, lambda: fired.append("late"))
+    sim.run(until=100)
+    assert fired == ["early"]
+    # The cancelled entry was not popped: it is still stored and counted.
+    assert sim._cancelled == 1 and len(sim._queue) == 2
+    assert sim.queue_depth == 1
+    sim.run()
+    assert fired == ["early", "late"]
+    assert sim._cancelled == 0 and sim.queue_depth == 0
+
+
+def test_schedule_into_gap_after_run_until():
+    """After run(until=...) the clock parks at the horizon; a fresh
+    schedule between the horizon and the next stored event fires first."""
+    sim = Simulator()
+    fired = []
+    sim.at(1000, lambda: fired.append("far"))
+    sim.run(until=400)
+    assert sim.now == 400
+    sim.at(500, lambda: fired.append("gap"))
+    sim.at(401, lambda: fired.append("early-gap"))
+    sim.run()
+    assert fired == ["early-gap", "gap", "far"]
+
+
+def test_max_events_and_resume():
+    sim = Simulator()
+    fired = []
+    for i in range(10):
+        sim.at(i * 100, lambda i=i: fired.append(i))
+    sim.run(max_events=4)
+    assert fired == list(range(4)) and sim.now == 300
+    sim.run()
+    assert fired == list(range(10))
+    assert sim.events_processed == 10
+
+
+def test_queue_depth_matches_pending_during_run():
+    sim = Simulator()
+    depths = []
+    for i in range(10):
+        sim.at(i * 5000, lambda: depths.append(
+            (sim.queue_depth, sim.pending_count())))
+    sim.run()
+    assert depths == [(9 - i, 9 - i) for i in range(10)]
+
+
+def test_telemetry_depth_excludes_cancelled():
+    from repro.sim.telemetry import Telemetry
+
+    sim = Simulator()
+    telemetry = Telemetry(heap_sample_interval=1).attach(sim)
+    for i in range(6):
+        sim.at(i * 3000, lambda: None, label="tick")
+    sim.at(50_000, lambda: None).cancel()
+    sim.run()
+    report = telemetry.report(sim)
+    assert report.heap_depth_last == 0
+    # Cancelled entries never count toward sampled depth.
+    assert telemetry.heap_samples == [5, 4, 3, 2, 1, 0]
+
+
+def test_compaction_keeps_survivors_and_order():
+    """Cancelling most of a large batch triggers compaction; the
+    survivors still fire exactly in time order."""
+    sim = Simulator()
+    fired = []
+    n = 2 * Simulator.COMPACT_MIN
+    # Scheduled out of time order, so the stored heap is not a sorted
+    # list and a sweep that broke the heap invariant would show.
+    handles = {i: sim.at(i * 1000, lambda i=i: fired.append(i))
+               for i in ((k * 7919) % n for k in range(n))}
+    for i, handle in handles.items():
+        if i % 10:
+            handle.cancel()
+    survivors = [i for i in range(n) if not i % 10]
+    # Compaction swept the heap once cancelled entries reached half of
+    # it; fewer than COMPACT_MIN cancelled entries remain stored.
+    assert sim._cancelled < Simulator.COMPACT_MIN
+    assert len(sim._queue) == len(survivors) + sim._cancelled < n
+    assert sim.queue_depth == sim.pending_count() == len(survivors)
+    sim.run()
+    assert fired == survivors
+
+
+def test_compaction_mid_run_keeps_order():
+    """A callback whose cancels trigger compaction mid-run must not
+    disturb the loop draining the same heap."""
+    sim = Simulator()
+    fired = []
+    n = 3 * Simulator.COMPACT_MIN
+    handles = {i: sim.at(10 + i, lambda i=i: fired.append(i))
+               for i in ((k * 7919) % n for k in range(n))}
+
+    def cancel_odd():
+        for i in range(1, n, 2):
+            handles[i].cancel()
+
+    sim.at(0, cancel_odd)
+    sim.run()
+    assert fired == list(range(0, n, 2))
+    assert sim._cancelled == 0 and not sim._queue

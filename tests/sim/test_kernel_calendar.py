@@ -1,231 +1,39 @@
-"""The calendar kernel: semantics at the kernel boundary.
+"""The simulator's event calendar, checked through the public API.
 
-Every test here runs the same program under ``kernel="calendar"``
-(usually against a ``kernel="heap"`` reference) and asserts identical
-observable behavior -- the bit-identity contract that lets the bench
-quote calendar wall clocks for heap-validated protocol results. The
-calendar-specific machinery (ring laps, dry-lap jump, the pre-run
-cursor rewind, compaction) is exercised through the public API only.
+The pending-event set orders events by firing time, breaks ties by
+insertion order, refuses to go back in time, and parks the clock at
+the horizon when a bounded run drains it.
 """
 
 import pytest
 
-from repro.sim.engine import CalendarQueue, SimulationError, Simulator
-from repro.sim.telemetry import Telemetry
+from repro.sim.engine import SimulationError, Simulator
 
-#: One calendar day is 2**15 ns; one ring lap is 2048 days (~67 ms).
-DAY = 1 << 15
-LAP = 2048 * DAY
-
-
-def both_kernels(program):
-    """Run ``program(sim)`` under both kernels; return both logs."""
-    logs = []
-    for kernel in ("heap", "calendar"):
-        sim = Simulator(kernel=kernel)
-        logs.append(program(sim))
-    return logs
-
-
-def test_kernel_property_names_registered():
-    assert Simulator(kernel="heap").kernel == "heap"
-    assert Simulator(kernel="calendar").kernel == "calendar"
-    with pytest.raises(SimulationError):
-        Simulator(kernel="no-such-kernel")
+#: A horizon far beyond every scheduled event (~600 ms).
+FAR = 600_000_000
 
 
 def test_same_day_ties_fire_in_insertion_order():
-    def program(sim):
-        fired = []
-        for i in range(8):
-            sim.at(100, lambda i=i: fired.append(i))
-        sim.run()
-        return fired
-
-    heap_log, cal_log = both_kernels(program)
-    assert heap_log == cal_log == list(range(8))
-
-
-def test_cross_day_and_cross_lap_order():
-    """Events spread within a day, across days, and across ring laps
-    (the far-future path) still fire in exact time order."""
-    times = [0, 1, DAY - 1, DAY, DAY + 1, 3 * DAY,
-             LAP - 1, LAP, LAP + DAY, 5 * LAP, 5 * LAP + 1]
-
-    def program(sim):
-        fired = []
-        for t in reversed(times):
-            sim.at(t, lambda t=t: fired.append(t))
-        sim.run()
-        return fired
-
-    heap_log, cal_log = both_kernels(program)
-    assert heap_log == cal_log == sorted(times)
-
-
-def test_dry_lap_jump_skips_empty_ring():
-    """Two events many laps apart: the cursor jumps, never spins."""
-    def program(sim):
-        fired = []
-        sim.at(0, lambda: fired.append(sim.now))
-        sim.at(100 * LAP, lambda: fired.append(sim.now))
-        sim.run()
-        return fired
-
-    heap_log, cal_log = both_kernels(program)
-    assert heap_log == cal_log == [0, 100 * LAP]
-
-
-def test_run_until_does_not_consume_cancelled_beyond_horizon():
-    """A cancelled entry whose firing time is beyond ``until`` must stay
-    in the queue untouched -- back-to-back ``run`` calls compose."""
-    for kernel in ("heap", "calendar"):
-        sim = Simulator(kernel=kernel)
-        fired = []
-        sim.at(10, lambda: fired.append("early"))
-        handle = sim.at(5 * LAP, lambda: fired.append("cancelled"))
-        handle.cancel()
-        sim.at(5 * LAP + 1, lambda: fired.append("late"))
-        sim.run(until=100)
-        # The cancelled entry was not popped: the kernel still counts it.
-        assert sim._kq.cancelled == 1, kernel
-        assert fired == ["early"], kernel
-        sim.run()
-        assert fired == ["early", "late"], kernel
-        assert sim._kq.cancelled == 0, kernel
-
-
-def test_rewind_between_runs():
-    """run(until=...) can park the calendar cursor on a later day; a
-    fresh schedule into the gap must rewind and still fire in order."""
-    def program(sim):
-        fired = []
-        sim.at(10 * DAY, lambda: fired.append("far"))
-        sim.run(until=4 * DAY)  # cursor advances past days 0..3
-        sim.at(5 * DAY, lambda: fired.append("gap"))
-        sim.at(4 * DAY + 1, lambda: fired.append("early-gap"))
-        sim.run()
-        return fired
-
-    heap_log, cal_log = both_kernels(program)
-    assert heap_log == cal_log == ["early-gap", "gap", "far"]
+    sim = Simulator()
+    fired = []
+    for i in range(8):
+        sim.at(100, lambda i=i: fired.append(i))
+    sim.run()
+    assert fired == list(range(8))
 
 
 def test_cannot_rewind_before_now():
-    sim = Simulator(kernel="calendar")
-    sim.at(2 * DAY, lambda: None)
+    sim = Simulator()
+    sim.at(2 * 32768, lambda: None)
     sim.run()
+    assert sim.now == 2 * 32768
     with pytest.raises(SimulationError):
-        sim.at(DAY, lambda: None)
-
-
-def test_compaction_keeps_survivors_and_order():
-    """Cancelling most of a large batch triggers compaction; the
-    survivors still fire exactly in time order."""
-    sim = Simulator(kernel="calendar")
-    fired = []
-    handles = []
-    for i in range(2000):
-        handles.append(
-            sim.at(i * 1000, lambda i=i: fired.append(i)))
-    for i, handle in enumerate(handles):
-        if i % 10:
-            handle.cancel()
-    # Compaction must have pruned the bulk of the cancelled entries.
-    assert sim._kq.cancelled < 1800
-    assert sim._kq.live_depth() == 200
-    sim.run()
-    assert fired == [i for i in range(2000) if not i % 10]
-
-
-def test_live_depth_matches_pending_during_run():
-    sim = Simulator(kernel="calendar")
-    depths = []
-    for i in range(10):
-        sim.at(i * 5000, lambda: depths.append(sim._kq.live_depth()))
-    sim.run()
-    assert depths == [9 - i for i in range(10)]
-
-
-def test_telemetry_depth_is_live_depth_on_calendar():
-    sim = Simulator(kernel="calendar")
-    telemetry = Telemetry(heap_sample_interval=1)
-    telemetry.attach(sim)
-    for i in range(6):
-        sim.at(i * 3000, lambda: None, label="tick")
-    handle = sim.at(50_000, lambda: None)
-    handle.cancel()
-    sim.run()
-    report = telemetry.report(sim)
-    assert report.heap_depth_last == 0
-    # Cancelled entries never count toward sampled depth.
-    assert report.heap_depth_max <= 6
-
-
-def test_instance_kernel_runs_generic_drain_loop():
-    """A tuned CalendarQueue instance (not the registered name) takes
-    the generic drain loop and still matches the heap."""
-    def program(sim):
-        fired = []
-        for t in (7, DAY + 3, 3, 3, 12 * DAY):
-            sim.at(t, lambda t=t: fired.append(t))
-        sim.run()
-        return fired
-
-    reference = program(Simulator(kernel="heap"))
-    tuned = program(Simulator(kernel=CalendarQueue(day_shift=12,
-                                                   n_buckets=64)))
-    assert tuned == reference
-
-
-def test_schedule_fast_and_many_interleave_with_handles():
-    """FastEvent pushes (schedule_fast / schedule_many) share the seq
-    stream with handle scheduling: ties break by overall insertion."""
-    class Probe:
-        __slots__ = ("log", "tag")
-        label = "probe"
-        _cancelled = False
-        callback = None
-
-        def __init__(self, log, tag):
-            self.log = log
-            self.tag = tag
-
-        def __call__(self):
-            self.log.append(self.tag)
-
-    def program(sim):
-        log = []
-        sim.at(100, lambda: log.append("handle-a"))
-        sim.schedule_fast(100, Probe(log, "fast"))
-        sim.schedule_many([(100, Probe(log, "many-1")),
-                           (100, Probe(log, "many-2"))])
-        sim.at(100, lambda: log.append("handle-b"))
-        sim.run()
-        return log
-
-    heap_log, cal_log = both_kernels(program)
-    assert heap_log == cal_log == [
-        "handle-a", "fast", "many-1", "many-2", "handle-b"]
-
-
-def test_max_events_and_resume():
-    def program(sim):
-        fired = []
-        for i in range(10):
-            sim.at(i * DAY, lambda i=i: fired.append(i))
-        sim.run(max_events=4)
-        snapshot = list(fired)
-        sim.run()
-        return snapshot, fired
-
-    heap_log, cal_log = both_kernels(program)
-    assert heap_log == cal_log == (list(range(4)), list(range(10)))
+        sim.at(32768, lambda: None)
 
 
 def test_clock_advances_to_until_on_drain():
-    for kernel in ("heap", "calendar"):
-        sim = Simulator(kernel=kernel)
-        sim.at(5, lambda: None)
-        sim.run(until=9 * LAP)
-        assert sim.now == 9 * LAP, kernel
+    sim = Simulator()
+    sim.at(5, lambda: None)
+    sim.run(until=FAR)
+    assert sim.now == FAR
+    assert sim.queue_depth == 0
