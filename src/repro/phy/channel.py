@@ -12,19 +12,16 @@ Models GloMoSim-style frame transmission with:
 * abortable transmissions (truncated frames shorten the busy interval
   and are never delivered).
 
-Two optional refinements of the overlap rule, mutually exclusive:
-
-* **capture** (``capture_threshold_db``): an overlapping frame survives
-  when its power beats every interferer by the margin;
-* **SINR** (``sinr``, a :class:`repro.phy.sinr.SinrState`): every
-  arrival's power accumulates in a per-node interference tracker, and
-  delivery is decided at arrival end from the signal-to-(peak
-  interference + noise) ratio. Capture is the single-interferer special
-  case of SINR, so configuring both raises a
-  :class:`~repro.sim.engine.SimulationError`. With SINR's interference
-  accounting *off*, the classic overlap rule applies and the SINR check
-  reduces to signal-vs-noise (behaviorally identical to the threshold
-  path under a permissive threshold -- property-tested).
+Every arrival runs through one pipeline (``_arrival_start`` /
+``_arrival_end``). The only optional stage is the reception decision of
+a :class:`repro.phy.sinr.SinrState` (``sinr``): it prices each arrival
+in mW, replaces the overlap rule with accumulated interference when its
+accounting is on, and at arrival end decodes only if the
+signal-to-(peak interference + noise) ratio clears its threshold.
+Capture -- a strong frame surviving a weak overlap -- is that decision
+with the capture margin as the threshold. Without it (``sinr=None``, the
+paper's model) the pipeline is the overlap rule alone; unit-disk SINR
+reproduces it bit-identically (property-tested).
 
 The channel is protocol-agnostic: RMAC, 802.11 DCF, BMMM and BMW all
 run on the same instance.
@@ -92,17 +89,17 @@ class Transmission:
 
 
 class _Reception:
-    __slots__ = ("tx", "corrupted", "power_dbm", "signal_mw", "peak_itf_mw")
+    __slots__ = ("tx", "corrupted", "signal_mw", "peak_itf_mw")
 
-    def __init__(self, tx: Transmission, corrupted: bool, power_dbm=None):
+    def __init__(self, tx: Transmission, corrupted: bool,
+                 signal_mw: float, peak_itf_mw: float):
         self.tx = tx
         self.corrupted = corrupted
-        self.power_dbm = power_dbm
-        #: SINR mode only: the arrival's linear signal power and the
-        #: highest concurrent interference observed during the reception
-        #: window (peaks only move when new signals arrive).
-        self.signal_mw = 0.0
-        self.peak_itf_mw = 0.0
+        #: SINR mode only (zero otherwise): the arrival's linear signal
+        #: power and the highest concurrent interference observed during
+        #: the reception window (peaks only move when new signals arrive).
+        self.signal_mw = signal_mw
+        self.peak_itf_mw = peak_itf_mw
 
 
 class DataChannel:
@@ -116,15 +113,9 @@ class DataChannel:
         error_model: Optional[BitErrorModel] = None,
         rng: Optional[random.Random] = None,
         tracer: Tracer = NULL_TRACER,
-        capture_threshold_db: Optional[float] = None,
         faults: Optional["FaultInjector"] = None,
         sinr: Optional["SinrState"] = None,
     ):
-        if capture_threshold_db is not None and sinr is not None:
-            raise SimulationError(
-                "capture_threshold_db and SINR reception are mutually "
-                "exclusive: capture is the single-interferer special case "
-                "of SINR (set sinr_threshold_db instead)")
         self._sim = sim
         self._neighbors = neighbors
         self._phy = phy
@@ -139,21 +130,11 @@ class DataChannel:
         #: crashed endpoints suppress deliveries entirely and fades or
         #: corruption windows turn deliveries into frame errors.
         self._faults = faults if faults is not None and faults.affects_data else None
-        #: Capture effect (extension): when set, an overlapping frame
-        #: survives if its received power beats every interferer by this
-        #: many dB. Requires a propagation model that reports power
-        #: (LogDistanceModel). None = the paper's all-overlaps-collide
-        #: model. Late capture (a strong frame arriving mid-reception of
-        #: a weak one) kills the weak reception; the strong one survives
-        #: only if it clears the margin over all concurrent signals.
-        self.capture_threshold_db = capture_threshold_db
-        #: Optional SINR reception state (see repro.phy.sinr). ``None``
-        #: keeps the arrival hot paths on a single ``is None`` test --
-        #: the same zero-cost-when-disabled discipline as ``faults``.
+        #: Optional SINR reception decision (see repro.phy.sinr). ``None``
+        #: keeps the arrival pipeline on a single ``is None`` test per
+        #: stage -- the same zero-cost-when-disabled discipline as
+        #: ``faults``.
         self._sinr = sinr
-        #: node -> {transmission: power_dbm} of signals currently in the
-        #: air at that node (capture mode only).
-        self._signal_powers: Dict[int, Dict[Transmission, float]] = {}
         self._busy: Dict[int, int] = {}
         self._receiving: Dict[int, Dict[Transmission, _Reception]] = {}
         self._transmitting: Dict[int, Transmission] = {}
@@ -258,7 +239,7 @@ class DataChannel:
                 event = _ArrivalStart(self, tx, link)
             entries.append((now + link.delay_ns, event))
         self._sim.schedule_many(entries)
-        tx._end_event = self._sim.at(now + airtime, lambda: self._finish_tx(tx), label="tx-end")
+        tx._end_event = self._sim.at(now + airtime, lambda: self._end_tx(tx, False), label="tx-end")
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(now, sender, "tx-start", frame=str(frame), airtime=airtime)
@@ -274,37 +255,27 @@ class DataChannel:
             return
         if self._transmitting.get(tx.sender) is not tx:
             raise RuntimeError("cannot abort: transmission is not active")
-        now = self._sim.now
-        tx.aborted_at = now
-        if tx._end_event is not None:
-            tx._end_event.cancel()
-            tx._end_event = None
-        del self._transmitting[tx.sender]
-        if self._busy.get(tx.sender, 0) == 0:
-            self._last_busy_end[tx.sender] = now
-            self._fire_idle(tx.sender)
-        self._schedule_arrival_ends(tx, now)
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.emit(now, tx.sender, "tx-abort", frame=str(tx.frame))
-        listener = self._listeners.get(tx.sender)
-        if listener is not None:
-            listener.on_tx_complete(tx.frame, aborted=True)
+        tx.aborted_at = self._sim.now
+        tx._end_event.cancel()  # type: ignore[union-attr]
+        self._end_tx(tx, True)
 
-    def _finish_tx(self, tx: Transmission) -> None:
-        del self._transmitting[tx.sender]
+    def _end_tx(self, tx: Transmission, aborted: bool) -> None:
+        """Take ``tx`` off the air now: at its scheduled end, or aborted."""
         tx._end_event = None
+        sender = tx.sender
+        del self._transmitting[sender]
         end = self._sim.now
-        if self._busy.get(tx.sender, 0) == 0:
-            self._last_busy_end[tx.sender] = end
-            self._fire_idle(tx.sender)
+        if sender not in self._busy:
+            self._last_busy_end[sender] = end
+            self._fire_idle(sender)
         self._schedule_arrival_ends(tx, end)
         tracer = self._tracer
         if tracer.enabled:
-            tracer.emit(end, tx.sender, "tx-end", frame=str(tx.frame))
-        listener = self._listeners.get(tx.sender)
+            tracer.emit(end, sender, "tx-abort" if aborted else "tx-end",
+                        frame=str(tx.frame))
+        listener = self._listeners.get(sender)
         if listener is not None:
-            listener.on_tx_complete(tx.frame, aborted=False)
+            listener.on_tx_complete(tx.frame, aborted=aborted)
 
     def _schedule_arrival_ends(self, tx: Transmission, end: int) -> None:
         """Fan the per-link arrival-end events out in one batch."""
@@ -321,48 +292,35 @@ class DataChannel:
         self._sim.schedule_many(entries)
 
     # ------------------------------------------------------------------
-    # Arrival bookkeeping (driven by scheduled events)
+    # The arrival pipeline (driven by scheduled events)
     # ------------------------------------------------------------------
     def _arrival_start(self, tx: Transmission, link: Link) -> None:
-        if self._sinr is not None:
-            self._arrival_start_sinr(tx, link, self._sinr)
-            return
+        """First bit of ``tx`` reaches ``link.node``.
+
+        Busy counters move only for *sensed* links (interference-only
+        links are invisible to the radio). An overlap between sensed
+        arrivals corrupts every reception involved -- unless the SINR
+        decision accounts interference, in which case the SINR check at
+        arrival end replaces the boolean rule.
+        """
         node = link.node
-        prior = self._busy.get(node, 0)
-        self._busy[node] = prior + 1
+        if link.sensed:
+            prior = self._busy.get(node, 0)
+            self._busy[node] = prior + 1
+        else:
+            prior = 0
         ongoing = self._receiving.setdefault(node, {})
-        corrupted = False
-        power = link.power_dbm
-        if self.capture_threshold_db is not None and power is not None:
-            signals = self._signal_powers.setdefault(node, {})
-            if prior > 0:
-                threshold = self.capture_threshold_db
-                # The newcomer corrupts receptions it is not dominated by.
-                for rec in ongoing.values():
-                    if rec.power_dbm is None or (
-                        rec.power_dbm - power < threshold
-                    ):
-                        rec.corrupted = True
-                if len(signals) < prior:
-                    # Some concurrent signal has no reported power (mixed
-                    # power/no-power links): dominance cannot be proven,
-                    # so the newcomer falls back to colliding.
-                    corrupted = True
-                else:
-                    # The newcomer survives only if it dominates every signal.
-                    strongest = max(signals.values(), default=-1e9)
-                    corrupted = power - strongest < threshold
-            signals[tx] = power
-        elif prior > 0:
-            # Overlap: this arrival collides with everything already in the
-            # air at this node, and vice versa (the paper's model; also the
-            # behavior of a no-power link when capture is enabled, since a
-            # power-less arrival cannot win a power comparison).
+        sinr = self._sinr
+        if sinr is None:
+            signal_mw = itf_mw = 0.0
+            overlap = prior > 0
+        else:
+            signal_mw, itf_mw = sinr.arrive(node, tx, link.power_dbm, ongoing)
+            overlap = prior > 0 and not sinr.interference
+        if overlap:
             for rec in ongoing.values():
                 rec.corrupted = True
-            corrupted = True
-        if node in self._transmitting:
-            corrupted = True
+        corrupted = overlap or node in self._transmitting
         if link.in_rx_range:
             faults = self._faults
             if faults is not None and faults.suppresses_delivery(
@@ -371,165 +329,37 @@ class DataChannel:
                 # but no reception begins -- to this receiver the frame
                 # does not exist (no on_rx_start, nothing at arrival end).
                 return
-            ongoing[tx] = _Reception(tx, corrupted, link.power_dbm)
-            listener = self._listeners.get(node)
-            if listener is not None:
-                listener.on_rx_start(tx.sender)
-
-    def _arrival_start_sinr(self, tx: Transmission, link: Link,
-                            sinr: "SinrState") -> None:
-        """Arrival start under SINR reception.
-
-        Mirrors :meth:`_arrival_start` with three changes: busy counters
-        move only for *sensed* links (interference-only links are
-        invisible to the radio), every arrival's linear power lands in
-        the interference tracker (bumping the peak interference of any
-        ongoing reception at the node), and -- with interference
-        accounting on -- overlap alone no longer corrupts: the SINR
-        decision at arrival end replaces the boolean rule.
-        """
-        node = link.node
-        power_dbm = link.power_dbm
-        # Power-mode links always carry power; so do classic links now
-        # that every model reports one (base-class fallback).
-        power_mw = 10.0 ** (power_dbm / 10.0)  # type: ignore[operator]
-        fading = sinr.fading
-        if fading is not None:
-            power_mw *= fading.gain(sinr.rng)
-        sensed = link.sensed
-        if sensed:
-            prior = self._busy.get(node, 0)
-            self._busy[node] = prior + 1
-        else:
-            prior = 0
-        ongoing = self._receiving.setdefault(node, {})
-        corrupted = False
-        if sinr.interference:
-            total = sinr.tracker.add(node, tx, power_mw)
-            if ongoing:
-                for rec in ongoing.values():
-                    itf = total - rec.signal_mw
-                    if itf > rec.peak_itf_mw:
-                        rec.peak_itf_mw = itf
-            initial_itf = total - power_mw
-        else:
-            initial_itf = 0.0
-            if prior > 0:
-                # Interference accounting off: the paper's overlap rule.
-                for rec in ongoing.values():
-                    rec.corrupted = True
-                corrupted = True
-        if node in self._transmitting:
-            corrupted = True
-        if link.in_rx_range:
-            faults = self._faults
-            if faults is not None and faults.suppresses_delivery(
-                    tx.sender, node, self._sim.now):
-                return
-            rec = _Reception(tx, corrupted, power_dbm)
-            rec.signal_mw = power_mw
-            rec.peak_itf_mw = initial_itf
-            ongoing[tx] = rec
+            ongoing[tx] = _Reception(tx, corrupted, signal_mw, itf_mw)
             listener = self._listeners.get(node)
             if listener is not None:
                 listener.on_rx_start(tx.sender)
 
     def _arrival_end(self, tx: Transmission, link: Link) -> None:
-        if self._sinr is not None:
-            self._arrival_end_sinr(tx, link, self._sinr)
-            return
-        node = link.node
-        if self.capture_threshold_db is not None:
-            signals = self._signal_powers.get(node)
-            if signals is not None:
-                signals.pop(tx, None)
-        busy = self._busy
-        count = busy.get(node)
-        if count is None or count < 0:
-            # An end without a matching start means arrival bookkeeping
-            # lost or duplicated an event; inventing a count here would
-            # silently mask it. Fail loudly instead.
-            self._tracer.emit(
-                self._sim.now, node, "channel-underflow", sender=tx.sender
-            )
-            raise SimulationError(
-                f"busy-counter underflow at node {node}: arrival-end from "
-                f"sender {tx.sender} at t={self._sim.now} without a "
-                f"matching arrival-start"
-            )
-        count -= 1
-        if count:
-            busy[node] = count
-        else:
-            del busy[node]
-            if node not in self._transmitting:
-                self._last_busy_end[node] = self._sim.now
-                self._fire_idle(node)
-        ongoing = self._receiving.get(node)
-        rec = ongoing.pop(tx, None) if ongoing else None
-        if rec is None:
-            return
-        listener = self._listeners.get(node)
-        if listener is None:
-            return
-        frame = tx.frame
-        size = frame.size_bytes  # type: ignore[attr-defined]
-        faults = self._faults
-        if faults is not None:
-            now = self._sim.now
-            if faults.suppresses_delivery(tx.sender, node, now):
-                # An endpoint crashed since the arrival began: the frame
-                # vanishes (no rx callback at all, matching a receiver
-                # that never registered the reception).
-                if self._tracer.enabled:
-                    self._tracer.emit(now, node, "fault-rx-dropped",
-                                      sender=tx.sender)
-                return
-            if not rec.corrupted and faults.corrupts_arrival(
-                    tx.sender, node, now, self._rng):
-                rec.corrupted = True
-                if self._tracer.enabled:
-                    self._tracer.emit(now, node, "fault-corrupt",
-                                      sender=tx.sender)
-        ok = (
-            not rec.corrupted
-            and not tx.aborted
-            and (self._error_free or not self._error_model.corrupts(size, self._rng))
-        )
-        tracer = self._tracer
-        if ok:
-            if tracer.enabled:
-                tracer.emit(self._sim.now, node, "rx-ok", frame=str(frame), sender=tx.sender)
-            listener.on_frame_received(frame, tx.sender)
-        else:
-            if tracer.enabled:
-                tracer.emit(self._sim.now, node, "rx-error", frame=str(frame), sender=tx.sender)
-            listener.on_frame_error(tx.sender)
+        """Last bit of ``tx`` leaves ``link.node``: settle the reception.
 
-    def _arrival_end_sinr(self, tx: Transmission, link: Link,
-                          sinr: "SinrState") -> None:
-        """Arrival end under SINR reception (mirrors :meth:`_arrival_end`).
-
-        The delivery decision adds one clause: the reception must clear
-        the SINR threshold against the peak interference observed during
-        its window. SINR-dropped frames skip the bit-error draw (like
-        collided frames on the classic path), so the RNG stream is
-        identical when the SINR clause never fires.
+        A frame is delivered iff it was not corrupted, the sender did not
+        abort, the SINR decision (if any) decodes it, and the bit-error
+        model spares it -- checked in that order, so frames lost earlier
+        never consume a bit-error draw.
         """
         node = link.node
-        if sinr.interference:
-            sinr.tracker.remove(node, tx)
+        sinr = self._sinr
+        if sinr is not None:
+            sinr.depart(node, tx)
         if link.sensed:
             busy = self._busy
             count = busy.get(node)
             if not count or count < 0:
+                # An end without a matching start means arrival bookkeeping
+                # lost or duplicated an event; inventing a count here would
+                # silently mask it. Fail loudly instead.
                 self._tracer.emit(
                     self._sim.now, node, "channel-underflow", sender=tx.sender
                 )
                 raise SimulationError(
-                    f"busy-counter underflow at node {node}: arrival-end "
-                    f"from sender {tx.sender} at t={self._sim.now} without "
-                    f"a matching arrival-start"
+                    f"busy-counter underflow at node {node}: arrival-end from "
+                    f"sender {tx.sender} at t={self._sim.now} without a "
+                    f"matching arrival-start"
                 )
             count -= 1
             if count:
@@ -547,39 +377,39 @@ class DataChannel:
         if listener is None:
             return
         frame = tx.frame
-        size = frame.size_bytes  # type: ignore[attr-defined]
+        tracer = self._tracer
         faults = self._faults
         if faults is not None:
             now = self._sim.now
             if faults.suppresses_delivery(tx.sender, node, now):
-                if self._tracer.enabled:
-                    self._tracer.emit(now, node, "fault-rx-dropped",
-                                      sender=tx.sender)
+                # An endpoint crashed since the arrival began: the frame
+                # vanishes (no rx callback at all, matching a receiver
+                # that never registered the reception).
+                if tracer.enabled:
+                    tracer.emit(now, node, "fault-rx-dropped", sender=tx.sender)
                 return
             if not rec.corrupted and faults.corrupts_arrival(
                     tx.sender, node, now, self._rng):
                 rec.corrupted = True
-                if self._tracer.enabled:
-                    self._tracer.emit(now, node, "fault-corrupt",
-                                      sender=tx.sender)
-        tracer = self._tracer
-        reception = sinr.reception
-        sinr_db = reception.sinr_db(rec.signal_mw, rec.peak_itf_mw)
-        sinr_ok = reception.decodes(sinr_db)
-        if not sinr_ok and not rec.corrupted and not tx.aborted:
-            sinr.counters.dropped += 1
-            if tracer.enabled:
-                tracer.emit(self._sim.now, node, "sinr-drop",
-                            frame=str(frame), sender=tx.sender,
-                            sinr_db=round(sinr_db, 3))
-        ok = (
-            not rec.corrupted
-            and not tx.aborted
-            and sinr_ok
-            and (self._error_free or not self._error_model.corrupts(size, self._rng))
-        )
+                if tracer.enabled:
+                    tracer.emit(now, node, "fault-corrupt", sender=tx.sender)
+        ok = not rec.corrupted and not tx.aborted
+        if ok and sinr is not None:
+            reception = sinr.reception
+            sinr_db = reception.sinr_db(rec.signal_mw, rec.peak_itf_mw)
+            if not reception.decodes(sinr_db):
+                ok = False
+                sinr.counters.dropped += 1
+                if tracer.enabled:
+                    tracer.emit(self._sim.now, node, "sinr-drop",
+                                frame=str(frame), sender=tx.sender,
+                                sinr_db=round(sinr_db, 3))
+        if ok and not self._error_free and self._error_model.corrupts(
+                frame.size_bytes, self._rng):  # type: ignore[attr-defined]
+            ok = False
         if ok:
-            sinr.counters.record_delivery(sinr_db)
+            if sinr is not None:
+                sinr.counters.record_delivery(sinr_db)
             if tracer.enabled:
                 tracer.emit(self._sim.now, node, "rx-ok", frame=str(frame), sender=tx.sender)
             listener.on_frame_received(frame, tx.sender)

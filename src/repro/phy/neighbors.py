@@ -118,10 +118,10 @@ class Link(NamedTuple):
     node: int
     delay_ns: int
     in_rx_range: bool  # False => carrier-sensed only (cannot decode)
-    #: Received power at the node (dBm) when the propagation model can
-    #: compute it (LogDistanceModel); None for pure unit-disk models.
-    #: Feeds the optional capture-effect collision resolution and the
-    #: SINR interference accumulation.
+    #: Received power at the node (dBm). Every PropagationModel reports
+    #: one (unit-disk models a documented constant); None only for
+    #: duck-typed models without ``received_power_dbm``. Feeds the SINR
+    #: reception stage and busy-tone power thresholds.
     power_dbm: Optional[float] = None
     #: False => interference-only: the node's radio cannot sense this
     #: transmission (no carrier sense, no busy-tone detection), but its

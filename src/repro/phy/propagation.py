@@ -12,8 +12,8 @@ the SINR interference subsystem (:mod:`repro.phy.sinr`) builds on.
 Every model reports received power. Models that do not actually compute
 power (``UnitDiskModel`` and any minimal subclass) fall back to a
 documented constant -- :data:`IN_RANGE_POWER_DBM` inside carrier-sense
-range, ``-inf`` outside -- so power-aware consumers (capture, SINR
-accumulation, busy-tone power thresholds) never have to type-sniff the
+range, ``-inf`` outside -- so power-aware consumers (SINR
+accumulation and capture, busy-tone power thresholds) never have to type-sniff the
 model.
 """
 

@@ -21,9 +21,13 @@ power-domain one:
   the power-domain link-building spec consumed by
   :class:`~repro.phy.neighbors.NeighborService`.
 
-Capture is a special case of SINR (one interferer, threshold = the
-capture margin), so :class:`~repro.phy.channel.DataChannel` refuses a
-configuration with both ``capture_threshold_db`` and SINR enabled.
+Capture is a special case of SINR: with one interferer and the capture
+margin as ``sinr_threshold_db``, a frame survives iff it beats the
+interferer by the margin. With several interferers SINR is stricter
+(their powers add), which is the physically right reading.
+:class:`SinrState` is the data channel's only optional reception stage
+(:meth:`SinrState.arrive` / :meth:`SinrState.depart` plus the decode
+decision at arrival end).
 
 Determinism: shadowing draws hang off ``derive_seed(seed, ...)`` per
 node pair, radio jitter per node, and fading off a dedicated RNG stream
@@ -31,9 +35,9 @@ consumed in event order -- identical seeds give bit-identical runs, and
 interrupted campaigns resume exactly (the whole config participates in
 the result store's ``config_hash``).
 
-With SINR *disabled* (``ScenarioConfig.sinr = None``, the default) every
-hot path in the channel keeps a single ``is None`` test -- the same
-zero-cost discipline as :mod:`repro.faults`.
+With SINR *disabled* (``ScenarioConfig.sinr = None``, the default) each
+step of the channel's arrival pipeline pays one ``is None`` test -- the
+same zero-cost discipline as :mod:`repro.faults`.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -348,6 +352,35 @@ class SinrState:
         self.fading = fading
         self.rng = rng if rng is not None else random.Random(0)
         self.counters = SinrCounters()
+
+    def arrive(self, node: int, tx: object, power_dbm: float,
+               ongoing: dict) -> Tuple[float, float]:
+        """Price one arrival at ``node``: ``(signal_mw, interference_mw)``.
+
+        Fading (if any) draws once per arrival, in event order. With
+        interference accounting on, the signal lands in the tracker and
+        raises the peak interference of every reception in ``ongoing``
+        (the node's in-progress receptions, keyed by transmission).
+        """
+        # Every PropagationModel reports a link power (unit-disk models a
+        # constant), so ``power_dbm`` is never None here.
+        power_mw = 10.0 ** (power_dbm / 10.0)
+        fading = self.fading
+        if fading is not None:
+            power_mw *= fading.gain(self.rng)
+        if not self.interference:
+            return power_mw, 0.0
+        total = self.tracker.add(node, tx, power_mw)
+        for rec in ongoing.values():
+            itf = total - rec.signal_mw
+            if itf > rec.peak_itf_mw:
+                rec.peak_itf_mw = itf
+        return power_mw, total - power_mw
+
+    def depart(self, node: int, tx: object) -> None:
+        """The arrival of ``tx`` at ``node`` ended: drop its power."""
+        if self.interference:
+            self.tracker.remove(node, tx)
 
     def stats(self) -> dict:
         """JSON-serializable per-run stats (RunSummary / telemetry)."""

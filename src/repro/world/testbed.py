@@ -46,7 +46,6 @@ class MacTestbed:
         tracer: Optional[Tracer] = None,
         cache_window: int = 50_000_000,
         neighbor_indexing: str = "auto",
-        capture_threshold_db: Optional[float] = None,
         faults: Optional["FaultInjector"] = None,
         sinr: Optional["SinrConfig"] = None,
     ):
@@ -99,7 +98,6 @@ class MacTestbed:
             error_model=error_model,
             rng=self.rngs.stream("channel"),
             tracer=self.tracer,
-            capture_threshold_db=capture_threshold_db,
             faults=faults,
             sinr=self.sinr_state,
         )

@@ -6,6 +6,8 @@ from dataclasses import asdict
 import pytest
 
 from repro.experiments.bench import METRIC_FIELDS
+from repro.experiments.scenarios import sinr_preset
+from repro.faults.plan import CorruptionWindow, FaultPlan, LinkFade, NodeCrash
 from repro.sim.trace import TraceBuffer, TraceEvent, Tracer
 from repro.world.network import ScenarioConfig, build_network
 
@@ -79,13 +81,15 @@ class HashBuffer(TraceBuffer):
         return self._hash.hexdigest()
 
 
-#: Pinned outcomes of two small static unit-disk runs. Unlike the
+#: Pinned outcomes of four small static runs: RMAC and BMMM on the
+#: paper's unit-disk reception, RMAC under SINR reception with shadowing
+#: and Rayleigh fading, and BMMM under injected faults. Unlike the
 #: same-commit comparisons above, these hold across commits: a change
 #: that claims to leave behavior alone must reproduce every value
 #: exactly. A deliberate behavior change re-pins them and says why.
 GOLDEN = {
     "rmac": dict(
-        seed=5,
+        config=dict(protocol="rmac", seed=5),
         events=11942,
         trace_events=5638,
         trace_sha256="31d1358818e69412a35c64e876a8cd0c"
@@ -99,7 +103,7 @@ GOLDEN = {
             total_retransmissions=0),
     ),
     "bmmm": dict(
-        seed=3,
+        config=dict(protocol="bmmm", seed=3),
         events=19306,
         trace_events=7814,
         trace_sha256="310a9637ac923944fcc2ee81f373e8dc"
@@ -112,19 +116,60 @@ GOLDEN = {
             n_generated=15, total_deliveries=195, total_drops=0,
             total_retransmissions=0),
     ),
+    "rmac-sinr": dict(
+        config=dict(protocol="rmac", seed=5,
+                    sinr=sinr_preset("fading", tx_power_dbm=27.5)),
+        events=27465,
+        trace_events=7158,
+        trace_sha256="4bb06e6cd673edaeb72b41b8532fad8b"
+                     "d12aef630076d38d147b2e076556cc82",
+        metrics=dict(
+            delivery_ratio=1.0, avg_delay_s=0.008499538435897435,
+            max_delay_s=0.023236563, avg_drop_ratio=0.0,
+            avg_retx_ratio=0.2476190476190476,
+            avg_txoh_ratio=0.19711254027251926,
+            mrts_len_avg=22.900763358778626, mrts_len_max=42.0,
+            abort_avg=0.0716953448045885, n_generated=15,
+            total_deliveries=195, total_drops=0, total_retransmissions=26),
+        sinr=dict(
+            concurrent_high_water=3, delivered=1678,
+            mean_sinr_db=29.29965442435093, min_sinr_db=10.193546019598221,
+            sinr_dropped=92),
+    ),
+    "bmmm-faults": dict(
+        config=dict(protocol="bmmm", seed=3, faults=FaultPlan(
+            crashes=(NodeCrash(node=4, at_s=3.3, recover_s=4.0),),
+            fades=(LinkFade(src=1, dst=2, start_s=3.0, end_s=4.5),),
+            corruption=(CorruptionWindow(start_s=3.0, end_s=5.0,
+                                         probability=0.3),))),
+        events=81109,
+        trace_events=20824,
+        trace_sha256="c3648d044022561f487fda0306f4538c"
+                     "eb5b384caaa8f5f07cb8f0aa9ac8c0f0",
+        metrics=dict(
+            delivery_ratio=0.9692307692307692,
+            avg_delay_s=0.019874483544973544, max_delay_s=0.130567521,
+            avg_drop_ratio=0.10666666666666666,
+            avg_retx_ratio=3.253333333333333,
+            avg_txoh_ratio=0.4458894003320492,
+            mrts_len_avg=None, mrts_len_max=None, abort_avg=None,
+            n_generated=15, total_deliveries=189, total_drops=8,
+            total_retransmissions=244),
+    ),
 }
 
 
-@pytest.mark.parametrize("protocol", sorted(GOLDEN))
-def test_golden_run_is_bit_identical_across_commits(protocol):
-    golden = GOLDEN[protocol]
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_run_is_bit_identical_across_commits(name):
+    golden = GOLDEN[name]
     buffer = HashBuffer()
     network = build_network(
-        ScenarioConfig(protocol=protocol, seed=golden["seed"], **SMALL),
+        ScenarioConfig(**golden["config"], **SMALL),
         tracer=Tracer(enabled=True, buffer=buffer))
     summary = network.run()
-    assert {name: getattr(summary, name)
-            for name in METRIC_FIELDS} == golden["metrics"]
+    assert {field: getattr(summary, field)
+            for field in METRIC_FIELDS} == golden["metrics"]
+    assert summary.sinr == golden.get("sinr")
     assert network.sim.events_processed == golden["events"]
     assert len(buffer) == golden["trace_events"]
     assert buffer.digest == golden["trace_sha256"]

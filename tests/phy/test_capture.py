@@ -1,13 +1,18 @@
-"""The optional capture effect (extension over the paper's model)."""
+"""Capture: a strong frame surviving a weak overlap (extension over the
+paper's model).
+
+Capture is the SINR reception decision with the capture margin as the
+decode threshold: with one interferer, a frame survives iff it beats
+the interferer by the margin.
+"""
 
 from dataclasses import dataclass
-
-import pytest
 
 from repro.phy.channel import DataChannel
 from repro.phy.neighbors import NeighborService, StaticPositions
 from repro.phy.params import DEFAULT_PHY
 from repro.phy.propagation import LogDistanceModel, UnitDiskModel
+from repro.phy.sinr import SinrReceptionModel, SinrState
 from repro.sim.engine import Simulator
 from repro.sim.units import US
 
@@ -37,10 +42,15 @@ class Recorder:
 
 
 def make(coords, capture_db=None, model=None):
+    """A channel whose reception captures at ``capture_db`` (None: the
+    paper's all-overlaps-collide rule)."""
     sim = Simulator()
     svc = NeighborService(StaticPositions(coords),
                           model or LogDistanceModel(path_loss_exponent=3.0))
-    channel = DataChannel(sim, svc, DEFAULT_PHY, capture_threshold_db=capture_db)
+    sinr = None
+    if capture_db is not None:
+        sinr = SinrState(SinrReceptionModel(capture_db, noise_floor_dbm=-90.0))
+    channel = DataChannel(sim, svc, DEFAULT_PHY, sinr=sinr)
     recorders = []
     for node in range(len(coords)):
         rec = Recorder()
@@ -93,8 +103,9 @@ def test_capture_disabled_everything_collides():
 
 
 def test_capture_with_unit_disk_falls_back_to_collision():
-    # Unit-disk links carry no power: capture silently degrades to the
-    # paper's model rather than misbehaving.
+    # Unit-disk links all carry the same constant power: no frame can
+    # beat another by the margin, so capture degrades to the paper's
+    # model rather than misbehaving.
     sim, ch, recs = make([(0.0, 0.0), (30.0, 0.0), (60.0, 0.0)],
                          capture_db=10.0, model=UnitDiskModel(75.0))
     ch.transmit(0, Frame(100, "a"))
@@ -106,6 +117,10 @@ def test_capture_with_unit_disk_falls_back_to_collision():
 def test_signal_power_bookkeeping_drains():
     sim, ch, recs = make(NEAR_FAR, capture_db=10.0)
     ch.transmit(0, Frame(50, "x"))
+    sim.at(20 * US, lambda: ch.transmit(2, Frame(50, "y")))
     sim.run()
     sim.run(until=sim.now + 10 * US)
-    assert all(not signals for signals in ch._signal_powers.values())
+    tracker = ch.sinr.tracker
+    assert tracker.high_water == 2
+    assert all(tracker.concurrent(node) == 0 for node in range(3))
+    assert all(tracker.total_mw(node) == 0.0 for node in range(3))

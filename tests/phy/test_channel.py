@@ -203,45 +203,55 @@ def test_arrival_end_without_start_raises_underflow():
     assert not ch.busy(1)
 
 
-def _mixed_power_setup(powered_sender):
-    """Capture-enabled channel where only ``powered_sender``'s links
-    report received power (the other sender's links are power-less)."""
+def _sensed_and_hidden_setup(sensed_sender):
+    """SINR channel where ``sensed_sender``'s links are ordinary decodable
+    links at -40 dBm and the other sender's are interference-only
+    (``sensed=False``, -80 dBm): energy the receiver's radio never sees."""
+    from repro.phy.neighbors import Link, LinkTable
+    from repro.phy.sinr import SinrReceptionModel, SinrState
+
     sim = Simulator()
     svc = NeighborService(StaticPositions([(0, 0), (60, 0), (120, 0)]),
                           UnitDiskModel(75.0))
-    ch = DataChannel(sim, svc, DEFAULT_PHY, capture_threshold_db=10.0)
+    state = SinrState(SinrReceptionModel(10.0, noise_floor_dbm=-90.0))
+    ch = DataChannel(sim, svc, DEFAULT_PHY, sinr=state)
     recs = []
     for node in range(3):
         rec = Recorder()
         ch.attach(node, rec)
         recs.append(rec)
-    from repro.phy.neighbors import Link
 
-    compute = svc.links_from
+    compute = svc.table_from
 
     def mixed(sender, time_ns):
-        links = compute(sender, time_ns)
-        if sender == powered_sender:
-            links = tuple(
-                Link(l.node, l.delay_ns, l.in_rx_range, -40.0) for l in links
-            )
-        return links
+        links = compute(sender, time_ns).links
+        if sender == sensed_sender:
+            return LinkTable(tuple(
+                Link(l.node, l.delay_ns, l.in_rx_range, -40.0) for l in links))
+        return LinkTable(tuple(
+            Link(l.node, l.delay_ns, False, -80.0, sensed=False) for l in links))
 
-    svc.links_from = mixed
-    return sim, ch, recs
+    svc.table_from = mixed
+    return sim, ch, recs, state
 
 
-@pytest.mark.parametrize("powered_sender", [0, 2])
-def test_capture_tolerates_mixed_power_and_no_power_links(powered_sender):
-    """With capture on, an overlap between a powered link and a
-    power-less (unit-disk) link must collide cleanly in either arrival
-    order -- dominance cannot be proven against an unknown power."""
-    sim, ch, recs = _mixed_power_setup(powered_sender)
+@pytest.mark.parametrize("sensed_sender", [0, 2])
+def test_sensed_and_interference_only_overlap_in_either_order(sensed_sender):
+    """One arrival pipeline serves both link kinds: an interference-only
+    arrival adds power but never carrier sense or a reception, in either
+    arrival order, and every counter drains afterwards."""
+    sim, ch, recs, state = _sensed_and_hidden_setup(sensed_sender)
     ch.transmit(0, Frame(100, "a"))
     sim.at(10 * US, lambda: ch.transmit(2, Frame(100, "b")))
+    busy_early = []
+    sim.at(5 * US, lambda: busy_early.append(ch.busy(1)))
     sim.run()
-    assert recs[1].received == []
-    assert sorted(recs[1].errors) == [0, 2]
+    assert busy_early == [sensed_sender == 0]
+    # -40 dBm over -80 dBm of interference plus the noise floor: ~39.6 dB.
+    assert [sender for _, sender in recs[1].received] == [sensed_sender]
+    assert recs[1].errors == [] and recs[1].rx_starts == [sensed_sender]
+    assert state.tracker.high_water == 2
+    assert state.tracker.concurrent(1) == 0
     assert not ch.busy(1)
 
 

@@ -35,7 +35,7 @@ from repro.phy.sinr import (
     node_radio_offsets,
     wire_sinr,
 )
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.units import US
 from repro.world.testbed import MacTestbed
 
@@ -254,18 +254,8 @@ def test_build_state_constructs_fading_sampler():
 
 
 # ----------------------------------------------------------------------
-# Mutual exclusion and testbed wiring errors
+# Testbed wiring errors
 # ----------------------------------------------------------------------
-def test_capture_and_sinr_mutually_exclusive():
-    sim = Simulator()
-    svc = NeighborService(StaticPositions([(0, 0), (50, 0)]), UnitDiskModel(75.0))
-    state = wire_sinr(SinrConfig(propagation="unitdisk"), DEFAULT_PHY, 2,
-                      1).build_state()
-    with pytest.raises(SimulationError, match="mutually"):
-        DataChannel(sim, svc, DEFAULT_PHY, capture_threshold_db=10.0,
-                    sinr=state)
-
-
 def test_testbed_rejects_propagation_plus_sinr():
     with pytest.raises(ValueError, match="propagation model or a SinrConfig"):
         MacTestbed([(0, 0), (50, 0)], propagation=UnitDiskModel(75.0),

@@ -1,9 +1,14 @@
-"""Property tests: data-channel bookkeeping conservation.
+"""Property tests: data-channel bookkeeping and the reception rule.
 
 Whatever mix of transmissions and aborts runs, after everything
 propagates: busy counters are zero everywhere, nobody is mid-reception,
 idle notifications fired, and every (sender, receiver) pair saw exactly
 one terminal event (delivery or error) per decodable transmission.
+
+The one arrival pipeline must also decide every reception the way a
+plain reference model of the paper's overlap rule does -- with no
+reception stage, and with unit-disk SINR stages that reproduce the rule
+(vacuous SINR check, or accumulated interference against 10 dB).
 """
 
 from dataclasses import dataclass
@@ -14,6 +19,7 @@ from repro.phy.channel import DataChannel
 from repro.phy.neighbors import NeighborService, StaticPositions
 from repro.phy.params import DEFAULT_PHY
 from repro.phy.propagation import UnitDiskModel
+from repro.phy.sinr import SinrReceptionModel, SinrState
 from repro.sim.engine import Simulator
 from repro.sim.units import US
 
@@ -105,3 +111,93 @@ def test_channel_conservation(schedule):
 
     # rx_start fires once per decodable arrival.
     assert sum(r.rx_starts for r in recorders) == expected_terminals
+
+
+class OutcomeLog:
+    """Terminal receptions at one node as ``(time, sender, ok)``."""
+
+    def __init__(self, sim, node, log):
+        self.sim, self.node, self.log = sim, node, log
+
+    def on_frame_received(self, frame, sender):
+        self.log.append((self.node, sender, self.sim.now, True))
+
+    def on_frame_error(self, sender):
+        self.log.append((self.node, sender, self.sim.now, False))
+
+    def on_tx_complete(self, frame, aborted):
+        pass
+
+    def on_rx_start(self, sender):
+        pass
+
+
+def reference_outcomes(launched):
+    """The paper's rule, stated directly over the finished transmissions:
+    a decodable arrival at ``r`` succeeds iff its sender did not abort,
+    no other sensed arrival at ``r`` overlaps its window, and ``r`` does
+    not transmit during it."""
+    outcomes = []
+    for tx in launched:
+        for link in tx.links:
+            if not link.in_rx_range:
+                continue
+            node, lo, hi = link.node, tx.start + link.delay_ns, tx.end + link.delay_ns
+            overlapped = any(
+                other is not tx and other.start + o.delay_ns < hi
+                and lo < other.end + o.delay_ns
+                for other in launched for o in other.links if o.node == node)
+            transmitting = any(
+                other.sender == node and other.start < hi and lo < other.end
+                for other in launched)
+            ok = not (tx.aborted or overlapped or transmitting)
+            outcomes.append((node, tx.sender, hi, ok))
+    return sorted(outcomes)
+
+
+#: The three reception configurations that must realise the overlap rule.
+RECEPTION_MODES = {
+    "threshold": lambda: None,
+    "sinr-vacuous": lambda: SinrState(SinrReceptionModel(None, -90.0),
+                                      interference=False),
+    "sinr-derived": lambda: SinrState(SinrReceptionModel(10.0, -90.0)),
+}
+
+
+def run_schedule(schedule, sinr):
+    sim = Simulator()
+    svc = NeighborService(StaticPositions(COORDS), UnitDiskModel(75.0))
+    channel = DataChannel(sim, svc, DEFAULT_PHY, sinr=sinr)
+    log = []
+    for node in range(len(COORDS)):
+        channel.attach(node, OutcomeLog(sim, node, log))
+    launched = []
+
+    def launch(sender, size, abort_frac):
+        if channel.is_transmitting(sender):
+            return
+        tx = channel.transmit(sender, Frame(size))
+        launched.append(tx)
+        if abort_frac is not None:
+            # Whole microseconds after the start, like every other edge.
+            cut = max(1, int(tx.airtime * abort_frac) // US) * US
+            sim.at(sim.now + cut, lambda: channel.abort(tx))
+
+    for _, sender, start, size, abort_frac in schedule:
+        # Each sender transmits on its own 100 ns phase within the
+        # microsecond (airtimes are whole microseconds), so no two edges
+        # at a receiver coincide and event tie-breaking never decides an
+        # outcome the reference model cannot see.
+        at = (start // US) * US + 100 * sender
+        sim.at(at, lambda s=sender, z=size, a=abort_frac: launch(s, z, a))
+    sim.run()
+    return sorted(log), launched
+
+
+@settings(max_examples=50, deadline=None)
+@given(schedule=schedules())
+def test_every_reception_mode_matches_the_reference_overlap_rule(schedule):
+    results = {name: run_schedule(schedule, make())
+               for name, make in RECEPTION_MODES.items()}
+    for name, (log, launched) in results.items():
+        assert log == reference_outcomes(launched), name
