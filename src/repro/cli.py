@@ -522,8 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--tier", choices=("smoke", "full", "large"),
                        help="point set to run: smoke (one ~1s run, the CI "
                             "gate), full (the committed 40-node sweep, the "
-                            "default), or large (200/500/1000-node scaling "
-                            "tier with grid-vs-brute comparisons)")
+                            "default), or large (the 200/500/1000-node "
+                            "scaling tier)")
     bench.add_argument("--smoke", action="store_true",
                        help="alias for --tier smoke; what CI executes on "
                             "every push")

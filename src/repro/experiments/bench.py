@@ -25,16 +25,9 @@ Three tiers:
   regression threshold (wall-clock on shared runners is noisy), which
   also fails the build if SINR work slows the threshold path.
 * **large** -- the scaling tier (200/500/1000 nodes, static + random
-  waypoint) exercising the spatial-grid link path, a ``sinr-500``
-  point measuring accumulated-power reception under shadowing at 500
-  nodes, plus
-  ``neighbor-rebuild`` microbenchmark points that time whole-bucket
-  link-table rebuilds on the grid path against the brute-force
-  per-sender path on identical trajectories (asserting the tables are
-  exactly equal first). The 1000-node waypoint point additionally
-  re-runs the full stack with indexing forced to brute and asserts
-  bit-identical ``RunSummary`` metrics -- the "measurably faster,
-  bit-identical results" contract, measured.
+  waypoint) where link-table building through the spatial grid
+  matters, plus a ``sinr-500`` point measuring accumulated-power
+  reception under shadowing at 500 nodes.
 
 The smoke/full sweeps are **static-only** (no mobility) on purpose:
 static scenarios exercise the frozen-link fast path and keep the
@@ -42,9 +35,7 @@ per-run ``metrics`` block bit-identical across machines and across
 mobility-model changes, so the baseline doubles as a determinism
 regression check -- same seeds must produce the same delivery/
 retransmission/delay numbers, or something changed protocol behavior
-rather than just speed. (At 12-40 nodes they also stay below the
-``auto`` grid threshold, so they time the original brute path
-unchanged.)
+rather than just speed.
 """
 
 from __future__ import annotations
@@ -131,20 +122,7 @@ def _large_point(n_nodes: int, mobile: bool, seed: int, **extra) -> dict:
     return point
 
 
-def _rebuild_point(n_nodes: int, epochs: int, seed: int = 1) -> dict:
-    width, height = _LARGE_FIELDS[n_nodes]
-    return {"mode": "large", "protocol": "neighbors", "seed": seed,
-            "kind": "neighbor-rebuild", "label": f"rebuild-{n_nodes}",
-            "n_nodes": n_nodes, "width": width, "height": height,
-            "epochs": epochs}
-
-
-#: The scaling tier. Full-stack points run with the default ``auto``
-#: indexing (grid at these sizes); ``compare_brute`` re-runs the same
-#: scenario with indexing forced to brute and asserts bit-identical
-#: metrics. ``neighbor-rebuild`` points time the link-table layer alone
-#: (grid vs brute) -- the apples-to-apples number for the spatial index
-#: itself, free of event-loop dilution.
+#: The scaling tier: full-stack points from 200 to 1000 nodes.
 LARGE_POINTS: List[dict] = [
     _large_point(200, False, 1),
     _large_point(200, True, 1),
@@ -154,7 +132,7 @@ LARGE_POINTS: List[dict] = [
     # The headline point. Best-of-3 like the gated smoke points: a
     # single sample of a 5-second run on a shared machine is too noisy
     # for a headline number.
-    _large_point(1000, True, 1, repeat=3, compare_brute=True),
+    _large_point(1000, True, 1, repeat=3),
     # SINR scaling point: 500 static nodes under lognormal shadowing
     # with interference accounting on -- the nightly number for "what
     # does accumulated-power reception cost at scale". Crafted by hand
@@ -165,9 +143,6 @@ LARGE_POINTS: List[dict] = [
               mobile=False, sinr=sinr_preset("shadowing"),
               **_LARGE_TRAFFIC),
      "label": "sinr-500"},
-    _rebuild_point(200, epochs=40),
-    _rebuild_point(500, epochs=30),
-    _rebuild_point(1000, epochs=20),
 ]
 
 #: ``repro bench --tier <name>`` choices.
@@ -209,12 +184,7 @@ def run_point(point: dict) -> dict:
     minimum is the least-noisy estimator). Every repetition must produce
     identical events and metrics -- a free determinism check; a mismatch
     raises rather than silently averaging nondeterministic runs.
-
-    ``kind: "neighbor-rebuild"`` points bypass the full stack and time
-    the link-table layer directly (see :func:`_run_rebuild_point`).
     """
-    if point.get("kind") == "neighbor-rebuild":
-        return _run_rebuild_point(point)
     best = None
     for _ in range(max(1, int(point.get("repeat", 1)))):
         config = ScenarioConfig(
@@ -249,128 +219,7 @@ def run_point(point: dict) -> dict:
                 )
             if (record["wall_s"] or 0.0) < (best["wall_s"] or 0.0):
                 best = record
-    if point.get("compare_brute"):
-        # Same scenario, same seeds, indexing forced to brute on the
-        # built network (ScenarioConfig -- and so every config_hash --
-        # is untouched). The metrics must match bit-for-bit; the wall
-        # clocks are the honest end-to-end grid-vs-brute comparison.
-        config = ScenarioConfig(
-            protocol=point["protocol"],
-            seed=point["seed"],
-            collect_telemetry=True,
-            **point["config"],
-        )
-        network = build_network(config)
-        network.testbed.neighbors.force_indexing("brute")
-        brute = network.run()
-        brute_metrics = {name: getattr(brute, name) for name in METRIC_FIELDS}
-        if brute_metrics != best["metrics"]:
-            drifted = sorted(name for name in METRIC_FIELDS
-                             if brute_metrics[name] != best["metrics"][name])
-            raise RuntimeError(
-                f"grid vs brute metrics diverged on {point.get('label')}: "
-                f"{', '.join(drifted)}"
-            )
-        best["brute_eps"] = brute.events_per_sec
-        if brute.events_per_sec and best["eps"]:
-            best["e2e_speedup_vs_brute"] = best["eps"] / brute.events_per_sec
     return best
-
-
-def _run_rebuild_point(point: dict) -> dict:
-    """Time whole-bucket link-table rebuilds: grid vs brute, same world.
-
-    Places ``n_nodes`` nodes, attaches random-waypoint mobility, then
-    queries every sender's links across ``epochs`` consecutive mobility
-    buckets -- the dense access pattern under which the grid path runs
-    its batched whole-bucket rebuilds (the adaptive first epoch, served
-    lazily before the density upgrade kicks in, is included in the timed
-    pass). Waypoint legs are materialized up front so neither timed pass
-    pays them, and the two paths' tables are asserted exactly equal
-    (first and last epoch) before anything is timed. ``speedup`` is the
-    recorded grid-over-brute link-evaluation throughput ratio.
-    """
-    import random as _random
-    from time import perf_counter
-
-    from repro.mobility.base import MobilityProvider
-    from repro.mobility.waypoint import RandomWaypointModel
-    from repro.phy.neighbors import NeighborService
-    from repro.phy.propagation import UnitDiskModel
-    from repro.sim.rng import derive_seed
-    from repro.world.placement import random_placement
-
-    n = point["n_nodes"]
-    epochs = point["epochs"]
-    width, height = point["width"], point["height"]
-    window = 50_000_000
-    master = _random.Random(derive_seed(point["seed"], "bench-rebuild"))
-    coords = random_placement(n, width, height, master,
-                              require_connected=False)
-    models = [
-        RandomWaypointModel(
-            x, y, width, height, 0.5, 8.0, 2.0,
-            _random.Random(derive_seed(point["seed"], "bench-rebuild-wp", i)),
-        )
-        for i, (x, y) in enumerate(coords)
-    ]
-    provider = MobilityProvider(models)
-    times = [epoch * window for epoch in range(epochs)]
-    for t in times:
-        provider.positions(t)
-    model = UnitDiskModel(75.0)
-
-    check_grid = NeighborService(provider, model, cache_window=window,
-                                 indexing="grid")
-    check_brute = NeighborService(provider, model, cache_window=window,
-                                  indexing="brute")
-    for t in (times[0], times[-1]):
-        for sender in range(n):
-            if check_grid.links_from(sender, t) != check_brute.links_from(sender, t):
-                raise RuntimeError(
-                    f"grid vs brute link tables diverged at n={n}, t={t}")
-
-    # Interleaved best-of-5 (fresh service each repeat, same min-wall
-    # precedent as the smoke point): shared hosts show multi-second CPU
-    # steal windows, so alternating the passes lets both mins sample the
-    # same quiet periods instead of one path eating a noisy stretch.
-    walls = {"brute": float("inf"), "grid": float("inf")}
-    served = {}
-    for _ in range(5):
-        for mode in ("brute", "grid"):
-            service = NeighborService(provider, model, cache_window=window,
-                                      indexing=mode)
-            count = 0
-            start = perf_counter()
-            for t in times:
-                for sender in range(n):
-                    count += len(service.links_from(sender, t))
-            walls[mode] = min(walls[mode], perf_counter() - start)
-            served[mode] = count
-    if served["grid"] != served["brute"]:
-        raise RuntimeError("grid vs brute served different link counts")
-    links = served["grid"]
-    return {
-        "mode": point["mode"],
-        "protocol": point["protocol"],
-        "seed": point["seed"],
-        "label": point["label"],
-        "kind": "neighbor-rebuild",
-        "n_nodes": n,
-        "epochs": epochs,
-        # Excluded from the report's event-loop aggregate on purpose:
-        # these are link evaluations, not simulator events.
-        "events": 0,
-        "wall_s": 0.0,
-        "eps": None,
-        "links_built": links,
-        "brute_wall_s": walls["brute"],
-        "grid_wall_s": walls["grid"],
-        "links_per_sec_brute": links / walls["brute"] if walls["brute"] > 0 else 0.0,
-        "links_per_sec_grid": links / walls["grid"] if walls["grid"] > 0 else 0.0,
-        "speedup": (walls["brute"] / walls["grid"]) if walls["grid"] > 0 else 0.0,
-        "metrics": {"links_built": links},
-    }
 
 
 def run_bench(points: Sequence[dict], rev: Optional[str] = None,
@@ -492,21 +341,11 @@ def render(report: dict) -> str:
 
 def render_point(point: dict) -> str:
     """One point's result as a single line (also the progress format)."""
-    if point.get("kind") == "neighbor-rebuild":
-        return (
-            f"{_point_label(point)}: {point['links_built']} links x "
-            f"{point['epochs']} epochs, grid "
-            f"{point['links_per_sec_grid']:,.0f} links/s vs brute "
-            f"{point['links_per_sec_brute']:,.0f} ({point['speedup']:.1f}x)"
-        )
     top = sorted((point.get("subsystem_wall_s") or {}).items(),
                  key=lambda kv: -kv[1])[:4]
     subsystems = ", ".join(f"{name}={secs * 1e3:.0f}ms" for name, secs in top)
     line = (f"{_point_label(point)}: "
             f"{point['events']} ev @ {point['eps']:,.0f}/s")
-    if point.get("brute_eps"):
-        line += (f" (brute rerun {point['brute_eps']:,.0f}/s, "
-                 f"{point.get('e2e_speedup_vs_brute', 0.0):.2f}x e2e)")
     if subsystems:
         line += f"  [{subsystems}]"
     return line
@@ -516,8 +355,7 @@ def markdown_table(report: dict, baseline: Optional[dict] = None) -> str:
     """A GitHub-flavored markdown comparison table (for CI job summaries).
 
     One row per point: current events/sec against the committed
-    baseline's. Rebuild points report link evaluations/sec and their
-    grid-over-brute speedup instead.
+    baseline's.
     """
     by_key: Dict[tuple, dict] = {
         _point_key(p): p for p in (baseline or {}).get("points", [])
@@ -526,15 +364,6 @@ def markdown_table(report: dict, baseline: Optional[dict] = None) -> str:
              "| --- | ---: | ---: | ---: |"]
     for point in report.get("points", []):
         base = by_key.get(_point_key(point))
-        if point.get("kind") == "neighbor-rebuild":
-            current = f"{point['links_per_sec_grid']:,.0f} links/s"
-            base_eps = (base or {}).get("links_per_sec_grid")
-            base_cell = f"{base_eps:,.0f} links/s" if base_eps else "--"
-            ratio = (f"{point['links_per_sec_grid'] / base_eps:.2f}x"
-                     if base_eps else f"{point['speedup']:.1f}x vs brute")
-            lines.append(f"| {_point_label(point)} | {current} "
-                         f"| {base_cell} | {ratio} |")
-            continue
         eps = point.get("eps") or 0.0
         base_eps = (base or {}).get("eps") or 0.0
         ratio = f"{eps / base_eps:.2f}x" if base_eps > 0 else "--"

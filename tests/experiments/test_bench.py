@@ -121,27 +121,11 @@ def test_tier_points_resolution():
 
 
 def test_large_tier_composition():
-    sizes = {p["config"]["n_nodes"] for p in bench.LARGE_POINTS if "config" in p}
+    sizes = {p["config"]["n_nodes"] for p in bench.LARGE_POINTS}
     assert sizes == {200, 500, 1000}
-    rebuilds = [p for p in bench.LARGE_POINTS
-                if p.get("kind") == "neighbor-rebuild"]
-    assert {p["n_nodes"] for p in rebuilds} == {200, 500, 1000}
-    assert any(p.get("compare_brute") for p in bench.LARGE_POINTS)
     # Labels are unique: they are the compare() key at shared mode/seed.
     labels = [p["label"] for p in bench.LARGE_POINTS]
     assert len(labels) == len(set(labels))
-
-
-def test_rebuild_point_asserts_equality_and_reports_speedup():
-    record = bench.run_point(bench._rebuild_point(200, epochs=2))
-    assert record["kind"] == "neighbor-rebuild"
-    assert record["links_built"] > 0
-    assert record["speedup"] > 0
-    assert record["links_per_sec_grid"] > 0
-    # Excluded from the event-loop aggregate.
-    assert record["events"] == 0 and record["wall_s"] == 0.0
-    report = bench.run_bench([bench._rebuild_point(200, epochs=1)], rev="x")
-    assert report["events"] == 0
 
 
 def test_compare_keys_on_label():
@@ -164,13 +148,6 @@ def test_markdown_table():
     assert "900" in table and "1,000" in table
     # Without a baseline the ratio column degrades gracefully.
     assert "--" in bench.markdown_table(current, None)
-
-
-def test_compare_brute_point_records_e2e_comparison():
-    point = dict(TINY, compare_brute=True)
-    record = bench.run_point(point)
-    assert record["brute_eps"] > 0
-    assert record["e2e_speedup_vs_brute"] > 0
 
 
 def test_cli_bench_tier_flag(tmp_path, monkeypatch):

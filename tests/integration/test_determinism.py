@@ -81,9 +81,11 @@ class HashBuffer(TraceBuffer):
         return self._hash.hexdigest()
 
 
-#: Pinned outcomes of four small static runs: RMAC and BMMM on the
+#: Pinned outcomes of five small runs: static RMAC and BMMM on the
 #: paper's unit-disk reception, RMAC under SINR reception with shadowing
-#: and Rayleigh fading, and BMMM under injected faults. Unlike the
+#: and Rayleigh fading, BMMM under injected faults, and mobile RMAC
+#: (random waypoint, so link tables are rebuilt per position bucket,
+#: both in one batched pass and sender by sender). Unlike the
 #: same-commit comparisons above, these hold across commits: a change
 #: that claims to leave behavior alone must reproduce every value
 #: exactly. A deliberate behavior change re-pins them and says why.
@@ -155,6 +157,20 @@ GOLDEN = {
             mrts_len_avg=None, mrts_len_max=None, abort_avg=None,
             n_generated=15, total_deliveries=189, total_drops=8,
             total_retransmissions=244),
+    ),
+    "rmac-mobile": dict(
+        config=dict(protocol="rmac", seed=5, mobile=True),
+        events=11752,
+        trace_events=5462,
+        trace_sha256="7a9be5894409f5a85a13c9c158ef987c"
+                     "4fc9896d92713b24fbbdb094bac0b872",
+        metrics=dict(
+            delivery_ratio=1.0, avg_delay_s=0.0068581059179487185,
+            max_delay_s=0.013518324, avg_drop_ratio=0.0,
+            avg_retx_ratio=0.0, avg_txoh_ratio=0.2483058608058608,
+            mrts_len_avg=27.0, mrts_len_max=36.0, abort_avg=0.0,
+            n_generated=15, total_deliveries=195, total_drops=0,
+            total_retransmissions=0),
     ),
 }
 

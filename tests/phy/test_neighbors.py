@@ -9,10 +9,11 @@ from repro.phy.neighbors import (
     propagation_delay_ns,
 )
 from repro.phy.propagation import UnitDiskModel
+from tests.phy.link_oracle import oracle_links
 
 
-def service(coords, rng=75.0, **kw):
-    return NeighborService(StaticPositions(coords), UnitDiskModel(rng), **kw)
+def service(coords, rng=75.0):
+    return NeighborService(StaticPositions(coords), UnitDiskModel(rng))
 
 
 def test_propagation_delay_speed_of_light():
@@ -38,20 +39,6 @@ def test_links_symmetric_for_unit_disk():
 def test_static_results_cached():
     svc = service([(0, 0), (50, 0)])
     assert svc.links_from(0, 0) is svc.links_from(0, 10**9)
-
-
-def test_distance_and_in_rx_range():
-    svc = service([(0, 0), (30, 40)])
-    assert svc.distance(0, 1, 0) == pytest.approx(50.0)
-    assert svc.in_rx_range(0, 1, 0)
-
-
-def test_invalidate_clears_cache():
-    svc = service([(0, 0), (50, 0)])
-    first = svc.links_from(0, 0)
-    svc.invalidate()
-    second = svc.links_from(0, 0)
-    assert first is not second and [l.node for l in first] == [l.node for l in second]
 
 
 def test_unknown_sender_rejected():
@@ -173,21 +160,18 @@ def test_two_slot_position_cache_survives_interleaved_times():
 def test_counters_track_table_cache():
     svc = NeighborService(_MovingProvider(), UnitDiskModel(75.0),
                           cache_window=1000)
+    # One sender of two is already a dense (>= 25%) bucket: the first
+    # miss rebuilds both tables in one batched pass...
     svc.links_from(0, 100)
+    # ...the same bucket then hits...
     svc.links_from(0, 900)
+    # ...and the next bucket, predicted dense, rebuilds up front.
     svc.links_from(0, 1100)
     counters = svc.counters.as_dict()
     assert counters["table_misses"] == 2
     assert counters["table_hits"] == 1
-    assert counters["links_built"] == 2  # one link per computed table
-
-
-def test_indexing_mode_validation():
-    with pytest.raises(ValueError):
-        service([(0, 0)], indexing="octree")
-    svc = service([(0, 0)])
-    with pytest.raises(ValueError):
-        svc.force_indexing("octree")
+    assert counters["table_rebuilds"] == 2
+    assert counters["links_built"] == 4  # two links per rebuild
 
 
 def test_grid_and_brute_static_tables_identical():
@@ -195,34 +179,28 @@ def test_grid_and_brute_static_tables_identical():
 
     rng = random.Random(5)
     coords = [(rng.uniform(0, 500), rng.uniform(0, 300)) for _ in range(70)]
-    grid = service(coords, indexing="grid")
-    brute = service(coords, indexing="brute")
+    svc = service(coords)
     for sender in range(len(coords)):
-        assert grid.links_from(sender, 0) == brute.links_from(sender, 0)
-    assert grid.counters.table_rebuilds == 1
-    assert grid.counters.grid_cells > 0
-    assert grid.counters.grid_pairs > 0
+        assert svc.links_from(sender, 0) == oracle_links(
+            coords, sender, svc.model)
+    assert svc.counters.table_rebuilds == 1
+    assert svc.counters.grid_cells > 0
+    assert svc.counters.grid_pairs > 0
 
 
-def test_force_indexing_switches_path_same_results():
+def test_static_service_freezes_with_one_batched_rebuild():
     import random
 
     rng = random.Random(9)
     coords = [(rng.uniform(0, 300), rng.uniform(0, 200)) for _ in range(30)]
-    svc = service(coords, indexing="auto")  # below threshold: brute
-    before = [svc.links_from(s, 0) for s in range(len(coords))]
-    assert svc.counters.table_rebuilds == 0
-    svc.force_indexing("grid")
-    after = [svc.links_from(s, 0) for s in range(len(coords))]
+    svc = service(coords)
+    for _ in range(2):
+        for sender in range(len(coords)):
+            assert svc.links_from(sender, 0) == oracle_links(
+                coords, sender, svc.model)
     assert svc.counters.table_rebuilds == 1
-    assert before == after
-
-
-def test_auto_threshold_picks_grid_at_scale():
-    coords = [(float(i % 10) * 30.0, float(i // 10) * 30.0) for i in range(64)]
-    svc = service(coords)  # auto, n == GRID_THRESHOLD
-    svc.links_from(0, 0)
-    assert svc.counters.table_rebuilds == 1
+    assert svc.counters.table_misses == 0
+    assert svc.counters.table_hits == 2 * len(coords)
 
 
 def test_table_from_shares_delay_map():
@@ -257,8 +235,8 @@ class _DriftProvider:
 
 def test_grid_mobile_density_adaptive():
     n = 80
-    svc = NeighborService(_DriftProvider(n), UnitDiskModel(75.0),
-                          cache_window=1000, indexing="grid")
+    provider = _DriftProvider(n)
+    svc = NeighborService(provider, UnitDiskModel(75.0), cache_window=1000)
     # Sparse traffic: one sender per bucket never triggers a batched
     # rebuild; tables are served lazily against the bucket's grid.
     for bucket in range(3):
@@ -274,9 +252,8 @@ def test_grid_mobile_density_adaptive():
     for s in range(n):
         svc.links_from(s, 4000)
     assert svc.counters.table_rebuilds == 2
-    # Both flavors (lazy pruned scalar, batched) agree with brute.
-    brute = NeighborService(_DriftProvider(n), UnitDiskModel(75.0),
-                            cache_window=1000, indexing="brute")
+    # Both flavors (lazy pruned scalar, batched) agree with the oracle.
     for t in (0, 3000, 4000):
         for s in range(n):
-            assert svc.links_from(s, t) == brute.links_from(s, t)
+            assert svc.links_from(s, t) == oracle_links(
+                provider.positions(t), s, svc.model)

@@ -1,11 +1,13 @@
-"""Property: grid-indexed link tables are *exactly* brute-force's.
+"""Property: grid-indexed link tables are *exactly* the brute-force oracle's.
 
-The grid path's whole contract is "measurably faster, bit-identical
-results": for every sender, the batched numpy rebuild must produce the
-same node set, the same ``delay_ns``, the same ``in_rx_range`` flag and
-the same ``power_dbm`` (to the last bit) as the per-sender brute-force
-reference, for both propagation models, across mobility bucket epochs,
-and with nodes straddling grid-cell boundaries.
+``NeighborService`` finds links through a spatial grid -- batched over
+all senders or per sender against the grid, depending on the bucket's
+query density. For every sender, either flavor must produce the same
+node set, the same ``delay_ns``, the same ``in_rx_range`` flag and the
+same ``power_dbm`` (to the last bit) as the scan-everything oracle in
+``tests/phy/link_oracle.py``, for both propagation models, in power
+mode, across mobility bucket epochs, and with nodes straddling
+grid-cell boundaries.
 """
 
 import random
@@ -19,6 +21,7 @@ from repro.phy.neighbors import NeighborService, StaticPositions
 from repro.phy.params import DEFAULT_PHY
 from repro.phy.propagation import LogDistanceModel, UnitDiskModel
 from repro.phy.sinr import SinrConfig, wire_sinr
+from tests.phy.link_oracle import oracle_links
 
 WIDTH, HEIGHT = 400.0, 250.0
 
@@ -58,10 +61,10 @@ def test_static_grid_tables_equal_brute(seed, n, kind, sense_extra, clustered):
     rng = random.Random(seed)
     provider = StaticPositions(make_coords(rng, n, clustered))
     model = make_model(kind, sense_extra)
-    grid = NeighborService(provider, model, indexing="grid")
-    brute = NeighborService(provider, model, indexing="brute")
+    grid = NeighborService(provider, model)
+    pos = provider.positions(0)
     for sender in range(n):
-        assert grid.links_from(sender, 0) == brute.links_from(sender, 0)
+        assert grid.links_from(sender, 0) == oracle_links(pos, sender, model)
 
 
 def make_power_spec(kind, hetero, n, seed):
@@ -84,18 +87,19 @@ def make_power_spec(kind, hetero, n, seed):
 def test_static_power_mode_grid_tables_equal_brute(
         seed, n, kind, hetero, clustered):
     """Power-mode links (pair-aware shadowing, heterogeneous radio
-    offsets, interference-only tails) keep the grid==brute bit-identity
-    contract: same nodes, delays, flags and ``power_dbm`` to the last
-    bit. The shadow cache is per-model, so both services share one
-    model instance -- exactly how the testbed wires it."""
+    offsets, interference-only tails) keep the grid == oracle
+    bit-identity contract: same nodes, delays, flags and ``power_dbm``
+    to the last bit. The shadow cache is per-model, so the service and
+    the oracle share one model instance -- exactly how the testbed
+    wires it."""
     rng = random.Random(seed)
     provider = StaticPositions(make_coords(rng, n, clustered))
     model, spec = make_power_spec(kind, hetero, n, seed)
-    grid = NeighborService(provider, model, indexing="grid", power_spec=spec)
-    brute = NeighborService(provider, model, indexing="brute", power_spec=spec)
+    grid = NeighborService(provider, model, power_spec=spec)
+    pos = provider.positions(0)
     for sender in range(n):
         links = grid.links_from(sender, 0)
-        assert links == brute.links_from(sender, 0)
+        assert links == oracle_links(pos, sender, model, spec)
         for link in links:
             assert link.sensed == (link.power_dbm >= spec.cs_threshold_dbm)
             assert link.in_rx_range == (link.power_dbm >= spec.rx_threshold_dbm)
@@ -119,13 +123,13 @@ def test_mobile_power_mode_grid_tables_equal_brute(seed, n, hetero):
     model, spec = make_power_spec("shadowing", hetero, n, seed)
     window = 50_000_000
     grid = NeighborService(provider, model, cache_window=window,
-                           indexing="grid", power_spec=spec)
-    brute = NeighborService(provider, model, cache_window=window,
-                            indexing="brute", power_spec=spec)
+                           power_spec=spec)
     for epoch in range(3):
         t = epoch * window + window // 3
+        pos = provider.positions(t - t % window)
         for sender in range(n):
-            assert grid.links_from(sender, t) == brute.links_from(sender, t)
+            assert grid.links_from(sender, t) == oracle_links(
+                pos, sender, model, spec)
 
 
 @settings(max_examples=25, deadline=None)
@@ -144,9 +148,9 @@ def test_mobile_grid_tables_equal_brute_across_epochs(seed, n, kind, window):
     ]
     provider = MobilityProvider(models)
     model = make_model(kind, 0.0)
-    grid = NeighborService(provider, model, cache_window=window, indexing="grid")
-    brute = NeighborService(provider, model, cache_window=window, indexing="brute")
+    grid = NeighborService(provider, model, cache_window=window)
     for epoch in range(4):
         t = epoch * window + window // 3
+        pos = provider.positions(t - t % window)
         for sender in range(n):
-            assert grid.links_from(sender, t) == brute.links_from(sender, t)
+            assert grid.links_from(sender, t) == oracle_links(pos, sender, model)
