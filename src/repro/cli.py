@@ -7,9 +7,10 @@ Commands
 ``figure``   regenerate a paper figure (fig7..fig13) at a chosen scale,
              or from a campaign store with ``--from DIR`` (no simulation).
 ``campaign`` checkpointed sweeps: ``run`` (kill-and-resume safe, every
-             finished point durably on disk), ``status`` (progress),
-             ``farm`` (sharded multi-process executor with work-stealing
-             and crash recovery) and ``serve`` (live status endpoint).
+             finished point durably on disk; in-process by default,
+             sharded across ``--workers N`` processes with
+             work-stealing and crash recovery), ``status`` (progress)
+             and ``serve`` (live status endpoint).
 ``validate`` check every quantitative paper claim against a sweep
              (or a store, with ``--from DIR``).
 ``topology`` Fig. 6 tree statistics over random placements.
@@ -201,7 +202,9 @@ def _report_failures(results, fail_on_error: bool) -> int:
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=0)
+    parser.add_argument("--workers", type=int, default=0, metavar="N",
+                        help="worker processes, one result shard each "
+                             "(default 0: run in this process)")
     parser.add_argument("--retries", type=int, default=0,
                         help="re-run a crashed point up to N extra times")
     parser.add_argument("--progress", action="store_true",
@@ -213,7 +216,8 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
 
 #: (n_nodes, n_packets, rates, seeds) per --scale choice. "smoke" is
 #: the committed 40-node spec CI drives end to end (the farm smoke job
-#: runs it twice — farmed and single-process — and asserts bit-identity).
+#: runs it twice — across 2 workers and in-process — and asserts
+#: bit-identity).
 FIGURE_SCALES = {
     "smoke": (40, 40, (20,), (1, 2)),
     "small": (25, 60, (10, 60, 120), (1, 2)),
@@ -333,51 +337,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    from repro.experiments.campaign import Campaign
+    from repro.experiments.farm import CampaignFarm
 
     _n, _p, rates, seeds = FIGURE_SCALES[args.scale]
-    campaign = Campaign(args.out)
+    farm = CampaignFarm(args.out)
     options = _sweep_options(args)
     if options["progress"] is None:
         def default_progress(done, total, key, error):
             status = f"FAILED ({error})" if error else "ok"
             print(f"[{done}/{total}] {key} {status}", flush=True)
         options["progress"] = default_progress
-    faults = _load_faults(args.faults)
-    sinr = _make_sinr(args)
-    manifest_extra = {"scale": args.scale}
-    if faults is not None:
-        manifest_extra["faults"] = faults.to_dict()
-    if args.oracle:
-        manifest_extra["oracle"] = True
-    if sinr is not None:
-        manifest_extra["sinr"] = sinr.to_dict()
-    results = campaign.run(
-        args.protocols.split(","), list(SCENARIOS), list(rates),
-        list(seeds),
-        _scale_make_config(args.scale, faults=faults, oracle=args.oracle,
-                           sinr=sinr),
-        manifest_extra=manifest_extra,
-        **options,
-    )
-    for figure in sorted(FIGURES):
-        spec = FIGURES[figure]
-        rows = figure_rows(spec, results)
-        print(format_table(rows, title=f"{figure}: {spec.title}"))
-    print(f"campaign store: {campaign.path} ({len(campaign)} points)")
-    return _report_failures(results, args.fail_on_error)
-
-
-def _cmd_campaign_farm(args: argparse.Namespace) -> int:
-    from repro.experiments.farm import CampaignFarm, render_farm_status, farm_status
-
-    _n, _p, rates, seeds = FIGURE_SCALES[args.scale]
-    farm = CampaignFarm(args.out)
-
-    def default_progress(done, total, key, error):
-        status = f"FAILED ({error})" if error else "ok"
-        print(f"[{done}/{total}] {key} {status}", flush=True)
-
     faults = _load_faults(args.faults)
     sinr = _make_sinr(args)
     manifest_extra = {"scale": args.scale}
@@ -396,13 +365,15 @@ def _cmd_campaign_farm(args: argparse.Namespace) -> int:
         args.protocols.split(","), list(SCENARIOS), list(rates), list(seeds),
         _scale_make_config(args.scale, faults=faults, oracle=args.oracle,
                            sinr=sinr),
-        workers=args.workers, retries=args.retries,
-        progress=default_progress if args.progress else None,
         manifest_extra=manifest_extra, telemetry=telemetry,
+        **options,
     )
-    counters = farm.counters.as_dict()
+    for figure in sorted(FIGURES):
+        spec = FIGURES[figure]
+        rows = figure_rows(spec, results)
+        print(format_table(rows, title=f"{figure}: {spec.title}"))
     print("farm: " + ", ".join(f"{k.replace('points_', '')}={v}"
-                               for k, v in counters.items()))
+                               for k, v in farm.counters.as_dict().items()))
     if args.telemetry:
         import json
 
@@ -410,8 +381,7 @@ def _cmd_campaign_farm(args: argparse.Namespace) -> int:
             json.dump(telemetry.report().to_dict(), fh, indent=2)
             fh.write("\n")
         print(f"farm telemetry -> {args.telemetry}")
-    print(render_farm_status(farm_status(farm.path)), end="")
-    print(f"farm store: {farm.path} ({len(farm)} merged points)")
+    print(f"campaign store: {farm.path} ({len(farm)} points)")
     return _report_failures(results, args.fail_on_error)
 
 
@@ -593,51 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
                                    "interference reception on the named "
                                    "propagation profile (part of each "
                                    "point's config hash)")
+    campaign_run.add_argument("--telemetry", metavar="OUT.json",
+                              help="write the farm counters (done/"
+                                   "stolen/requeued, worker deaths) "
+                                   "as a telemetry report")
     _add_sweep_flags(campaign_run)
     campaign_run.set_defaults(func=_cmd_campaign_run)
-
-    campaign_farm = campaign_sub.add_parser(
-        "farm",
-        help="run the matrix as a sharded multi-process farm: one "
-             "result store per shard, work-stealing, dead workers' "
-             "leases requeued, shards merged into the canonical store",
-    )
-    campaign_farm.add_argument("--out", required=True, metavar="DIR",
-                               help="farm root directory (the merged "
-                                    "canonical store; shards live in "
-                                    "DIR/shards/, heartbeats in "
-                                    "DIR/workers/)")
-    campaign_farm.add_argument("--workers", type=int, default=None,
-                               metavar="N",
-                               help="worker processes / shards "
-                                    "(default: all cores)")
-    campaign_farm.add_argument("--scale", choices=sorted(FIGURE_SCALES),
-                               default="small")
-    campaign_farm.add_argument("--protocols", default="rmac,bmmm",
-                               help="comma-separated protocol names")
-    campaign_farm.add_argument("--retries", type=int, default=0,
-                               help="re-run a crashed point up to N "
-                                    "extra times")
-    campaign_farm.add_argument("--progress", action="store_true",
-                               help="print one line per finished "
-                                    "(point, seed) run")
-    campaign_farm.add_argument("--fail-on-error", action="store_true",
-                               help="exit nonzero if any point failed")
-    campaign_farm.add_argument("--faults", metavar="PLAN.json",
-                               help="inject the same fault plan into "
-                                    "every point")
-    campaign_farm.add_argument("--oracle", action="store_true",
-                               help="attach the invariant oracle to "
-                                    "every point")
-    campaign_farm.add_argument("--sinr", choices=sorted(SINR_PROFILES),
-                               help="run every point under SINR "
-                                    "interference reception on the "
-                                    "named propagation profile")
-    campaign_farm.add_argument("--telemetry", metavar="OUT.json",
-                               help="write the farm counters (done/"
-                                    "stolen/requeued, worker deaths) "
-                                    "as a telemetry report")
-    campaign_farm.set_defaults(func=_cmd_campaign_farm)
 
     campaign_serve = campaign_sub.add_parser(
         "serve",

@@ -6,21 +6,21 @@ API reference for its layer):
 * :mod:`~repro.experiments.scenarios` — the Section 4.1 matrix as
   config factories (``paper_scenario`` / ``scaled_scenario``); pure
   construction, no execution.
-* :mod:`~repro.experiments.runner` — execution and aggregation:
-  ``run_sweep`` fans (protocol, scenario, rate, seed) jobs over a
-  process pool, captures failures, and averages seeds into
-  ``SweepResult`` points; ``results_from_store`` aggregates without
-  simulating.
+* :mod:`~repro.experiments.runner` — the matrix and aggregation:
+  ``run_sweep`` turns (protocol, scenario, rate, seed) jobs into
+  seed-averaged ``SweepResult`` points through the farm;
+  ``results_from_store`` aggregates without simulating.
 * :mod:`~repro.experiments.store` — persistence: the append-only JSONL
   ``ResultStore``, the config hash, and legacy-store migration.
-* :mod:`~repro.experiments.campaign` — workflow: ``Campaign`` ties the
-  matrix, the store and the runner into a resumable, status-reporting
-  long sweep.
-* :mod:`~repro.experiments.farm` — distributed execution:
-  ``CampaignFarm`` shards the matrix across worker processes (one
-  store per shard, work-stealing, crash detection + lease requeue) and
-  merges the shards back into the canonical store; ``farm_status`` and
-  ``make_status_server`` power ``repro campaign serve``.
+* :mod:`~repro.experiments.campaign` — workflow: ``Campaign`` reports a
+  store's status (done / failed / stale / missing) and aggregates; its
+  ``run`` is a thin call into the farm.
+* :mod:`~repro.experiments.farm` — execution: ``CampaignFarm`` is the
+  one executor, in-process at ``workers <= 1``, otherwise sharding the
+  matrix across worker processes (one store per shard, work-stealing,
+  crash detection + lease requeue) and merging the shards back into the
+  canonical store; ``farm_status`` and ``make_status_server`` power
+  ``repro campaign serve``.
 * :mod:`~repro.experiments.figures` — figure definitions: what each
   paper figure plots, and rows from results or straight from a store.
 * :mod:`~repro.experiments.report` — presentation: text tables, CSV,

@@ -1,12 +1,12 @@
 """Checkpointed experiment campaigns (the orchestration layer).
 
-Ownership: :class:`Campaign` owns the **workflow** — defining the
-matrix, recording it in the store's manifest, resuming after an
-interruption, and reporting progress. Execution (process pool, retries,
-failure capture) is delegated to :func:`repro.experiments.runner.run_sweep`,
-which writes through the store as jobs complete; persistence (record
-format, hashing, durability) is owned by
-:class:`repro.experiments.store.ResultStore`.
+Ownership: :class:`Campaign` owns the **workflow view** of a store —
+which points a matrix expects, which are done, stale or missing, and
+their aggregates. Execution (manifest, resume, retries, failure
+capture, worker processes) is :class:`repro.experiments.farm.CampaignFarm`,
+which writes through the store as jobs complete; ``Campaign.run`` is a
+thin call into it. Persistence (record format, hashing, durability) is
+owned by :class:`repro.experiments.store.ResultStore`.
 
 A paper-scale sweep (480 runs at 10 000 packets) takes hours in pure
 Python. A campaign makes that survivable: every finished (protocol,
@@ -21,12 +21,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.experiments.runner import (
-    ProgressFn,
-    SweepResult,
-    aggregate,
-    run_sweep,
-)
+from repro.experiments.farm import CampaignFarm
+from repro.experiments.runner import SweepResult, aggregate
 from repro.experiments.store import PointKey, ResultStore, config_hash, point_key
 from repro.world.network import ScenarioConfig
 
@@ -60,34 +56,17 @@ class Campaign:
         rates: Sequence[float],
         seeds: Sequence[int],
         make_config: MakeConfig,
-        *,
-        workers: int = 0,
-        retries: int = 0,
-        strict: bool = False,
-        progress: Optional[ProgressFn] = None,
-        manifest_extra: Optional[dict] = None,
+        **options,
     ) -> List[SweepResult]:
         """Run (or resume) the matrix; every completed point is durably
         on disk before the next begins. Returns aggregated results.
 
-        Accepts the runner's execution knobs (``workers``, ``retries``,
-        ``strict``, ``progress``) unchanged. ``manifest_extra`` merges
-        extra keys (e.g. the CLI's ``scale``) into the stored manifest
-        so ``repro campaign status`` can rebuild the matrix later.
+        A thin call into :meth:`CampaignFarm.run` over this store;
+        ``options`` are its keywords unchanged (``workers``,
+        ``retries``, ``progress``, ``manifest_extra``, ``telemetry``).
         """
-        manifest = {
-            "protocols": [str(p) for p in protocols],
-            "scenarios": [str(s) for s in scenarios],
-            "rates": [float(r) for r in rates],
-            "seeds": [int(s) for s in seeds],
-        }
-        manifest.update(manifest_extra or {})
-        self.store.write_manifest(manifest)
-        return run_sweep(
-            protocols, scenarios, rates, seeds, make_config,
-            workers, retries=retries, strict=strict, progress=progress,
-            store=self.store,
-        )
+        return CampaignFarm(self.store).run(
+            protocols, scenarios, rates, seeds, make_config, **options)
 
     # ------------------------------------------------------------------
     def aggregate(

@@ -1,45 +1,47 @@
-"""Distributed campaign farm: a sharded multi-process work-queue executor.
+"""The campaign executor: one work-queue farm, in-process or multi-process.
 
-Ownership: this module owns **distributed execution** — sharding a
-campaign's (protocol, scenario, rate, seed) points across worker
-processes, keeping the workers fed (work-stealing), surviving their
-deaths (lease requeue + shard replay), and folding the per-shard result
-stores back into one canonical store. Scenario construction stays in
-:mod:`~repro.experiments.scenarios`, persistence in
-:mod:`~repro.experiments.store` (the farm only composes ``ResultStore``
-directories), aggregation in :mod:`~repro.experiments.runner`.
+Ownership: this module owns **execution** — running a campaign's
+(protocol, scenario, rate, seed) points, durably recording each one,
+and, across worker processes, keeping the workers fed (work-stealing),
+surviving their deaths (lease requeue + shard replay), and folding the
+per-shard result stores back into one canonical store. Scenario
+construction stays in :mod:`~repro.experiments.scenarios`, persistence
+in :mod:`~repro.experiments.store` (the farm only composes
+``ResultStore`` directories), aggregation in
+:mod:`~repro.experiments.runner`.
 
-Why not just ``run_sweep(workers=N)``? A process pool ties the
-campaign's durability to one coordinator's ``results.jsonl`` and gives
-a crashed worker's in-flight work back only via pool semantics. At the
-ROADMAP's 10^5–10^6-point scale the farm needs stronger properties:
+:class:`CampaignFarm` is the only executor: ``run_sweep``,
+``Campaign.run`` and ``repro campaign run`` are thin calls into
+:meth:`CampaignFarm.run`. Both modes run the same per-job function
+(:func:`run_job`: ``run_point`` with retries, then one fsynced record):
 
-* **Sharded stores.** Every worker appends to its *own*
-  ``ResultStore`` directory (``DIR/shards/shard-NN/``), so there is no
-  cross-process write contention and a worker's completed points are
-  durable the instant its ``record_success`` returns — independent of
-  every other process, the coordinator included.
-* **Deterministic point→shard assignment.** A point's home shard is
-  ``int(config_hash, 16) % n_shards``. The assignment depends only on
-  the point's configuration, so a re-invoked farm rebuilds the same
-  queues and a shard store can always be traced back to the points it
-  was responsible for.
-* **Work-stealing.** A worker whose home queue drains steals from the
-  *longest* remaining queue, so one slow shard (an unlucky mix of
-  high-rate points) cannot leave the other cores idle. Stolen points
-  are recorded in the thief's shard store; the merge does not care.
-* **Crash detection + lease requeue.** The coordinator leases exactly
-  one job to a worker at a time and watches process liveness. A killed
-  worker's leased job returns to the front of its home queue and runs
-  elsewhere; the dead worker's partial shard store is *replayed* on the
-  next farm run (its completed points are served as cached), never
-  discarded.
-* **Deterministic merge.** :func:`repro.experiments.store.merge_stores`
-  folds the shard stores into the canonical root store
-  (``DIR/results.jsonl``) — per point bit-identical (``config_hash``
-  and ``RunSummary`` dict) to a single-process ``repro campaign run``
-  of the same spec, because every point is a deterministic function of
-  its config and the record format is shared.
+* **In-process** (``workers <= 1``). No process is spawned; every
+  point is recorded straight into the canonical root store.
+* **Multi-process** (``workers > 1``), with these properties:
+
+  * **Sharded stores.** Every worker appends to its *own*
+    ``ResultStore`` directory (``DIR/shards/shard-NN/``), so there is
+    no cross-process write contention and a worker's completed points
+    are durable the instant its ``record_success`` returns.
+  * **Deterministic point→shard assignment.** A point's home shard is
+    ``int(config_hash, 16) % n_shards``, so a re-invoked farm rebuilds
+    the same queues and a shard store can always be traced back to the
+    points it was responsible for.
+  * **Work-stealing.** A worker whose home queue drains steals from
+    the *longest* remaining queue, so one slow shard cannot leave the
+    other cores idle. Stolen points are recorded in the thief's shard
+    store; the merge does not care.
+  * **Crash detection + lease requeue.** The coordinator leases
+    exactly one job to a worker at a time and watches process
+    liveness. A killed worker's leased job returns to the front of its
+    home queue and runs elsewhere; the dead worker's partial shard
+    store is *replayed* on the next run, never discarded.
+  * **Deterministic merge.** :func:`repro.experiments.store.merge_stores`
+    folds the shard stores into the canonical root store
+    (``DIR/results.jsonl``) — per point bit-identical (``config_hash``
+    and ``RunSummary`` dict) to an in-process run of the same spec,
+    because every point is a deterministic function of its config and
+    the record format is shared.
 
 Liveness is observable while the farm runs: the coordinator maintains
 ``DIR/farm.json`` and every worker heartbeats ``DIR/workers/worker-NN
@@ -57,10 +59,12 @@ import multiprocessing
 import os
 import queue as queue_module
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.experiments import runner
 from repro.experiments.runner import (
     Job,
     PointFailure,
@@ -68,7 +72,6 @@ from repro.experiments.runner import (
     SweepResult,
     build_jobs,
     collect_results,
-    run_point,
 )
 from repro.experiments.store import (
     ResultStore,
@@ -87,6 +90,11 @@ FARM_STATE = "farm.json"
 #: A worker heartbeat older than this is reported dead by the serve
 #: endpoint even if its pid still exists (e.g. a stopped process).
 HEARTBEAT_STALE_S = 30.0
+#: How long the coordinator waits on the result queue before it
+#: re-checks worker liveness.
+POLL_S = 0.2
+#: Minimum interval between ``farm.json`` rewrites while running.
+STATE_WRITE_S = 1.0
 
 
 class FarmError(RuntimeError):
@@ -166,9 +174,39 @@ def _write_heartbeat(path: str, worker_id: int, done: int, status: str,
     })
 
 
+#: A job's final outcome: (summary, error, traceback, attempts) — the
+#: summary on success, else the last error and its formatted traceback.
+JobOutcome = Tuple[Optional[RunSummary], Optional[str], Optional[str], int]
+
+
+def run_job(job: Job, job_hash: str, store: ResultStore,
+            retries: int) -> JobOutcome:
+    """Run one job with up to ``retries`` re-runs, then durably record
+    its outcome in ``store`` (success or captured failure).
+
+    ``run_point`` is looked up on :mod:`~repro.experiments.runner` at
+    call time, so a patched ``runner.run_point`` is the one that runs
+    in-process (and in workers forked after the patch).
+    """
+    error = tb = None
+    for attempts in range(1, retries + 2):
+        try:
+            summary = runner.run_point(job.config)
+        except Exception as exc:  # captured, never fatal to the farm
+            error = f"{type(exc).__name__}: {exc}"
+            tb = traceback.format_exc()
+            continue
+        store.record_success(job.protocol, job.scenario, job.rate_pps,
+                             job.seed, job_hash, summary)
+        return summary, None, None, attempts
+    store.record_failure(job.protocol, job.scenario, job.rate_pps,
+                         job.seed, job_hash, error=error, attempts=attempts)
+    return None, error, tb, attempts
+
+
 def _worker_main(worker_id: int, shard_dir: str, heartbeat_path: str,
                  task_queue, result_queue, retries: int) -> None:
-    """One farm worker: lease → simulate → append to own shard → ack.
+    """One farm worker: lease → :func:`run_job` into its own shard → ack.
 
     The shard-store append (fsynced) happens *before* the ack, so a
     worker killed between the two leaves a durable record; the
@@ -184,40 +222,24 @@ def _worker_main(worker_id: int, shard_dir: str, heartbeat_path: str,
             return
         job, job_hash = task
         _write_heartbeat(heartbeat_path, worker_id, done, "leased", job.key)
-        summary: Optional[RunSummary] = None
-        error: Optional[str] = None
-        attempts = 0
-        for attempt in range(1, retries + 2):
-            attempts = attempt
-            try:
-                summary = run_point(job.config)
-                break
-            except Exception as exc:  # captured, never fatal to the farm
-                error = f"{type(exc).__name__}: {exc}"
-        if summary is not None:
-            store.record_success(job.protocol, job.scenario, job.rate_pps,
-                                 job.seed, job_hash, summary)
-            error = None
-        else:
-            store.record_failure(job.protocol, job.scenario, job.rate_pps,
-                                 job.seed, job_hash, error=error or "unknown",
-                                 attempts=attempts)
+        outcome = run_job(job, job_hash, store, retries)
         done += 1
         _write_heartbeat(heartbeat_path, worker_id, done, "idle", job.key)
-        result_queue.put((worker_id, job.key, summary, error, attempts))
+        result_queue.put((worker_id, job.key, outcome))
 
 
 class CampaignFarm:
-    """A sharded multi-process campaign over one farm directory.
+    """The campaign executor over one farm directory.
 
-    ``out`` is the farm root; it doubles as the canonical merged
-    :class:`ResultStore`, so after :meth:`run` the directory works with
-    every store consumer unchanged (``repro campaign status --out``,
-    ``repro figure --from``, ``repro validate --from``).
+    ``out`` is the farm root (a directory path or an already-open
+    :class:`ResultStore`); it doubles as the canonical merged store, so
+    after :meth:`run` the directory works with every store consumer
+    unchanged (``repro campaign status --out``, ``repro figure --from``,
+    ``repro validate --from``).
     """
 
-    def __init__(self, out: str):
-        self.store = ResultStore(out)
+    def __init__(self, out):
+        self.store = out if isinstance(out, ResultStore) else ResultStore(out)
         self.counters = FarmCounters()
 
     @property
@@ -236,26 +258,30 @@ class CampaignFarm:
         seeds: Sequence[int],
         make_config,
         *,
-        workers: Optional[int] = None,
+        workers: int = 0,
         retries: int = 0,
         progress: Optional[ProgressFn] = None,
         manifest_extra: Optional[dict] = None,
         telemetry=None,
-        poll_s: float = 0.2,
     ) -> List[SweepResult]:
-        """Run (or resume) the matrix across ``workers`` processes.
+        """Run (or resume) the matrix: in this process at ``workers <=
+        1``, across ``workers`` processes (one shard each) otherwise.
 
         Resume sources, in order: the canonical root store, then every
         existing shard store (a dead worker's partial shard is replayed
         here). Completed points are served as cached; everything else is
-        queued to its home shard, executed, merged, and aggregated.
+        executed, merged, and aggregated. No more processes are spawned
+        than points are left to run. ``manifest_extra`` merges extra
+        keys (e.g. the CLI's ``scale``) into the stored manifest so
+        ``repro campaign status`` can rebuild the matrix later.
         ``telemetry`` (a :class:`~repro.sim.telemetry.Telemetry`) gets
         the farm counters as a ``"farm"`` section.
         """
         jobs = build_jobs(protocols, scenarios, rates, seeds, make_config)
         hashes = {job.key: config_hash(job.config) for job in jobs}
-        n_workers = max(1, min(workers or os.cpu_count() or 1,
-                               max(len(jobs), 1)))
+        cached = self._replay(jobs, hashes)
+        to_run = [job for job in jobs if job.key not in cached]
+        n_workers = min(workers, len(to_run)) if workers > 1 else 0
 
         manifest = {
             "protocols": [str(p) for p in protocols],
@@ -267,38 +293,48 @@ class CampaignFarm:
         manifest.update(manifest_extra or {})
         self.store.write_manifest(manifest)
 
-        # -- resume: root store first, then every shard left on disk ----
-        cached: Dict[str, RunSummary] = {}
-        replay_stores = [ResultStore(d) for d in
-                         existing_shard_dirs(self.path)]
-        for job in jobs:
-            hit = self.store.get(job.protocol, job.scenario, job.rate_pps,
-                                 job.seed, hashes[job.key])
-            for source in replay_stores if hit is None else ():
-                hit = source.get(job.protocol, job.scenario, job.rate_pps,
-                                 job.seed, hashes[job.key])
-                if hit is not None:
-                    break
-            if hit is not None:
-                cached[job.key] = hit
-
-        counters = self.counters = FarmCounters(
-            points_total=len(jobs), points_cached=len(cached))
-        to_run = [job for job in jobs if job.key not in cached]
         total = len(jobs)
-        done_offset = len(cached)
+        counters = self.counters = FarmCounters(
+            points_total=total, points_cached=len(cached))
         if progress is not None:
             for done, key in enumerate(cached, start=1):
                 progress(done, total, key + " (cached)", None)
 
         outcomes: Dict[str, object] = dict(cached)
-        started_at = time.time()
+        started_at = last_state_write = time.time()
         self._write_state("running", started_at, total, counters)
 
-        if to_run:
-            self._execute(to_run, hashes, n_workers, retries, progress,
-                          total, done_offset, outcomes, counters,
-                          started_at, poll_s)
+        def write_state_if_due() -> None:
+            nonlocal last_state_write
+            now = time.time()
+            if now - last_state_write >= STATE_WRITE_S:
+                last_state_write = now
+                self._write_state("running", started_at, total, counters)
+
+        def finish(job: Job, outcome: JobOutcome) -> None:
+            """Record a job's first completion: outcome, counters,
+            progress."""
+            summary, error, tb, attempts = outcome
+            if summary is not None:
+                outcomes[job.key] = summary
+                counters.points_done += 1
+            else:
+                outcomes[job.key] = PointFailure(
+                    protocol=job.protocol, scenario=job.scenario,
+                    rate_pps=job.rate_pps, seed=job.seed, error=error,
+                    traceback=tb, attempts=attempts)
+                counters.points_failed += 1
+            if progress is not None:
+                progress(len(outcomes), total, job.key, error)
+            write_state_if_due()
+
+        if n_workers:
+            self._execute_processes(to_run, hashes, n_workers, retries,
+                                    finish, write_state_if_due)
+        else:
+            for job in to_run:
+                finish(job, run_job(job, hashes[job.key], self.store,
+                                    retries))
 
         # -- merge: fold every shard store into the canonical root ------
         merged = merge_stores(
@@ -312,10 +348,30 @@ class CampaignFarm:
         return collect_results(jobs, seeds, outcomes)
 
     # ------------------------------------------------------------------
-    def _execute(self, to_run, hashes, n_workers, retries, progress,
-                 total, done_offset, outcomes, counters, started_at,
-                 poll_s) -> None:
+    def _replay(self, jobs: Sequence[Job],
+                hashes: Dict[str, str]) -> Dict[str, RunSummary]:
+        """Completed points on disk: the root store first, then every
+        shard store left by an earlier run."""
+        cached: Dict[str, RunSummary] = {}
+        replay_stores = [ResultStore(d) for d in
+                         existing_shard_dirs(self.path)]
+        for job in jobs:
+            hit = self.store.get(job.protocol, job.scenario, job.rate_pps,
+                                 job.seed, hashes[job.key])
+            for source in replay_stores if hit is None else ():
+                hit = source.get(job.protocol, job.scenario, job.rate_pps,
+                                 job.seed, hashes[job.key])
+                if hit is not None:
+                    break
+            if hit is not None:
+                cached[job.key] = hit
+        return cached
+
+    # ------------------------------------------------------------------
+    def _execute_processes(self, to_run, hashes, n_workers, retries,
+                           finish, write_state_if_due) -> None:
         """The coordinator loop: dispatch, steal, detect death, requeue."""
+        counters = self.counters
         os.makedirs(os.path.join(self.path, WORKERS_DIR), exist_ok=True)
         jobs_by_key = {job.key: job for job in to_run}
         dirs = shard_dirs(self.path, n_workers)
@@ -348,7 +404,6 @@ class CampaignFarm:
         idle: Set[int] = set()
         dead: Set[int] = set()
         completed_keys: Set[str] = set()
-        last_state_write = time.time()
 
         def next_task(worker_id: int):
             """Home queue first; otherwise steal from the longest one."""
@@ -382,33 +437,16 @@ class CampaignFarm:
                 dispatch(i)
             while len(completed_keys) < len(to_run):
                 try:
-                    message = result_queue.get(timeout=poll_s)
+                    message = result_queue.get(timeout=POLL_S)
                 except queue_module.Empty:
                     message = None
                 if message is not None:
-                    worker_id, key, summary, error, attempts = message
+                    worker_id, key, outcome = message
                     task = leased.pop(worker_id, None)
-                    job = jobs_by_key[key]
-                    if summary is not None:
-                        outcomes[key] = summary
-                    else:
-                        outcomes[key] = PointFailure(
-                            protocol=job.protocol, scenario=job.scenario,
-                            rate_pps=job.rate_pps, seed=job.seed,
-                            error=error or "unknown",
-                            traceback="(see the worker's shard store)",
-                            attempts=attempts,
-                        )
                     if key not in completed_keys:
                         completed_keys.add(key)
-                        if summary is not None:
-                            counters.points_done += 1
-                        else:
-                            counters.points_failed += 1
                         cancel_duplicate(key)
-                        if progress is not None:
-                            progress(done_offset + len(completed_keys),
-                                     total, key, error)
+                        finish(jobs_by_key[key], outcome)
                     if worker_id not in dead and task is not None:
                         dispatch(worker_id)
                 # -- liveness: requeue the leases of dead workers -------
@@ -433,10 +471,7 @@ class CampaignFarm:
                         f"{len(to_run) - len(completed_keys)} point(s) "
                         f"unfinished; completed work is in the shard "
                         f"stores — re-run to resume")
-                now = time.time()
-                if now - last_state_write >= 1.0:
-                    last_state_write = now
-                    self._write_state("running", started_at, total, counters)
+                write_state_if_due()
         finally:
             for worker_id, proc in procs.items():
                 if proc.is_alive():

@@ -1,43 +1,39 @@
-"""Sweep runner: executes scenario points, in parallel and fault-tolerantly.
+"""Sweep runner: the (point, seed) matrix, its jobs and its aggregates.
 
-Ownership: this module owns **execution and aggregation** — turning a
-(protocols x scenarios x rates x seeds) matrix into per-point
-:class:`SweepResult` averages. Persistence lives in
-:mod:`repro.experiments.store` (the runner only *writes through* a store
-it is handed); workflow (manifest, resume, status) lives in
+Ownership: this module owns **the matrix and aggregation** — turning a
+(protocols x scenarios x rates x seeds) matrix into jobs and the jobs'
+outcomes into per-point :class:`SweepResult` averages. Execution is
+:class:`repro.experiments.farm.CampaignFarm`, the one executor
+(``run_sweep`` is a thin call into it); persistence lives in
+:mod:`repro.experiments.store`; workflow (manifest, resume, status) in
 :mod:`repro.experiments.campaign`.
 
 A *point* is (protocol, scenario, rate); each point runs over several
 seeds (the paper: ten random placements, identical across protocols so
 the comparison is paired) and the summaries are averaged.
 
-Multiprocessing: each run is an independent process-safe function of its
-config, so ``run_sweep(..., workers=N)`` fans points x seeds over a
-process pool. Per the hpc guidance, runs are CPU-bound pure Python, so
-processes (not threads) are the right lever.
-
 Fault tolerance: paper-scale campaigns are hundreds of runs; one
-crashing seed must not void the other 479. Every job is submitted as its
-own future, a failure is captured as a :class:`PointFailure` naming the
-exact (protocol, scenario, rate, seed) that died (with its traceback),
-optionally retried, and the surviving seeds are still aggregated. Pass
-``strict=True`` to get the old fail-fast behavior instead.
+crashing seed must not void the other 479. A failed job is captured as
+a :class:`PointFailure` naming the exact (protocol, scenario, rate,
+seed) that died (with its traceback), optionally retried, and the
+surviving seeds are still aggregated.
 
 Checkpointing: pass ``store=ResultStore(dir)`` and every finished job is
 appended to disk *as it completes* (success or captured failure), while
 jobs whose exact configuration hash is already stored are served from
 disk without simulating. Killing a sweep therefore costs only the
-in-flight jobs; re-invoking with the same arguments resumes.
+in-flight jobs; re-invoking with the same arguments resumes. Without a
+store, the sweep writes through a temporary one that is removed on
+return.
 """
 
 from __future__ import annotations
 
-import traceback as _traceback
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.store import ResultStore, config_hash
+from repro.experiments.store import ResultStore
 from repro.metrics.summary import RunSummary
 from repro.world.network import ScenarioConfig, build_network
 
@@ -141,10 +137,6 @@ class Job:
         return f"{self.protocol}|{self.scenario}|{self.rate_pps}|{self.seed}"
 
 
-#: Backwards-compatible alias (Job was private before the farm needed it).
-_Job = Job
-
-
 def build_jobs(
     protocols: Sequence[str],
     scenarios: Sequence[str],
@@ -196,89 +188,6 @@ def collect_results(
 #: Progress callback: (done, total, job_key, error_or_None).
 ProgressFn = Callable[[int, int, str, Optional[str]], None]
 
-#: Completion hook: called with (job, RunSummary | PointFailure) the
-#: moment a job's outcome is final (after retries). The store
-#: write-through path; runs in the submitting process.
-ResultFn = Callable[["_Job", object], None]
-
-
-def _failure(job: _Job, exc: BaseException, attempts: int) -> PointFailure:
-    return PointFailure(
-        protocol=job.protocol,
-        scenario=job.scenario,
-        rate_pps=job.rate_pps,
-        seed=job.seed,
-        error=f"{type(exc).__name__}: {exc}",
-        traceback="".join(
-            _traceback.format_exception(type(exc), exc, exc.__traceback__)
-        ),
-        attempts=attempts,
-    )
-
-
-def _run_serial(
-    jobs: Sequence[_Job],
-    retries: int,
-    strict: bool,
-    progress: Optional[ProgressFn],
-    on_result: Optional[ResultFn] = None,
-) -> Dict[str, object]:
-    outcomes: Dict[str, object] = {}
-    for done, job in enumerate(jobs, start=1):
-        for attempt in range(1, retries + 2):
-            try:
-                outcomes[job.key] = run_point(job.config)
-                break
-            except Exception as exc:
-                if strict:
-                    raise
-                outcomes[job.key] = _failure(job, exc, attempt)
-        result = outcomes[job.key]
-        if on_result is not None:
-            on_result(job, result)
-        if progress is not None:
-            error = result.error if isinstance(result, PointFailure) else None
-            progress(done, len(jobs), job.key, error)
-    return outcomes
-
-
-def _run_parallel(
-    jobs: Sequence[_Job],
-    workers: int,
-    retries: int,
-    strict: bool,
-    progress: Optional[ProgressFn],
-    on_result: Optional[ResultFn] = None,
-) -> Dict[str, object]:
-    outcomes: Dict[str, object] = {}
-    done = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending: Dict[Future, Tuple[_Job, int]] = {
-            pool.submit(run_point, job.config): (job, 1) for job in jobs
-        }
-        while pending:
-            finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in finished:
-                job, attempt = pending.pop(future)
-                exc = future.exception()
-                if exc is None:
-                    outcomes[job.key] = future.result()
-                elif strict:
-                    raise exc
-                elif attempt <= retries:
-                    pending[pool.submit(run_point, job.config)] = (job, attempt + 1)
-                    continue
-                else:
-                    outcomes[job.key] = _failure(job, exc, attempt)
-                done += 1
-                if on_result is not None:
-                    on_result(job, outcomes[job.key])
-                if progress is not None:
-                    result = outcomes[job.key]
-                    error = result.error if isinstance(result, PointFailure) else None
-                    progress(done, len(jobs), job.key, error)
-    return outcomes
-
 
 def run_sweep(
     protocols: Sequence[str],
@@ -289,25 +198,23 @@ def run_sweep(
     workers: int = 0,
     *,
     retries: int = 0,
-    strict: bool = False,
     progress: Optional[ProgressFn] = None,
     store: Optional[ResultStore] = None,
 ) -> List[SweepResult]:
     """Run the full matrix and aggregate per point.
 
     ``make_config(protocol, scenario, rate, seed) -> ScenarioConfig`` lets
-    callers choose paper-scale or bench-scale runs. ``workers > 1`` uses a
-    process pool with one future per job, so one crashing run never aborts
-    the rest of the matrix.
+    callers choose paper-scale or bench-scale runs. Execution is
+    :meth:`repro.experiments.farm.CampaignFarm.run` over ``store`` (or a
+    throwaway temporary store): in-process at ``workers <= 1``, across
+    ``workers`` processes otherwise. A crashing run is captured as a
+    :class:`PointFailure` and never aborts the rest of the matrix.
 
     Parameters
     ----------
     retries:
         Re-run a failed job up to this many extra times before recording
         it as a :class:`PointFailure`.
-    strict:
-        Re-raise the first failure instead of capturing it (the pre-
-        fault-tolerance behavior).
     progress:
         Called after every finished job as ``progress(done, total,
         job_key, error_or_None)`` -- e.g. for live console reporting.
@@ -319,45 +226,17 @@ def run_sweep(
         captured failure) is appended as it completes, so an
         interrupted sweep loses only its in-flight jobs.
     """
-    jobs = build_jobs(protocols, scenarios, rates, seeds, make_config)
+    from repro.experiments.farm import CampaignFarm
 
-    cached: Dict[str, RunSummary] = {}
-    on_result: Optional[ResultFn] = None
-    run_progress = progress
+    def sweep(out) -> List[SweepResult]:
+        return CampaignFarm(out).run(
+            protocols, scenarios, rates, seeds, make_config,
+            workers=workers, retries=retries, progress=progress)
+
     if store is not None:
-        hashes = {job.key: config_hash(job.config) for job in jobs}
-        for job in jobs:
-            hit = store.get(job.protocol, job.scenario, job.rate_pps,
-                            job.seed, hashes[job.key])
-            if hit is not None:
-                cached[job.key] = hit
-        if progress is not None:
-            for done, key in enumerate(cached, start=1):
-                progress(done, len(jobs), key + " (cached)", None)
-            base, total = len(cached), len(jobs)
-
-            def run_progress(done, _pending_total, key, error,
-                             _base=base, _total=total):
-                progress(_base + done, _total, key, error)
-
-        def on_result(job, outcome):
-            if isinstance(outcome, RunSummary):
-                store.record_success(job.protocol, job.scenario, job.rate_pps,
-                                     job.seed, hashes[job.key], outcome)
-            else:
-                store.record_failure(job.protocol, job.scenario, job.rate_pps,
-                                     job.seed, hashes[job.key],
-                                     error=outcome.error,
-                                     attempts=outcome.attempts)
-
-    to_run = [job for job in jobs if job.key not in cached]
-    if workers and workers > 1:
-        outcomes = _run_parallel(to_run, workers, retries, strict,
-                                 run_progress, on_result)
-    else:
-        outcomes = _run_serial(to_run, retries, strict, run_progress, on_result)
-    outcomes.update(cached)
-    return collect_results(jobs, seeds, outcomes)
+        return sweep(store)
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
+        return sweep(scratch)
 
 
 def sweep_failures(results: Sequence[SweepResult]) -> List[PointFailure]:

@@ -176,6 +176,34 @@ def test_farm_resume_serves_everything_cached(tmp_path):
     assert all(key.endswith("(cached)") for _, _, key in progress)
 
 
+def test_farm_resume_spawns_no_more_workers_than_points_left(tmp_path):
+    path = str(tmp_path / "farm")
+    # Three of MATRIX's four points complete in-process first.
+    CampaignFarm(path).run(["rmac"], ["stationary", "speed1"], [10], [1],
+                           tiny_config)
+    CampaignFarm(path).run(["rmac"], ["stationary"], [10], [2], tiny_config)
+
+    farm = CampaignFarm(path)
+    farm.run(*MATRIX, tiny_config, workers=2)
+    assert farm.counters.points_cached == 3
+    assert farm.counters.points_done == 1
+    assert farm.counters.workers_spawned == 1   # one point, one worker
+
+
+def test_in_process_mode_spawns_nothing(tmp_path):
+    root = str(tmp_path / "farm")
+    farm = CampaignFarm(root)
+    results = farm.run(*MATRIX, tiny_config, workers=1)
+    assert farm.counters.workers_spawned == 0
+    assert farm.counters.points_done == 4
+    assert not os.path.exists(os.path.join(root, WORKERS_DIR))
+    assert not os.path.exists(os.path.join(root, SHARDS_DIR))
+    # Records land straight in the canonical store; status reads it.
+    assert len(ResultStore(root)) == 4 and len(results) == 2
+    status = farm_status(root)
+    assert status["state"] == "done" and status["missing"] == 0
+
+
 def test_farm_replays_partial_shard_of_dead_worker(tmp_path):
     """A shard store left by a crashed run resumes as cached points."""
     root = str(tmp_path / "farm")
@@ -210,6 +238,8 @@ def test_farm_captures_point_failures(tmp_path):
     (failure,) = results[0].failures
     assert failure.seed == 2 and "no-such-mac" in failure.error
     assert failure.attempts == 2    # --retries honoured inside the worker
+    # The worker's real traceback travels back with the result.
+    assert "build_network" in failure.traceback
     # The failure is persisted (and re-runs on resume, like a campaign's).
     store = ResultStore(str(tmp_path / "farm"))
     assert len(store.failures()) == 1

@@ -1,6 +1,4 @@
-"""The multiprocessing sweep path (workers > 1)."""
-
-import pytest
+"""The multi-process sweep mode (workers > 1) against the in-process one."""
 
 from repro.experiments.runner import run_sweep
 from repro.experiments.scenarios import scaled_scenario
@@ -17,11 +15,3 @@ def test_parallel_matches_serial():
     parallel = run_sweep(*args, workers=2)
     assert len(serial) == len(parallel) == 1
     assert serial[0].values == parallel[0].values
-
-
-def test_parallel_full_matrix_shape():
-    results = run_sweep(["rmac", "bmmm"], ["stationary"], [10, 20], [1],
-                        tiny_config, workers=2)
-    assert len(results) == 4
-    assert {(r.protocol, r.rate_pps) for r in results} == {
-        ("rmac", 10), ("rmac", 20), ("bmmm", 10), ("bmmm", 20)}

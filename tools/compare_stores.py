@@ -2,10 +2,10 @@
 """Assert two result stores are bit-identical, point for point.
 
 The farm's acceptance bar (see ``docs/campaign-farm.md``): a sharded
-multi-process ``repro campaign farm`` must merge into a canonical store
-whose per-point ``config_hash`` and ``RunSummary`` dicts exactly equal
-a single-process ``repro campaign run`` of the same spec. CI runs both
-over the committed smoke spec and diffs them with this tool.
+multi-process ``repro campaign run --workers N`` must merge into a
+canonical store whose per-point ``config_hash`` and ``RunSummary`` dicts
+exactly equal an in-process ``repro campaign run`` of the same spec. CI
+runs both over the committed smoke spec and diffs them with this tool.
 
 Usage::
 
