@@ -32,13 +32,13 @@ from repro.core.config import RmacConfig
 from repro.core.mrts import build_mrts, split_receivers
 from repro.core.states import RmacState, valid_transition
 from repro.mac.addresses import BROADCAST, MULTICAST_FLAG
-from repro.mac.backoff import Backoff
+from repro.mac.backoff import Backoff, BackoffTick, SlotCountdown
 from repro.mac.base import MacProtocol, SendRequest
 from repro.mac.frames import DataFrame, MrtsFrame
 from repro.phy.busytone import ToneType
 from repro.phy.channel import Transmission
 from repro.phy.radio import Radio
-from repro.sim.engine import EventHandle, FastEvent, Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.timers import Timer
 from repro.sim.trace import NULL_TRACER, Tracer
 
@@ -70,27 +70,6 @@ class _ReliableTransaction:
         return self.chunk_index >= len(self.chunks)
 
 
-class _PumpEvent(FastEvent):
-    """The reusable backoff-pump tick (one per node, never cancelled).
-
-    The per-slot countdown is the most frequent event in a paper-scale
-    run; recycling a single fire-and-forget event through
-    ``Simulator.schedule_fast`` makes each tick allocation-free (no
-    EventHandle, no closure). At most one is in flight per node,
-    guarded by ``RmacProtocol._pump_scheduled``.
-    """
-
-    __slots__ = ("mac",)
-
-    label = "rmac-pump"
-
-    def __init__(self, mac: "RmacProtocol"):
-        self.mac = mac
-
-    def __call__(self) -> None:
-        self.mac._tick()
-
-
 class RmacProtocol(MacProtocol):
     """RMAC: reliable + unreliable send over busy tones."""
 
@@ -115,7 +94,7 @@ class RmacProtocol(MacProtocol):
             tracer=tracer,
         )
         phy = self.config.phy
-        #: Slot duration (ns), cached off the config chain for the pump.
+        #: Slot duration (ns), cached off the config chain.
         self._slot_time = phy.slot_time
         self.state = RmacState.IDLE
         self.backoff = Backoff(rng, phy.cw_min, phy.cw_max)
@@ -135,14 +114,16 @@ class RmacProtocol(MacProtocol):
         self._twf_rdata = Timer(sim, self._on_twf_rdata_expired, "Twf_rdata")
         self._twf_rbt = Timer(sim, self._on_twf_rbt_expired, "Twf_rbt")
 
-        #: One reusable pump event (never cancelled, at most one in
-        #: flight -- guarded by ``_pump_scheduled``), so the per-slot
-        #: countdown schedules with zero allocations.
-        self._pump_event = _PumpEvent(self)
-        self._pump_scheduled = False
-        #: Raw sensing maps (see Radio.sense_maps): the pump senses both
-        #: channels with dict lookups instead of four method calls.
-        self._busy_map, self._tx_map, self._rbt_map = radio.sense_maps(ToneType.RBT)
+        #: The backoff tick (never cancelled, at most one in flight --
+        #: guarded by ``_tick_pending``, which also covers a running
+        #: countdown) and the countdown that spans the idle slots between
+        #: ticks. The countdown senses the RBT channel besides the data
+        #: channel (Section 3.3.1).
+        self._tick_event = BackoffTick(self)
+        self._tick_pending = False
+        self.countdown = SlotCountdown(
+            sim, radio, self.backoff, self._slot_time, self._tick_event,
+            tones=(radio.tone_channel(ToneType.RBT),))
         self._idle_wait_pending = False
         self._pending_unreliable: Optional[SendRequest] = None
 
@@ -164,19 +145,27 @@ class RmacProtocol(MacProtocol):
         self.state = new
 
     def _channels_idle(self) -> bool:
-        """Both the data channel and the RBT channel are idle (3.3.1)."""
+        """Both the data channel and the RBT channel are idle (3.3.1).
+
+        The tones sensed are the countdown's (see
+        :meth:`SlotCountdown.ignore_tone`).
+        """
+        if self.radio.data_busy():
+            return False
         node = self.node_id
-        return (node not in self._busy_map and node not in self._tx_map
-                and self._rbt_map.get(node, 0) <= 0)
+        for tone in self.countdown.tones:
+            if tone.present(node):
+                return False
+        return True
 
     def _has_work(self) -> bool:
         return self._txn is not None or bool(self.queue)
 
     # ==================================================================
-    # The backoff pump (Section 3.3.1)
+    # Contention: the backoff tick (Section 3.3.1)
     # ==================================================================
     def _kick(self) -> None:
-        if not self._pump_scheduled and self.state in (RmacState.IDLE, RmacState.BACKOFF):
+        if not self._tick_pending and self.state in (RmacState.IDLE, RmacState.BACKOFF):
             # Backoff condition (1): "a node has a packet to transmit, but
             # either data or RBT channel is busy" invokes the backoff
             # procedure, i.e. draws a fresh BI. A zero idle duration means
@@ -190,36 +179,29 @@ class RmacProtocol(MacProtocol):
                 self.backoff.draw()
             # C1/C10 allow an immediate transmission when BI is 0 and the
             # channels are idle, so the first tick runs now, not a slot later.
-            self._pump_scheduled = True
+            self._tick_pending = True
             sim = self.sim
-            sim.schedule_fast(sim.now, self._pump_event)
+            sim.schedule_fast(sim.now, self._tick_event)
 
-    def _ensure_pump(self, delay: int) -> None:
-        if not self._pump_scheduled:
-            self._pump_scheduled = True
+    def _ensure_tick(self, delay: int) -> None:
+        if not self._tick_pending:
+            self._tick_pending = True
             sim = self.sim
-            sim.schedule_fast(sim.now + delay, self._pump_event)
+            sim.schedule_fast(sim.now + delay, self._tick_event)
 
     def _tick(self) -> None:
-        self._pump_scheduled = False
+        """One slot of the backoff procedure, at a slot boundary."""
+        self._tick_pending = False
         state = self.state
         if state is not RmacState.IDLE and state is not RmacState.BACKOFF:
-            return  # a transaction owns the node; it will resume the pump
-        # _channels_idle() inlined: the pump fires every 20 us slot and
-        # the call overhead exceeds the three map probes. Tests cripple a
-        # node's sensing by swapping the instance's map references (see
-        # test_without_suppression_hidden_node_collides), which this
-        # inline honors just like the method does.
-        node = self.node_id
-        if (node not in self._busy_map and node not in self._tx_map
-                and self._rbt_map.get(node, 0) <= 0):
+            return  # a transaction owns the node; it will resume the tick
+        if self._channels_idle():
             backoff = self.backoff
-            bi = backoff.bi
-            if bi > 0:
+            if backoff.bi > 0:
                 if state is not RmacState.BACKOFF:
                     self._set_state(RmacState.BACKOFF)  # C8
-                backoff.bi = bi = bi - 1
-            if bi == 0:
+                backoff.consume(1)
+            if backoff.bi == 0:
                 if self._txn is not None or self.queue:
                     # "When BI counts down to 0, the sender begins frame
                     # transmission immediately."  (C6/C14, or C1/C10.)
@@ -228,10 +210,10 @@ class RmacProtocol(MacProtocol):
                 if self.state is not RmacState.IDLE:  # may have just entered BACKOFF
                     self._set_state(RmacState.IDLE)  # C9: nothing to send
                 return
-            if not self._pump_scheduled:
-                self._pump_scheduled = True
-                sim = self.sim
-                sim.schedule_fast(sim.now + self._slot_time, self._pump_event)
+            # The remaining slots: one event at the slot where BI reaches
+            # 0, unless a busy notice brings the next tick forward.
+            self._tick_pending = True
+            self.countdown.run()
         else:
             if state is not RmacState.IDLE:
                 self._set_state(RmacState.IDLE)  # C9: suspended, BI kept
@@ -249,18 +231,18 @@ class RmacProtocol(MacProtocol):
         if self.radio.data_busy():
             self.radio.notify_data_idle(self._on_channel_cleared)
         else:
-            self.radio.tone_channel(ToneType.RBT).notify_clear(
-                self.node_id, self._on_channel_cleared
-            )
+            node = self.node_id
+            tone = next(t for t in self.countdown.tones if t.present(node))
+            tone.notify_clear(node, self._on_channel_cleared)
 
     def _on_channel_cleared(self) -> None:
-        # One of the two channels cleared; re-run the pump a slot later --
+        # One of the two channels cleared; re-run the tick a slot later --
         # the tick re-checks both and re-waits if the other is still busy.
         self._idle_wait_pending = False
         if self.state in (RmacState.IDLE, RmacState.BACKOFF) and (
             self.backoff.bi > 0 or self._has_work()
         ):
-            self._ensure_pump(self._slot_time)
+            self._ensure_tick(self._slot_time)
 
     def _enter_contention(self, draw: bool) -> None:
         """Return to IDLE/BACKOFF, optionally invoking the backoff draw."""
@@ -271,10 +253,10 @@ class RmacProtocol(MacProtocol):
         else:
             self._set_state(RmacState.IDLE)
         if self.backoff.bi > 0 or self._has_work():
-            self._ensure_pump(self._slot_time)
+            self._ensure_tick(self._slot_time)
 
     # ==================================================================
-    # Transmission start (pump reached BI == 0 with work queued)
+    # Transmission start (the tick reached BI == 0 with work queued)
     # ==================================================================
     def _start_transmission(self) -> None:
         if self._txn is None:
@@ -570,6 +552,9 @@ class RmacProtocol(MacProtocol):
         self._rx_mrts = mrts
         self._rx_index = mrts.index_of(self.node_id)
         self._rx_first_bit = False
+        # Committing ends contention: settle a running countdown so BI
+        # holds exactly the slots counted before the commitment.
+        self.countdown.interrupt()
         self._set_state(RmacState.WF_RDATA)  # C3
         self.radio.tone_on(ToneType.RBT)
         self.tracer.emit(self.sim.now, self.node_id, "rbt-on-rx", index=self._rx_index)

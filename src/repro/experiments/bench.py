@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 import subprocess
+from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.scenarios import sinr_preset
@@ -241,6 +242,7 @@ def run_bench(points: Sequence[dict], rev: Optional[str] = None,
     total_wall = sum(r["wall_s"] or 0.0 for r in records)
     return {
         "rev": rev if rev is not None else git_rev(),
+        "recorded_at": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "events": total_events,
         "wall_s": total_wall,
         "events_per_sec": (total_events / total_wall) if total_wall > 0 else 0.0,
@@ -253,7 +255,13 @@ def run_bench(points: Sequence[dict], rev: Optional[str] = None,
 # ----------------------------------------------------------------------
 def find_baseline(directory: str) -> Optional[str]:
     """Path of the newest committed ``BENCH_<rev>.json`` in ``directory``
-    (by modification time; None if the directory has no baselines)."""
+    (None if the directory has no baselines).
+
+    Newest by the report's ``recorded_at`` stamp, then by modification
+    time: a fresh checkout gives every file about the same mtime, so
+    only the stamp orders committed baselines reliably. Reports from
+    before the stamp existed sort oldest.
+    """
     try:
         names = [
             name for name in os.listdir(directory)
@@ -264,7 +272,15 @@ def find_baseline(directory: str) -> Optional[str]:
     if not names:
         return None
     paths = [os.path.join(directory, name) for name in names]
-    return max(paths, key=os.path.getmtime)
+    return max(paths, key=lambda path: (_recorded_at(path), os.path.getmtime(path)))
+
+
+def _recorded_at(path: str) -> str:
+    try:
+        stamp = load_baseline(path).get("recorded_at")
+    except (OSError, ValueError, AttributeError):
+        return ""
+    return stamp if isinstance(stamp, str) else ""
 
 
 def load_baseline(path: str) -> dict:

@@ -2,7 +2,8 @@
 
 * :mod:`repro.mac.frames`  -- every frame type with exact on-air sizes
   (Fig. 3's MRTS, 802.11's RTS/CTS/ACK, BMMM's RAK, LBP's NCTS/NAK, data).
-* :mod:`repro.mac.backoff` -- the CW/BI backoff engine of Section 3.3.1.
+* :mod:`repro.mac.backoff` -- the CW/BI backoff engine of Section 3.3.1 and
+  its event-driven slot countdown.
 * :mod:`repro.mac.base`    -- the MacProtocol service interface (Reliable /
   Unreliable Send x unicast / multicast / broadcast) and the transmit queue.
 * :mod:`repro.mac.stats`   -- per-node counters behind every figure.

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.mac.addresses import BROADCAST, MULTICAST_FLAG
-from repro.mac.backoff import Backoff
+from repro.mac.backoff import Backoff, BackoffTick, SlotCountdown
 from repro.mac.base import MacProtocol, SendRequest
 from repro.mac.frames import (
     DOT11_DATA_OVERHEAD,
@@ -39,7 +39,7 @@ from repro.mac.frames import (
 from repro.phy.channel import Transmission
 from repro.phy.params import DEFAULT_PHY, PhyParams
 from repro.phy.radio import Radio
-from repro.sim.engine import FastEvent, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.sim.units import US
@@ -72,19 +72,6 @@ class Dot11Config:
         )
 
 
-class _DcfPumpEvent(FastEvent):
-    """The DCF backoff pump as a recycled fire-and-forget event."""
-
-    __slots__ = ("mac",)
-    label = "dcf-pump"
-
-    def __init__(self, mac: "Dot11Base"):
-        self.mac = mac
-
-    def __call__(self) -> None:
-        self.mac._tick()
-
-
 class Dot11Base(MacProtocol):
     """Shared DCF machinery: DIFS + backoff contention, NAV, responders."""
 
@@ -113,11 +100,14 @@ class Dot11Base(MacProtocol):
         self.nav_until: int = 0
         self.multicast_groups: set[int] = set()
         self.in_txn = False
-        #: One reusable pump event (never cancelled, at most one in
-        #: flight -- guarded by ``_pump_scheduled``): allocation-free
-        #: per-slot countdown, mirroring the RMAC pump.
-        self._pump_event = _DcfPumpEvent(self)
-        self._pump_scheduled = False
+        #: The backoff tick (never cancelled, at most one in flight --
+        #: guarded by ``_tick_pending``, which also covers a running
+        #: countdown) and the countdown spanning the idle slots between
+        #: ticks, as in RMAC. NAV updates reach it through ``interrupt``.
+        self._tick_event = BackoffTick(self)
+        self._tick_pending = False
+        self.countdown = SlotCountdown(sim, radio, self.backoff, phy.slot_time,
+                                       self._tick_event)
         self._idle_wait_pending = False
         self._phase_timer = Timer(sim, self._on_phase_timeout, "phase")
         self._tx_done_cb: Optional[Callable[[object, bool], None]] = None
@@ -127,7 +117,7 @@ class Dot11Base(MacProtocol):
         self._delivered_seq: Dict[int, int] = {}
 
     # ==================================================================
-    # Contention pump (DIFS + slotted backoff)
+    # Contention: DIFS + the backoff tick
     # ==================================================================
     def _medium_busy(self) -> bool:
         return self.radio.data_busy() or self.nav_until > self.sim.now
@@ -143,49 +133,55 @@ class Dot11Base(MacProtocol):
         return self.in_txn or bool(self.queue)
 
     def _kick(self) -> None:
-        if not self._pump_scheduled and not self.in_txn:
+        if not self._tick_pending and not self.in_txn:
             # 802.11: immediate access is allowed only if the medium has
             # already been idle for DIFS when the frame arrives; otherwise
             # the station must perform a backoff. Without the draw, sibling
             # receivers forwarding the same multicast all fire at once.
             if self.backoff.bi == 0 and self._idle_duration() < self.config.phy.difs:
                 self.backoff.draw()
-            self._pump_scheduled = True
+            self._tick_pending = True
             sim = self.sim
-            sim.schedule_fast(sim.now, self._pump_event)
+            sim.schedule_fast(sim.now, self._tick_event)
 
-    def _ensure_pump(self, delay: int) -> None:
-        if not self._pump_scheduled:
-            self._pump_scheduled = True
+    def _ensure_tick(self, delay: int) -> None:
+        if not self._tick_pending:
+            self._tick_pending = True
             sim = self.sim
-            sim.schedule_fast(sim.now + delay, self._pump_event)
+            sim.schedule_fast(sim.now + delay, self._tick_event)
 
     def _tick(self) -> None:
-        self._pump_scheduled = False
+        """One slot of DIFS + backoff contention, at a slot boundary."""
+        self._tick_pending = False
         if self.in_txn:
             return
         phy = self.config.phy
         if self.radio.is_transmitting:  # mid-response; try again next slot
-            self._ensure_pump(phy.slot_time)
+            self._ensure_tick(phy.slot_time)
             return
         if not self.backoff.bi > 0 and not self._has_work():
-            return  # nothing pending: pump stops
+            return  # nothing pending: contention stops
         if not self._medium_busy():
             idle_for = self._idle_duration()
             if idle_for >= phy.difs:
-                if self.backoff.bi > 0:
-                    self.backoff.decrement()
-                if self.backoff.bi == 0 and self._has_work():
+                backoff = self.backoff
+                if backoff.bi > 0:
+                    backoff.consume(1)
+                if backoff.bi == 0 and self._has_work():
                     self.in_txn = True
                     self._begin_txn()
                     return
-                if self.backoff.bi == 0:
+                if backoff.bi == 0:
                     return  # countdown done, nothing to send
-                self._ensure_pump(phy.slot_time)
+                # The remaining slots: one event at the slot where BI
+                # reaches 0, unless a busy notice brings the next tick
+                # forward.
+                self._tick_pending = True
+                self.countdown.run()
             else:
                 # Physically idle but inside DIFS: check again right when
                 # the DIFS requirement could first be met.
-                self._ensure_pump(max(phy.slot_time, phy.difs - idle_for))
+                self._ensure_tick(max(phy.slot_time, phy.difs - idle_for))
             return
         # Medium busy: sleep until the blocking condition lifts instead of
         # polling every slot.
@@ -195,12 +191,12 @@ class Dot11Base(MacProtocol):
                 self.radio.notify_data_idle(self._on_medium_cleared)
         else:
             # Virtual carrier only: the NAV expiry time is known exactly.
-            self._ensure_pump(max(phy.slot_time, self.nav_until - self.sim.now))
+            self._ensure_tick(max(phy.slot_time, self.nav_until - self.sim.now))
 
     def _on_medium_cleared(self) -> None:
         self._idle_wait_pending = False
         if not self.in_txn and (self.backoff.bi > 0 or self._has_work()):
-            self._ensure_pump(self.config.phy.slot_time)
+            self._ensure_tick(self.config.phy.slot_time)
 
     def _end_txn(self, draw: bool = True) -> None:
         self.in_txn = False
@@ -208,7 +204,7 @@ class Dot11Base(MacProtocol):
         if draw:
             self.backoff.draw()
         if self.backoff.bi > 0 or self._has_work():
-            self._ensure_pump(self.config.phy.slot_time)
+            self._ensure_tick(self.config.phy.slot_time)
 
     # ==================================================================
     # Frame transmission helpers
@@ -244,7 +240,7 @@ class Dot11Base(MacProtocol):
             callback(frame, aborted)
         if not self.in_txn and (self.backoff.bi > 0 or self._has_work()):
             # e.g. a CTS/ACK response finished while our own traffic waits.
-            self._ensure_pump(self.config.phy.slot_time)
+            self._ensure_tick(self.config.phy.slot_time)
 
     # ==================================================================
     # Receive path
@@ -287,6 +283,8 @@ class Dot11Base(MacProtocol):
             duration_us = 0  # our data frames carry no NAV in this model
         if duration_us > 0:
             self.nav_until = max(self.nav_until, self.sim.now + duration_us * US)
+            # Virtual carrier sense turned busy: a busy notice.
+            self.countdown.interrupt()
 
     def _deliver_data(self, frame: DataFrame) -> None:
         """Deliver with duplicate suppression keyed on (src, seq)."""

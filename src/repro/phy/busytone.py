@@ -110,6 +110,9 @@ class BusyToneChannel:
         self._off_events: Dict[int, _ToneOff] = {}
         #: One-shot callbacks fired when the tone clears at a node.
         self._clear_waiters: Dict[int, List[Callable[[], None]]] = {}
+        #: One-shot callbacks fired when the tone appears at a node (the
+        #: busy notices of RMAC's slot countdown, one per node).
+        self._present_waiters: Dict[int, Callable[[], None]] = {}
         #: node -> (callback, pending detection event handles)
         self._watchers: Dict[int, Tuple[Callable[[ToneType], None], List[EventHandle]]] = {}
 
@@ -311,6 +314,15 @@ class BusyToneChannel:
             return
         self._clear_waiters.setdefault(node, []).append(callback)
 
+    def notify_present(self, node: int, callback: Callable[[], None]) -> None:
+        """Register a one-shot callback for the next absent->present
+        transition at ``node``. One per node; a new one replaces it."""
+        self._present_waiters[node] = callback
+
+    def cancel_notify_present(self, node: int) -> None:
+        """Drop ``node``'s presence callback, if any."""
+        self._present_waiters.pop(node, None)
+
     def _apply_presence(self, node: int, delta: int) -> None:
         value = self._present.get(node, 0) + delta
         if value:
@@ -342,9 +354,15 @@ class _ToneOn(FastEvent):
     def __call__(self) -> None:
         # +1 can never drop a presence count to zero, so the clear-waiter
         # path in _apply_presence is unreachable here; apply inline.
-        present = self.channel._present
+        channel = self.channel
+        present = channel._present
         node = self.node
-        present[node] = present.get(node, 0) + 1
+        prior = present.get(node, 0)
+        present[node] = prior + 1
+        if not prior:
+            waiter = channel._present_waiters.pop(node, None)
+            if waiter is not None:
+                waiter()
 
 
 class _ToneOff(FastEvent):

@@ -30,7 +30,7 @@ run on the same instance.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence
 
 from repro.phy.error import BitErrorModel, NoErrors
 from repro.phy.neighbors import Link, NeighborService
@@ -144,6 +144,9 @@ class DataChannel:
         #: One-shot callbacks fired when a node's medium goes idle (used by
         #: the MACs to avoid per-slot polling through long busy periods).
         self._idle_waiters: Dict[int, list] = {}
+        #: One-shot callbacks fired when a node's medium goes busy (the
+        #: busy notices of the MACs' slot countdowns, one per node).
+        self._busy_waiters: Dict[int, Callable[[], None]] = {}
         #: Free lists of fired arrival events, reused across transmissions
         #: so the per-link fan-out allocates nothing in steady state.
         self._start_pool: List[_ArrivalStart] = []
@@ -207,6 +210,16 @@ class DataChannel:
             for callback in waiters:
                 callback()
 
+    def notify_busy(self, node: int, callback: Callable[[], None]) -> None:
+        """Register a one-shot callback for the next idle->busy transition
+        at ``node``: a sensed arrival starting on an idle medium, or the
+        node's own transmission. One per node; a new one replaces it."""
+        self._busy_waiters[node] = callback
+
+    def cancel_notify_busy(self, node: int) -> None:
+        """Drop ``node``'s busy callback, if any."""
+        self._busy_waiters.pop(node, None)
+
     def current_tx(self, node: int) -> Optional[Transmission]:
         return self._transmitting.get(node)
 
@@ -217,6 +230,9 @@ class DataChannel:
         """Start transmitting ``frame`` (with ``size_bytes``) from ``sender``."""
         if sender in self._transmitting:
             raise RuntimeError(f"node {sender} is already transmitting")
+        waiter = self._busy_waiters.pop(sender, None)
+        if waiter is not None:
+            waiter()
         now = self._sim.now
         airtime = self._phy.frame_airtime(frame.size_bytes)  # type: ignore[attr-defined]
         links = self._neighbors.table_from(sender, now).links
@@ -307,6 +323,10 @@ class DataChannel:
         if link.sensed:
             prior = self._busy.get(node, 0)
             self._busy[node] = prior + 1
+            if not prior:
+                waiter = self._busy_waiters.pop(node, None)
+                if waiter is not None:
+                    waiter()
         else:
             prior = 0
         ongoing = self._receiving.setdefault(node, {})

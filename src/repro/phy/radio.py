@@ -44,9 +44,8 @@ class Radio:
         self._data = data_channel
         self._tones = dict(tones)
         # Direct RBT/ABT references: Enum.__hash__ is a Python-level call,
-        # so dict-by-enum lookups showed up in profiles of the tone-sensing
-        # hot path (RMAC polls tones every backoff slot). Identity dispatch
-        # below avoids hashing entirely.
+        # so dict-by-enum lookups showed up in profiles of the tone hot
+        # paths. Identity dispatch below avoids hashing entirely.
         self._rbt = self._tones.get(ToneType.RBT)
         self._abt = self._tones.get(ToneType.ABT)
         self._listener: Optional[RadioListener] = None
@@ -110,6 +109,15 @@ class Radio:
         on the data channel. Fires immediately (synchronously) if idle."""
         self._data.notify_idle(self.node_id, callback)
 
+    def notify_data_busy(self, callback: Callable[[], None]) -> None:
+        """Register a one-shot callback for the next idle->busy transition
+        on the data channel (see :meth:`DataChannel.notify_busy`)."""
+        self._data.notify_busy(self.node_id, callback)
+
+    def cancel_notify_data_busy(self) -> None:
+        """Drop the callback registered by :meth:`notify_data_busy`."""
+        self._data.cancel_notify_busy(self.node_id)
+
     # ------------------------------------------------------------------
     # Busy tones
     # ------------------------------------------------------------------
@@ -131,19 +139,6 @@ class Radio:
     def tone_present(self, tone: ToneType) -> bool:
         """Tone sensing (self-emissions excluded)."""
         return self._tone(tone).present(self.node_id)
-
-    def sense_maps(self, tone: ToneType) -> tuple:
-        """Raw sensing state for MAC hot loops.
-
-        Returns ``(busy, transmitting, present)``: the data channel's
-        busy-count and active-transmitter maps plus ``tone``'s presence
-        counts, all keyed by node id. The dict objects are stable for
-        the life of the channel, so a per-slot countdown can sense both
-        channels with two membership tests and a ``get`` instead of four
-        method calls -- the backoff pump is the single most frequent
-        event in a paper-scale run. Callers must treat them read-only.
-        """
-        return self._data._busy, self._data._transmitting, self._tone(tone)._present
 
     def tone_longest_presence(self, tone: ToneType, t0: int, t1: int) -> int:
         return self._tone(tone).longest_presence(self.node_id, t0, t1)

@@ -211,8 +211,8 @@ class Simulator:
         """Schedule ``callback`` after ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event '{label}'")
-        # Inlined self.at(): the MAC backoff pumps reschedule every slot,
-        # making this the most-called scheduling entry point.
+        # Inlined self.at(): timers and deferred responses make this a
+        # hot scheduling entry point.
         seq = self._seq
         time = self.now + int(delay)
         handle = EventHandle(time, seq, callback, label, self)
@@ -266,8 +266,8 @@ class Simulator:
 
         The single-event sibling of :meth:`schedule_many`: no
         :class:`EventHandle` is allocated and nothing is returned, so the
-        event cannot be cancelled. For periodic machinery that never
-        cancels (the MAC backoff pumps), one reusable event object makes
+        event cannot be cancelled. For recurring machinery that never
+        cancels (the MAC backoff ticks), one reusable event object makes
         scheduling allocation-free.
         """
         if time < self.now:

@@ -38,9 +38,9 @@ def test_without_suppression_hidden_node_collides():
     would collide at node 1 -- demonstrating RBT is load-bearing."""
     tb = make_rmac_testbed(CHAIN[:3], seed=8)
     # Cripple node 2's RBT sensing (pretend it never senses the tone):
-    # swap its RBT presence map for an empty one, so both the inlined
-    # pump sensing and _channels_idle() see a permanently silent tone.
-    tb.macs[2]._rbt_map = {}
+    # its contention then neither takes RBT busy notices nor counts RBT
+    # presence as a busy channel.
+    tb.macs[2].countdown.ignore_tone(ToneType.RBT)
     rx1 = collect_upper(tb.macs[1])
     tb.sim.at(1 * MS, lambda: tb.macs[0].send_reliable((1,), "protected", 1400))
     tb.sim.at(2 * MS, lambda: tb.macs[2].send_unreliable(-1, "intruder", 1400))

@@ -45,6 +45,7 @@ def test_run_point_repeat_is_deterministic_and_keeps_best():
 def test_run_bench_aggregates_points():
     report = bench.run_bench([TINY], rev="abc1234")
     assert report["rev"] == "abc1234"
+    assert report["recorded_at"].endswith("Z")
     assert len(report["points"]) == 1
     assert report["events"] == report["points"][0]["events"]
     assert report["events_per_sec"] > 0
@@ -60,6 +61,21 @@ def test_find_baseline_picks_newest(tmp_path):
     assert bench.find_baseline(str(tmp_path)) == str(new)
     assert bench.find_baseline(str(tmp_path / "missing")) is None
     (tmp_path / "notes.txt").write_text("ignored")
+
+
+def test_find_baseline_orders_by_recorded_stamp_before_mtime(tmp_path):
+    # A fresh checkout writes every baseline at about the same time, so
+    # the stamp inside the report decides; unstamped reports sort oldest.
+    legacy = tmp_path / "BENCH_aaa.json"
+    older = tmp_path / "BENCH_bbb.json"
+    newer = tmp_path / "BENCH_ccc.json"
+    legacy.write_text("{}")
+    older.write_text(json.dumps({"recorded_at": "2026-01-01T00:00:00Z"}))
+    newer.write_text(json.dumps({"recorded_at": "2026-02-01T00:00:00Z"}))
+    os.utime(legacy, (3, 3))
+    os.utime(older, (2, 2))
+    os.utime(newer, (1, 1))
+    assert bench.find_baseline(str(tmp_path)) == str(newer)
 
 
 def test_compare_passes_within_threshold():

@@ -13,13 +13,25 @@ def test_draw_within_window():
         assert 0 <= backoff.draw() <= backoff.cw
 
 
-def test_decrement_clamps_at_zero():
+def test_consume_clamps_at_zero():
     backoff = Backoff(random.Random(1))
-    backoff.bi = 1
-    backoff.decrement()
+    backoff.bi = 5
+    backoff.consume(3)
+    assert backoff.bi == 2 and not backoff.expired
+    backoff.consume(0)
+    assert backoff.bi == 2
+    backoff.consume(7)
     assert backoff.bi == 0 and backoff.expired
-    backoff.decrement()
+    backoff.consume(1)
     assert backoff.bi == 0
+
+
+def test_consume_rejects_negative_slots():
+    backoff = Backoff(random.Random(1))
+    backoff.bi = 4
+    with pytest.raises(ValueError):
+        backoff.consume(-1)
+    assert backoff.bi == 4
 
 
 def test_cw_doubles_exponentially_and_saturates():

@@ -1,4 +1,5 @@
-"""The busy->idle notification paths behind the MAC pump optimization."""
+"""The busy<->idle notification paths behind the MACs' backoff ticks and
+slot countdown."""
 
 from dataclasses import dataclass
 
@@ -86,3 +87,45 @@ def test_tone_notify_clear_waits_for_all_emitters():
     tb.run(1_000_000)
     assert len(fired) == 1
     assert fired[0] > 300 * US  # only when the LAST emitter's tone fades
+
+
+def test_notify_busy_fires_once_at_the_first_sensed_arrival():
+    tb = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)])
+    fired = []
+    tb.data_channel.notify_busy(1, lambda: fired.append(tb.sim.now))
+    tb.sim.at(10 * US, lambda: tb.data_channel.transmit(0, Frame(100)))
+    # An overlapping second arrival finds the medium already busy.
+    tb.sim.at(20 * US, lambda: tb.data_channel.transmit(2, Frame(100)))
+    tb.run(5_000_000)
+    assert fired == [10 * US + 167]
+
+
+def test_notify_busy_fires_on_own_transmission_and_can_be_cancelled():
+    tb = MacTestbed(coords=[(0, 0), (50, 0)])
+    fired = []
+    tb.data_channel.notify_busy(0, lambda: fired.append(("own", tb.sim.now)))
+    tb.data_channel.notify_busy(1, lambda: fired.append(("cancelled", tb.sim.now)))
+    tb.data_channel.cancel_notify_busy(1)
+    tb.sim.at(10 * US, lambda: tb.data_channel.transmit(0, Frame(100)))
+    tb.run(5_000_000)
+    assert fired == [("own", 10 * US)]
+
+
+def test_tone_notify_present_fires_only_when_presence_starts():
+    tb = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)])
+    channel = tb.tones[ToneType.RBT]
+    channel.turn_on(2)
+    tb.run(1 * US)
+    fired = []
+    # Already present at node 1: a second emitter does not fire it.
+    channel.notify_present(1, lambda: fired.append(("second", tb.sim.now)))
+    tb.sim.at(10 * US, lambda: channel.turn_on(0))
+    tb.run(100 * US)
+    channel.cancel_notify_present(1)
+    tb.sim.at(200 * US, lambda: channel.turn_off(0))
+    tb.sim.at(200 * US, lambda: channel.turn_off(2))
+    tb.run(300 * US)
+    channel.notify_present(1, lambda: fired.append(("fresh", tb.sim.now)))
+    tb.sim.at(400 * US, lambda: channel.turn_on(0))
+    tb.run(1_000_000)
+    assert fired == [("fresh", 400 * US + 167)]

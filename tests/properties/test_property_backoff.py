@@ -8,7 +8,8 @@ from repro.mac.backoff import Backoff
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-       ops=st.lists(st.sampled_from(["draw", "double", "reset", "dec"]),
+       ops=st.lists(st.one_of(st.sampled_from(["draw", "double", "reset"]),
+                              st.integers(min_value=0, max_value=40)),
                     max_size=100))
 def test_bi_always_within_window_and_nonnegative(seed, ops):
     backoff = Backoff(random.Random(seed), cw_min=31, cw_max=1023)
@@ -21,10 +22,12 @@ def test_bi_always_within_window_and_nonnegative(seed, ops):
         elif op == "reset":
             backoff.reset_cw()
         else:
+            # An int op consumes that many idle slots: BI falls by at
+            # most that many, never below zero, and never rises.
             before = backoff.bi
-            backoff.decrement()
-            assert backoff.bi in (before, before - 1)
-            assert backoff.bi >= 0
+            backoff.consume(op)
+            assert backoff.bi == max(0, before - op)
+            assert 0 <= backoff.bi <= before
         assert 31 <= backoff.cw <= 1023
 
 
