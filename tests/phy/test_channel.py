@@ -203,6 +203,29 @@ def test_arrival_end_without_start_raises_underflow():
     assert not ch.busy(1)
 
 
+def test_underflow_mid_fan_out_counts_the_members_that_ran():
+    """A busy-counter underflow raised by one member of an arrival-end
+    fan-out still raises, counts exactly the members that completed
+    before it (the raising one is not counted, as with any raising
+    event), and leaves the rest queued for a later run."""
+    from repro.sim.engine import SimulationError
+
+    sim, ch, recs = make_channel([(0, 0), (10, 0), (20, 0), (30, 0)])
+    tx = ch.transmit(0, Frame(100))
+    sim.run(until=tx.start + tx.airtime)
+    # Three arrival starts and the tx-end; the three ends are queued.
+    assert sim.events_processed == 4 and sim.pending_count() == 3
+    del ch._busy[2]  # node 2 loses its arrival-start bookkeeping
+    with pytest.raises(SimulationError, match="underflow at node 2"):
+        sim.run()
+    assert sim.events_processed == 5  # node 1's end ran; node 2's raised
+    assert [len(r.received) for r in recs] == [0, 1, 0, 0]
+    assert sim.pending_count() == 1
+    sim.run()
+    assert sim.events_processed == 6
+    assert [len(r.received) for r in recs] == [0, 1, 0, 1]
+
+
 def _sensed_and_hidden_setup(sensed_sender):
     """SINR channel where ``sensed_sender``'s links are ordinary decodable
     links at -40 dBm and the other sender's are interference-only

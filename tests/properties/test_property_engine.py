@@ -1,15 +1,17 @@
 """Property tests: the event engine never reorders time.
 
-The last three properties run hypothesis-generated programs (absolute
+The later properties run hypothesis-generated programs (absolute
 schedules, cancellations, nested ``after`` + ``call_soon`` follow-ups,
-``until``/``max_events`` cuts) on :class:`Simulator` and on a
-deliberately naive reference model, and assert identical execution
-logs, clocks and event counts.
+``until``/``max_events`` cuts, fan-out batches whose members schedule,
+cancel and fan out in the same nanosecond) on :class:`Simulator` and on
+a deliberately naive reference model with one entry per event, and
+assert identical execution logs, clocks and event counts.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import FastEvent, Simulator
+from repro.sim.telemetry import Telemetry
 
 
 @given(delays=st.lists(st.integers(min_value=0, max_value=10**9),
@@ -95,6 +97,17 @@ class Reference:
 
     def call_soon(self, callback, label=""):
         return self.at(self.now, callback)
+
+    def schedule_fast(self, time, event):
+        self.at(time, event)
+
+    def fan_out(self, base, delays, payloads, fire, arg, label):
+        for delay, payload in zip(delays, payloads):
+            self.at(base + delay, lambda p=payload: fire(arg, p))
+
+    @property
+    def queue_depth(self):
+        return sum(1 for e in self.entries if not e[3])
 
     def run(self, until=None, max_events=None):
         executed = 0
@@ -200,3 +213,108 @@ def test_clock_parks_at_horizon(times, horizon):
         assert end == sim.now >= horizon
         ends.append((end, sim.events_processed))
     assert ends[0] == ends[1]
+
+
+class _Logged(FastEvent):
+    """A schedule_fast event that logs like every other event here."""
+
+    __slots__ = ("sim", "log", "tag")
+
+    def __init__(self, sim, log, tag):
+        self.sim = sim
+        self.log = log
+        self.tag = tag
+
+    def __call__(self):
+        self.log.append((self.sim.now, self.tag, self.sim.queue_depth))
+
+
+#: Sorted delay lists with many ties (members sharing a nanosecond).
+fan_delays_st = st.lists(st.integers(min_value=0, max_value=4),
+                         min_size=0, max_size=6).map(sorted)
+
+#: What a fan-out member does besides logging.
+member_action_st = st.one_of(
+    st.none(),
+    st.tuples(st.just("after"), st.integers(min_value=0, max_value=3)),
+    st.just(("soon",)),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=30)),
+    st.tuples(st.just("fan"), fan_delays_st),
+    st.tuples(st.just("fast"), st.integers(min_value=0, max_value=2)),
+)
+
+fan_op_st = st.one_of(
+    st.tuples(st.just("at"), times_st),
+    st.tuples(st.just("fast"), times_st),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=30)),
+    st.tuples(st.just("fan"), times_st,
+              st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                                 member_action_st),
+                       min_size=0, max_size=8)),
+)
+
+
+def run_fan_program(sim, ops, until, max_events):
+    """Run ``ops`` on ``sim``: cut at ``until``/``max_events``, record
+    the cut, then finish. Every event logs ``(now, tag, queue_depth)``."""
+    log = []
+    handles = []
+
+    def note(tag):
+        log.append((sim.now, tag, sim.queue_depth))
+
+    def member(_arg, payload):
+        tag, action = payload
+        note(tag)
+        if action is None:
+            return
+        kind = action[0]
+        if kind == "after":
+            handles.append(sim.after(action[1], lambda: note(tag + "+a")))
+        elif kind == "soon":
+            handles.append(sim.call_soon(lambda: note(tag + "+s")))
+        elif kind == "cancel" and handles:
+            handles[action[1] % len(handles)].cancel()
+        elif kind == "fan":
+            fan(sim.now, [(d, None) for d in action[1]], tag + "+f")
+        elif kind == "fast":
+            sim.schedule_fast(sim.now + action[1], _Logged(sim, log, tag + "+x"))
+
+    def fan(base, members, tag):
+        # A stable sort by delay: the order fan_out requires.
+        members = sorted(members, key=lambda m: m[0])
+        sim.fan_out(base, [d for d, _ in members],
+                    [(f"{tag}.{j}", a) for j, (_, a) in enumerate(members)],
+                    member, None, "fan")
+
+    for k, op in enumerate(ops):
+        kind = op[0]
+        if kind == "at":
+            handles.append(sim.at(op[1], lambda k=k: note(f"at{k}")))
+        elif kind == "fast":
+            sim.schedule_fast(op[1], _Logged(sim, log, f"fast{k}"))
+        elif kind == "cancel" and handles:
+            handles[op[1] % len(handles)].cancel()
+        elif kind == "fan":
+            fan(op[1], op[2], f"fan{k}")
+    sim.run(until=until, max_events=max_events)
+    cut = (list(log), sim.now, sim.events_processed, sim.queue_depth)
+    sim.run()
+    return cut, log, sim.now, sim.events_processed, sim.queue_depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(fan_op_st, min_size=1, max_size=14),
+       until=st.one_of(st.none(), times_st),
+       max_events=st.one_of(st.none(), st.integers(min_value=0, max_value=15)),
+       telemetry=st.booleans())
+def test_fan_out_matches_one_entry_per_member(ops, until, max_events,
+                                              telemetry):
+    """A fan-out fires each member at the exact position, clock and
+    count of one heap entry per member, whether it drains inline or
+    (with telemetry armed, or under a budget) one member per pop."""
+    sim = Simulator()
+    if telemetry:
+        Telemetry(heap_sample_interval=1).attach(sim)
+    assert (run_fan_program(sim, ops, until, max_events)
+            == run_fan_program(Reference(), ops, until, max_events))

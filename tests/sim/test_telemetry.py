@@ -139,6 +139,33 @@ def test_network_run_surfaces_telemetry():
     assert summary.telemetry["label_counts"]
 
 
+#: Per-label event counts of two small runs, identical to one heap
+#: event per PHY fan-out member: telemetry turns inline fan-out
+#: draining off, so every arrival and presence delta is its own event.
+LABEL_COUNTS = {
+    "rmac": {"Ttx_abt": 12, "Twf_abt": 9, "Twf_rbt": 9, "app-emit": 3,
+             "backoff-expiry": 163, "backoff-tick": 347, "bless-tx": 165,
+             "rx-end": 597, "rx-start": 597, "tone-off": 144,
+             "tone-on": 144, "tone-pulse-end": 21, "tx-end": 183},
+    "bmmm": {"app-emit": 3, "backoff-expiry": 163, "backoff-tick": 554,
+             "bless-tx": 165, "rx-end": 873, "rx-start": 873,
+             "sifs-data": 9, "sifs-rak": 21, "sifs-response": 42,
+             "sifs-rts": 12, "tx-end": 258},
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(LABEL_COUNTS))
+def test_network_label_counts_are_pinned(protocol):
+    from repro.world.network import ScenarioConfig, build_network
+
+    config = ScenarioConfig(protocol=protocol, n_nodes=8, width=180,
+                            height=130, n_packets=3, rate_pps=5, seed=2,
+                            collect_telemetry=True)
+    summary = build_network(config).run()
+    assert summary.telemetry["label_counts"] == LABEL_COUNTS[protocol]
+    assert summary.events_processed == sum(LABEL_COUNTS[protocol].values())
+
+
 def test_network_without_flag_has_none_telemetry():
     from repro.world.network import ScenarioConfig, build_network
 
