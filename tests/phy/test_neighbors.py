@@ -210,6 +210,25 @@ def test_table_from_shares_delay_map():
     assert table.delay_map == {l.node: l.delay_ns for l in table.links}
 
 
+def test_delay_sorted_views_are_stable_and_cached():
+    """The fan-out views list members by delay, equal delays in
+    link-table order, and are built once per table."""
+    from repro.phy.neighbors import Link, LinkTable, order_by_delay
+
+    table = LinkTable((Link(1, 30, True, -50.0), Link(2, 10, True, -70.0),
+                       Link(3, 30, False, -60.0), Link(4, 10, True, -40.0,
+                                                       sensed=False)))
+    assert table.by_delay == ((10, 10, 30, 30), tuple(
+        table.links[k] for k in (1, 3, 0, 2)))
+    assert table.by_delay is table.by_delay
+    assert table.delay_order == ((10, 30, 30), (2, 1, 3))
+    assert table.delay_order is table.delay_order
+    assert table.tone_order(-60.0) == ((10, 30, 30), (4, 1, 3))
+    assert table.tone_order(-60.0) is table.tone_order(-60.0)
+    assert table.tone_order(-55.0) == ((10, 30), (4, 1))
+    assert order_by_delay({7: 5, 3: 2, 9: 5}) == ((2, 5, 5), (3, 7, 9))
+
+
 def test_link_is_tuple_compatible():
     from repro.phy.neighbors import Link
 
