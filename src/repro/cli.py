@@ -8,8 +8,8 @@ Commands
              or from a campaign store with ``--from DIR`` (no simulation).
 ``campaign`` checkpointed sweeps: ``run`` (kill-and-resume safe, every
              finished point durably on disk; in-process by default,
-             sharded across ``--workers N`` processes with
-             work-stealing and crash recovery), ``status`` (progress)
+             or across ``--workers N`` processes with crash
+             recovery), ``status`` (progress)
              and ``serve`` (live status endpoint).
 ``validate`` check every quantitative paper claim against a sweep
              (or a store, with ``--from DIR``).
@@ -203,7 +203,7 @@ def _report_failures(results, fail_on_error: bool) -> int:
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="worker processes, one result shard each "
+                        help="worker processes; results go to one store "
                              "(default 0: run in this process)")
     parser.add_argument("--retries", type=int, default=0,
                         help="re-run a crashed point up to N extra times")
@@ -565,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "point's config hash)")
     campaign_run.add_argument("--telemetry", metavar="OUT.json",
                               help="write the farm counters (done/"
-                                   "stolen/requeued, worker deaths) "
+                                   "cached/requeued, worker deaths) "
                                    "as a telemetry report")
     _add_sweep_flags(campaign_run)
     campaign_run.set_defaults(func=_cmd_campaign_run)

@@ -11,16 +11,17 @@ API reference for its layer):
   seed-averaged ``SweepResult`` points through the farm;
   ``results_from_store`` aggregates without simulating.
 * :mod:`~repro.experiments.store` — persistence: the append-only JSONL
-  ``ResultStore``, the config hash, and legacy-store migration.
+  ``ResultStore``, the config hash, and migration of legacy layouts
+  (v0 checkpoint files, an older farm's ``shards/``).
 * :mod:`~repro.experiments.campaign` — workflow: ``Campaign`` reports a
   store's status (done / failed / stale / missing) and aggregates; its
   ``run`` is a thin call into the farm.
 * :mod:`~repro.experiments.farm` — execution: ``CampaignFarm`` is the
-  one executor, in-process at ``workers <= 1``, otherwise sharding the
-  matrix across worker processes (one store per shard, work-stealing,
-  crash detection + lease requeue) and merging the shards back into the
-  canonical store; ``farm_status`` and ``make_status_server`` power
-  ``repro campaign serve``.
+  one executor, in-process at ``workers <= 1``, otherwise leasing jobs
+  from one queue to worker processes (crash detection + lease requeue);
+  either way the coordinator is the only writer of the one store;
+  ``farm_status`` and ``make_status_server`` power ``repro campaign
+  serve``.
 * :mod:`~repro.experiments.figures` — figure definitions: what each
   paper figure plots, and rows from results or straight from a store.
 * :mod:`~repro.experiments.report` — presentation: text tables, CSV,
@@ -38,7 +39,6 @@ from repro.experiments.scenarios import (
 from repro.experiments.store import (
     ResultStore,
     config_hash,
-    merge_stores,
     point_key,
 )
 from repro.experiments.campaign import Campaign
@@ -68,7 +68,6 @@ __all__ = [
     "SCENARIOS",
     "config_hash",
     "farm_status",
-    "merge_stores",
     "paper_scenario",
     "point_key",
     "scaled_scenario",

@@ -2,53 +2,38 @@
 
 Ownership: this module owns **execution** — running a campaign's
 (protocol, scenario, rate, seed) points, durably recording each one,
-and, across worker processes, keeping the workers fed (work-stealing),
-surviving their deaths (lease requeue + shard replay), and folding the
-per-shard result stores back into one canonical store. Scenario
-construction stays in :mod:`~repro.experiments.scenarios`, persistence
-in :mod:`~repro.experiments.store` (the farm only composes
-``ResultStore`` directories), aggregation in
-:mod:`~repro.experiments.runner`.
+and, across worker processes, keeping the workers fed and surviving
+their deaths (lease requeue). Scenario construction stays in
+:mod:`~repro.experiments.scenarios`, persistence in
+:mod:`~repro.experiments.store` (the farm root *is* a ``ResultStore``
+directory), aggregation in :mod:`~repro.experiments.runner`.
 
 :class:`CampaignFarm` is the only executor: ``run_sweep``,
 ``Campaign.run`` and ``repro campaign run`` are thin calls into
-:meth:`CampaignFarm.run`. Both modes run the same per-job function
-(:func:`run_job`: ``run_point`` with retries, then one fsynced record):
+:meth:`CampaignFarm.run`. The coordinator is the **only writer**: each
+job runs :func:`run_job` (``run_point`` with retries) and its outcome
+goes through one ``finish`` step that appends the first completion of
+each point to the root store, fsynced, before progress is reported.
 
-* **In-process** (``workers <= 1``). No process is spawned; every
-  point is recorded straight into the canonical root store.
-* **Multi-process** (``workers > 1``), with these properties:
-
-  * **Sharded stores.** Every worker appends to its *own*
-    ``ResultStore`` directory (``DIR/shards/shard-NN/``), so there is
-    no cross-process write contention and a worker's completed points
-    are durable the instant its ``record_success`` returns.
-  * **Deterministic point→shard assignment.** A point's home shard is
-    ``int(config_hash, 16) % n_shards``, so a re-invoked farm rebuilds
-    the same queues and a shard store can always be traced back to the
-    points it was responsible for.
-  * **Work-stealing.** A worker whose home queue drains steals from
-    the *longest* remaining queue, so one slow shard cannot leave the
-    other cores idle. Stolen points are recorded in the thief's shard
-    store; the merge does not care.
-  * **Crash detection + lease requeue.** The coordinator leases
-    exactly one job to a worker at a time and watches process
-    liveness. A killed worker's leased job returns to the front of its
-    home queue and runs elsewhere; the dead worker's partial shard
-    store is *replayed* on the next run, never discarded.
-  * **Deterministic merge.** :func:`repro.experiments.store.merge_stores`
-    folds the shard stores into the canonical root store
-    (``DIR/results.jsonl``) — per point bit-identical (``config_hash``
-    and ``RunSummary`` dict) to an in-process run of the same spec,
-    because every point is a deterministic function of its config and
-    the record format is shared.
+* **In-process** (``workers <= 1``). No process is spawned; the
+  coordinator runs each job itself.
+* **Multi-process** (``workers > 1``). One pending queue, dispatched in
+  matrix order one lease at a time; workers send their outcomes back on
+  a result queue and never open a store. The coordinator watches
+  process liveness: a dead worker's leased job returns to the *front*
+  of the queue and runs elsewhere. A killed worker therefore loses only
+  its leased point; a killed coordinator loses only the outcomes still
+  in flight, and the next run re-executes them. Records are per point
+  bit-identical (``config_hash`` and ``RunSummary`` dict) to an
+  in-process run, because every point is a deterministic function of
+  its config and the record is written by the same code.
 
 Liveness is observable while the farm runs: the coordinator maintains
 ``DIR/farm.json`` and every worker heartbeats ``DIR/workers/worker-NN
 .json`` (atomic replace, one write per lease/completion), which is what
 ``repro campaign serve --out DIR`` reads — see :func:`farm_status` for
-the exact fields. Farm counters (done/stolen/requeued, worker deaths)
-thread into the :class:`~repro.sim.telemetry.Telemetry` pipeline as a
+the exact fields. Farm counters (done/requeued, worker deaths) thread
+into the :class:`~repro.sim.telemetry.Telemetry` pipeline as a
 ``"farm"`` section.
 """
 
@@ -73,15 +58,9 @@ from repro.experiments.runner import (
     build_jobs,
     collect_results,
 )
-from repro.experiments.store import (
-    ResultStore,
-    config_hash,
-    merge_stores,
-)
+from repro.experiments.store import ResultStore, config_hash
 from repro.metrics.summary import RunSummary
 
-#: Subdirectory of the farm root holding one ResultStore per shard.
-SHARDS_DIR = "shards"
 #: Subdirectory holding one heartbeat JSON file per worker.
 WORKERS_DIR = "workers"
 #: Coordinator state file (started_at, totals, progress, state).
@@ -101,33 +80,6 @@ class FarmError(RuntimeError):
     """The farm cannot make progress (every worker died)."""
 
 
-def shard_index(point_hash: str, n_shards: int) -> int:
-    """Deterministic home shard for a point: hash mod shard count."""
-    return int(point_hash, 16) % n_shards
-
-
-def shard_name(index: int) -> str:
-    return f"shard-{index:02d}"
-
-
-def shard_dirs(root: str, n_shards: int) -> List[str]:
-    return [os.path.join(root, SHARDS_DIR, shard_name(i))
-            for i in range(n_shards)]
-
-
-def existing_shard_dirs(root: str) -> List[str]:
-    """Every shard store directory present under ``root``, sorted —
-    including shards left by an earlier run with a different worker
-    count (their points replay into the new queues all the same)."""
-    base = os.path.join(root, SHARDS_DIR)
-    if not os.path.isdir(base):
-        return []
-    return sorted(
-        os.path.join(base, name) for name in os.listdir(base)
-        if os.path.isdir(os.path.join(base, name))
-    )
-
-
 @dataclass
 class FarmCounters:
     """Execution counters for one farm run (a telemetry section)."""
@@ -136,7 +88,6 @@ class FarmCounters:
     points_cached: int = 0
     points_done: int = 0
     points_failed: int = 0
-    points_stolen: int = 0
     points_requeued: int = 0
     workers_spawned: int = 0
     workers_died: int = 0
@@ -147,7 +98,6 @@ class FarmCounters:
             "points_cached": self.points_cached,
             "points_done": self.points_done,
             "points_failed": self.points_failed,
-            "points_stolen": self.points_stolen,
             "points_requeued": self.points_requeued,
             "workers_spawned": self.workers_spawned,
             "workers_died": self.workers_died,
@@ -179,10 +129,9 @@ def _write_heartbeat(path: str, worker_id: int, done: int, status: str,
 JobOutcome = Tuple[Optional[RunSummary], Optional[str], Optional[str], int]
 
 
-def run_job(job: Job, job_hash: str, store: ResultStore,
-            retries: int) -> JobOutcome:
-    """Run one job with up to ``retries`` re-runs, then durably record
-    its outcome in ``store`` (success or captured failure).
+def run_job(job: Job, retries: int) -> JobOutcome:
+    """Run one job with up to ``retries`` re-runs; the coordinator
+    records the outcome.
 
     ``run_point`` is looked up on :mod:`~repro.experiments.runner` at
     call time, so a patched ``runner.run_point`` is the one that runs
@@ -191,38 +140,24 @@ def run_job(job: Job, job_hash: str, store: ResultStore,
     error = tb = None
     for attempts in range(1, retries + 2):
         try:
-            summary = runner.run_point(job.config)
+            return runner.run_point(job.config), None, None, attempts
         except Exception as exc:  # captured, never fatal to the farm
             error = f"{type(exc).__name__}: {exc}"
             tb = traceback.format_exc()
-            continue
-        store.record_success(job.protocol, job.scenario, job.rate_pps,
-                             job.seed, job_hash, summary)
-        return summary, None, None, attempts
-    store.record_failure(job.protocol, job.scenario, job.rate_pps,
-                         job.seed, job_hash, error=error, attempts=attempts)
     return None, error, tb, attempts
 
 
-def _worker_main(worker_id: int, shard_dir: str, heartbeat_path: str,
-                 task_queue, result_queue, retries: int) -> None:
-    """One farm worker: lease → :func:`run_job` into its own shard → ack.
-
-    The shard-store append (fsynced) happens *before* the ack, so a
-    worker killed between the two leaves a durable record; the
-    coordinator requeues the lease and the re-run's identical record is
-    deduplicated by the merge.
-    """
-    store = ResultStore(shard_dir)
+def _worker_main(worker_id: int, heartbeat_path: str, task_queue,
+                 result_queue, retries: int) -> None:
+    """One farm worker: lease → :func:`run_job` → send the outcome."""
     done = 0
     while True:
-        task = task_queue.get()
-        if task is None:
+        job = task_queue.get()
+        if job is None:
             _write_heartbeat(heartbeat_path, worker_id, done, "stopped", None)
             return
-        job, job_hash = task
         _write_heartbeat(heartbeat_path, worker_id, done, "leased", job.key)
-        outcome = run_job(job, job_hash, store, retries)
+        outcome = run_job(job, retries)
         done += 1
         _write_heartbeat(heartbeat_path, worker_id, done, "idle", job.key)
         result_queue.put((worker_id, job.key, outcome))
@@ -232,7 +167,7 @@ class CampaignFarm:
     """The campaign executor over one farm directory.
 
     ``out`` is the farm root (a directory path or an already-open
-    :class:`ResultStore`); it doubles as the canonical merged store, so
+    :class:`ResultStore`); it is the campaign's one result store, so
     after :meth:`run` the directory works with every store consumer
     unchanged (``repro campaign status --out``, ``repro figure --from``,
     ``repro validate --from``).
@@ -265,17 +200,17 @@ class CampaignFarm:
         telemetry=None,
     ) -> List[SweepResult]:
         """Run (or resume) the matrix: in this process at ``workers <=
-        1``, across ``workers`` processes (one shard each) otherwise.
+        1``, across ``workers`` processes otherwise.
 
-        Resume sources, in order: the canonical root store, then every
-        existing shard store (a dead worker's partial shard is replayed
-        here). Completed points are served as cached; everything else is
-        executed, merged, and aggregated. No more processes are spawned
-        than points are left to run. ``manifest_extra`` merges extra
-        keys (e.g. the CLI's ``scale``) into the stored manifest so
-        ``repro campaign status`` can rebuild the matrix later.
-        ``telemetry`` (a :class:`~repro.sim.telemetry.Telemetry`) gets
-        the farm counters as a ``"farm"`` section.
+        Points the root store already holds under their exact config
+        hash are served as cached; everything else is executed,
+        recorded and aggregated. No more processes are spawned than
+        points are left to run. ``manifest_extra`` merges extra keys
+        (e.g. the CLI's ``scale``) into the stored manifest so ``repro
+        campaign status`` can rebuild the matrix later. ``telemetry``
+        (a :class:`~repro.sim.telemetry.Telemetry`) gets the farm
+        counters as a ``"farm"`` section. If the run raises (every
+        worker died, Ctrl-C), ``farm.json`` says ``"aborted"``.
         """
         jobs = build_jobs(protocols, scenarios, rates, seeds, make_config)
         hashes = {job.key: config_hash(job.config) for job in jobs}
@@ -288,7 +223,7 @@ class CampaignFarm:
             "scenarios": [str(s) for s in scenarios],
             "rates": [float(r) for r in rates],
             "seeds": [int(s) for s in seeds],
-            "farm": {"workers": n_workers, "shards": n_workers},
+            "farm": {"workers": n_workers},
         }
         manifest.update(manifest_extra or {})
         self.store.write_manifest(manifest)
@@ -312,13 +247,18 @@ class CampaignFarm:
                 self._write_state("running", started_at, total, counters)
 
         def finish(job: Job, outcome: JobOutcome) -> None:
-            """Record a job's first completion: outcome, counters,
-            progress."""
+            """Record a job's first completion: durable record,
+            counters, progress."""
             summary, error, tb, attempts = outcome
+            point = (job.protocol, job.scenario, job.rate_pps, job.seed,
+                     hashes[job.key])
             if summary is not None:
+                self.store.record_success(*point, summary)
                 outcomes[job.key] = summary
                 counters.points_done += 1
             else:
+                self.store.record_failure(*point, error=error,
+                                          attempts=attempts)
                 outcomes[job.key] = PointFailure(
                     protocol=job.protocol, scenario=job.scenario,
                     rate_pps=job.rate_pps, seed=job.seed, error=error,
@@ -328,21 +268,17 @@ class CampaignFarm:
                 progress(len(outcomes), total, job.key, error)
             write_state_if_due()
 
-        if n_workers:
-            self._execute_processes(to_run, hashes, n_workers, retries,
-                                    finish, write_state_if_due)
-        else:
-            for job in to_run:
-                finish(job, run_job(job, hashes[job.key], self.store,
-                                    retries))
-
-        # -- merge: fold every shard store into the canonical root ------
-        merged = merge_stores(
-            self.store,
-            [ResultStore(d) for d in existing_shard_dirs(self.path)],
-        )
-        self._write_state("done", started_at, total, counters,
-                          merged=merged)
+        try:
+            if n_workers:
+                self._execute_processes(to_run, n_workers, retries, finish,
+                                        write_state_if_due)
+            else:
+                for job in to_run:
+                    finish(job, run_job(job, retries))
+        except BaseException:
+            self._write_state("aborted", started_at, total, counters)
+            raise
+        self._write_state("done", started_at, total, counters)
         if telemetry is not None:
             telemetry.set_section("farm", counters.as_dict())
         return collect_results(jobs, seeds, outcomes)
@@ -350,127 +286,90 @@ class CampaignFarm:
     # ------------------------------------------------------------------
     def _replay(self, jobs: Sequence[Job],
                 hashes: Dict[str, str]) -> Dict[str, RunSummary]:
-        """Completed points on disk: the root store first, then every
-        shard store left by an earlier run."""
+        """Completed points in the root store, by job key."""
         cached: Dict[str, RunSummary] = {}
-        replay_stores = [ResultStore(d) for d in
-                         existing_shard_dirs(self.path)]
         for job in jobs:
             hit = self.store.get(job.protocol, job.scenario, job.rate_pps,
                                  job.seed, hashes[job.key])
-            for source in replay_stores if hit is None else ():
-                hit = source.get(job.protocol, job.scenario, job.rate_pps,
-                                 job.seed, hashes[job.key])
-                if hit is not None:
-                    break
             if hit is not None:
                 cached[job.key] = hit
         return cached
 
     # ------------------------------------------------------------------
-    def _execute_processes(self, to_run, hashes, n_workers, retries,
-                           finish, write_state_if_due) -> None:
-        """The coordinator loop: dispatch, steal, detect death, requeue."""
+    def _execute_processes(self, to_run, n_workers, retries, finish,
+                           write_state_if_due) -> None:
+        """The coordinator loop: dispatch, detect death, requeue."""
         counters = self.counters
         os.makedirs(os.path.join(self.path, WORKERS_DIR), exist_ok=True)
         jobs_by_key = {job.key: job for job in to_run}
-        dirs = shard_dirs(self.path, n_workers)
-        pending: List[Deque[Tuple[Job, str]]] = [deque()
-                                                 for _ in range(n_workers)]
-        for job in to_run:
-            job_hash = hashes[job.key]
-            pending[shard_index(job_hash, n_workers)].append((job, job_hash))
+        pending: Deque[Job] = deque(to_run)
 
         ctx = multiprocessing.get_context()
         result_queue = ctx.Queue()
         task_queues = [ctx.Queue() for _ in range(n_workers)]
         procs: Dict[int, object] = {}
-        heartbeat = {
-            i: os.path.join(self.path, WORKERS_DIR, f"worker-{i:02d}.json")
-            for i in range(n_workers)
-        }
         for i in range(n_workers):
+            heartbeat = os.path.join(self.path, WORKERS_DIR,
+                                     f"worker-{i:02d}.json")
             proc = ctx.Process(
                 target=_worker_main,
-                args=(i, dirs[i], heartbeat[i], task_queues[i],
-                      result_queue, retries),
+                args=(i, heartbeat, task_queues[i], result_queue, retries),
                 daemon=True,
             )
             proc.start()
             procs[i] = proc
             counters.workers_spawned += 1
 
-        leased: Dict[int, Tuple[Job, str]] = {}
+        leased: Dict[int, Job] = {}
         idle: Set[int] = set()
         dead: Set[int] = set()
-        completed_keys: Set[str] = set()
-
-        def next_task(worker_id: int):
-            """Home queue first; otherwise steal from the longest one."""
-            if pending[worker_id]:
-                return pending[worker_id].popleft()
-            richest = max(range(n_workers), key=lambda s: len(pending[s]))
-            if pending[richest]:
-                counters.points_stolen += 1
-                return pending[richest].pop()
-            return None
+        completed: Set[str] = set()
 
         def dispatch(worker_id: int) -> None:
-            task = next_task(worker_id)
-            if task is None:
+            if pending:
+                leased[worker_id] = pending.popleft()
+                task_queues[worker_id].put(leased[worker_id])
+            else:
                 idle.add(worker_id)
-                return
-            leased[worker_id] = task
-            task_queues[worker_id].put(task)
-
-        def cancel_duplicate(key: str) -> None:
-            """Drop a still-queued requeue of an already-completed job
-            (the original worker's ack raced its death detection)."""
-            for shard_queue in pending:
-                for task in shard_queue:
-                    if task[0].key == key:
-                        shard_queue.remove(task)
-                        return
 
         try:
             for i in range(n_workers):
                 dispatch(i)
-            while len(completed_keys) < len(to_run):
+            while len(completed) < len(to_run):
                 try:
                     message = result_queue.get(timeout=POLL_S)
                 except queue_module.Empty:
                     message = None
                 if message is not None:
                     worker_id, key, outcome = message
-                    task = leased.pop(worker_id, None)
-                    if key not in completed_keys:
-                        completed_keys.add(key)
-                        cancel_duplicate(key)
-                        finish(jobs_by_key[key], outcome)
-                    if worker_id not in dead and task is not None:
+                    leased.pop(worker_id, None)
+                    if key not in completed:
+                        completed.add(key)
+                        job = jobs_by_key[key]
+                        if job in pending:  # a requeued lease finished
+                            pending.remove(job)
+                        finish(job, outcome)
+                    if worker_id not in dead:
                         dispatch(worker_id)
                 # -- liveness: requeue the leases of dead workers -------
                 for worker_id, proc in procs.items():
                     if worker_id in dead or proc.is_alive():
                         continue
                     dead.add(worker_id)
+                    idle.discard(worker_id)
                     counters.workers_died += 1
-                    task = leased.pop(worker_id, None)
-                    if task is not None and task[0].key not in completed_keys:
+                    job = leased.pop(worker_id, None)
+                    if job is not None and job.key not in completed:
                         counters.points_requeued += 1
-                        job, job_hash = task
-                        pending[shard_index(job_hash, n_workers)].appendleft(
-                            task)
-                        for w in sorted(idle - dead):
-                            idle.discard(w)
-                            dispatch(w)
-                alive = [w for w in procs if w not in dead]
-                if not alive and len(completed_keys) < len(to_run):
+                        pending.appendleft(job)
+                while pending and idle:
+                    dispatch(idle.pop())
+                if len(dead) == n_workers and len(completed) < len(to_run):
                     raise FarmError(
-                        f"all {len(procs)} farm workers died with "
-                        f"{len(to_run) - len(completed_keys)} point(s) "
-                        f"unfinished; completed work is in the shard "
-                        f"stores — re-run to resume")
+                        f"all {n_workers} farm workers died with "
+                        f"{len(to_run) - len(completed)} point(s) "
+                        f"unfinished; completed work is in the root "
+                        f"store — re-run to resume")
                 write_state_if_due()
         finally:
             for worker_id, proc in procs.items():
@@ -487,19 +386,15 @@ class CampaignFarm:
 
     # ------------------------------------------------------------------
     def _write_state(self, state: str, started_at: float, total: int,
-                     counters: FarmCounters, merged: Optional[dict] = None,
-                     ) -> None:
-        payload = {
+                     counters: FarmCounters) -> None:
+        _write_json_atomic(os.path.join(self.path, FARM_STATE), {
             "state": state,
             "pid": os.getpid(),
             "started_at": started_at,
             "updated_at": time.time(),
             "total": total,
             "counters": counters.as_dict(),
-        }
-        if merged is not None:
-            payload["merged"] = merged
-        _write_json_atomic(os.path.join(self.path, FARM_STATE), payload)
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +412,7 @@ def _pid_alive(pid: int) -> bool:
 def farm_status(out: str, now: Optional[float] = None) -> dict:
     """One JSON-ready snapshot of a farm directory's live progress.
 
-    Computed purely from on-disk state (shard manifests, heartbeats,
+    Computed purely from on-disk state (the root store, heartbeats,
     ``farm.json``) so it works from any process at any moment — during
     the run, after a crash, or long after completion. Fields are
     documented in ``docs/campaign-farm.md`` ("The serve endpoint").
@@ -531,27 +426,8 @@ def farm_status(out: str, now: Optional[float] = None) -> dict:
         with open(state_path) as fh:
             state = json.load(fh)
 
-    ok_keys: Set[tuple] = set()
-    failed_keys: Set[tuple] = set()
-    shards = []
-    shard_stores = [("", root)]
-    for directory in existing_shard_dirs(out):
-        shard_stores.append((os.path.basename(directory),
-                             ResultStore(directory)))
-    for name, store in shard_stores:
-        ok = failed = 0
-        for key, record in store.records():
-            if record["status"] == "ok":
-                ok += 1
-                ok_keys.add(key)
-            else:
-                failed += 1
-                failed_keys.add(key)
-        if name:
-            shards.append({"shard": name, "ok": ok, "failed": failed})
-
-    done = len(ok_keys)
-    failed = len(failed_keys - ok_keys)
+    done = len(root)
+    failed = len(root.failures())
     total = None
     if all(k in manifest for k in ("protocols", "scenarios", "rates", "seeds")):
         total = (len(manifest["protocols"]) * len(manifest["scenarios"])
@@ -603,7 +479,6 @@ def farm_status(out: str, now: Optional[float] = None) -> dict:
         "counters": state.get("counters"),
         "workers": workers,
         "workers_alive": sum(1 for w in workers if w["alive"]),
-        "shards": shards,
         "updated_at": now,
     }
 
@@ -627,9 +502,6 @@ def render_farm_status(status: dict) -> str:
         lines.append(f"worker {worker['worker']}: {flag} "
                      f"({worker['status']}, {worker['done']} done, "
                      f"heartbeat {worker['age_s']:.1f}s ago)")
-    for shard in status["shards"]:
-        lines.append(f"{shard['shard']}: {shard['ok']} ok, "
-                     f"{shard['failed']} failed")
     return "\n".join(lines) + "\n"
 
 

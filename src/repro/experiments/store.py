@@ -16,6 +16,8 @@ A store is a *directory* holding:
   ``repro campaign run``) so ``repro campaign status`` can report
   missing and stale counts without the caller re-deriving the matrix.
 * ``legacy.json`` — byte-for-byte backup of a migrated v0 store.
+* ``shards.folded/`` — the per-worker shard stores an older campaign
+  farm kept under ``shards/``, after their points were folded in.
 
 Record schema (version 1)::
 
@@ -46,7 +48,13 @@ Compatibility rules:
   kept as ``legacy.json``, and every entry is re-appended under schema
   v1. The v0 fingerprint was exactly the canonical config JSON, so its
   hash equals the new ``config_hash`` and migrated points survive a
-  resume without re-simulating.
+  resume without re-simulating;
+* a ``shards/`` directory inside the store (left by an older farm whose
+  workers each wrote their own store) is folded in once on open: every
+  ``ok`` shard record the store does not already hold as ``ok`` under
+  the same hash is appended, then ``shards/`` becomes
+  ``shards.folded/``. A fold cut short by a crash simply resumes on the
+  next open.
 """
 
 from __future__ import annotations
@@ -55,12 +63,15 @@ import hashlib
 import json
 import os
 from dataclasses import asdict
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.metrics.summary import RunSummary
 
 #: Record schema version written by this code.
 SCHEMA_VERSION = 1
+
+#: Where an older campaign farm kept its per-worker shard stores.
+_SHARDS_DIR = "shards"
 
 #: A point's identity within a store: (protocol, scenario, rate, seed).
 PointKey = Tuple[str, str, float, int]
@@ -137,6 +148,9 @@ class ResultStore:
         self.corrupt_lines = 0
         self._records: Dict[PointKey, dict] = {}
         self._load()
+        shards = os.path.join(directory, _SHARDS_DIR)
+        if os.path.isdir(shards):
+            self._fold_shards(shards)
 
     # -- loading -------------------------------------------------------
     def _load(self) -> None:
@@ -184,6 +198,20 @@ class ResultStore:
                     "summary": entry["summary"],
                 }
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def _fold_shards(self, shards: str) -> None:
+        """Fold an older farm's shard stores into this one, once."""
+        for name in sorted(os.listdir(shards)):
+            if not os.path.isdir(os.path.join(shards, name)):
+                continue
+            shard = ResultStore(os.path.join(shards, name), create=False)
+            for key, record in sorted(shard.records()):
+                held = self._records.get(key)
+                if record["status"] == "ok" and (
+                        held is None or held["status"] != "ok"
+                        or held["config_hash"] != record["config_hash"]):
+                    self._append(key, record)
+        os.rename(shards, shards + ".folded")
 
     # -- appending -----------------------------------------------------
     def _append(self, key: PointKey, record: dict) -> None:
@@ -301,40 +329,3 @@ class ResultStore:
         return {"total": total, "done": done, "failed": failed,
                 "stale": stale, "missing": total - done - failed - stale}
 
-
-def merge_stores(target: ResultStore,
-                 sources: Sequence[ResultStore]) -> Dict[str, int]:
-    """Fold ``sources`` (e.g. a farm's shard stores) into ``target``.
-
-    Per point, the winning record is decided deterministically:
-
-    * an ``ok`` record always beats a ``failed`` one (a success recorded
-      by any shard supersedes a failure recorded by another);
-    * between records of equal status, the *later* source wins
-      (last-record-wins, with ``target``'s existing record counting as
-      the earliest) — within one source the store's own replay already
-      keeps only its last record per point;
-    * a record identical to the one already in ``target`` is not
-      re-appended, so merging is idempotent.
-
-    ``target`` stays append-only: winners are appended (durably, one
-    fsync each), never rewritten in place. A truncated final line in any
-    source was already dropped by that store's load. Returns counts:
-    ``{"added": .., "superseded": .., "unchanged": ..}``.
-    """
-    counts = {"added": 0, "superseded": 0, "unchanged": 0}
-    for source in sources:
-        for key, record in sorted(source.records()):
-            current = target._records.get(key)
-            if current is None:
-                target._append(key, record)
-                counts["added"] += 1
-            elif record == current:
-                counts["unchanged"] += 1
-            elif current["status"] == "ok" and record["status"] != "ok":
-                # Never let a stray failure clobber a completed point.
-                counts["unchanged"] += 1
-            else:
-                target._append(key, record)
-                counts["superseded"] += 1
-    return counts

@@ -1,9 +1,9 @@
-"""The campaign farm: shard merge semantics, crash recovery, status.
+"""The campaign farm: single writer, crash recovery, status.
 
-The acceptance bar (ISSUE 8 / ROADMAP "heavy traffic"): a farmed — even
-killed-and-resumed — campaign must produce a merged store bit-identical
-per point (``config_hash`` + ``RunSummary`` dict) to a single-process
-``campaign run`` of the same spec.
+The acceptance bar: a farmed — even killed-and-resumed — campaign must
+produce a store bit-identical per point (``config_hash`` +
+``RunSummary`` dict) to a single-process ``campaign run`` of the same
+spec.
 """
 
 import json
@@ -16,19 +16,18 @@ import urllib.request
 import pytest
 
 from repro.experiments.campaign import Campaign
+from repro.experiments import runner
 from repro.experiments.farm import (
-    SHARDS_DIR,
     WORKERS_DIR,
     CampaignFarm,
+    FarmError,
     farm_status,
     make_status_server,
     render_farm_status,
-    shard_index,
-    shard_name,
 )
 from repro.experiments.runner import run_point
 from repro.experiments.scenarios import scaled_scenario
-from repro.experiments.store import ResultStore, config_hash, merge_stores
+from repro.experiments.store import ResultStore, config_hash
 from repro.sim.telemetry import Telemetry
 
 
@@ -57,80 +56,6 @@ def assert_stores_bit_identical(farmed, reference):
 
 
 # ---------------------------------------------------------------------------
-# merge_stores
-# ---------------------------------------------------------------------------
-
-def _seeded_store(path, seeds, scenario="stationary"):
-    store = ResultStore(str(path))
-    for seed in seeds:
-        config = tiny_config("rmac", scenario, 10, seed)
-        store.record_success("rmac", scenario, 10, seed,
-                             config_hash(config), run_point(config))
-    return store
-
-
-def test_merge_disjoint_shards_and_idempotence(tmp_path):
-    a = _seeded_store(tmp_path / "a", [1])
-    b = _seeded_store(tmp_path / "b", [2])
-    target = ResultStore(str(tmp_path / "merged"))
-    counts = merge_stores(target, [a, b])
-    assert counts == {"added": 2, "superseded": 0, "unchanged": 0}
-    assert len(target) == 2
-
-    # Merging again (or merging shards that replayed each other's
-    # points) appends nothing: byte-identical records are deduplicated.
-    counts = merge_stores(target, [a, b])
-    assert counts == {"added": 0, "superseded": 0, "unchanged": 2}
-    lines = open(target.path).read().splitlines()
-    assert len(lines) == 2
-
-
-def test_merge_overlap_last_record_wins(tmp_path):
-    config = tiny_config("rmac", "stationary", 10, 1)
-    summary = run_point(config)
-    early = ResultStore(str(tmp_path / "early"))
-    early.record_failure("rmac", "stationary", 10, 1, config_hash(config),
-                         error="OSError: transient", attempts=1)
-    late = ResultStore(str(tmp_path / "late"))
-    late.record_success("rmac", "stationary", 10, 1,
-                        config_hash(config), summary)
-
-    # failed-then-ok: the later source's success supersedes.
-    target = ResultStore(str(tmp_path / "m1"))
-    counts = merge_stores(target, [early, late])
-    assert counts["added"] == 1 and counts["superseded"] == 1
-    assert target._records[("rmac", "stationary", 10.0, 1)]["status"] == "ok"
-
-    # ok-then-failed: a stray failure never clobbers a success.
-    target = ResultStore(str(tmp_path / "m2"))
-    counts = merge_stores(target, [late, early])
-    assert counts["added"] == 1 and counts["superseded"] == 0
-    assert target._records[("rmac", "stationary", 10.0, 1)]["status"] == "ok"
-
-    # failed-then-failed: last record wins between equals.
-    worse = ResultStore(str(tmp_path / "worse"))
-    worse.record_failure("rmac", "stationary", 10, 1, config_hash(config),
-                         error="OSError: again", attempts=2)
-    target = ResultStore(str(tmp_path / "m3"))
-    merge_stores(target, [early, worse])
-    record = target._records[("rmac", "stationary", 10.0, 1)]
-    assert record["error"] == "OSError: again" and record["attempts"] == 2
-
-
-def test_merge_tolerates_truncated_shard_tail(tmp_path):
-    shard = _seeded_store(tmp_path / "shard", [1, 2])
-    # A worker killed mid-append leaves a torn final line.
-    with open(shard.path, "a") as fh:
-        fh.write('{"v": 1, "protocol": "rmac", "scenario": "stat')
-    reloaded = ResultStore(str(tmp_path / "shard"))
-    assert len(reloaded) == 2 and reloaded.corrupt_lines == 0
-
-    target = ResultStore(str(tmp_path / "merged"))
-    counts = merge_stores(target, [reloaded])
-    assert counts == {"added": 2, "superseded": 0, "unchanged": 0}
-
-
-# ---------------------------------------------------------------------------
 # CampaignFarm
 # ---------------------------------------------------------------------------
 
@@ -143,7 +68,7 @@ def test_farm_bit_identical_to_unsharded_campaign(tmp_path):
     results = farm.run(*MATRIX, tiny_config, workers=2, telemetry=telemetry)
 
     # Same aggregates (the JSON round trip must not perturb a float),
-    # same per-point records in the merged canonical store.
+    # same per-point records in the store.
     assert results == reference_results
     assert_stores_bit_identical(ResultStore(str(tmp_path / "farm")),
                                 ResultStore(str(tmp_path / "reference")))
@@ -152,11 +77,6 @@ def test_farm_bit_identical_to_unsharded_campaign(tmp_path):
     assert counters.points_total == 4 and counters.points_done == 4
     assert counters.points_failed == 0 and counters.workers_died == 0
     assert counters.workers_spawned == 2
-
-    # Shard layout on disk: every shard is itself a loadable store, and
-    # each point's record is where its home (or thief) worker put it.
-    shards = os.listdir(os.path.join(str(tmp_path / "farm"), SHARDS_DIR))
-    assert all(name.startswith("shard-") for name in shards)
 
     # Counters threaded through the telemetry pipeline.
     assert telemetry.report().to_dict()["farm"]["points_done"] == 4
@@ -197,20 +117,20 @@ def test_in_process_mode_spawns_nothing(tmp_path):
     assert farm.counters.workers_spawned == 0
     assert farm.counters.points_done == 4
     assert not os.path.exists(os.path.join(root, WORKERS_DIR))
-    assert not os.path.exists(os.path.join(root, SHARDS_DIR))
-    # Records land straight in the canonical store; status reads it.
+    assert not os.path.exists(os.path.join(root, "shards"))
+    # Records land straight in the root store; status reads it.
     assert len(ResultStore(root)) == 4 and len(results) == 2
     status = farm_status(root)
     assert status["state"] == "done" and status["missing"] == 0
 
 
 def test_farm_replays_partial_shard_of_dead_worker(tmp_path):
-    """A shard store left by a crashed run resumes as cached points."""
+    """A shard store left by an older farm resumes as cached points."""
     root = str(tmp_path / "farm")
-    # Pre-seed shard-00 with one completed point, as if a worker died
-    # after finishing it (durable append, no ack, no merge).
+    # Pre-seed shard-00 with one completed point, as an older farm's
+    # worker left it when it died (durable append, no ack, no merge).
     config = tiny_config("rmac", "stationary", 10, 1)
-    shard = ResultStore(os.path.join(root, SHARDS_DIR, shard_name(0)))
+    shard = ResultStore(os.path.join(root, "shards", "shard-00"))
     shard.record_success("rmac", "stationary", 10, 1,
                          config_hash(config), run_point(config))
 
@@ -218,7 +138,7 @@ def test_farm_replays_partial_shard_of_dead_worker(tmp_path):
     farm.run(*MATRIX, tiny_config, workers=2)
     assert farm.counters.points_cached == 1
     assert farm.counters.points_done == 3
-    # The replayed point made it into the canonical merged store.
+    # The replayed point made it into the root store.
     assert ("rmac", "stationary", 10.0, 1) in ResultStore(root)
 
 
@@ -243,6 +163,34 @@ def test_farm_captures_point_failures(tmp_path):
     # The failure is persisted (and re-runs on resume, like a campaign's).
     store = ResultStore(str(tmp_path / "farm"))
     assert len(store.failures()) == 1
+
+
+def test_coordinator_is_the_only_writer(tmp_path):
+    root = str(tmp_path / "farm")
+    CampaignFarm(root).run(*MATRIX, tiny_config, workers=2)
+    assert not os.path.exists(os.path.join(root, "shards"))
+    with open(os.path.join(root, "results.jsonl")) as fh:
+        lines = [json.loads(line) for line in fh]
+    keys = [(r["protocol"], r["scenario"], r["rate_pps"], r["seed"])
+            for r in lines]
+    assert sorted(keys) == sorted(
+        ("rmac", scenario, 10.0, seed)
+        for scenario in MATRIX[1] for seed in MATRIX[3])
+
+
+def _exit_abruptly(config):
+    os._exit(9)
+
+
+def test_farm_whose_workers_all_die_reports_aborted(tmp_path, monkeypatch):
+    root = str(tmp_path / "farm")
+    # Forked workers inherit the patch and die on their first lease.
+    monkeypatch.setattr(runner, "run_point", _exit_abruptly)
+    with pytest.raises(FarmError, match="root store"):
+        CampaignFarm(root).run(*MATRIX, tiny_config, workers=2)
+    status = farm_status(root)
+    assert status["state"] == "aborted"
+    assert status["done"] == 0 and status["counters"]["workers_died"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +248,13 @@ def test_sigkilled_worker_requeues_lease_and_farm_completes(tmp_path):
     counters = farm.counters
     assert counters.workers_died == 1
     # The killed worker's lease went back to the queue and ran elsewhere
-    # (unless the kill landed in the sliver between its fsync and its
-    # ack, in which case the completed point needed no requeue).
+    # (unless the kill landed after the worker sent its outcome, in
+    # which case the completed point needed no requeue).
     assert counters.points_requeued <= 1
     assert counters.points_done == len(reference[0].per_seed) == 6
 
-    # Zero missing points, and the merged store is still bit-identical
-    # to the single-process run.
+    # Zero missing points, and the store is still bit-identical to the
+    # single-process run.
     status = farm_status(root)
     assert status["missing"] == 0 and status["done"] == 6
     assert results == reference
@@ -326,17 +274,11 @@ def test_farm_status_fields_and_rendering(tmp_path):
     assert status["total"] == 4 and status["done"] == 4
     assert status["failed"] == 0 and status["missing"] == 0
     assert status["counters"]["workers_spawned"] == 2
-    assert len(status["shards"]) >= 1
+    assert "shards" not in status
     assert all(not w["alive"] for w in status["workers"])  # all stopped
 
     text = render_farm_status(status)
     assert "4/4 points done" in text and "farm [done]" in text
-
-
-def test_shard_assignment_is_deterministic():
-    h = config_hash(tiny_config("rmac", "stationary", 10, 1))
-    assert shard_index(h, 4) == int(h, 16) % 4
-    assert shard_index(h, 1) == 0
 
 
 def test_serve_endpoint(tmp_path):

@@ -156,3 +156,40 @@ def test_status_without_manifest(tmp_path, one_run):
 def test_run_summary_from_dict_rejects_non_dataclass_junk():
     with pytest.raises(ValueError):
         RunSummary.from_dict({"protocol": "rmac"})
+
+
+def test_config_hash_is_pinned():
+    # Stored campaign points are keyed by this hash: a change to the
+    # canonical config JSON silently re-simulates every stored point.
+    config = scaled_scenario("rmac", "stationary", 10, 1,
+                             n_packets=4, n_nodes=10)
+    assert config_hash(config) == "a82959b3b35d35ee"
+
+
+def test_old_farm_shards_fold_into_the_store_once(tmp_path, one_run):
+    config, summary = one_run
+    h = config_hash(config)
+    root = tmp_path / "farm"
+    held = ResultStore(str(root))
+    held.record_success("rmac", "stationary", 10, 1, h, summary)
+    # An older farm's worker stores: one point the root already holds,
+    # one it lacks, one captured failure, one stale-hash record.
+    shard = ResultStore(str(root / "shards" / "shard-00"))
+    shard.record_success("rmac", "stationary", 10, 1, h, summary)
+    shard.record_success("rmac", "stationary", 10, 2, h, summary)
+    shard.record_failure("rmac", "stationary", 10, 3, h, "boom")
+    other = ResultStore(str(root / "shards" / "shard-01"))
+    other.record_success("rmac", "speed1", 10, 1, "0" * 16, summary)
+
+    store = ResultStore(str(root))
+    assert store.get("rmac", "stationary", 10, 2, h) == summary
+    assert store.get("rmac", "speed1", 10, 1, "0" * 16) == summary
+    assert not store.failures()
+    lines = (root / "results.jsonl").read_text().splitlines()
+    assert len(lines) == 3          # held point not appended twice
+    assert not (root / "shards").exists()
+    assert (root / "shards.folded" / "shard-00" / "results.jsonl").exists()
+
+    # Folded once: reopening appends nothing.
+    ResultStore(str(root))
+    assert (root / "results.jsonl").read_text().splitlines() == lines

@@ -112,7 +112,7 @@ def _check_refs(markdown):
 def test_valid_python_refs_resolve():
     text = """
 A module: `repro.experiments.farm`. An attribute walked from it:
-`repro.experiments.store.merge_stores`, and a nested one:
+`repro.experiments.store.config_hash`, and a nested one:
 `repro.analysis.validation`.
 
 ```python
@@ -139,7 +139,7 @@ def test_missing_module_is_flagged():
 
 def test_call_parens_and_trailing_dot_are_stripped():
     text = ("```python\n"
-            "repro.experiments.store.merge_stores(target, sources)\n"
+            "repro.experiments.store.config_hash(config)\n"
             "```\n"
             "The package is `repro.experiments.` here.\n")
     problems, total = _check_refs(text)

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Assert two result stores are bit-identical, point for point.
 
-The farm's acceptance bar (see ``docs/campaign-farm.md``): a sharded
-multi-process ``repro campaign run --workers N`` must merge into a
-canonical store whose per-point ``config_hash`` and ``RunSummary`` dicts
-exactly equal an in-process ``repro campaign run`` of the same spec. CI
-runs both over the committed smoke spec and diffs them with this tool.
+The farm's acceptance bar (see ``docs/campaign-farm.md``): a
+multi-process ``repro campaign run --workers N`` must produce a store
+whose per-point ``config_hash`` and ``RunSummary`` dicts exactly equal
+an in-process ``repro campaign run`` of the same spec. CI runs both over
+the committed smoke spec and diffs them with this tool.
 
 Usage::
 
@@ -13,7 +13,7 @@ Usage::
 
 Exit status: 0 when every point matches (keys, config hashes, statuses
 and summaries all equal), 1 with a per-point diff on stderr otherwise.
-Extra files in either directory (shards, heartbeats, manifests,
+Extra files in either directory (heartbeats, manifests,
 ``farm.json``) are ignored — only the loaded records are compared.
 """
 
