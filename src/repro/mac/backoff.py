@@ -41,9 +41,9 @@ at exactly the time the per-slot ticks would have run it.
 
 **Tie rule.** A slot boundary in the same nanosecond as the busy start
 counts as an idle slot. The per-slot tick for that boundary was queued
-one slot earlier, while every busy source (an arrival start, a tone
-presence delta, a NAV-bearing reception, a SIFS response) is queued less
-than a slot ahead, so the tick always ran first.
+one slot earlier, while every busy source (an arrival start, a tone's
+reserved presence position, a NAV-bearing reception, a SIFS response)
+is queued less than a slot ahead, so the tick always ran first.
 
 **Same-nanosecond order.** A per-slot tick for boundary T was queued at
 T - slot; the countdown queues its tick when it starts (the expiry) or

@@ -153,9 +153,9 @@ class LinkTable:
     explicit power threshold (busy-tone detection in the power domain);
     one threshold is cached since a run uses a single tone threshold.
 
-    The fan-outs over a table (a frame's arrivals, a tone's presence
-    deltas) fire in delay order, so each view has a lazily-built,
-    delay-sorted twin: ``by_delay`` for the links, ``delay_order`` and
+    A frame's arrival fan-outs fire in delay order, and a tone's
+    presence changes take their reserved positions in that order, so
+    each view has a lazily-built, delay-sorted twin: ``by_delay`` for the links, ``delay_order`` and
     ``tone_order`` for the maps (see :func:`order_by_delay`).
     """
 

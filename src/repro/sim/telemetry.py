@@ -9,8 +9,8 @@ runs:
 * **events/sec** -- wall-clock throughput of the event loop;
 * **per-label event counts** -- which event kinds dominate the queue;
 * **per-subsystem wall time** -- where the callback time actually goes,
-  grouped by label prefix (``backoff-tick`` -> ``backoff``, ``tone-on`` ->
-  ``tone``, ...);
+  grouped by label prefix (``backoff-tick`` -> ``backoff``, ``rx-start``
+  -> ``rx``, ...);
 * **heap depth** -- queue length sampled every ``heap_sample_interval``
   events, so queue growth (a leak, or genuine load) is visible.
 

@@ -90,11 +90,13 @@ class HashBuffer(TraceBuffer):
 #: that claims to leave behavior alone must reproduce every value
 #: exactly. A deliberate behavior change re-pins them and says why.
 #: ``events`` counts heap events, not behavior: it fell when the backoff
-#: countdown stopped spending one event per idle slot.
+#: countdown stopped spending one event per idle slot, and again when
+#: busy-tone presence stopped spending one event per listener per
+#: turn-on and turn-off.
 GOLDEN = {
     "rmac": dict(
         config=dict(protocol="rmac", seed=5),
-        events=7430,
+        events=4881,
         trace_events=5638,
         trace_sha256="31d1358818e69412a35c64e876a8cd0c"
                      "1bc311c558a1311706acf0073894ee98",
@@ -123,7 +125,7 @@ GOLDEN = {
     "rmac-sinr": dict(
         config=dict(protocol="rmac", seed=5,
                     sinr=sinr_preset("fading", tx_power_dbm=27.5)),
-        events=21869,
+        events=14338,
         trace_events=7158,
         trace_sha256="4bb06e6cd673edaeb72b41b8532fad8b"
                      "d12aef630076d38d147b2e076556cc82",
@@ -162,7 +164,7 @@ GOLDEN = {
     ),
     "rmac-mobile": dict(
         config=dict(protocol="rmac", seed=5, mobile=True),
-        events=7501,
+        events=4807,
         trace_events=5462,
         trace_sha256="7a9be5894409f5a85a13c9c158ef987c"
                      "4fc9896d92713b24fbbdb094bac0b872",

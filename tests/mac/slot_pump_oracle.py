@@ -35,9 +35,9 @@ def rmac_per_slot_tick(self: RmacProtocol) -> None:
     # Sensing straight off the channels' maps, as the pump did.
     node = self.node_id
     data = self.radio._data
-    rbt = self.radio.tone_channel(ToneType.RBT)._present
+    rbt = self.radio.tone_channel(ToneType.RBT)
     if (node not in data._busy and node not in data._transmitting
-            and rbt.get(node, 0) <= 0):
+            and not rbt.present(node)):
         backoff = self.backoff
         bi = backoff.bi
         if bi > 0:

@@ -31,6 +31,36 @@ def test_presence_appears_after_propagation():
     assert seen == {"early": False, "later": True, "lingering": True, "gone": False}
 
 
+def test_same_nanosecond_events_split_at_the_reserved_position():
+    # Presence at node 1 changes at (167, seq) of each turn-on/off's
+    # reserved position. In that nanosecond an event queued before the
+    # turn-on/off runs before the change and sees the old state; one
+    # queued after it runs after and sees the new one. The waiters fire
+    # at the position itself, between the two.
+    sim, tone = make_tone([(0, 0), (50, 0)])  # delay 167 ns
+    seen = []
+
+    def probe(tag):
+        return lambda: seen.append((tag, sim.now, tone.present(1)))
+
+    def switch(turn, tag, at):
+        def act():
+            turn(0)
+            sim.at(at, probe(tag))
+        return act
+
+    sim.at(167, probe("on-before"))
+    sim.at(0, switch(tone.turn_on, "on-after", 167))
+    sim.at(1167, probe("off-before"))
+    sim.at(1000, switch(tone.turn_off, "off-after", 1167))
+    tone.notify_present(1, probe("appeared"))
+    sim.at(500, lambda: tone.notify_clear(1, probe("cleared")))
+    sim.run()
+    assert seen == [("on-before", 167, False), ("appeared", 167, True),
+                    ("on-after", 167, True), ("off-before", 1167, True),
+                    ("cleared", 1167, False), ("off-after", 1167, False)]
+
+
 def test_self_emission_not_sensed():
     sim, tone = make_tone([(0, 0), (50, 0)])
     tone.turn_on(0)
@@ -224,3 +254,28 @@ class TestWatcherHandleHygiene:
         sim.at(1000 * US, lambda: tone.turn_on(0))  # long emission: detects
         sim.run(until=1100 * US)
         assert len(hits) == 1
+
+
+def test_reach_lists_hold_only_retained_emissions_after_a_long_run():
+    # ABT presence has no readers, so pruning alone bounds the listeners'
+    # reach lists: after a run of many RETENTION spans they hold exactly
+    # the listeners of the active emissions and of those that ended at
+    # most RETENTION before the latest turn-off.
+    from repro.world.network import ScenarioConfig, build_network
+
+    network = build_network(ScenarioConfig(
+        protocol="rmac", n_nodes=14, width=220, height=150, rate_pps=10,
+        n_packets=15, warmup_s=3.0, drain_s=2.0, seed=5))
+    network.run()
+    for channel in network.testbed.tones.values():
+        recent = channel._recent
+        assert recent, "the run emitted no tone"
+        newest = recent[-1].end
+        assert newest >= 10 * channel.RETENTION
+        assert all(e.end >= newest - channel.RETENTION for e in recent)
+        kept = list(channel._active.values()) + recent
+        expected = sorted((node, id(e)) for e in kept for node in e.order[1])
+        held = sorted((node, id(entry[0]))
+                      for node, entries in channel._reach.items()
+                      for entry in entries)
+        assert held == expected

@@ -449,3 +449,135 @@ def test_compaction_mid_run_keeps_order():
     sim.run()
     assert fired == list(range(0, n, 2))
     assert sim._cancelled == 0 and not sim._queue
+
+
+# ----------------------------------------------------------------------
+# Reserved positions: reserve, at_seq and the executing event's seq
+# ----------------------------------------------------------------------
+def test_reserve_takes_the_seqs_of_the_fan_out_it_stands_for():
+    sim = Simulator()
+    log = []
+    sim.at(5, lambda: log.append("before"))
+    seq0 = sim.reserve(0, (5, 5, 9))
+    later = sim.at(5, lambda: log.append("after"))
+    assert later.seq == seq0 + 3
+    # Scheduled under reserved seqs (out of order), events take exactly
+    # the positions the fan-out members would have had.
+    sim.at_seq(9, seq0 + 2, lambda: log.append(("member", 2)))
+    sim.at_seq(5, seq0 + 1, lambda: log.append(("member", 1)))
+    sim.at_seq(5, seq0, lambda: log.append(("member", 0)))
+    sim.run()
+    assert log == ["before", ("member", 0), ("member", 1), "after",
+                   ("member", 2)]
+
+
+def test_reserve_of_an_empty_batch_takes_nothing():
+    sim = Simulator()
+    first = sim.at(1, lambda: None)
+    assert sim.reserve(0, ()) == first.seq + 1
+    assert sim.at(1, lambda: None).seq == first.seq + 1
+
+
+def test_at_seq_handle_cancels_like_any_other():
+    sim = Simulator()
+    log = []
+    seq0 = sim.reserve(0, (3,))
+    sim.at_seq(3, seq0, lambda: log.append("reserved")).cancel()
+    sim.run()
+    assert log == [] and sim.events_processed == 0
+
+
+def test_at_seq_rejects_a_seq_never_reserved():
+    sim = Simulator()
+    seq0 = sim.reserve(0, (3, 4))
+    for seq in (-1, seq0 + 2, seq0 + 100):
+        with pytest.raises(SimulationError):
+            sim.at_seq(4, seq, lambda: None)
+    assert sim.pending_count() == 0
+
+
+def test_at_seq_rejects_a_position_already_past():
+    sim = Simulator()
+    errors = []
+    seq0 = sim.reserve(0, (10, 20))
+
+    def late():
+        # Running at (10, seq) after the reserved (10, seq0): that
+        # position has passed, and so has any earlier time.
+        for time, seq in ((10, seq0), (9, seq0 + 1)):
+            try:
+                sim.at_seq(time, seq, lambda: None)
+            except SimulationError:
+                errors.append((time, seq))
+
+    sim.at(10, late)
+    sim.run(until=15)
+    assert errors == [(10, seq0), (9, seq0 + 1)]
+    # After run(until=...), every position up to the horizon has passed.
+    with pytest.raises(SimulationError):
+        sim.at_seq(15, seq0 + 1, lambda: None)
+    sim.at_seq(20, seq0 + 1, lambda: errors.append("member"))
+    sim.run()
+    assert errors[-1] == "member"
+
+
+def test_now_seq_is_the_executing_event():
+    sim = Simulator()
+    seen = []
+    handles = [sim.at(t, lambda: seen.append(sim.now_seq)) for t in (3, 1, 3)]
+    sim.run()
+    assert seen == [handles[1].seq, handles[0].seq, handles[2].seq]
+
+
+def test_now_seq_after_run_until_covers_every_seq_taken():
+    sim = Simulator()
+    sim.at(5, lambda: None)
+    sim.reserve(0, (7,))
+    beyond = sim.at(50, lambda: None)
+    sim.run(until=10)
+    # Everything up to t=10 has run, reserved positions included: the
+    # position is (10, newest seq), even though the t=50 event is queued.
+    assert (sim.now, sim.now_seq) == (10, beyond.seq)
+
+
+def test_now_seq_after_a_max_events_cut_is_the_last_event_run():
+    sim = Simulator()
+    handles = [sim.at(5, lambda: None) for _ in range(3)]
+    sim.run(max_events=2)
+    assert (sim.now, sim.now_seq) == (5, handles[1].seq)
+    assert sim.step() is True
+    assert (sim.now, sim.now_seq) == (5, handles[2].seq)
+
+
+def test_now_seq_after_a_raising_fan_out_member():
+    sim = Simulator()
+    log = []
+
+    def fire(log, tag):
+        if tag == "boom":
+            raise RuntimeError(tag)
+        log.append(tag)
+
+    seq0 = sim._seq
+    sim.fan_out(0, (1, 2, 3, 4), ("a", "b", "boom", "d"), fire, log,
+                "probe-event")
+    with pytest.raises(RuntimeError):
+        sim.run()
+    # The members ran inline; the position is the one that raised.
+    assert log == ["a", "b"]
+    assert (sim.now, sim.now_seq) == (3, seq0 + 2)
+    sim.run()
+    assert log == ["a", "b", "d"]
+    assert (sim.now, sim.now_seq) == (4, seq0 + 3)
+
+
+def test_run_that_empties_the_heap_passes_reserved_positions():
+    sim = Simulator()
+    sim.at(10, lambda: sim.reserve(sim.now, (5, 40)))
+    assert sim.run() == 50
+    assert sim.now_seq == sim._seq - 1
+    # A horizon short of them stops the clock there instead.
+    sim = Simulator()
+    sim.reserve(0, (40,))
+    assert sim.run(until=20) == 20
+    assert sim.run() == 40

@@ -141,12 +141,13 @@ def test_network_run_surfaces_telemetry():
 
 #: Per-label event counts of two small runs, identical to one heap
 #: event per PHY fan-out member: telemetry turns inline fan-out
-#: draining off, so every arrival and presence delta is its own event.
+#: draining off, so every arrival is its own event. Busy-tone presence
+#: costs events only where a waiter checks a change (``tone-check``).
 LABEL_COUNTS = {
     "rmac": {"Ttx_abt": 12, "Twf_abt": 9, "Twf_rbt": 9, "app-emit": 3,
              "backoff-expiry": 163, "backoff-tick": 347, "bless-tx": 165,
-             "rx-end": 597, "rx-start": 597, "tone-off": 144,
-             "tone-on": 144, "tone-pulse-end": 21, "tx-end": 183},
+             "rx-end": 597, "rx-start": 597, "tone-check": 3,
+             "tone-pulse-end": 21, "tx-end": 183},
     "bmmm": {"app-emit": 3, "backoff-expiry": 163, "backoff-tick": 554,
              "bless-tx": 165, "rx-end": 873, "rx-start": 873,
              "sifs-data": 9, "sifs-rak": 21, "sifs-response": 42,
