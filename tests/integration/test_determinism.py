@@ -81,11 +81,12 @@ class HashBuffer(TraceBuffer):
         return self._hash.hexdigest()
 
 
-#: Pinned outcomes of five small runs: static RMAC and BMMM on the
+#: Pinned outcomes of six small runs: static RMAC and BMMM on the
 #: paper's unit-disk reception, RMAC under SINR reception with shadowing
-#: and Rayleigh fading, BMMM under injected faults, and mobile RMAC
-#: (random waypoint, so link tables are rebuilt per position bucket,
-#: both in one batched pass and sender by sender). Unlike the
+#: and Rayleigh fading, BMMM under injected faults, mobile RMAC (random
+#: waypoint, so link tables are rebuilt per position bucket), and mobile
+#: RMAC under SINR reception with shadowing (power-mode link tables
+#: across position buckets). Unlike the
 #: same-commit comparisons above, these hold across commits: a change
 #: that claims to leave behavior alone must reproduce every value
 #: exactly. A deliberate behavior change re-pins them and says why.
@@ -175,6 +176,26 @@ GOLDEN = {
             mrts_len_avg=27.0, mrts_len_max=36.0, abort_avg=0.0,
             n_generated=15, total_deliveries=195, total_drops=0,
             total_retransmissions=0),
+    ),
+    "rmac-sinr-mobile": dict(
+        config=dict(protocol="rmac", seed=5, mobile=True,
+                    sinr=sinr_preset("shadowing", tx_power_dbm=27.5)),
+        events=14013,
+        trace_events=6985,
+        trace_sha256="05467c5311fa7226cd5a0c8ad10eb649"
+                     "29c1860c5c09ac9a1a386a66b9ea169a",
+        metrics=dict(
+            delivery_ratio=1.0, avg_delay_s=0.008335934205128206,
+            max_delay_s=0.021899987, avg_drop_ratio=0.0,
+            avg_retx_ratio=0.18095238095238095,
+            avg_txoh_ratio=0.19475790349106675,
+            mrts_len_avg=23.274193548387096, mrts_len_max=42.0,
+            abort_avg=0.06335034013605442, n_generated=15,
+            total_deliveries=195, total_drops=0, total_retransmissions=19),
+        sinr=dict(
+            concurrent_high_water=3, delivered=1669,
+            mean_sinr_db=31.185398984711295, min_sinr_db=10.225548409644322,
+            sinr_dropped=76),
     ),
 }
 
