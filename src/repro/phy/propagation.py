@@ -40,12 +40,11 @@ class PropagationModel(ABC):
     """Decides whether a transmission is receivable and senseable.
 
     The scalar predicates are the reference semantics; the ``*_batch``
-    variants evaluate a whole distance array at once for the vectorized
-    link-table rebuild (see :mod:`repro.phy.neighbors`). The base-class
-    batch fallbacks call the scalar predicate per element, so any
-    subclass is automatically batch-correct; the built-in models
-    override them with true array expressions that are bit-identical to
-    their scalar forms.
+    variants evaluate a whole distance array at once for the power-mode
+    link builder (see :mod:`repro.phy.neighbors`). The base-class batch
+    fallbacks call the scalar predicate per element, so any subclass is
+    automatically batch-correct; the built-in models override them with
+    true array expressions that are bit-identical to their scalar forms.
     """
 
     #: True when link power depends on the endpoint pair (shadowing,
@@ -69,11 +68,6 @@ class PropagationModel(ABC):
         radios sense further than they decode).
         """
         return self.in_range(distance)
-
-    def in_range_batch(self, distances: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`in_range` (bool array, same shape)."""
-        return np.fromiter((self.in_range(float(d)) for d in distances),
-                           dtype=bool, count=len(distances))
 
     def carrier_sensed_batch(self, distances: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`carrier_sensed` (bool array, same shape)."""
@@ -128,9 +122,6 @@ class UnitDiskModel(PropagationModel):
 
     def carrier_sensed(self, distance: float) -> bool:
         return distance <= self.sense_range
-
-    def in_range_batch(self, distances: np.ndarray) -> np.ndarray:
-        return distances <= self.radio_range
 
     def carrier_sensed_batch(self, distances: np.ndarray) -> np.ndarray:
         return distances <= self.sense_range
@@ -210,12 +201,6 @@ class LogDistanceModel(PropagationModel):
 
     def carrier_sensed(self, distance: float) -> bool:
         return self.received_power_dbm(distance) >= self.cs_threshold_dbm
-
-    def in_range_batch(self, distances: np.ndarray) -> np.ndarray:
-        return self.received_power_dbm_batch(distances) >= self.rx_threshold_dbm
-
-    def carrier_sensed_batch(self, distances: np.ndarray) -> np.ndarray:
-        return self.received_power_dbm_batch(distances) >= self.cs_threshold_dbm
 
     def max_range(self) -> float:
         return self._range_for_threshold(self.cs_threshold_dbm)

@@ -1,9 +1,9 @@
 """Brute-force link oracle: the reference for every link-table test.
 
-``NeighborService`` finds links through a spatial grid, either in one
-batched numpy pass over all senders or sender by sender against the
-grid's 3 x 3 cell neighborhoods. This module answers the same question
-the slow, obvious way: one O(n) distance pass per sender, then a scalar
+``NeighborService`` builds each sender's links against the 3 x 3 cell
+neighborhood of a spatial grid: numpy distances over the grid's
+candidates, then one pass over plain lists. This module answers the
+same question the slow, obvious way: one O(n) distance pass per sender, then a scalar
 loop over *all* n nodes in ascending order. It uses the same float64
 operations per link (subtract, ``np.hypot``, the model's scalar
 predicates, banker's-rounded delays), so the service must match it bit

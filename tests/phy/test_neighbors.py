@@ -160,18 +160,18 @@ def test_two_slot_position_cache_survives_interleaved_times():
 def test_counters_track_table_cache():
     svc = NeighborService(_MovingProvider(), UnitDiskModel(75.0),
                           cache_window=1000)
-    # One sender of two is already a dense (>= 25%) bucket: the first
-    # miss rebuilds both tables in one batched pass...
+    # A mobile bucket builds only the table it is asked for (sender 0's,
+    # not sender 1's)...
     svc.links_from(0, 100)
     # ...the same bucket then hits...
     svc.links_from(0, 900)
-    # ...and the next bucket, predicted dense, rebuilds up front.
+    # ...and the next bucket builds sender 0's table again.
     svc.links_from(0, 1100)
     counters = svc.counters.as_dict()
     assert counters["table_misses"] == 2
     assert counters["table_hits"] == 1
-    assert counters["table_rebuilds"] == 2
-    assert counters["links_built"] == 4  # two links per rebuild
+    assert counters["table_rebuilds"] == 0
+    assert counters["links_built"] == 2  # one link per served table
 
 
 def test_grid_and_brute_static_tables_identical():
@@ -180,15 +180,20 @@ def test_grid_and_brute_static_tables_identical():
     rng = random.Random(5)
     coords = [(rng.uniform(0, 500), rng.uniform(0, 300)) for _ in range(70)]
     svc = service(coords)
-    for sender in range(len(coords)):
-        assert svc.links_from(sender, 0) == oracle_links(
-            coords, sender, svc.model)
-    assert svc.counters.table_rebuilds == 1
-    assert svc.counters.grid_cells > 0
-    assert svc.counters.grid_pairs > 0
+    tables = [svc.links_from(sender, 0) for sender in range(len(coords))]
+    for sender, links in enumerate(tables):
+        assert links == oracle_links(coords, sender, svc.model)
+    counters = svc.counters
+    assert counters.table_rebuilds == 1
+    assert counters.grid_cells > 0
+    # Each sender evaluates itself and every node it links to, and the
+    # grid prunes the rest of the n x n pairs.
+    n = len(coords)
+    assert counters.links_built == sum(len(links) for links in tables)
+    assert counters.links_built + n <= counters.grid_pairs < n * n
 
 
-def test_static_service_freezes_with_one_batched_rebuild():
+def test_static_service_freezes_once():
     import random
 
     rng = random.Random(9)
@@ -201,6 +206,8 @@ def test_static_service_freezes_with_one_batched_rebuild():
     assert svc.counters.table_rebuilds == 1
     assert svc.counters.table_misses == 0
     assert svc.counters.table_hits == 2 * len(coords)
+    assert svc.counters.links_built == sum(
+        len(svc.links_from(sender, 0)) for sender in range(len(coords)))
 
 
 def test_table_from_shares_delay_map():
@@ -252,27 +259,93 @@ class _DriftProvider:
         return False
 
 
-def test_grid_mobile_density_adaptive():
+def test_grid_mobile_buckets_build_only_served_tables():
     n = 80
     provider = _DriftProvider(n)
     svc = NeighborService(provider, UnitDiskModel(75.0), cache_window=1000)
-    # Sparse traffic: one sender per bucket never triggers a batched
-    # rebuild; tables are served lazily against the bucket's grid.
+    served = {}
+    # Sparse traffic: one sender per bucket.
     for bucket in range(3):
-        svc.links_from(0, bucket * 1000)
-    assert svc.counters.table_rebuilds == 0
-    assert svc.counters.table_misses == 3
-    # Dense traffic: sweeping every sender upgrades mid-bucket (at 25%
-    # distinct senders) to one batched rebuild...
-    for s in range(n):
-        svc.links_from(s, 3000)
-    assert svc.counters.table_rebuilds == 1
-    # ...and the next bucket, predicted dense, rebuilds eagerly up front.
-    for s in range(n):
-        svc.links_from(s, 4000)
-    assert svc.counters.table_rebuilds == 2
-    # Both flavors (lazy pruned scalar, batched) agree with the oracle.
-    for t in (0, 3000, 4000):
+        served[0, bucket * 1000] = svc.links_from(0, bucket * 1000)
+    # Dense traffic: every sender of a bucket, then every one again from
+    # the cache.
+    for t in (3000, 4000):
         for s in range(n):
-            assert svc.links_from(s, t) == oracle_links(
-                provider.positions(t), s, svc.model)
+            served[s, t] = svc.links_from(s, t)
+        for s in range(n):
+            assert svc.links_from(s, t) is served[s, t]
+    counters = svc.counters
+    assert counters.table_rebuilds == 0
+    assert counters.table_misses == len(served)
+    assert counters.table_hits == 2 * n
+    assert counters.links_built == sum(len(links) for links in served.values())
+    for (s, t), links in served.items():
+        assert links == oracle_links(provider.positions(t), s, svc.model)
+
+
+def test_waypoint_1000_tables_equal_oracle_in_any_query_order():
+    """The benchmark's scaling geometry: 1000 random-waypoint nodes on
+    1600 x 1000 m, unit disk 75 m, 50 ms buckets. Seeded-random senders
+    are queried in shuffled order over three buckets and then back in
+    the first one; every table is the oracle's."""
+    import random
+
+    from repro.mobility.base import MobilityProvider
+    from repro.mobility.waypoint import RandomWaypointModel
+
+    rng = random.Random(20)
+    width, height, window = 1600.0, 1000.0, 50_000_000
+    provider = MobilityProvider([
+        RandomWaypointModel(rng.uniform(0, width), rng.uniform(0, height),
+                            width, height, 0.0, 8.0, 0.0,
+                            random.Random(1000 + i))
+        for i in range(1000)])
+    svc = NeighborService(provider, UnitDiskModel(75.0), cache_window=window)
+    cached_bucket = {}
+    built = []
+    for bucket in (0, 1, 2, 0):
+        senders = rng.sample(range(1000), 100)
+        rng.shuffle(senders)
+        for sender in senders:
+            t = bucket * window + rng.randrange(window)
+            links = svc.links_from(sender, t)
+            assert links == oracle_links(svc.positions_at(t), sender,
+                                         svc.model)
+            assert svc.links_from(sender, t) is links
+            # A sender's cached table survives until it is asked for in
+            # another bucket, so back in bucket 0 some tables still hit.
+            if cached_bucket.get(sender) != bucket:
+                cached_bucket[sender] = bucket
+                built.append(links)
+    counters = svc.counters
+    assert counters.table_rebuilds == 0
+    assert counters.table_misses == len(built)
+    assert 300 < len(built) < 400
+    assert counters.links_built == sum(len(links) for links in built)
+
+
+def test_propagation_delay_rounds_like_rint():
+    """``propagation_delay_ns`` is ``max(1, rint(d / c))``: halves round
+    to even, as ``np.rint`` does, so a builder may use either form."""
+    import math
+    import random
+
+    from repro.phy.neighbors import _LIGHT_SPEED_M_PER_NS as c
+
+    halves = []
+    for k in range(0, 2000, 3):
+        d = (k + 0.5) * c
+        for _ in range(4):
+            d = math.nextafter(d, 0.0)
+        for _ in range(9):
+            if d / c == k + 0.5:
+                halves.append(d)
+            d = math.nextafter(d, math.inf)
+    assert len(halves) > 300
+    rng = random.Random(3)
+    distances = halves + [rng.uniform(0.0, 400.0) for _ in range(5000)]
+    for d in distances:
+        assert propagation_delay_ns(d) == max(1, int(np.rint(d / c)))
+    for d in halves:
+        k = math.floor(d / c)
+        assert propagation_delay_ns(d) == max(1, k + (k % 2))

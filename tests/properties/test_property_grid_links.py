@@ -1,9 +1,9 @@
 """Property: grid-indexed link tables are *exactly* the brute-force oracle's.
 
-``NeighborService`` finds links through a spatial grid -- batched over
-all senders or per sender against the grid, depending on the bucket's
-query density. For every sender, either flavor must produce the same
-node set, the same ``delay_ns``, the same ``in_rx_range`` flag and the
+``NeighborService`` builds every link table sender by sender against a
+spatial grid: all senders at once when a static placement freezes, and
+only the senders asked for in each mobile bucket. For every sender, the
+table must have the same node set, the same ``delay_ns``, the same ``in_rx_range`` flag and the
 same ``power_dbm`` (to the last bit) as the scan-everything oracle in
 ``tests/phy/link_oracle.py``, for both propagation models, in power
 mode, across mobility bucket epochs, and with nodes straddling
