@@ -60,7 +60,7 @@ class TelemetryReport:
     heap_depth_mean: float
     heap_depth_last: int
     #: Named counter sections contributed by subsystems outside the event
-    #: loop (e.g. ``"neighbors"`` -> link-table rebuild/cache counters).
+    #: loop (e.g. ``"neighbors"`` -> link-table cache counters).
     #: Each payload must be a flat JSON-serializable dict.
     sections: Dict[str, dict] = field(default_factory=dict)
 

@@ -297,9 +297,9 @@ class Network:
     def summary(self) -> RunSummary:
         sinr_state = self.testbed.sinr_state
         if self.telemetry is not None:
-            # Neighbor-layer counters (link-table rebuilds, cache hits/
-            # misses, grid cells/pairs touched) ride along in the
-            # telemetry report as a named section.
+            # Neighbor-layer counters (static freezes, cache hits/
+            # misses, links built, grid cells and candidates) ride along
+            # in the telemetry report as a named section.
             self.telemetry.set_section(
                 "neighbors", self.testbed.neighbors.counters.as_dict()
             )
