@@ -29,7 +29,6 @@ from repro.phy.propagation import (
 )
 from repro.phy.radio import Radio, RadioListener
 from repro.phy.sinr import (
-    InterferenceTracker,
     RayleighFading,
     RicianFading,
     SinrConfig,
@@ -56,7 +55,6 @@ __all__ = [
     "SinrConfig",
     "SinrState",
     "SinrReceptionModel",
-    "InterferenceTracker",
     "RayleighFading",
     "RicianFading",
     "wire_sinr",

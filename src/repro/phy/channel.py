@@ -12,16 +12,22 @@ Models GloMoSim-style frame transmission with:
 * abortable transmissions (truncated frames shorten the busy interval
   and are never delivered).
 
-Every arrival runs through one pipeline (``_arrival_start`` /
-``_arrival_end``). The only optional stage is the reception decision of
-a :class:`repro.phy.sinr.SinrState` (``sinr``): it prices each arrival
-in mW, replaces the overlap rule with accumulated interference when its
+Every arrival the receiver's radio notices runs through one pipeline
+(``_arrival_start`` / ``_arrival_end``). The only optional stage is the
+reception decision of a :class:`repro.phy.sinr.SinrState` (``sinr``):
+it replaces the overlap rule with accumulated interference when its
 accounting is on, and at arrival end decodes only if the
-signal-to-(peak interference + noise) ratio clears its threshold.
-Capture -- a strong frame surviving a weak overlap -- is that decision
-with the capture margin as the threshold. Without it (``sinr=None``, the
-paper's model) the pipeline is the overlap rule alone; unit-disk SINR
-reproduces it bit-identically (property-tested).
+signal-to-(peak interference + noise) ratio clears its threshold. The
+stage reads the transmissions themselves: each one reports its start
+and end with the seqs its arrivals take, and a decode replays the
+reception's window from them. Interference-only links (power mode,
+``Link.sensed`` False and not decodable) get no arrival events at all,
+only reserved seqs (:meth:`~repro.sim.engine.Simulator.reserve`), so
+the event order of everything else is unchanged. Capture -- a strong
+frame surviving a weak overlap -- is that decision with the capture
+margin as the threshold. Without it (``sinr=None``, the paper's model)
+the pipeline is the overlap rule alone; unit-disk SINR reproduces it
+bit-identically (property-tested).
 
 The channel is protocol-agnostic: RMAC, 802.11 DCF, BMMM and BMW all
 run on the same instance.
@@ -40,7 +46,7 @@ from repro.sim.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.faults.injector import FaultInjector
-    from repro.phy.sinr import SinrState
+    from repro.phy.sinr import SinrState, TxArrivals
 
 
 class ChannelListener(Protocol):
@@ -63,13 +69,14 @@ class ChannelListener(Protocol):
 class Transmission:
     """One in-flight frame transmission.
 
-    ``links`` are the sender's links sorted by delay (ties in link-table
-    order) and ``delays`` their delays: the order both arrival fan-outs
-    take.
+    ``links`` are the sender's links that get arrival events, sorted by
+    delay (ties in link-table order), and ``delays`` their delays: the
+    order both arrival fan-outs take. ``arrivals`` is the SINR stage's
+    record of every arrival (None without SINR reception).
     """
 
     __slots__ = ("sender", "frame", "start", "airtime", "delays", "links",
-                 "aborted_at", "_end_event")
+                 "arrivals", "aborted_at", "_end_event")
 
     def __init__(self, sender: int, frame: object, start: int, airtime: int,
                  delays: Sequence[int], links: Sequence[Link]):
@@ -79,6 +86,7 @@ class Transmission:
         self.airtime = airtime
         self.delays = delays
         self.links = links
+        self.arrivals: Optional["TxArrivals"] = None
         self.aborted_at: Optional[int] = None
         self._end_event: Optional[EventHandle] = None
 
@@ -97,17 +105,11 @@ class Transmission:
 
 
 class _Reception:
-    __slots__ = ("tx", "corrupted", "signal_mw", "peak_itf_mw")
+    __slots__ = ("tx", "corrupted")
 
-    def __init__(self, tx: Transmission, corrupted: bool,
-                 signal_mw: float, peak_itf_mw: float):
+    def __init__(self, tx: Transmission, corrupted: bool):
         self.tx = tx
         self.corrupted = corrupted
-        #: SINR mode only (zero otherwise): the arrival's linear signal
-        #: power and the highest concurrent interference observed during
-        #: the reception window (peaks only move when new signals arrive).
-        self.signal_mw = signal_mw
-        self.peak_itf_mw = peak_itf_mw
 
 
 class DataChannel:
@@ -143,6 +145,11 @@ class DataChannel:
         #: stage -- the same zero-cost-when-disabled discipline as
         #: ``faults``.
         self._sinr = sinr
+        if sinr is not None:
+            sinr.bind(sim)
+        #: Whether overlapping sensed arrivals corrupt each other (False
+        #: when the SINR stage accounts interference instead).
+        self._overlap_rule = sinr is None or not sinr.interference
         self._busy: Dict[int, int] = {}
         self._receiving: Dict[int, Dict[Transmission, _Reception]] = {}
         self._transmitting: Dict[int, Transmission] = {}
@@ -237,9 +244,16 @@ class DataChannel:
         waiter = self._busy_waiters.pop(sender, None)
         if waiter is not None:
             waiter()
-        now = self._sim.now
+        sim = self._sim
+        now = sim.now
         airtime = self._phy.frame_airtime(frame.size_bytes)  # type: ignore[attr-defined]
-        delays, links = self._neighbors.table_from(sender, now).by_delay
+        table = self._neighbors.table_from(sender, now)
+        sinr = self._sinr
+        if sinr is None:
+            delays, links = table.by_delay
+        else:
+            view = table.sinr_view
+            delays, links = view.heard
         tx = Transmission(sender, frame, now, airtime, delays, links)
         self._transmitting[sender] = tx
         # Transmitting while receiving destroys the ongoing receptions
@@ -248,8 +262,13 @@ class DataChannel:
         if ongoing:
             for rec in ongoing.values():
                 rec.corrupted = True
-        self._sim.fan_out(now, delays, links, self._arrival_start, tx, "rx-start")
-        tx._end_event = self._sim.at(now + airtime, lambda: self._end_tx(tx, False), label="tx-end")
+        sim.fan_out(now, delays, links, self._arrival_start, tx, "rx-start")
+        if sinr is not None:
+            # The interference-only arrivals take the seqs after the
+            # fan-out's, so the whole block is as large as ever.
+            tx.arrivals = sinr.start(
+                view, sim.reserve(now, view.quiet) - len(delays))
+        tx._end_event = sim.at(now + airtime, lambda: self._end_tx(tx, False), label="tx-end")
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(now, sender, "tx-start", frame=str(frame), airtime=airtime)
@@ -278,7 +297,13 @@ class DataChannel:
         if sender not in self._busy:
             self._last_busy_end[sender] = end
             self._fire_idle(sender)
-        self._sim.fan_out(end, tx.delays, tx.links, self._arrival_end, tx, "rx-end")
+        sim = self._sim
+        sim.fan_out(end, tx.delays, tx.links, self._arrival_end, tx, "rx-end")
+        arrivals = tx.arrivals
+        if arrivals is not None:
+            self._sinr.end(  # type: ignore[union-attr]
+                arrivals,
+                sim.reserve(end, arrivals.view.quiet) - len(tx.delays))
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(end, sender, "tx-abort" if aborted else "tx-end",
@@ -293,11 +318,10 @@ class DataChannel:
     def _arrival_start(self, tx: Transmission, link: Link) -> None:
         """First bit of ``tx`` reaches ``link.node``.
 
-        Busy counters move only for *sensed* links (interference-only
-        links are invisible to the radio). An overlap between sensed
-        arrivals corrupts every reception involved -- unless the SINR
-        decision accounts interference, in which case the SINR check at
-        arrival end replaces the boolean rule.
+        Busy counters move only for *sensed* links. An overlap between
+        sensed arrivals corrupts every reception involved -- unless the
+        SINR decision accounts interference, in which case the SINR check
+        at arrival end replaces the boolean rule.
         """
         node = link.node
         if link.sensed:
@@ -310,13 +334,7 @@ class DataChannel:
         else:
             prior = 0
         ongoing = self._receiving.setdefault(node, {})
-        sinr = self._sinr
-        if sinr is None:
-            signal_mw = itf_mw = 0.0
-            overlap = prior > 0
-        else:
-            signal_mw, itf_mw = sinr.arrive(node, tx, link.power_dbm, ongoing)
-            overlap = prior > 0 and not sinr.interference
+        overlap = prior > 0 and self._overlap_rule
         if overlap:
             for rec in ongoing.values():
                 rec.corrupted = True
@@ -329,7 +347,7 @@ class DataChannel:
                 # but no reception begins -- to this receiver the frame
                 # does not exist (no on_rx_start, nothing at arrival end).
                 return
-            ongoing[tx] = _Reception(tx, corrupted, signal_mw, itf_mw)
+            ongoing[tx] = _Reception(tx, corrupted)
             listener = self._listeners.get(node)
             if listener is not None:
                 listener.on_rx_start(tx.sender)
@@ -343,9 +361,6 @@ class DataChannel:
         never consume a bit-error draw.
         """
         node = link.node
-        sinr = self._sinr
-        if sinr is not None:
-            sinr.depart(node, tx)
         if link.sensed:
             busy = self._busy
             count = busy.get(node)
@@ -394,9 +409,11 @@ class DataChannel:
                 if tracer.enabled:
                     tracer.emit(now, node, "fault-corrupt", sender=tx.sender)
         ok = not rec.corrupted and not tx.aborted
+        sinr = self._sinr
         if ok and sinr is not None:
             reception = sinr.reception
-            sinr_db = reception.sinr_db(rec.signal_mw, rec.peak_itf_mw)
+            sinr_db = reception.sinr_db(
+                *sinr.replay(tx.arrivals, node))  # type: ignore[arg-type]
             if not reception.decodes(sinr_db):
                 ok = False
                 sinr.counters.dropped += 1

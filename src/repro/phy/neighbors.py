@@ -33,8 +33,10 @@ an *interference* cutoff (default: the noise floor) and every decision
 link's received power, which includes per-pair shadowing
 (``model.link_power_dbm``) and per-node heterogeneous radio offsets.
 Links below carrier sense but above the cutoff are *interference-only*
-(``Link.sensed`` False): they feed the SINR interference tracker but
-never raise carrier sense or busy-tone detection. The grid cell size
+(``Link.sensed`` False): their power counts in SINR decodes (read from
+the table's :class:`SinrView` when a decode replays its window), but
+they never raise carrier sense or busy-tone detection, and the data
+channel gives them no arrival events. The grid cell size
 becomes the spec's ``prune_range`` (the interference radius), not the
 model's ``max_range()``. ``link_power_dbm_batch`` is bit-identical to
 the oracle's scalar ``link_power_dbm``, so power-mode tables are exact
@@ -113,7 +115,7 @@ class Link(NamedTuple):
     power_dbm: Optional[float] = None
     #: False => interference-only: the node's radio cannot sense this
     #: transmission (no carrier sense, no busy-tone detection), but its
-    #: power still lands in the SINR interference tracker. Only the
+    #: power still counts as interference in SINR decodes. Only the
     #: power-mode link builder produces False; classic links are always
     #: sensed (the carrier-sense predicate is the keep filter there).
     sensed: bool = True
@@ -133,6 +135,41 @@ def order_by_delay(delay_map: Dict[int, int]) -> DelayOrder:
     return tuple([item[1] for item in items]), tuple([item[0] for item in items])
 
 
+class SinrView:
+    """A table's links in arrival order, as the SINR reception stage
+    and the data channel under it read them.
+
+    Arrival ``k`` is ``by_delay``'s ``k``-th link: ``links[k]``, after
+    ``delays[k]``; ``index`` maps a node to its ``k``. ``heard`` is
+    ``(delays, links)`` of the links the receiver's radio notices
+    (sensed or decodable), the ones that get arrival events; ``quiet``
+    holds the delays of the rest, the interference-only links, in the
+    same order. With no interference-only link, ``heard`` is
+    ``by_delay`` itself.
+    """
+
+    __slots__ = ("delays", "links", "index", "span", "heard", "quiet")
+
+    def __init__(self, by_delay: Tuple[Tuple[int, ...], Tuple[Link, ...]]):
+        delays, links = by_delay
+        self.delays = delays
+        self.links = links
+        self.index = {link.node: k for k, link in enumerate(links)}
+        #: The longest delay: every arrival has started ``span`` after the
+        #: transmission starts and ended ``span`` after it ends.
+        self.span = delays[-1] if delays else 0
+        heard = [k for k, link in enumerate(links)
+                 if link.sensed or link.in_rx_range]
+        if len(heard) == len(links):
+            self.heard = by_delay
+            self.quiet: Tuple[int, ...] = ()
+        else:
+            self.heard = (tuple([delays[k] for k in heard]),
+                          tuple([links[k] for k in heard]))
+            self.quiet = tuple([delays[k] for k, link in enumerate(links)
+                                if not (link.sensed or link.in_rx_range)])
+
+
 class LinkTable:
     """One sender's links for one bucket epoch, plus derived views.
 
@@ -147,16 +184,19 @@ class LinkTable:
 
     A frame's arrival fan-outs fire in delay order, and a tone's
     presence changes take their reserved positions in that order, so
-    each view has a lazily-built, delay-sorted twin: ``by_delay`` for the links, ``delay_order`` and
-    ``tone_order`` for the maps (see :func:`order_by_delay`).
+    each view has a lazily-built, delay-sorted twin: ``by_delay`` for the
+    links, ``delay_order`` and ``tone_order`` for the maps (see
+    :func:`order_by_delay`). A channel with SINR reception reads
+    ``sinr_view`` instead of ``by_delay``.
     """
 
-    __slots__ = ("links", "_by_delay", "_delay_map", "_delay_order",
-                 "_tone_thr", "_tone_map", "_tone_order")
+    __slots__ = ("links", "_by_delay", "_sinr_view", "_delay_map",
+                 "_delay_order", "_tone_thr", "_tone_map", "_tone_order")
 
     def __init__(self, links: Tuple[Link, ...]):
         self.links = links
         self._by_delay: Optional[Tuple[Tuple[int, ...], Tuple[Link, ...]]] = None
+        self._sinr_view: Optional[SinrView] = None
         self._delay_map: Optional[Dict[int, int]] = None
         self._delay_order: Optional[DelayOrder] = None
         self._tone_thr: Optional[float] = None
@@ -170,6 +210,14 @@ class LinkTable:
         if view is None:
             links = tuple(sorted(self.links, key=_second))
             view = self._by_delay = (tuple([link.delay_ns for link in links]), links)
+        return view
+
+    @property
+    def sinr_view(self) -> SinrView:
+        """``by_delay`` as a :class:`SinrView`."""
+        view = self._sinr_view
+        if view is None:
+            view = self._sinr_view = SinrView(self.by_delay)
         return view
 
     @property

@@ -8,11 +8,13 @@ range still injects energy) and *capture* (a strong frame surviving a
 weak overlap). This module replaces the boolean overlap rule with a
 power-domain one:
 
-* an :class:`InterferenceTracker` accumulates the concurrent in-air
-  power at every node (mW-domain sums over active transmission
-  windows);
 * an :class:`SinrReceptionModel` decides decode/corrupt at arrival end
   from the signal-to-interference-plus-noise ratio against a threshold;
+* a :class:`SinrState` supplies that ratio's inputs by *replaying* the
+  reception's window from the recent transmissions
+  (:meth:`SinrState.replay`): the concurrent in-air power at the
+  receiver, accumulated in the mW domain with the float operations of a
+  running per-node sum, and its peak over the window;
 * optional fast fading (:class:`RayleighFading` / :class:`RicianFading`)
   perturbs each arrival's power, deterministically in the run seed;
 * :func:`wire_sinr` assembles the propagation model
@@ -25,13 +27,17 @@ Capture is a special case of SINR: with one interferer and the capture
 margin as ``sinr_threshold_db``, a frame survives iff it beats the
 interferer by the margin. With several interferers SINR is stricter
 (their powers add), which is the physically right reading.
-:class:`SinrState` is the data channel's only optional reception stage
-(:meth:`SinrState.arrive` / :meth:`SinrState.depart` plus the decode
-decision at arrival end).
+:class:`SinrState` is the data channel's only optional reception stage.
+The channel tells it when each transmission starts and ends, with the
+seqs its arrivals take in the event order
+(:meth:`SinrState.start` / :meth:`SinrState.end`), and asks it for a
+decode's signal and peak interference at arrival end. No arrival event
+calls into it, so links that only interfere need no events at all.
 
 Determinism: shadowing draws hang off ``derive_seed(seed, ...)`` per
-node pair, radio jitter per node, and fading off a dedicated RNG stream
-consumed in event order -- identical seeds give bit-identical runs, and
+node pair, radio jitter per node, and fading off a dedicated RNG stream,
+drawn lazily but in the order of the arrival starts' positions --
+identical seeds give bit-identical runs, and
 interrupted campaigns resume exactly (the whole config participates in
 the result store's ``config_hash``).
 
@@ -45,7 +51,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +63,10 @@ from repro.phy.propagation import (
     UnitDiskModel,
 )
 from repro.sim.rng import derive_seed
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.phy.neighbors import SinrView
+    from repro.sim.engine import Simulator
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -98,8 +108,8 @@ class SinrConfig:
     sinr_threshold_db: Optional[float] = 10.0
     #: Thermal-noise floor (dBm) added to the interference sum.
     noise_floor_dbm: float = -90.0
-    #: When False the interference tracker is not consulted: the
-    #: classic all-overlaps-collide rule applies and SINR reduces to a
+    #: When False concurrent power is not accounted: the classic
+    #: all-overlaps-collide rule applies and SINR reduces to a
     #: signal-vs-noise check. With a permissive threshold this is
     #: behaviorally identical to the threshold path (property-tested).
     interference: bool = True
@@ -223,65 +233,6 @@ class RicianFading:
         return f"RicianFading(K={self.k_db}dB)"
 
 
-class InterferenceTracker:
-    """Accumulated concurrent in-air power per node (mW domain).
-
-    The data channel adds every arriving signal (decodable or
-    interference-only) at arrival start and removes it at arrival end;
-    ``high_water`` records the most signals ever concurrently in the air
-    at one node (telemetry).
-    """
-
-    __slots__ = ("_signals", "_totals", "high_water")
-
-    def __init__(self):
-        #: node -> {transmission: power_mw} of signals currently in the air.
-        self._signals: Dict[int, Dict[object, float]] = {}
-        #: node -> running mW sum (kept incrementally; rebuilt from the
-        #: signal map on removal underflow of floating-point drift).
-        self._totals: Dict[int, float] = {}
-        self.high_water = 0
-
-    def add(self, node: int, tx: object, power_mw: float) -> float:
-        """Register a signal; returns the node's new total (mW)."""
-        signals = self._signals.get(node)
-        if signals is None:
-            signals = self._signals[node] = {}
-        signals[tx] = power_mw
-        count = len(signals)
-        if count > self.high_water:
-            self.high_water = count
-        total = self._totals.get(node, 0.0) + power_mw
-        self._totals[node] = total
-        return total
-
-    def remove(self, node: int, tx: object) -> None:
-        """Unregister a signal at its arrival end."""
-        signals = self._signals.get(node)
-        if signals is None:
-            return
-        power = signals.pop(tx, None)
-        if power is None:
-            return
-        if signals:
-            # Re-summing instead of subtracting keeps the running total
-            # exactly equal to the sum of live signals (no accumulated
-            # float drift over millions of add/remove cycles).
-            self._totals[node] = math.fsum(signals.values())
-        else:
-            del self._signals[node]
-            self._totals.pop(node, None)
-
-    def total_mw(self, node: int) -> float:
-        """Total in-air power at ``node`` right now (mW)."""
-        return self._totals.get(node, 0.0)
-
-    def concurrent(self, node: int) -> int:
-        """Number of signals currently in the air at ``node``."""
-        signals = self._signals.get(node)
-        return len(signals) if signals else 0
-
-
 class SinrReceptionModel:
     """Decode/corrupt decision from SINR against a threshold.
 
@@ -331,13 +282,66 @@ class SinrCounters:
             self.min_sinr_db = sinr_db
 
 
+class TxArrivals:
+    """One transmission's arrivals, as the SINR stage replays them.
+
+    Arrival ``k`` (in ``view``'s order) starts at position
+    ``(start + view.delays[k], seq + k)`` and ends at ``(end +
+    view.delays[k], end_seq + k)``, where ``seq`` and ``end_seq`` are
+    the first seqs of the blocks the transmission's start and end took
+    in the event order. Those are the positions one event per arrival
+    would have had, so they order against each other and against
+    ``(now, now_seq)`` exactly as those events would. ``end`` is None
+    while the frame is on the air.
+    """
+
+    __slots__ = ("view", "start", "seq", "end", "end_seq", "anchor",
+                 "signals", "drawn", "counted")
+
+    def __init__(self, view: "SinrView", start: int, seq: int):
+        self.view = view
+        self.start = start
+        self.seq = seq
+        self.end: Optional[int] = None
+        self.end_seq = 0
+        #: The earliest start among the transmissions on the air or still
+        #: propagating when this one started (see SinrState.start).
+        self.anchor = start
+        #: With fading: arrival powers in mW, gains included, as drawn.
+        self.signals: Optional[List[float]] = None
+        #: How many arrivals have drawn their fading gain.
+        self.drawn = 0
+        #: True once every arrival start has been counted for the high
+        #: water mark.
+        self.counted = False
+
+    def signal(self, k: int) -> float:
+        """Arrival ``k``'s power in mW (with its fading gain, once drawn)."""
+        signals = self.signals
+        if signals is not None:
+            return signals[k]
+        return 10.0 ** (self.view.links[k].power_dbm / 10.0)  # type: ignore[operator]
+
+
+def _passed(time: int, seq: int, now: int, now_seq: int) -> bool:
+    """Whether position ``(time, seq)`` is at or before ``(now, now_seq)``."""
+    return time < now or (time == now and seq <= now_seq)
+
+
 class SinrState:
     """Everything the :class:`~repro.phy.channel.DataChannel` needs for
-    SINR reception: the decision model, the interference tracker, the
-    optional fading sampler and its RNG stream, and the counters."""
+    SINR reception: the decision model, the optional fading sampler and
+    its RNG stream, the counters, and the recent transmissions a decode
+    replays.
 
-    __slots__ = ("reception", "tracker", "fading", "rng", "interference",
-                 "counters")
+    The channel reports each transmission's start (:meth:`start`) and
+    end (:meth:`end`) with the seqs its arrivals take, and asks for a
+    reception's signal and peak interference only when the reception
+    ends otherwise intact (:meth:`replay`). No arrival event calls in.
+    """
+
+    __slots__ = ("reception", "interference", "fading", "rng", "counters",
+                 "high_water", "_sim", "_recent", "_undrawn", "_deferred")
 
     def __init__(
         self,
@@ -347,43 +351,251 @@ class SinrState:
         rng: Optional[random.Random] = None,
     ):
         self.reception = reception
-        self.tracker = InterferenceTracker()
         self.interference = interference
         self.fading = fading
         self.rng = rng if rng is not None else random.Random(0)
         self.counters = SinrCounters()
+        #: The most signals ever concurrently in the air at one node
+        #: (telemetry; stays 0 without interference accounting).
+        self.high_water = 0
+        self._sim: Optional["Simulator"] = None
+        #: Transmissions whose arrivals a later replay may read, in
+        #: start order (interference accounting only).
+        self._recent: List[TxArrivals] = []
+        #: Transmissions with arrivals whose fading gain is not drawn yet.
+        self._undrawn: List[TxArrivals] = []
+        #: Ended transmissions with arrival starts not yet counted for
+        #: the high water mark (a frame aborted before every start).
+        self._deferred: List[TxArrivals] = []
 
-    def arrive(self, node: int, tx: object, power_dbm: float,
-               ongoing: dict) -> Tuple[float, float]:
-        """Price one arrival at ``node``: ``(signal_mw, interference_mw)``.
+    def bind(self, sim: "Simulator") -> None:
+        """Read positions against ``sim``'s ``(now, now_seq)``."""
+        self._sim = sim
 
-        Fading (if any) draws once per arrival, in event order. With
-        interference accounting on, the signal lands in the tracker and
-        raises the peak interference of every reception in ``ongoing``
-        (the node's in-progress receptions, keyed by transmission).
+    def start(self, view: "SinrView", seq: int) -> TxArrivals:
+        """A transmission starts now; its arrivals took the seqs from ``seq``.
+
+        Its anchor is the earliest start among the transmissions still on
+        the air or still propagating (itself included). A signal that is
+        live when one of its receptions starts began at or after that
+        anchor, so a removal before every live transmission's anchor can
+        no longer change a replay: a finished transmission whose last
+        arrival ended before all of them is dropped. Transmissions not
+        yet counted for the high water mark keep theirs in force.
         """
-        # Every PropagationModel reports a link power (unit-disk models a
-        # constant), so ``power_dbm`` is never None here.
-        power_mw = 10.0 ** (power_dbm / 10.0)
-        fading = self.fading
-        if fading is not None:
-            power_mw *= fading.gain(self.rng)
+        sim = self._sim
+        now = sim.now  # type: ignore[union-attr]
+        air = TxArrivals(view, now, seq)
+        if self.fading is not None:
+            if self._undrawn:
+                self._draw(now, sim.now_seq)  # type: ignore[union-attr]
+            air.signals = [0.0] * len(view.delays)
+            self._undrawn.append(air)
         if not self.interference:
-            return power_mw, 0.0
-        total = self.tracker.add(node, tx, power_mw)
-        for rec in ongoing.values():
-            itf = total - rec.signal_mw
-            if itf > rec.peak_itf_mw:
-                rec.peak_itf_mw = itf
-        return power_mw, total - power_mw
+            # Decodes then read the reception's own signal only.
+            return air
+        recent = self._recent
+        anchor = floor = oldest = now
+        for other in recent:
+            end = other.end
+            if end is None or end + other.view.span >= now:
+                if anchor == now:
+                    anchor = other.start  # the first live one, by start order
+            elif other.counted:
+                if end + other.view.span < oldest:
+                    oldest = end + other.view.span
+                continue
+            if other.anchor < floor:
+                floor = other.anchor
+        air.anchor = anchor
+        if oldest < floor:
+            recent[:] = [other for other in recent if other.end is None
+                         or other.end + other.view.span >= floor]
+        recent.append(air)
+        return air
 
-    def depart(self, node: int, tx: object) -> None:
-        """The arrival of ``tx`` at ``node`` ended: drop its power."""
-        if self.interference:
-            self.tracker.remove(node, tx)
+    def end(self, air: TxArrivals, end_seq: int) -> None:
+        """``air``'s transmission ends now (or is aborted); its arrivals'
+        ends took the seqs from ``end_seq``. Counts its arrival starts for
+        the high water mark once they have all passed."""
+        sim = self._sim
+        air.end = sim.now  # type: ignore[union-attr]
+        air.end_seq = end_seq
+        if not self.interference:
+            return
+        now = sim.now  # type: ignore[union-attr]
+        now_seq = sim.now_seq  # type: ignore[union-attr]
+        deferred = self._deferred
+        if deferred:
+            deferred[:] = [other for other in deferred
+                           if not self._count(other, now, now_seq)]
+        if not self._count(air, now, now_seq):
+            deferred.append(air)
+
+    def _count(self, air: TxArrivals, now: int, now_seq: int) -> bool:
+        """Raise the high water mark to the signals live at each of
+        ``air``'s arrival starts up to ``(now, now_seq)``: the arrival
+        itself plus the other transmissions' arrivals at its node that
+        started before it and had not ended. True (and ``air`` counted)
+        once every start has passed.
+
+        Only transmissions that overlap ``air``'s start window can be
+        live there; when there are no more of them than the high water
+        mark, no start can raise it.
+        """
+        view = air.view
+        delays = view.delays
+        n = len(delays)
+        start = air.start
+        seq0 = air.seq
+        last = start + view.span
+        done = not n or _passed(last, seq0 + n - 1, now, now_seq)
+        others = [other for other in self._recent if other is not air
+                  and other.start <= last and (other.end is None
+                  or other.end + other.view.span >= start)]
+        high = self.high_water
+        if len(others) >= high:
+            links = view.links
+            for k in range(n):
+                time = start + delays[k]
+                seq = seq0 + k
+                if not _passed(time, seq, now, now_seq):
+                    break
+                node = links[k].node
+                live = 1
+                for other in others:
+                    j = other.view.index.get(node)
+                    if j is None:
+                        continue
+                    delay = other.view.delays[j]
+                    if not _passed(other.start + delay, other.seq + j,
+                                   time, seq):
+                        continue  # starts after this one
+                    end = other.end
+                    if end is not None and _passed(
+                            end + delay, other.end_seq + j, time, seq):
+                        continue  # ended before it
+                    live += 1
+                if live > high:
+                    high = live
+            self.high_water = high
+        air.counted = done
+        return done
+
+    def _draw(self, now: int, now_seq: int) -> None:
+        """Draw the fading gain of every arrival that has started by
+        ``(now, now_seq)``, in the order of their start positions: one
+        draw per arrival, interference-only ones included, from one
+        stream, as if each start drew when it passed."""
+        due = []
+        pending = []
+        for air in self._undrawn:
+            delays = air.view.delays
+            n = len(delays)
+            start = air.start
+            seq = air.seq
+            k = air.drawn
+            while k < n and _passed(start + delays[k], seq + k, now, now_seq):
+                due.append((start + delays[k], seq + k, air, k))
+                k += 1
+            air.drawn = k
+            if k < n:
+                pending.append(air)
+        self._undrawn = pending
+        if due:
+            # Positions are unique, so the sort never compares past them.
+            due.sort()
+            gain = self.fading.gain
+            rng = self.rng
+            for _, _, air, k in due:
+                power = 10.0 ** (air.view.links[k].power_dbm / 10.0)
+                air.signals[k] = power * gain(rng)  # type: ignore[index]
+
+    def replay(self, air: TxArrivals, node: int) -> Tuple[float, float]:
+        """``(signal_mw, peak_interference_mw)`` of ``air``'s arrival at
+        ``node``, which ends now.
+
+        Replays the node's running interference sum over the reception's
+        window, float operation for float operation: each start adds its
+        power to the running total, each end re-sums the live signals
+        with ``math.fsum``. The total at the reception's
+        start is the ``fsum`` at the last removal before it, plus each
+        signal added since; a start inside the window raises the peak if
+        ``total - signal`` exceeds it.
+        """
+        sim = self._sim
+        now = sim.now  # type: ignore[union-attr]
+        if self.fading is not None:
+            self._draw(now, sim.now_seq)  # type: ignore[union-attr]
+        view = air.view
+        k = view.index[node]
+        signal = air.signal(k)
+        if not self.interference:
+            return signal, 0.0
+        delay = view.delays[k]
+        lo = (air.start + delay, air.seq + k)
+        hi = (air.end + delay, air.end_seq + k)  # type: ignore[operator]
+        last_removal = (-1, -1)
+        before = []  # (start, power, arrival) of the signals live at lo
+        edges = []   # (position, power, arrival); power None at an end
+        for other in self._recent:
+            j = other.view.index.get(node)
+            if j is None or other is air:
+                continue
+            delay = other.view.delays[j]
+            begin = (other.start + delay, other.seq + j)
+            if begin > hi:
+                continue
+            end = other.end
+            finish = None if end is None else (end + delay, other.end_seq + j)
+            if finish is not None and finish < lo:
+                if finish > last_removal:
+                    last_removal = finish
+                continue
+            power = other.signal(j)
+            if begin < lo:
+                before.append((begin, power, other))
+            else:
+                edges.append((begin, power, other))
+            if finish is not None and finish < hi:
+                edges.append((finish, None, other))
+        # Positions are unique, so sorts never compare past them.
+        before.sort()
+        total = math.fsum([entry[1] for entry in before
+                           if entry[0] < last_removal])
+        for begin, power, _ in before:
+            if begin > last_removal:
+                total += power
+        total += signal
+        peak = total - signal
+        if edges:
+            live = {other: power for _, power, other in before}
+            live[air] = signal
+            edges.sort()
+            for _, power, other in edges:
+                if power is None:
+                    del live[other]
+                    total = math.fsum(live.values())
+                else:
+                    live[other] = power
+                    total += power
+                    itf = total - signal
+                    if itf > peak:
+                        peak = itf
+        return signal, peak
 
     def stats(self) -> dict:
-        """JSON-serializable per-run stats (RunSummary / telemetry)."""
+        """JSON-serializable per-run stats (RunSummary / telemetry).
+
+        A run cut at a horizon may leave arrival starts uncounted for
+        the high water mark; they are counted here, up to the current
+        position.
+        """
+        sim = self._sim
+        if self.interference and sim is not None:
+            for air in self._recent:
+                if not air.counted:
+                    self._count(air, sim.now, sim.now_seq)
         counters = self.counters
         delivered = counters.delivered
         return {
@@ -392,10 +604,8 @@ class SinrState:
             "mean_sinr_db": (counters.sum_sinr_db / delivered
                              if delivered else None),
             "min_sinr_db": counters.min_sinr_db,
-            "concurrent_high_water": self.tracker.high_water,
+            "concurrent_high_water": self.high_water,
         }
-
-
 @dataclass
 class SinrWiring:
     """The assembled pieces :class:`~repro.world.testbed.MacTestbed`
@@ -411,7 +621,7 @@ class SinrWiring:
     tone_threshold_dbm: Optional[float]
 
     def build_state(self, rng: Optional[random.Random] = None) -> SinrState:
-        """A fresh per-run channel state (tracker/counters start empty)."""
+        """A fresh per-run channel state (counters start empty)."""
         config = self.config
         fading = None
         if config.fading == "rayleigh":

@@ -64,7 +64,8 @@ class MacTestbed:
         self.tracer = tracer if tracer is not None else Tracer(enabled=trace)
         #: SINR subsystem (see repro.phy.sinr): the wiring supplies the
         #: propagation model and the power-domain link spec; the per-run
-        #: channel state (tracker/counters) hangs off the data channel.
+        #: channel state (recent transmissions, counters) hangs off the data
+        #: channel.
         self.sinr_state: Optional["SinrState"] = None
         power_spec = None
         tone_threshold = None

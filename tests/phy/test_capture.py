@@ -8,6 +8,8 @@ the interferer by the margin.
 
 from dataclasses import dataclass
 
+import pytest
+
 from repro.phy.channel import DataChannel
 from repro.phy.neighbors import NeighborService, StaticPositions
 from repro.phy.params import DEFAULT_PHY
@@ -120,7 +122,16 @@ def test_signal_power_bookkeeping_drains():
     sim.at(20 * US, lambda: ch.transmit(2, Frame(50, "y")))
     sim.run()
     sim.run(until=sim.now + 10 * US)
-    tracker = ch.sinr.tracker
-    assert tracker.high_water == 2
-    assert all(tracker.concurrent(node) == 0 for node in range(3))
-    assert all(tracker.total_mw(node) == 0.0 for node in range(3))
+    # Both signals were in the air at node 1 together.
+    assert ch.sinr.stats()["concurrent_high_water"] == 2
+    # Nothing of them is left anywhere: a later solo frame decodes at
+    # each receiver with the SINR it has on a fresh channel.
+    for sender in (0, 2):
+        before = ch.sinr.counters.sum_sinr_db
+        ch.transmit(sender, Frame(50, "solo"))
+        sim.run()
+        fresh_sim, fresh, _ = make(NEAR_FAR, capture_db=10.0)
+        fresh.transmit(sender, Frame(50, "solo"))
+        fresh_sim.run()
+        assert (ch.sinr.counters.sum_sinr_db - before
+                == pytest.approx(fresh.sinr.counters.sum_sinr_db, abs=1e-9))

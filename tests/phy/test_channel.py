@@ -1,5 +1,6 @@
 """The data channel: delivery, carrier sense, collisions, aborts."""
 
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -273,8 +274,12 @@ def test_sensed_and_interference_only_overlap_in_either_order(sensed_sender):
     # -40 dBm over -80 dBm of interference plus the noise floor: ~39.6 dB.
     assert [sender for _, sender in recs[1].received] == [sensed_sender]
     assert recs[1].errors == [] and recs[1].rx_starts == [sensed_sender]
-    assert state.tracker.high_water == 2
-    assert state.tracker.concurrent(1) == 0
+    # Both signals were in the air at node 1 together, and the decode
+    # saw the interference-only one: -40 dBm over -80 dBm plus the
+    # -90 dBm noise floor.
+    assert state.stats()["concurrent_high_water"] == 2
+    expected = 10 * math.log10(1e-4 / (1e-8 + 1e-9))
+    assert state.counters.min_sinr_db == pytest.approx(expected, abs=1e-9)
     assert not ch.busy(1)
 
 

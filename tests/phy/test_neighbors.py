@@ -234,6 +234,24 @@ def test_delay_sorted_views_are_stable_and_cached():
     assert table.tone_order(-60.0) is table.tone_order(-60.0)
     assert table.tone_order(-55.0) == ((10, 30), (4, 1))
     assert order_by_delay({7: 5, 3: 2, 9: 5}) == ((2, 5, 5), (3, 7, 9))
+    # The SINR view: arrivals in by_delay order, and the links that get
+    # arrival events (sensed or decodable) split from the
+    # interference-only ones, which keep only their delays.
+    mixed = LinkTable(table.links + (Link(5, 20, False, -85.0, sensed=False),))
+    view = mixed.sinr_view
+    assert view is mixed.sinr_view
+    assert view.delays == (10, 10, 20, 30, 30)
+    assert view.links == mixed.by_delay[1]
+    assert [link.node for link in view.links] == [2, 4, 5, 1, 3]
+    assert view.index == {2: 0, 4: 1, 5: 2, 1: 3, 3: 4}
+    assert view.span == 30
+    assert view.heard == ((10, 10, 30, 30), table.by_delay[1])
+    assert view.quiet == (20,)
+    # With no interference-only link, the split is by_delay itself.
+    assert table.sinr_view.heard is table.by_delay
+    classic = LinkTable((Link(1, 30, True, -50.0), Link(2, 10, True, -70.0)))
+    assert classic.sinr_view.heard is classic.by_delay
+    assert classic.sinr_view.quiet == ()
 
 
 def test_link_is_tuple_compatible():
