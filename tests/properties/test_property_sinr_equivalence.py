@@ -12,11 +12,11 @@ MAC, routing, application -- the whole stack):
   :data:`~repro.phy.propagation.IN_RANGE_POWER_DBM`), so the SINR
   decision -- ~90 dB solo, <= ~0 dB under any overlap, against a 10 dB
   threshold -- *derives* the overlap rule through the real interference
-  tracker. Same bit-identity must hold.
+  accounting. Same bit-identity must hold.
 
-The second form is the stronger one: it exercises the tracker's
-add/remove bookkeeping on every arrival of the run and still demands
-equality to the last bit.
+The second form is the stronger one: it replays the accumulated power
+of every decoded reception's window and still demands equality to the
+last bit.
 """
 
 from dataclasses import asdict
