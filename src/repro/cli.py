@@ -3,7 +3,6 @@
 Commands
 --------
 ``run``      one scenario, printed summary (the quickstart as a command).
-``bench``    the fixed perf sweep, compared against the committed baseline.
 ``figure``   regenerate a paper figure (fig7..fig13) at a chosen scale,
              or from a campaign store with ``--from DIR`` (no simulation).
 ``campaign`` checkpointed sweeps: ``run`` (kill-and-resume safe, every
@@ -21,8 +20,8 @@ Commands
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from time import perf_counter
 from typing import Optional, Sequence
 
 from repro.experiments.figures import FIGURES, figure_rows
@@ -77,7 +76,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rate_pps=args.rate,
         n_packets=args.packets,
         seed=args.seed,
-        collect_telemetry=bool(args.telemetry),
         trace=bool(args.trace_jsonl),
         faults=_load_faults(args.faults),
         oracle=use_oracle,
@@ -88,18 +86,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.sim.trace import JsonlTraceSink, Tracer
 
         tracer = Tracer(enabled=True, buffer=JsonlTraceSink(args.trace_jsonl))
-    # Open the telemetry output up front so a bad path fails before the
-    # run, not after minutes of simulation.
-    telemetry_fh = open(args.telemetry, "w") if args.telemetry else None
     network = build_network(config, tracer=tracer)
+    start = perf_counter()
     summary = network.run()
-    if telemetry_fh is not None:
-        import json
-
-        with telemetry_fh:
-            json.dump(summary.telemetry, telemetry_fh, indent=2)
-        print(f"telemetry: {summary.events_processed} events at "
-              f"{summary.events_per_sec:,.0f} events/s -> {args.telemetry}")
+    run_s = perf_counter() - start
+    print(f"run: {network.sim.events_processed} events in {run_s:.3f} s")
     if args.trace_jsonl:
         print(f"trace: {len(network.testbed.tracer)} events -> {args.trace_jsonl}")
     oracle_failed = False
@@ -139,45 +130,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(format_table(rows, title=f"{args.protocol}: {args.nodes} nodes, "
                                    f"{args.rate} pkt/s, seed {args.seed}"))
     return 1 if oracle_failed else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments import bench
-
-    tier = args.tier or ("smoke" if args.smoke else "full")
-    points = bench.tier_points(tier)
-    report = bench.run_bench(
-        points,
-        progress=lambda rec: print("  " + bench.render_point(rec), flush=True),
-    )
-    print(bench.render(report))
-    out = args.out or f"BENCH_{report['rev']}.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out}")
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        baseline_path = bench.find_baseline("benchmarks")
-    elif os.path.isdir(baseline_path):
-        baseline_path = bench.find_baseline(baseline_path)
-    if baseline_path is None:
-        print("no committed baseline found; skipping comparison")
-        return 0
-    ok, lines = bench.compare(
-        report, bench.load_baseline(baseline_path),
-        max_regression=args.max_regression / 100.0,
-    )
-    print(f"baseline: {baseline_path}")
-    for line in lines:
-        print(f"  {line}")
-    if not ok:
-        print("benchmark regression exceeds threshold", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _sweep_options(args: argparse.Namespace) -> dict:
@@ -356,16 +308,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         manifest_extra["oracle"] = True
     if sinr is not None:
         manifest_extra["sinr"] = sinr.to_dict()
-    telemetry = None
-    if args.telemetry:
-        from repro.sim.telemetry import Telemetry
-
-        telemetry = Telemetry()
     results = farm.run(
         args.protocols.split(","), list(SCENARIOS), list(rates), list(seeds),
         _scale_make_config(args.scale, faults=faults, oracle=args.oracle,
                            sinr=sinr),
-        manifest_extra=manifest_extra, telemetry=telemetry,
+        manifest_extra=manifest_extra,
         **options,
     )
     for figure in sorted(FIGURES):
@@ -374,13 +321,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         print(format_table(rows, title=f"{figure}: {spec.title}"))
     print("farm: " + ", ".join(f"{k.replace('points_', '')}={v}"
                                for k, v in farm.counters.as_dict().items()))
-    if args.telemetry:
-        import json
-
-        with open(args.telemetry, "w") as fh:
-            json.dump(telemetry.report().to_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"farm telemetry -> {args.telemetry}")
     print(f"campaign store: {farm.path} ({len(farm)} points)")
     return _report_failures(results, args.fail_on_error)
 
@@ -450,9 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="max waypoint speed m/s (0 = stationary)")
     run.add_argument("--pause", type=float, default=10.0)
     run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--telemetry", metavar="OUT.json",
-                     help="collect event-loop telemetry (events/sec, "
-                          "per-label counts) and write it as JSON")
     run.add_argument("--trace-jsonl", metavar="OUT.jsonl",
                      help="stream the full protocol trace to a JSONL file "
                           "(bounded memory, any run length)")
@@ -483,30 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="heterogeneous radios: per-node uniform tx-power "
                           "jitter of +-DB (deterministic in the seed)")
     run.set_defaults(func=_cmd_run)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the fixed perf sweep and compare against the committed "
-             "baseline (see benchmarks/BENCH_*.json)",
-    )
-    bench.add_argument("--tier", choices=("smoke", "full", "large"),
-                       help="point set to run: smoke (one ~1s run, the CI "
-                            "gate), full (the committed 40-node sweep, the "
-                            "default), or large (the 200/500/1000-node "
-                            "scaling tier)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="alias for --tier smoke; what CI executes on "
-                            "every push")
-    bench.add_argument("--out", metavar="OUT.json",
-                       help="report path (default BENCH_<rev>.json in cwd)")
-    bench.add_argument("--baseline", metavar="FILE_OR_DIR",
-                       help="baseline report, or a directory of BENCH_*.json "
-                            "(default: newest in benchmarks/)")
-    bench.add_argument("--max-regression", type=float, default=30.0,
-                       metavar="PCT",
-                       help="fail if a point's events/sec drops more than "
-                            "this percentage vs the baseline (default 30)")
-    bench.set_defaults(func=_cmd_bench)
 
     fig = sub.add_parser("figure", help="regenerate a paper figure")
     fig.add_argument("figure", choices=sorted(FIGURES))
@@ -563,10 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "interference reception on the named "
                                    "propagation profile (part of each "
                                    "point's config hash)")
-    campaign_run.add_argument("--telemetry", metavar="OUT.json",
-                              help="write the farm counters (done/"
-                                   "cached/requeued, worker deaths) "
-                                   "as a telemetry report")
     _add_sweep_flags(campaign_run)
     campaign_run.set_defaults(func=_cmd_campaign_run)
 

@@ -26,8 +26,9 @@ API reference for its layer):
   paper figure plots, and rows from results or straight from a store.
 * :mod:`~repro.experiments.report` — presentation: text tables, CSV,
   campaign status rendering.
-* :mod:`~repro.experiments.bench` — the fixed performance benchmark and
-  its committed baseline (perf work's measured claim).
+* :mod:`~repro.experiments.bench` — ``METRIC_FIELDS``, the
+  ``RunSummary`` fields that pin a run's outcome. Performance is
+  measured by ``benchmarks/e2e`` only (end to end, uninstrumented).
 """
 
 from repro.experiments.scenarios import (

@@ -1,55 +1,15 @@
-"""The ``repro bench`` performance benchmark.
+"""The ``RunSummary`` fields that pin a run's outcome.
 
-Ownership: this module owns **performance measurement** -- a fixed,
-committed workload and its baseline comparison. It deliberately does
-not use the sweep runner or the result store: a benchmark wants
-identical, unresumed, freshly-timed runs every time, where a campaign
-wants to skip everything it already knows.
-
-A fixed sweep of paper-scale scenarios measured for event-loop
-throughput, with the result committed to the repository as
-``benchmarks/BENCH_<rev>.json``. Each PR that touches the kernel or the
-PHY re-runs the sweep and compares against the committed baseline, so
-"make the hot path faster" (the ROADMAP's north star) is a measured
-claim instead of a hope, and accidental slowdowns fail CI.
-
-Three tiers:
-
-* **full** -- three 40-node paper-scale runs (RMAC x2 seeds, BMMM x1),
-  a few hundred thousand events each. This is the number quoted in
-  ``BENCH_*.json`` and in PR descriptions.
-* **smoke** -- a 12-node run (~13k events) finishing in well under a
-  second, plus a same-scale ``sinr-shadowing`` companion through the
-  SINR interference subsystem; cheap enough for CI on every push. CI
-  compares events/sec against the committed baseline with a generous
-  regression threshold (wall-clock on shared runners is noisy), which
-  also fails the build if SINR work slows the threshold path.
-* **large** -- the scaling tier (200/500/1000 nodes, static + random
-  waypoint) where link-table building through the spatial grid
-  matters, plus a ``sinr-500`` point measuring accumulated-power
-  reception under shadowing at 500 nodes.
-
-The smoke/full sweeps are **static-only** (no mobility) on purpose:
-static scenarios exercise the frozen-link fast path and keep the
-per-run ``metrics`` block bit-identical across machines and across
-mobility-model changes, so the baseline doubles as a determinism
-regression check -- same seeds must produce the same delivery/
-retransmission/delay numbers, or something changed protocol behavior
-rather than just speed.
+The repository's one benchmark is ``benchmarks/e2e``: end-to-end host
+time and peak memory of ``build_network`` + ``Network.run`` in fresh
+processes, with self time by layer from a separate profiled pass (see
+``benchmarks/e2e/README.md``). It checks every run's outcome against
+its committed ``expected.json`` through the fields below, and so do
+the golden determinism pins (``tests/integration/test_determinism.py``).
+All of them are deterministic given the seed.
 """
 
-from __future__ import annotations
-
-import json
-import os
-import subprocess
-from datetime import datetime, timezone
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.experiments.scenarios import sinr_preset
-from repro.world.network import ScenarioConfig, build_network
-
-#: RunSummary fields captured per point; all deterministic given the seed.
+#: RunSummary fields captured per run; all deterministic given the seed.
 METRIC_FIELDS = (
     "delivery_ratio",
     "avg_delay_s",
@@ -65,325 +25,3 @@ METRIC_FIELDS = (
     "total_drops",
     "total_retransmissions",
 )
-
-
-def _point(mode: str, protocol: str, seed: int, repeat: int = 1, **config) -> dict:
-    return {"mode": mode, "protocol": protocol, "seed": seed,
-            "repeat": repeat, "config": config}
-
-
-_FULL_SCALE = dict(n_nodes=40, width=360.0, height=220.0, rate_pps=20.0, n_packets=120)
-
-#: The committed full sweep (static, paper-scale).
-FULL_POINTS: List[dict] = [
-    _point("full", "rmac", 1, **_FULL_SCALE),
-    _point("full", "rmac", 2, **_FULL_SCALE),
-    _point("full", "bmmm", 3, **_FULL_SCALE),
-]
-
-#: The CI smoke sweep: one small static run, best-of-3 -- a cold
-#: process's first run pays interpreter warm-up that would otherwise
-#: read as a 30%+ "regression" on an 80 ms benchmark. The labeled
-#: ``sinr-shadowing`` companion runs the same scale through the SINR
-#: subsystem (accumulated-power reception under lognormal shadowing),
-#: so CI measures the interference path's cost separately -- the
-#: unlabeled threshold-path point must stay untouched by SINR work.
-#: Point configs hold live ``SinrConfig`` objects; points are consumed
-#: in-process by :func:`run_point` and never serialized (only the
-#: resulting records are).
-SMOKE_POINTS: List[dict] = [
-    _point("smoke", "rmac", 2, repeat=3, n_nodes=12, width=200.0,
-           height=140.0, rate_pps=5.0, n_packets=10),
-    {**_point("smoke", "rmac", 5, repeat=3, n_nodes=12, width=200.0,
-              height=140.0, rate_pps=5.0, n_packets=10,
-              sinr=sinr_preset("shadowing")),
-     "label": "sinr-shadowing"},
-]
-
-#: Field sizes for the scaling tier, chosen to keep the paper's node
-#: density (75 nodes per 500x300 m) roughly constant so connected
-#: placements stay drawable at every size.
-_LARGE_FIELDS: Dict[int, Tuple[float, float]] = {
-    200: (715.0, 450.0),
-    500: (1130.0, 700.0),
-    1000: (1600.0, 1000.0),
-}
-
-#: Light traffic for the scaling tier: the point is topology scale, not
-#: offered load, and 1000-node full-stack runs must finish in minutes.
-_LARGE_TRAFFIC = dict(rate_pps=2.0, n_packets=6, warmup_s=2.0, drain_s=2.0)
-
-
-def _large_point(n_nodes: int, mobile: bool, seed: int, **extra) -> dict:
-    width, height = _LARGE_FIELDS[n_nodes]
-    point = _point("large", "rmac", seed, n_nodes=n_nodes, width=width,
-                   height=height, mobile=mobile, **_LARGE_TRAFFIC)
-    point["label"] = f"{'waypoint' if mobile else 'static'}-{n_nodes}"
-    point.update(extra)
-    return point
-
-
-#: The scaling tier: full-stack points from 200 to 1000 nodes.
-LARGE_POINTS: List[dict] = [
-    _large_point(200, False, 1),
-    _large_point(200, True, 1),
-    _large_point(500, False, 1),
-    _large_point(500, True, 1),
-    _large_point(1000, False, 1),
-    # The headline point. Best-of-3 like the gated smoke points: a
-    # single sample of a 5-second run on a shared machine is too noisy
-    # for a headline number.
-    _large_point(1000, True, 1, repeat=3),
-    # SINR scaling point: 500 static nodes under lognormal shadowing
-    # with interference accounting on -- the nightly number for "what
-    # does accumulated-power reception cost at scale". Crafted by hand
-    # because the sinr config must land inside ``config`` (where
-    # ``_large_point``'s extra kwargs land top-level).
-    {**_point("large", "rmac", 1, n_nodes=500,
-              width=_LARGE_FIELDS[500][0], height=_LARGE_FIELDS[500][1],
-              mobile=False, sinr=sinr_preset("shadowing"),
-              **_LARGE_TRAFFIC),
-     "label": "sinr-500"},
-]
-
-#: ``repro bench --tier <name>`` choices.
-TIER_NAMES = ("smoke", "full", "large")
-
-
-def tier_points(tier: str) -> List[dict]:
-    """The point set for one tier.
-
-    Resolved at call time (not via a module-level dict frozen at import),
-    so tests can monkeypatch the point lists.
-    """
-    try:
-        return {"smoke": SMOKE_POINTS, "full": FULL_POINTS,
-                "large": LARGE_POINTS}[tier]
-    except KeyError:
-        raise ValueError(f"unknown bench tier {tier!r}") from None
-
-
-def git_rev(cwd: Optional[str] = None) -> str:
-    """Short git revision of ``cwd`` (or the process cwd); ``unknown``
-    outside a repository or without git."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=cwd, capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
-
-
-def run_point(point: dict) -> dict:
-    """Run one benchmark point and return its JSON-serializable record.
-
-    A point with ``repeat > 1`` runs that many times and keeps the
-    fastest repetition's timing (standard microbenchmark practice: the
-    minimum is the least-noisy estimator). Every repetition must produce
-    identical events and metrics -- a free determinism check; a mismatch
-    raises rather than silently averaging nondeterministic runs.
-    """
-    best = None
-    for _ in range(max(1, int(point.get("repeat", 1)))):
-        config = ScenarioConfig(
-            protocol=point["protocol"],
-            seed=point["seed"],
-            collect_telemetry=True,
-            **point["config"],
-        )
-        summary = build_network(config).run()
-        telemetry = summary.telemetry or {}
-        record = {
-            "mode": point["mode"],
-            "protocol": point["protocol"],
-            "seed": point["seed"],
-            "label": point.get("label"),
-            "events": summary.events_processed,
-            "wall_s": summary.wall_time_s,
-            "eps": summary.events_per_sec,
-            "metrics": {name: getattr(summary, name) for name in METRIC_FIELDS},
-            "subsystem_wall_s": telemetry.get("subsystem_wall_s", {}),
-        }
-        neighbors = telemetry.get("neighbors")
-        if neighbors is not None:
-            record["neighbors"] = neighbors
-        if best is None:
-            best = record
-        else:
-            if (record["events"], record["metrics"]) != (best["events"], best["metrics"]):
-                raise RuntimeError(
-                    f"nondeterministic benchmark point {point['protocol']}/"
-                    f"seed{point['seed']}: repeated run diverged"
-                )
-            if (record["wall_s"] or 0.0) < (best["wall_s"] or 0.0):
-                best = record
-    return best
-
-
-def run_bench(points: Sequence[dict], rev: Optional[str] = None,
-              progress=None) -> dict:
-    """Run ``points`` and assemble the benchmark report.
-
-    ``progress``, when given, is called with each finished point record.
-    The report's top-level ``events_per_sec`` is the aggregate (total
-    events over total wall time), which weights long runs more -- the
-    honest number for "how fast is the event loop".
-    """
-    records = []
-    for point in points:
-        record = run_point(point)
-        records.append(record)
-        if progress is not None:
-            progress(record)
-    total_events = sum(r["events"] or 0 for r in records)
-    total_wall = sum(r["wall_s"] or 0.0 for r in records)
-    return {
-        "rev": rev if rev is not None else git_rev(),
-        "recorded_at": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "events": total_events,
-        "wall_s": total_wall,
-        "events_per_sec": (total_events / total_wall) if total_wall > 0 else 0.0,
-        "points": records,
-    }
-
-
-# ----------------------------------------------------------------------
-# Baseline discovery and comparison
-# ----------------------------------------------------------------------
-def find_baseline(directory: str) -> Optional[str]:
-    """Path of the newest committed ``BENCH_<rev>.json`` in ``directory``
-    (None if the directory has no baselines).
-
-    Newest by the report's ``recorded_at`` stamp, then by modification
-    time: a fresh checkout gives every file about the same mtime, so
-    only the stamp orders committed baselines reliably. Reports from
-    before the stamp existed sort oldest.
-    """
-    try:
-        names = [
-            name for name in os.listdir(directory)
-            if name.startswith("BENCH_") and name.endswith(".json")
-        ]
-    except OSError:
-        return None
-    if not names:
-        return None
-    paths = [os.path.join(directory, name) for name in names]
-    return max(paths, key=lambda path: (_recorded_at(path), os.path.getmtime(path)))
-
-
-def _recorded_at(path: str) -> str:
-    try:
-        stamp = load_baseline(path).get("recorded_at")
-    except (OSError, ValueError, AttributeError):
-        return ""
-    return stamp if isinstance(stamp, str) else ""
-
-
-def load_baseline(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def compare(report: dict, baseline: dict,
-            max_regression: float = 0.30) -> Tuple[bool, List[str]]:
-    """Compare ``report`` against a committed ``baseline``.
-
-    Returns ``(ok, lines)``. The run **fails** (ok=False) when a point
-    present in both sweeps lost more than ``max_regression`` of its
-    events/sec. Metric drift on matching points is *reported* but does
-    not fail the comparison here -- it means behavior changed, which a
-    benchmark threshold is the wrong tool to police (the tier-1 suite
-    owns correctness); it still deserves a loud line in the output.
-    """
-    by_key: Dict[tuple, dict] = {
-        _point_key(p): p for p in baseline.get("points", [])
-    }
-    ok = True
-    lines: List[str] = []
-    for point in report.get("points", []):
-        key = _point_key(point)
-        base = by_key.get(key)
-        label = _point_label(point)
-        if base is None:
-            lines.append(f"{label}: no baseline point (new)")
-            continue
-        old_eps, new_eps = base.get("eps") or 0.0, point.get("eps") or 0.0
-        if old_eps > 0:
-            ratio = new_eps / old_eps
-            line = (f"{label}: {new_eps:,.0f} ev/s vs baseline "
-                    f"{old_eps:,.0f} ({ratio:.2f}x)")
-            if ratio < 1.0 - max_regression:
-                ok = False
-                line += f"  REGRESSION (> {max_regression:.0%} slower)"
-            lines.append(line)
-        if base.get("metrics") != point.get("metrics"):
-            old_metrics = base.get("metrics", {})
-            new_metrics = point.get("metrics", {})
-            drifted = sorted(
-                name for name in set(old_metrics) | set(new_metrics)
-                if old_metrics.get(name) != new_metrics.get(name)
-            )
-            lines.append(f"{label}: METRIC DRIFT in {', '.join(drifted)} -- "
-                         f"same seed no longer reproduces the baseline run")
-    return ok, lines
-
-
-def _point_key(point: dict) -> tuple:
-    """Identity of a point across reports. ``label`` distinguishes the
-    scaling-tier points (which share mode/protocol/seed); older baseline
-    files have no labels and key as None, matching unlabeled points."""
-    return (point["mode"], point["protocol"], point["seed"], point.get("label"))
-
-
-def _point_label(point: dict) -> str:
-    label = f"{point['mode']} {point['protocol']}/seed{point['seed']}"
-    if point.get("label"):
-        label += f" [{point['label']}]"
-    return label
-
-
-def render(report: dict) -> str:
-    """A compact human-readable view of one report."""
-    lines = [f"rev {report['rev']}: {report['events']} events in "
-             f"{report['wall_s']:.2f}s = {report['events_per_sec']:,.0f} ev/s"]
-    for point in report["points"]:
-        lines.append("  " + render_point(point))
-    return "\n".join(lines)
-
-
-def render_point(point: dict) -> str:
-    """One point's result as a single line (also the progress format)."""
-    top = sorted((point.get("subsystem_wall_s") or {}).items(),
-                 key=lambda kv: -kv[1])[:4]
-    subsystems = ", ".join(f"{name}={secs * 1e3:.0f}ms" for name, secs in top)
-    line = (f"{_point_label(point)}: "
-            f"{point['events']} ev @ {point['eps']:,.0f}/s")
-    if subsystems:
-        line += f"  [{subsystems}]"
-    return line
-
-
-def markdown_table(report: dict, baseline: Optional[dict] = None) -> str:
-    """A GitHub-flavored markdown comparison table (for CI job summaries).
-
-    One row per point: current events/sec against the committed
-    baseline's.
-    """
-    by_key: Dict[tuple, dict] = {
-        _point_key(p): p for p in (baseline or {}).get("points", [])
-    }
-    lines = ["| point | events/sec | baseline | ratio |",
-             "| --- | ---: | ---: | ---: |"]
-    for point in report.get("points", []):
-        base = by_key.get(_point_key(point))
-        eps = point.get("eps") or 0.0
-        base_eps = (base or {}).get("eps") or 0.0
-        ratio = f"{eps / base_eps:.2f}x" if base_eps > 0 else "--"
-        base_cell = f"{base_eps:,.0f}" if base_eps > 0 else "--"
-        lines.append(f"| {_point_label(point)} | {eps:,.0f} "
-                     f"| {base_cell} | {ratio} |")
-    return "\n".join(lines)

@@ -63,7 +63,7 @@ class Campaign:
 
         A thin call into :meth:`CampaignFarm.run` over this store;
         ``options`` are its keywords unchanged (``workers``,
-        ``retries``, ``progress``, ``manifest_extra``, ``telemetry``).
+        ``retries``, ``progress``, ``manifest_extra``).
         """
         return CampaignFarm(self.store).run(
             protocols, scenarios, rates, seeds, make_config, **options)

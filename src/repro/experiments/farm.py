@@ -32,9 +32,9 @@ Liveness is observable while the farm runs: the coordinator maintains
 ``DIR/farm.json`` and every worker heartbeats ``DIR/workers/worker-NN
 .json`` (atomic replace, one write per lease/completion), which is what
 ``repro campaign serve --out DIR`` reads — see :func:`farm_status` for
-the exact fields. Farm counters (done/requeued, worker deaths) thread
-into the :class:`~repro.sim.telemetry.Telemetry` pipeline as a
-``"farm"`` section.
+the exact fields. The farm counters (done/requeued, worker deaths)
+are in ``farm.json`` under ``"counters"``, final once the run is done
+or aborted.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class FarmError(RuntimeError):
 
 @dataclass
 class FarmCounters:
-    """Execution counters for one farm run (a telemetry section)."""
+    """Execution counters for one farm run (``farm.json["counters"]``)."""
 
     points_total: int = 0
     points_cached: int = 0
@@ -197,7 +197,6 @@ class CampaignFarm:
         retries: int = 0,
         progress: Optional[ProgressFn] = None,
         manifest_extra: Optional[dict] = None,
-        telemetry=None,
     ) -> List[SweepResult]:
         """Run (or resume) the matrix: in this process at ``workers <=
         1``, across ``workers`` processes otherwise.
@@ -207,10 +206,10 @@ class CampaignFarm:
         recorded and aggregated. No more processes are spawned than
         points are left to run. ``manifest_extra`` merges extra keys
         (e.g. the CLI's ``scale``) into the stored manifest so ``repro
-        campaign status`` can rebuild the matrix later. ``telemetry``
-        (a :class:`~repro.sim.telemetry.Telemetry`) gets the farm
-        counters as a ``"farm"`` section. If the run raises (every
-        worker died, Ctrl-C), ``farm.json`` says ``"aborted"``.
+        campaign status`` can rebuild the matrix later. The counters
+        are ``self.counters`` and, once the run ends, ``farm.json``'s
+        ``"counters"``. If the run raises (every worker died, Ctrl-C),
+        ``farm.json`` says ``"aborted"``.
         """
         jobs = build_jobs(protocols, scenarios, rates, seeds, make_config)
         hashes = {job.key: config_hash(job.config) for job in jobs}
@@ -279,8 +278,6 @@ class CampaignFarm:
             self._write_state("aborted", started_at, total, counters)
             raise
         self._write_state("done", started_at, total, counters)
-        if telemetry is not None:
-            telemetry.set_section("farm", counters.as_dict())
         return collect_results(jobs, seeds, outcomes)
 
     # ------------------------------------------------------------------

@@ -99,6 +99,10 @@ def canonical_config_json(config) -> str:
     points survive the schema growth without re-simulating.
     """
     payload = asdict(config)
+    # Configs once had a ``collect_telemetry`` flag, so every stored
+    # hash was computed with it; writing its default keeps the hashes
+    # of configs that left it off valid.
+    payload["collect_telemetry"] = False
     if payload.get("faults", "absent") is None:
         del payload["faults"]
     if payload.get("oracle", "absent") is False:

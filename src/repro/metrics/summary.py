@@ -62,15 +62,6 @@ class RunSummary:
     n_forwarders: int
     total_drops: int
     total_retransmissions: int
-    # --- run telemetry (None unless the run collected it) -------------
-    #: Simulator events executed during the run.
-    events_processed: Optional[int] = None
-    #: Wall-clock seconds the event loop ran.
-    wall_time_s: Optional[float] = None
-    #: Event-loop throughput (events per wall second).
-    events_per_sec: Optional[float] = None
-    #: Full telemetry report (see repro.sim.telemetry), JSON-serializable.
-    telemetry: Optional[dict] = None
     # --- invariant oracle (None unless the run attached it) ------------
     #: Total invariant violations the oracle counted (0 = clean run).
     oracle_violations: Optional[int] = None
@@ -95,7 +86,9 @@ class RunSummary:
         """Rebuild a summary from :meth:`to_dict` output.
 
         Compatibility: unknown keys are ignored (records written by
-        newer code load under older code); fields this version added
+        newer code load under older code, and records carrying fields
+        since removed, such as the old event-loop timings, load here);
+        fields this version added
         with defaults fall back to those defaults; a payload missing a
         *required* field raises ``ValueError`` naming it.
         """
@@ -121,17 +114,13 @@ def summarize(
     protocol: str,
     metrics: MetricsCollector,
     stats: Sequence[MacStats],
-    telemetry=None,
     oracle: Optional[dict] = None,
     sinr: Optional[dict] = None,
 ) -> RunSummary:
     """Aggregate one run's collector + per-node MAC stats.
 
-    ``telemetry`` is an optional :class:`~repro.sim.telemetry.TelemetryReport`
-    surfacing the run's event-loop throughput alongside its metrics.
     ``oracle`` is an optional :meth:`repro.oracle.InvariantOracle.report`
-    dict; its violation count also lands in the telemetry dict (when
-    both are collected) so operational dashboards see one payload.
+    dict.
     ``sinr`` is an optional :meth:`repro.phy.sinr.SinrState.stats` dict
     (interference drops, SINR at delivery, concurrency high-water).
     """
@@ -150,9 +139,6 @@ def summarize(
     abort_ratios = [r for r in (s.abort_ratio() for s in forwarders) if r is not None]
 
     mean_delay = metrics.mean_delay_ns()
-    telemetry_dict = telemetry.to_dict() if telemetry is not None else None
-    if telemetry_dict is not None and oracle is not None:
-        telemetry_dict["oracle_violations"] = oracle["total"]
     return RunSummary(
         protocol=protocol,
         n_nodes=len(stats),
@@ -173,10 +159,6 @@ def summarize(
         n_forwarders=len(forwarders),
         total_drops=sum(s.packets_dropped for s in stats),
         total_retransmissions=sum(s.retransmissions for s in stats),
-        events_processed=telemetry.events if telemetry is not None else None,
-        wall_time_s=telemetry.wall_s if telemetry is not None else None,
-        events_per_sec=telemetry.events_per_sec if telemetry is not None else None,
-        telemetry=telemetry_dict,
         oracle_violations=oracle["total"] if oracle is not None else None,
         oracle_report=oracle if oracle is not None else None,
         sinr=sinr,

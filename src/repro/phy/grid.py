@@ -92,7 +92,7 @@ class SpatialGrid:
         self._uniq_keys = uniq
         self._starts = starts
         self._ends = np.append(starts[1:], self.n)
-        #: Number of occupied cells (telemetry: cells per grid built).
+        #: Number of occupied cells (a counter: cells per grid built).
         self.n_cells = len(uniq)
         #: Lazy plain-list copies for :meth:`candidates_of`: every node's
         #: cell key, and cell key -> member ids (ascending). Built on the

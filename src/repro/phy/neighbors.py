@@ -297,7 +297,7 @@ class LinkPowerSpec:
 
 
 class NeighborCounters:
-    """Plain counters for the neighbor layer (telemetry satellite).
+    """Plain counters for the neighbor layer (``NeighborService.counters``).
 
     ``table_hits``/``table_misses`` count :meth:`NeighborService.table_from`
     calls served from a cached table vs ones that built one;

@@ -262,7 +262,7 @@ class SinrReceptionModel:
 
 
 class SinrCounters:
-    """Per-run interference statistics (telemetry section ``sinr``)."""
+    """Per-run interference statistics (``RunSummary.sinr``)."""
 
     __slots__ = ("dropped", "delivered", "sum_sinr_db", "min_sinr_db")
 
@@ -356,7 +356,7 @@ class SinrState:
         self.rng = rng if rng is not None else random.Random(0)
         self.counters = SinrCounters()
         #: The most signals ever concurrently in the air at one node
-        #: (telemetry; stays 0 without interference accounting).
+        #: (a counter; stays 0 without interference accounting).
         self.high_water = 0
         self._sim: Optional["Simulator"] = None
         #: Transmissions whose arrivals a later replay may read, in
@@ -585,7 +585,7 @@ class SinrState:
         return signal, peak
 
     def stats(self) -> dict:
-        """JSON-serializable per-run stats (RunSummary / telemetry).
+        """JSON-serializable per-run stats (``RunSummary.sinr``).
 
         A run cut at a horizon may leave arrival starts uncounted for
         the high water mark; they are counted here, up to the current

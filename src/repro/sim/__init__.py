@@ -7,15 +7,16 @@ small, reproducible discrete-event core:
 * :mod:`repro.sim.engine` -- the event queue, scheduling and cancellation.
 * :mod:`repro.sim.timers` -- restartable timers built on the engine.
 * :mod:`repro.sim.rng`    -- named, independently seeded random streams.
-* :mod:`repro.sim.trace`  -- structured event traces (used by tests and
-  the Fig. 4 timeline example), with list/ring/JSONL storage backends.
-* :mod:`repro.sim.telemetry` -- event-loop throughput and profiling
-  samples (events/sec, heap depth, per-label counts, subsystem wall time).
+* :mod:`repro.sim.trace`  -- structured event traces (used by tests, the
+  oracle and the Fig. 4 timeline example), with list/ring/JSONL storage
+  backends.
+
+The event count is ``Simulator.events_processed``. Host time is measured
+end to end, outside the run loop (``benchmarks/e2e``), not per event.
 """
 
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.telemetry import Telemetry, TelemetryReport
 from repro.sim.timers import Timer
 from repro.sim.trace import (
     JsonlTraceSink,
@@ -31,8 +32,6 @@ __all__ = [
     "EventHandle",
     "Simulator",
     "RngRegistry",
-    "Telemetry",
-    "TelemetryReport",
     "Timer",
     "TraceBuffer",
     "ListBuffer",

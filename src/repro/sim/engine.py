@@ -40,7 +40,6 @@ one ``Simulator`` instance.
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import Any, Callable, Optional
 
 _heappush = heapq.heappush
@@ -60,7 +59,8 @@ class FastEvent:
 
     * ``_cancelled`` is always ``False`` (never skipped on pop);
     * ``callback`` is always ``None`` (the item *is* the callback);
-    * ``label`` names the event kind for telemetry (override per class).
+    * ``label`` names the event kind in error messages (override per
+      class).
     """
 
     __slots__ = ()
@@ -85,7 +85,7 @@ class _FanOut(FastEvent):
     """
 
     __slots__ = ("sim", "base", "delays", "payloads", "fire", "arg",
-                 "label", "seq0", "index")
+                 "seq0", "index")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -261,9 +261,9 @@ class Simulator:
         #: Free list of finished :class:`_FanOut` entries.
         self._fan_pool: list = []
         #: Latest time a fan-out may drain members inline: the running
-        #: loop's horizon, or -1 while draining is off (between runs,
-        #: with telemetry armed, or under a ``max_events`` budget, so
-        #: that each member is its own loop iteration there).
+        #: loop's horizon, or -1 while draining is off (between runs, or
+        #: under a ``max_events`` budget, so that each member is its own
+        #: loop iteration there).
         self._drain_until = -1
         #: Current simulation time in nanoseconds. A plain attribute
         #: (not a property): hot paths across the stack read the clock
@@ -284,9 +284,6 @@ class Simulator:
         self._reserved_until = 0
         self._running = False
         self._events_processed = 0
-        #: Optional telemetry collector (see repro.sim.telemetry). ``None``
-        #: keeps the hot loop on a single-branch fast path.
-        self._telemetry: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -300,19 +297,10 @@ class Simulator:
     def queue_depth(self) -> int:
         """Live (pending, not lazily-cancelled) queue entries, O(1).
 
-        This is the number the telemetry heap-depth samples report too:
-        cancelled-but-unswept entries are bookkeeping, not load. Each
+        Cancelled-but-unswept entries are bookkeeping, not load. Each
         pending member of a fan-out counts as one entry.
         """
         return len(self._queue) - self._cancelled + self._fanned
-
-    def set_telemetry(self, telemetry: Optional[Any]) -> None:
-        """Arm (or with ``None`` disarm) a telemetry collector.
-
-        While armed, every executed event is timed and accounted under
-        its label in the collector, with periodic live-depth samples.
-        """
-        self._telemetry = telemetry
 
     # ------------------------------------------------------------------
     # Lazy deletion
@@ -373,8 +361,8 @@ class Simulator:
         the ``(time, seq)`` position it would have had as its own heap
         entry, same-time ties with other events included. Members are
         fire-and-forget: no handle, no cancellation. Each counts as one
-        executed event and, with telemetry armed, is accounted under
-        ``label``. An empty batch schedules nothing and takes no seq.
+        executed event; ``label`` names the batch in errors. An empty
+        batch schedules nothing and takes no seq.
         """
         n = len(delays)
         if not n:
@@ -391,7 +379,6 @@ class Simulator:
         batch.payloads = payloads
         batch.fire = fire
         batch.arg = arg
-        batch.label = label
         batch.index = 0
         seq = self._seq
         batch.seq0 = seq
@@ -480,9 +467,8 @@ class Simulator:
         The loop peeks at the heap top and pops once per event, with no
         per-event method calls: profiling showed a peek-then-delegate
         pattern costing ~10% of paper-scale runs. Fan-out batches drain
-        their members inline only when neither telemetry nor
-        ``max_events`` is in play, so ``step()`` and per-label telemetry
-        still see one loop iteration per member.
+        their members inline unless ``max_events`` is given, so
+        ``step()`` still sees one loop iteration per member.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -492,19 +478,8 @@ class Simulator:
         heappop = heapq.heappop
         horizon = until if until is not None else _FOREVER
         limit = max_events if max_events is not None else _FOREVER
-        telemetry = self._telemetry
-        if telemetry is None and max_events is None:
+        if max_events is None:
             self._drain_until = horizon
-        if telemetry is not None:
-            # Hoisted telemetry state: per-event bookkeeping collapses to
-            # two dict/list ops; the global counters are settled after
-            # the loop. ``sample_in`` counts down to the next heap-depth
-            # sample so the hot path pays no modulo.
-            label_stats = telemetry._label_stats
-            interval = telemetry.heap_sample_interval
-            sample_in = interval - telemetry.events % interval
-            samples_append = telemetry.heap_samples.append
-        last_wall = perf_counter()
         # False when the run stops at its event budget, with events up to
         # its horizon still queued.
         drained = True
@@ -535,32 +510,12 @@ class Simulator:
                 else:
                     item._fired = True
                     item.callback = None
-                if telemetry is None:
-                    callback()
-                else:
-                    callback()
-                    now_wall = perf_counter()
-                    try:
-                        stats = label_stats[item.label]
-                    except KeyError:
-                        stats = label_stats[item.label] = [0, 0.0]
-                    stats[0] += 1
-                    stats[1] += now_wall - last_wall
-                    last_wall = now_wall
-                    sample_in -= 1
-                    if not sample_in:
-                        sample_in = interval
-                        samples_append(len(queue) - self._cancelled
-                                       + self._fanned)
+                callback()
                 executed += 1
         finally:
             self._running = False
             self._drain_until = -1
             self._events_processed += executed
-            if telemetry is not None:
-                telemetry.events += executed
-                telemetry._last_heap_depth = (len(queue) - self._cancelled
-                                              + self._fanned)
         if drained and (until is None or until >= self.now):
             # Every position up to the horizon has passed, reserved ones
             # included; with no horizon, the clock moves on to the last

@@ -32,7 +32,6 @@ from repro.net.stack import NetworkLayer
 from repro.oracle import InvariantOracle
 from repro.phy.sinr import SinrConfig
 from repro.sim.rng import derive_seed
-from repro.sim.telemetry import Telemetry
 from repro.sim.trace import NullBuffer, Tracer
 from repro.sim.units import SEC
 from repro.world.placement import random_placement
@@ -70,9 +69,6 @@ class ScenarioConfig:
     bless_expiry_s: float = 2.0
     require_connected: bool = True
     trace: bool = False
-    #: Attach event-loop telemetry (events/sec, per-label counts, heap
-    #: depth) to the run; surfaced in the RunSummary's telemetry fields.
-    collect_telemetry: bool = False
     #: Uniform bit-error rate on the data channel (0 = collision-only
     #: losses, the paper's setting). Section 3.4 notes the MRTS cap
     #: "can be further reduced in case of high error bit rate"; the BER
@@ -247,9 +243,6 @@ class Network:
         self.oracle: Optional[InvariantOracle] = (
             InvariantOracle().attach(tb.tracer) if config.oracle else None
         )
-        self.telemetry: Optional[Telemetry] = (
-            Telemetry().attach(tb.sim) if config.collect_telemetry else None
-        )
         factory = PROTOCOLS[config.protocol]
         self.macs: List[MacProtocol] = tb.build_macs(
             lambda i, t: factory(i, t, t.node_rng(i), config.mac_overrides)
@@ -296,24 +289,10 @@ class Network:
 
     def summary(self) -> RunSummary:
         sinr_state = self.testbed.sinr_state
-        if self.telemetry is not None:
-            # Neighbor-layer counters (static freezes, cache hits/
-            # misses, links built, grid cells and candidates) ride along
-            # in the telemetry report as a named section.
-            self.telemetry.set_section(
-                "neighbors", self.testbed.neighbors.counters.as_dict()
-            )
-            if sinr_state is not None:
-                # Interference stats: SINR-dropped receptions, mean/min
-                # SINR at delivery, concurrent-signal high-water mark.
-                self.telemetry.set_section("sinr", sinr_state.stats())
         return summarize(
             self.config.protocol,
             self.metrics,
             [mac.stats for mac in self.macs],
-            telemetry=(
-                self.telemetry.report(self.sim) if self.telemetry is not None else None
-            ),
             oracle=self.oracle.report() if self.oracle is not None else None,
             sinr=sinr_state.stats() if sinr_state is not None else None,
         )

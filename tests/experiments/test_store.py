@@ -102,6 +102,12 @@ def test_unknown_record_and_summary_keys_ignored(tmp_path, one_run):
     record = json.loads(path.read_text())
     record["future_top_level_key"] = {"x": 1}
     record["summary"]["future_metric"] = 0.5
+    # Summaries once carried event-loop timings; stores written then
+    # hold them as nulls and still load.
+    for removed in ("events_processed", "wall_time_s", "events_per_sec",
+                    "telemetry"):
+        assert removed not in record["summary"]
+        record["summary"][removed] = None
     path.write_text(json.dumps(record) + "\n")
     reopened = ResultStore(str(tmp_path / "s"))
     assert reopened.get("rmac", "stationary", 10, 1,

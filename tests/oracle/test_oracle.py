@@ -189,13 +189,12 @@ def test_fault_free_run_is_clean(protocol):
     assert summary.oracle_report["events_seen"] > 0
 
 
-def test_oracle_with_telemetry_lands_in_telemetry_dict():
+def test_oracle_violation_count_lands_in_summary():
     summary = run_point(ScenarioConfig(
         n_nodes=10, width=150.0, height=100.0, rate_pps=5.0, n_packets=4,
         warmup_s=0.5, drain_s=0.5, seed=3, oracle=True,
-        collect_telemetry=True,
     ))
-    assert summary.telemetry["oracle_violations"] == 0
+    assert summary.oracle_violations == summary.oracle_report["total"] == 0
 
 
 # ---------------------------------------------------------------------------

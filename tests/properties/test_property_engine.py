@@ -11,7 +11,6 @@ assert identical execution logs, clocks and event counts.
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import FastEvent, Simulator
-from repro.sim.telemetry import Telemetry
 
 
 @given(delays=st.lists(st.integers(min_value=0, max_value=10**9),
@@ -306,15 +305,11 @@ def run_fan_program(sim, ops, until, max_events):
 @settings(max_examples=150, deadline=None)
 @given(ops=st.lists(fan_op_st, min_size=1, max_size=14),
        until=st.one_of(st.none(), times_st),
-       max_events=st.one_of(st.none(), st.integers(min_value=0, max_value=15)),
-       telemetry=st.booleans())
-def test_fan_out_matches_one_entry_per_member(ops, until, max_events,
-                                              telemetry):
+       max_events=st.one_of(st.none(), st.integers(min_value=0, max_value=15)))
+def test_fan_out_matches_one_entry_per_member(ops, until, max_events):
     """A fan-out fires each member at the exact position, clock and
     count of one heap entry per member, whether it drains inline or
-    (with telemetry armed, or under a budget) one member per pop."""
+    (under a budget) one member per pop."""
     sim = Simulator()
-    if telemetry:
-        Telemetry(heap_sample_interval=1).attach(sim)
     assert (run_fan_program(sim, ops, until, max_events)
             == run_fan_program(Reference(), ops, until, max_events))

@@ -259,20 +259,13 @@ def test_schedule_many_validates_before_consuming_generator():
     assert log == [(150, "handle"), (150, "member")]
 
 
-def test_schedule_many_counts_and_labels_in_telemetry():
-    from repro.sim.telemetry import Telemetry
-
-    for armed in (False, True):
-        sim = Simulator()
-        telemetry = Telemetry().attach(sim) if armed else None
-        log = []
-        _fan(sim, log, 0, (0, 1, 2, 3), (0, 1, 2, 3))
-        sim.run()
-        assert log == [(i, i) for i in range(4)]
-        assert sim.events_processed == 4
-        if armed:
-            assert telemetry.label_counts == {"probe-event": 4}
-            assert telemetry.events == 4
+def test_fan_out_members_each_count_as_one_event():
+    sim = Simulator()
+    log = []
+    _fan(sim, log, 0, (0, 1, 2, 3), (0, 1, 2, 3))
+    sim.run()
+    assert log == [(i, i) for i in range(4)]
+    assert sim.events_processed == 4
 
 
 def test_schedule_many_via_step():
@@ -392,21 +385,6 @@ def test_queue_depth_matches_pending_during_run():
             (sim.queue_depth, sim.pending_count())))
     sim.run()
     assert depths == [(9 - i, 9 - i) for i in range(10)]
-
-
-def test_telemetry_depth_excludes_cancelled():
-    from repro.sim.telemetry import Telemetry
-
-    sim = Simulator()
-    telemetry = Telemetry(heap_sample_interval=1).attach(sim)
-    for i in range(6):
-        sim.at(i * 3000, lambda: None, label="tick")
-    sim.at(50_000, lambda: None).cancel()
-    sim.run()
-    report = telemetry.report(sim)
-    assert report.heap_depth_last == 0
-    # Cancelled entries never count toward sampled depth.
-    assert telemetry.heap_samples == [5, 4, 3, 2, 1, 0]
 
 
 def test_compaction_keeps_survivors_and_order():

@@ -54,19 +54,19 @@ def test_figure_small_scale(capsys, tmp_path, monkeypatch):
     assert "scenario" in header
 
 
-def test_run_telemetry_flag_writes_json(capsys, tmp_path):
-    import json
+def test_run_prints_event_count_and_wall_time(capsys):
+    from repro.world.network import ScenarioConfig, build_network
 
-    out = tmp_path / "telemetry.json"
     code = main(["run", "--nodes", "10", "--width", "180", "--height", "130",
-                 "--packets", "5", "--rate", "5", "--seed", "2",
-                 "--telemetry", str(out)])
+                 "--packets", "5", "--rate", "5", "--seed", "2"])
     assert code == 0
-    assert "events/s" in capsys.readouterr().out
-    payload = json.loads(out.read_text())
-    assert payload["events"] > 0
-    assert payload["events_per_sec"] > 0
-    assert payload["label_counts"]
+    line = capsys.readouterr().out.splitlines()[0]
+    network = build_network(ScenarioConfig(
+        n_nodes=10, width=180, height=130, n_packets=5, rate_pps=5, seed=2))
+    network.run()
+    words = line.split()
+    assert words[:3] == ["run:", str(network.sim.events_processed), "events"]
+    assert words[3] == "in" and float(words[4]) > 0 and words[5] == "s"
 
 
 def test_run_trace_jsonl_flag_streams_trace(capsys, tmp_path):

@@ -44,14 +44,14 @@ def test_custom_protocol_example_registers_and_compares(capsys):
     assert "Ablating the Receiver Busy Tone" in out
 
 
-def test_telemetry_profile_example(capsys):
-    import telemetry_profile
+def test_ring_trace_example(capsys):
+    import ring_trace
 
-    telemetry_profile.main(n_nodes=10, n_packets=5)
+    ring_trace.main(n_nodes=10, n_packets=5)
     out = capsys.readouterr().out
-    assert "event-loop profile" in out
-    assert "events/sec" in out
-    assert "ring kept" in out
+    assert "ring kept 200" in out
+    assert "event kinds in the kept tail" in out
+    assert "last 10 traced events" in out
 
 
 def test_figure_sweep_example_cli(capsys, tmp_path):

@@ -38,10 +38,8 @@ def test_mobile_run_builds_link_tables_across_epochs():
     assert counters.links_built > 0
 
 
-def test_neighbor_counters_surface_in_telemetry():
-    config = STATIC.variant(collect_telemetry=True, n_packets=5)
-    summary = build_network(config).run()
-    neighbors = summary.telemetry["neighbors"]
+def test_neighbor_counters_export_as_a_plain_dict():
+    neighbors = run_counters(STATIC.variant(n_packets=5)).as_dict()
     assert neighbors["table_hits"] > 0
     assert neighbors["links_built"] > 0
     # Static run: every table frozen once, then pure cache hits.

@@ -1,4 +1,4 @@
-"""The SINR subsystem through the full stack: config hashing, telemetry,
+"""The SINR subsystem through the full stack: config hashing, run stats,
 store round trips, oracle-clean protocol sweeps, campaign resume."""
 
 import json
@@ -46,20 +46,20 @@ def test_sinr_config_is_part_of_the_hash():
 
 
 # ----------------------------------------------------------------------
-# Full-stack runs: stats, telemetry, determinism
+# Full-stack runs: stats, determinism
 # ----------------------------------------------------------------------
-def test_shadowing_run_collects_stats_and_telemetry():
-    config = ScenarioConfig(protocol="rmac", seed=3, sinr=SHADOWING,
-                            collect_telemetry=True, **SMALL)
-    summary = build_network(config).run()
+def test_shadowing_run_collects_stats():
+    config = ScenarioConfig(protocol="rmac", seed=3, sinr=SHADOWING, **SMALL)
+    network = build_network(config)
+    summary = network.run()
     stats = summary.sinr
     assert stats is not None
     assert stats["delivered"] > 0
     assert stats["concurrent_high_water"] >= 1
     assert stats["mean_sinr_db"] is not None
     assert stats["min_sinr_db"] <= stats["mean_sinr_db"]
-    # The same stats ride along as a telemetry section.
-    assert summary.telemetry["sinr"] == stats
+    # The summary carries the run's SINR state as it ended.
+    assert network.testbed.sinr_state.stats() == stats
 
 
 def test_threshold_run_has_no_sinr_stats():
