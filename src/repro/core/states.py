@@ -98,12 +98,22 @@ _EDGE_SET: FrozenSet[Tuple[RmacState, RmacState]] = frozenset(
     (t.source, t.target) for t in TRANSITIONS
 ) | _IMPLICIT
 
+#: Each state's value -> the values of the states it may move to. Keyed
+#: by the members' string values, not the members: an Enum member's
+#: ``__hash__`` is a Python-level call, and the engine checks every state
+#: change.
+_SUCCESSORS: Dict[str, FrozenSet[str]] = {
+    state.value: frozenset(target.value for source, target in _EDGE_SET
+                           if source is state)
+    for state in RmacState
+}
+
 _BY_CONDITION: Dict[str, Transition] = {t.condition: t for t in TRANSITIONS}
 
 
 def valid_transition(source: RmacState, target: RmacState) -> bool:
     """True if Fig. 14 (plus the documented implicit edges) allows the edge."""
-    return (source, target) in _EDGE_SET
+    return target._value_ in _SUCCESSORS[source._value_]
 
 
 def by_condition(condition: str) -> Transition:

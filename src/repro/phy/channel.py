@@ -29,6 +29,12 @@ margin as the threshold. Without it (``sinr=None``, the paper's model)
 the pipeline is the overlap rule alone; unit-disk SINR reproduces it
 bit-identically (property-tested).
 
+Everything the channel keeps about one node lives in one record
+(:class:`_NodeState`), so an arrival start or end is one dict lookup,
+then attribute reads and writes on that record. A node gets its record
+on first use, attached or not, so a stray arrival end anywhere is a
+busy-counter underflow.
+
 The channel is protocol-agnostic: RMAC, 802.11 DCF, BMMM and BMW all
 run on the same instance.
 """
@@ -36,7 +42,8 @@ run on the same instance.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Protocol, Sequence
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Protocol,
+                    Sequence)
 
 from repro.phy.error import BitErrorModel, NoErrors
 from repro.phy.neighbors import Link, NeighborService
@@ -104,12 +111,44 @@ class Transmission:
         return f"<Transmission from {self.sender} [{self.start}..{self.end}]{flag}>"
 
 
-class _Reception:
-    __slots__ = ("tx", "corrupted")
+class _NodeState:
+    """Everything the channel keeps for one node, in one record.
 
-    def __init__(self, tx: Transmission, corrupted: bool):
-        self.tx = tx
-        self.corrupted = corrupted
+    ``busy`` counts the sensed arrivals in the air at the node;
+    ``receiving`` maps each reception in progress to its corrupted flag;
+    ``tx`` is the node's own transmission (None when silent);
+    ``last_busy_end`` is when the medium last went idle there (for
+    DIFS); ``idle_waiters`` are the one-shot callbacks for the next
+    busy->idle transition and ``busy_waiter`` the one for the next
+    idle->busy transition.
+    """
+
+    __slots__ = ("busy", "receiving", "listener", "tx", "last_busy_end",
+                 "idle_waiters", "busy_waiter")
+
+    def __init__(self) -> None:
+        self.busy = 0
+        self.receiving: Dict[Transmission, bool] = {}
+        self.listener: Optional[ChannelListener] = None
+        self.tx: Optional[Transmission] = None
+        self.last_busy_end = 0
+        self.idle_waiters: List[Callable[[], None]] = []
+        self.busy_waiter: Optional[Callable[[], None]] = None
+
+
+class _NodeStates(dict):
+    """node -> :class:`_NodeState`, made on a node's first use.
+
+    A receiver that was never attached still needs carrier sense and
+    reception bookkeeping, and an arrival end at a node the channel has
+    never seen must fail as a busy-counter underflow, not a KeyError.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, node: int) -> _NodeState:
+        state = self[node] = _NodeState()
+        return state
 
 
 class DataChannel:
@@ -150,25 +189,16 @@ class DataChannel:
         #: Whether overlapping sensed arrivals corrupt each other (False
         #: when the SINR stage accounts interference instead).
         self._overlap_rule = sinr is None or not sinr.interference
-        self._busy: Dict[int, int] = {}
-        self._receiving: Dict[int, Dict[Transmission, _Reception]] = {}
-        self._transmitting: Dict[int, Transmission] = {}
-        self._listeners: Dict[int, ChannelListener] = {}
-        #: When each node last observed the medium become idle (for DIFS).
-        self._last_busy_end: Dict[int, int] = {}
-        #: One-shot callbacks fired when a node's medium goes idle (used by
-        #: the MACs to avoid per-slot polling through long busy periods).
-        self._idle_waiters: Dict[int, list] = {}
-        #: One-shot callbacks fired when a node's medium goes busy (the
-        #: busy notices of the MACs' slot countdowns, one per node).
-        self._busy_waiters: Dict[int, Callable[[], None]] = {}
+        #: Every node's carrier sense, receptions, listener, transmission
+        #: and waiters (see :class:`_NodeState`).
+        self._nodes = _NodeStates()
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, node: int, listener: ChannelListener) -> None:
         """Register the listener (radio) for ``node``."""
-        self._listeners[node] = listener
+        self._nodes[node].listener = listener
 
     @property
     def phy(self) -> PhyParams:
@@ -187,15 +217,12 @@ class DataChannel:
     # Sensing
     # ------------------------------------------------------------------
     def busy(self, node: int) -> bool:
-        """Carrier sense at ``node``: any sensed transmission, or own tx.
-
-        ``_busy`` only ever stores positive counts (zero deletes the key,
-        underflow raises), so membership is the whole test.
-        """
-        return node in self._busy or node in self._transmitting
+        """Carrier sense at ``node``: any sensed transmission, or own tx."""
+        state = self._nodes[node]
+        return state.busy > 0 or state.tx is not None
 
     def is_transmitting(self, node: int) -> bool:
-        return node in self._transmitting
+        return self._nodes[node].tx is not None
 
     def idle_duration(self, node: int) -> int:
         """How long the medium has been continuously idle at ``node`` (ns).
@@ -203,46 +230,53 @@ class DataChannel:
         Zero while busy. Used by the 802.11-family DIFS rule; RMAC does
         not need it (no interframe spaces).
         """
-        if self.busy(node):
+        state = self._nodes[node]
+        if state.busy or state.tx is not None:
             return 0
-        return self._sim.now - self._last_busy_end.get(node, 0)
+        return self._sim.now - state.last_busy_end
 
     def notify_idle(self, node: int, callback) -> None:
         """Register a one-shot callback for the next busy->idle transition
         at ``node``. Fires immediately (synchronously) if already idle."""
-        if not self.busy(node):
+        state = self._nodes[node]
+        if not state.busy and state.tx is None:
             callback()
             return
-        self._idle_waiters.setdefault(node, []).append(callback)
+        state.idle_waiters.append(callback)
 
-    def _fire_idle(self, node: int) -> None:
-        waiters = self._idle_waiters.pop(node, None)
-        if waiters:
-            for callback in waiters:
-                callback()
+    @staticmethod
+    def _fire_idle(state: _NodeState) -> None:
+        """The medium at ``state``'s node just went idle: run its idle
+        waiters. One registered by a waiter waits for the next idle."""
+        waiters = state.idle_waiters
+        state.idle_waiters = []
+        for callback in waiters:
+            callback()
 
     def notify_busy(self, node: int, callback: Callable[[], None]) -> None:
         """Register a one-shot callback for the next idle->busy transition
         at ``node``: a sensed arrival starting on an idle medium, or the
         node's own transmission. One per node; a new one replaces it."""
-        self._busy_waiters[node] = callback
+        self._nodes[node].busy_waiter = callback
 
     def cancel_notify_busy(self, node: int) -> None:
         """Drop ``node``'s busy callback, if any."""
-        self._busy_waiters.pop(node, None)
+        self._nodes[node].busy_waiter = None
 
     def current_tx(self, node: int) -> Optional[Transmission]:
-        return self._transmitting.get(node)
+        return self._nodes[node].tx
 
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
     def transmit(self, sender: int, frame: object) -> Transmission:
         """Start transmitting ``frame`` (with ``size_bytes``) from ``sender``."""
-        if sender in self._transmitting:
+        state = self._nodes[sender]
+        if state.tx is not None:
             raise RuntimeError(f"node {sender} is already transmitting")
-        waiter = self._busy_waiters.pop(sender, None)
+        waiter = state.busy_waiter
         if waiter is not None:
+            state.busy_waiter = None
             waiter()
         sim = self._sim
         now = sim.now
@@ -255,13 +289,12 @@ class DataChannel:
             view = table.sinr_view
             delays, links = view.heard
         tx = Transmission(sender, frame, now, airtime, delays, links)
-        self._transmitting[sender] = tx
+        state.tx = tx
         # Transmitting while receiving destroys the ongoing receptions
         # (half-duplex radio).
-        ongoing = self._receiving.get(sender)
-        if ongoing:
-            for rec in ongoing.values():
-                rec.corrupted = True
+        ongoing = state.receiving
+        for other in ongoing:
+            ongoing[other] = True
         sim.fan_out(now, delays, links, self._arrival_start, tx, "rx-start")
         if sinr is not None:
             # The interference-only arrivals take the seqs after the
@@ -282,7 +315,7 @@ class DataChannel:
         """
         if tx.aborted:
             return
-        if self._transmitting.get(tx.sender) is not tx:
+        if self._nodes[tx.sender].tx is not tx:
             raise RuntimeError("cannot abort: transmission is not active")
         tx.aborted_at = self._sim.now
         tx._end_event.cancel()  # type: ignore[union-attr]
@@ -292,12 +325,14 @@ class DataChannel:
         """Take ``tx`` off the air now: at its scheduled end, or aborted."""
         tx._end_event = None
         sender = tx.sender
-        del self._transmitting[sender]
-        end = self._sim.now
-        if sender not in self._busy:
-            self._last_busy_end[sender] = end
-            self._fire_idle(sender)
+        state = self._nodes[sender]
+        state.tx = None
         sim = self._sim
+        end = sim.now
+        if not state.busy:
+            state.last_busy_end = end
+            if state.idle_waiters:
+                self._fire_idle(state)
         sim.fan_out(end, tx.delays, tx.links, self._arrival_end, tx, "rx-end")
         arrivals = tx.arrivals
         if arrivals is not None:
@@ -308,7 +343,7 @@ class DataChannel:
         if tracer.enabled:
             tracer.emit(end, sender, "tx-abort" if aborted else "tx-end",
                         frame=str(tx.frame))
-        listener = self._listeners.get(sender)
+        listener = state.listener
         if listener is not None:
             listener.on_tx_complete(tx.frame, aborted=aborted)
 
@@ -324,21 +359,23 @@ class DataChannel:
         at arrival end replaces the boolean rule.
         """
         node = link.node
+        state = self._nodes[node]
+        ongoing = state.receiving
+        overlap = False
         if link.sensed:
-            prior = self._busy.get(node, 0)
-            self._busy[node] = prior + 1
-            if not prior:
-                waiter = self._busy_waiters.pop(node, None)
+            prior = state.busy
+            state.busy = prior + 1
+            if prior:
+                overlap = self._overlap_rule
+            else:
+                waiter = state.busy_waiter
                 if waiter is not None:
+                    state.busy_waiter = None
                     waiter()
-        else:
-            prior = 0
-        ongoing = self._receiving.setdefault(node, {})
-        overlap = prior > 0 and self._overlap_rule
         if overlap:
-            for rec in ongoing.values():
-                rec.corrupted = True
-        corrupted = overlap or node in self._transmitting
+            for other in ongoing:
+                ongoing[other] = True
+        corrupted = overlap or state.tx is not None
         if link.in_rx_range:
             faults = self._faults
             if faults is not None and faults.suppresses_delivery(
@@ -347,8 +384,8 @@ class DataChannel:
                 # but no reception begins -- to this receiver the frame
                 # does not exist (no on_rx_start, nothing at arrival end).
                 return
-            ongoing[tx] = _Reception(tx, corrupted)
-            listener = self._listeners.get(node)
+            ongoing[tx] = corrupted
+            listener = state.listener
             if listener is not None:
                 listener.on_rx_start(tx.sender)
 
@@ -361,10 +398,10 @@ class DataChannel:
         never consume a bit-error draw.
         """
         node = link.node
+        state = self._nodes[node]
         if link.sensed:
-            busy = self._busy
-            count = busy.get(node)
-            if not count or count < 0:
+            count = state.busy
+            if count <= 0:
                 # An end without a matching start means arrival bookkeeping
                 # lost or duplicated an event; inventing a count here would
                 # silently mask it. Fail loudly instead.
@@ -377,18 +414,15 @@ class DataChannel:
                     f"matching arrival-start"
                 )
             count -= 1
-            if count:
-                busy[node] = count
-            else:
-                del busy[node]
-                if node not in self._transmitting:
-                    self._last_busy_end[node] = self._sim.now
-                    self._fire_idle(node)
-        ongoing = self._receiving.get(node)
-        rec = ongoing.pop(tx, None) if ongoing else None
-        if rec is None:
+            state.busy = count
+            if not count and state.tx is None:
+                state.last_busy_end = self._sim.now
+                if state.idle_waiters:
+                    self._fire_idle(state)
+        corrupted = state.receiving.pop(tx, None)
+        if corrupted is None:
             return
-        listener = self._listeners.get(node)
+        listener = state.listener
         if listener is None:
             return
         frame = tx.frame
@@ -403,12 +437,12 @@ class DataChannel:
                 if tracer.enabled:
                     tracer.emit(now, node, "fault-rx-dropped", sender=tx.sender)
                 return
-            if not rec.corrupted and faults.corrupts_arrival(
+            if not corrupted and faults.corrupts_arrival(
                     tx.sender, node, now, self._rng):
-                rec.corrupted = True
+                corrupted = True
                 if tracer.enabled:
                     tracer.emit(now, node, "fault-corrupt", sender=tx.sender)
-        ok = not rec.corrupted and not tx.aborted
+        ok = not corrupted and tx.aborted_at is None
         sinr = self._sinr
         if ok and sinr is not None:
             reception = sinr.reception

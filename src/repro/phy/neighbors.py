@@ -145,16 +145,18 @@ class SinrView:
     (sensed or decodable), the ones that get arrival events; ``quiet``
     holds the delays of the rest, the interference-only links, in the
     same order. With no interference-only link, ``heard`` is
-    ``by_delay`` itself.
+    ``by_delay`` itself. ``mw[k]`` caches link ``k``'s power in mW once
+    a replay has read it (None until then).
     """
 
-    __slots__ = ("delays", "links", "index", "span", "heard", "quiet")
+    __slots__ = ("delays", "links", "index", "span", "heard", "quiet", "mw")
 
     def __init__(self, by_delay: Tuple[Tuple[int, ...], Tuple[Link, ...]]):
         delays, links = by_delay
         self.delays = delays
         self.links = links
         self.index = {link.node: k for k, link in enumerate(links)}
+        self.mw: List[Optional[float]] = [None] * len(links)
         #: The longest delay: every arrival has started ``span`` after the
         #: transmission starts and ended ``span`` after it ends.
         self.span = delays[-1] if delays else 0

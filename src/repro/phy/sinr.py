@@ -320,7 +320,12 @@ class TxArrivals:
         signals = self.signals
         if signals is not None:
             return signals[k]
-        return 10.0 ** (self.view.links[k].power_dbm / 10.0)  # type: ignore[operator]
+        view = self.view
+        power = view.mw[k]
+        if power is None:
+            power = view.mw[k] = 10.0 ** (
+                view.links[k].power_dbm / 10.0)  # type: ignore[operator]
+        return power
 
 
 def _passed(time: int, seq: int, now: int, now_seq: int) -> bool:

@@ -32,12 +32,8 @@ def rmac_per_slot_tick(self: RmacProtocol) -> None:
     state = self.state
     if state is not RmacState.IDLE and state is not RmacState.BACKOFF:
         return  # a transaction owns the node; it will resume the pump
-    # Sensing straight off the channels' maps, as the pump did.
-    node = self.node_id
-    data = self.radio._data
     rbt = self.radio.tone_channel(ToneType.RBT)
-    if (node not in data._busy and node not in data._transmitting
-            and not rbt.present(node)):
+    if not self.radio.data_busy() and not rbt.present(self.node_id):
         backoff = self.backoff
         bi = backoff.bi
         if bi > 0:

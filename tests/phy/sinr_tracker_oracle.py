@@ -141,20 +141,32 @@ class _Reception:
 
 class TrackerChannel(DataChannel):
     """A data channel with one arrival event per link, priced by a
-    :class:`TrackerSinr` (or none: the threshold path) as it runs."""
+    :class:`TrackerSinr` (or none: the threshold path) as it runs.
+
+    Carrier sense, listeners and waiters live in the channel's per-node
+    records; the receptions, with their signal and peak interference,
+    live in the oracle's own per-node maps.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: node -> {transmission: reception} of receptions in progress.
+        self._tracked: Dict[int, Dict[Transmission, _Reception]] = {}
 
     def transmit(self, sender: int, frame: object) -> Transmission:
-        if sender in self._transmitting:
+        state = self._nodes[sender]
+        if state.tx is not None:
             raise RuntimeError(f"node {sender} is already transmitting")
-        waiter = self._busy_waiters.pop(sender, None)
+        waiter = state.busy_waiter
         if waiter is not None:
+            state.busy_waiter = None
             waiter()
         now = self._sim.now
         airtime = self._phy.frame_airtime(frame.size_bytes)  # type: ignore[attr-defined]
         delays, links = self._neighbors.table_from(sender, now).by_delay
         tx = Transmission(sender, frame, now, airtime, delays, links)
-        self._transmitting[sender] = tx
-        ongoing = self._receiving.get(sender)
+        state.tx = tx
+        ongoing = self._tracked.get(sender)
         if ongoing:
             for rec in ongoing.values():
                 rec.corrupted = True
@@ -168,32 +180,36 @@ class TrackerChannel(DataChannel):
     def _end_tx(self, tx: Transmission, aborted: bool) -> None:
         tx._end_event = None
         sender = tx.sender
-        del self._transmitting[sender]
+        state = self._nodes[sender]
+        state.tx = None
         end = self._sim.now
-        if sender not in self._busy:
-            self._last_busy_end[sender] = end
-            self._fire_idle(sender)
+        if not state.busy:
+            state.last_busy_end = end
+            if state.idle_waiters:
+                self._fire_idle(state)
         self._sim.fan_out(end, tx.delays, tx.links, self._arrival_end, tx, "rx-end")
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(end, sender, "tx-abort" if aborted else "tx-end",
                         frame=str(tx.frame))
-        listener = self._listeners.get(sender)
+        listener = state.listener
         if listener is not None:
             listener.on_tx_complete(tx.frame, aborted=aborted)
 
     def _arrival_start(self, tx: Transmission, link: Link) -> None:
         node = link.node
+        state = self._nodes[node]
         if link.sensed:
-            prior = self._busy.get(node, 0)
-            self._busy[node] = prior + 1
+            prior = state.busy
+            state.busy = prior + 1
             if not prior:
-                waiter = self._busy_waiters.pop(node, None)
+                waiter = state.busy_waiter
                 if waiter is not None:
+                    state.busy_waiter = None
                     waiter()
         else:
             prior = 0
-        ongoing = self._receiving.setdefault(node, {})
+        ongoing = self._tracked.setdefault(node, {})
         sinr = self._sinr
         if sinr is None:
             signal_mw = itf_mw = 0.0
@@ -204,14 +220,14 @@ class TrackerChannel(DataChannel):
         if overlap:
             for rec in ongoing.values():
                 rec.corrupted = True
-        corrupted = overlap or node in self._transmitting
+        corrupted = overlap or state.tx is not None
         if link.in_rx_range:
             faults = self._faults
             if faults is not None and faults.suppresses_delivery(
                     tx.sender, node, self._sim.now):
                 return
             ongoing[tx] = _Reception(tx, corrupted, signal_mw, itf_mw)
-            listener = self._listeners.get(node)
+            listener = state.listener
             if listener is not None:
                 listener.on_rx_start(tx.sender)
 
@@ -220,25 +236,21 @@ class TrackerChannel(DataChannel):
         sinr = self._sinr
         if sinr is not None:
             sinr.depart(node, tx)
+        state = self._nodes[node]
         if link.sensed:
-            busy = self._busy
-            count = busy.get(node)
-            if not count or count < 0:
+            if state.busy <= 0:
                 raise SimulationError(
                     f"busy-counter underflow at node {node}")
-            count -= 1
-            if count:
-                busy[node] = count
-            else:
-                del busy[node]
-                if node not in self._transmitting:
-                    self._last_busy_end[node] = self._sim.now
-                    self._fire_idle(node)
-        ongoing = self._receiving.get(node)
+            state.busy -= 1
+            if not state.busy and state.tx is None:
+                state.last_busy_end = self._sim.now
+                if state.idle_waiters:
+                    self._fire_idle(state)
+        ongoing = self._tracked.get(node)
         rec = ongoing.pop(tx, None) if ongoing else None
         if rec is None:
             return
-        listener = self._listeners.get(node)
+        listener = state.listener
         if listener is None:
             return
         frame = tx.frame

@@ -204,6 +204,36 @@ def test_arrival_end_without_start_raises_underflow():
     assert not ch.busy(1)
 
 
+def test_unattached_and_unseen_nodes_get_records_on_demand():
+    """A receiver that was never attached gets its channel record on its
+    first arrival: it senses the frame and drains, with no listener to
+    call. A stray arrival end at such a node, or at a node the channel
+    has never seen, is a busy-counter underflow, never a KeyError."""
+    from repro.phy.neighbors import Link
+    from repro.sim.engine import SimulationError
+    from repro.sim.trace import Tracer
+
+    sim = Simulator()
+    svc = NeighborService(StaticPositions([(0, 0), (50, 0)]), UnitDiskModel(75.0))
+    tracer = Tracer(enabled=True)
+    ch = DataChannel(sim, svc, DEFAULT_PHY, tracer=tracer)
+    sender = Recorder()
+    ch.attach(0, sender)  # node 1 is never attached
+    tx = ch.transmit(0, Frame(100))
+    sensed = []
+    sim.at(50 * US, lambda: sensed.append(ch.busy(1)))
+    sim.run()
+    assert sensed == [True]
+    assert sender.tx_done == [(tx.frame, False)]
+    assert not ch.busy(1) and ch.idle_duration(1) == 0
+    unseen = Link(7, 100, True)
+    for link in (tx.links[0], unseen):
+        with pytest.raises(SimulationError, match=f"underflow at node {link.node}"):
+            ch._arrival_end(tx, link)
+        assert not ch.busy(link.node)
+    assert [e.node for e in tracer.events if e.kind == "channel-underflow"] == [1, 7]
+
+
 def test_underflow_mid_fan_out_counts_the_members_that_ran():
     """A busy-counter underflow raised by one member of an arrival-end
     fan-out still raises, counts exactly the members that completed
@@ -216,7 +246,7 @@ def test_underflow_mid_fan_out_counts_the_members_that_ran():
     sim.run(until=tx.start + tx.airtime)
     # Three arrival starts and the tx-end; the three ends are queued.
     assert sim.events_processed == 4 and sim.pending_count() == 3
-    del ch._busy[2]  # node 2 loses its arrival-start bookkeeping
+    ch._nodes[2].busy = 0  # node 2 loses its arrival-start bookkeeping
     with pytest.raises(SimulationError, match="underflow at node 2"):
         sim.run()
     assert sim.events_processed == 5  # node 1's end ran; node 2's raised
@@ -296,7 +326,7 @@ def test_abort_before_arrival_start_still_pairs_events():
     assert recs[1].errors == [0]          # exactly one error at the end
     assert recs[1].received == []
     assert not ch.busy(1)
-    assert ch._busy == {}                 # counter fully drained
+    assert all(state.busy == 0 for state in ch._nodes.values())  # drained
 
 
 def test_notify_idle_reregister_during_fire_waits_for_next_idle():

@@ -96,7 +96,7 @@ def test_channel_conservation(schedule):
     for node in range(len(COORDS)):
         assert not channel.busy(node)
         assert not channel.is_transmitting(node)
-        assert not channel._receiving.get(node)
+        assert not channel._nodes[node].receiving
 
     # Every launched transmission completed exactly once at the sender.
     assert sum(r.tx_done for r in recorders) == len(launched)
