@@ -81,9 +81,11 @@ class HashBuffer(TraceBuffer):
         return self._hash.hexdigest()
 
 
-#: Pinned outcomes of seven small runs: static RMAC and BMMM on the
+#: Pinned outcomes of eleven small runs: static RMAC and BMMM on the
 #: paper's unit-disk reception, RMAC under SINR reception with shadowing
-#: and Rayleigh fading, BMMM under injected faults, mobile RMAC (random
+#: and Rayleigh fading, BMMM, BMW, LBP, MX and LAMM under the same
+#: injected faults (so every 802.11-family MAC runs its retry and drop
+#: paths), mobile RMAC (random
 #: waypoint, so link tables are rebuilt per position bucket), and mobile
 #: RMAC under SINR reception with shadowing (power-mode link tables
 #: across position buckets), and BMMM under SINR reception with Rician
@@ -96,6 +98,13 @@ class HashBuffer(TraceBuffer):
 #: busy-tone presence stopped spending one event per listener per
 #: turn-on and turn-off, and again (on the SINR pins) when
 #: interference-only links stopped getting arrival events.
+#: A node crash, a link fade and a corruption window, all inside the
+#: traffic phase: enough loss to reach every MAC's retry limit.
+FAULTS = FaultPlan(
+    crashes=(NodeCrash(node=4, at_s=3.3, recover_s=4.0),),
+    fades=(LinkFade(src=1, dst=2, start_s=3.0, end_s=4.5),),
+    corruption=(CorruptionWindow(start_s=3.0, end_s=5.0, probability=0.3),))
+
 GOLDEN = {
     "rmac": dict(
         config=dict(protocol="rmac", seed=5),
@@ -146,11 +155,7 @@ GOLDEN = {
             sinr_dropped=92),
     ),
     "bmmm-faults": dict(
-        config=dict(protocol="bmmm", seed=3, faults=FaultPlan(
-            crashes=(NodeCrash(node=4, at_s=3.3, recover_s=4.0),),
-            fades=(LinkFade(src=1, dst=2, start_s=3.0, end_s=4.5),),
-            corruption=(CorruptionWindow(start_s=3.0, end_s=5.0,
-                                         probability=0.3),))),
+        config=dict(protocol="bmmm", seed=3, faults=FAULTS),
         events=35797,
         trace_events=20824,
         trace_sha256="c3648d044022561f487fda0306f4538c"
@@ -164,6 +169,69 @@ GOLDEN = {
             mrts_len_avg=None, mrts_len_max=None, abort_avg=None,
             n_generated=15, total_deliveries=189, total_drops=8,
             total_retransmissions=244),
+    ),
+    "bmw-faults": dict(
+        config=dict(protocol="bmw", seed=3, faults=FAULTS),
+        events=21761,
+        trace_events=11539,
+        trace_sha256="d8c296189c79e2021c525ce9458d9f38"
+                     "584da78443a46caf62d2c6cc69495e52",
+        metrics=dict(
+            delivery_ratio=0.9128205128205128,
+            avg_delay_s=0.02019294907303371, max_delay_s=0.07897348,
+            avg_drop_ratio=0.19714285714285715,
+            avg_retx_ratio=5.266666666666667,
+            avg_txoh_ratio=0.8001773703161004,
+            mrts_len_avg=None, mrts_len_max=None, abort_avg=None,
+            n_generated=15, total_deliveries=178, total_drops=14,
+            total_retransmissions=376),
+    ),
+    "lbp-faults": dict(
+        config=dict(protocol="lbp", seed=3, faults=FAULTS),
+        events=27187,
+        trace_events=13930,
+        trace_sha256="9f241b3373e935e010b4443b996d11a1"
+                     "8c9d827f935aa9eaa333d43b932079b0",
+        metrics=dict(
+            delivery_ratio=0.7589743589743589,
+            avg_delay_s=0.026915198675675676, max_delay_s=0.102002613,
+            avg_drop_ratio=0.6596536796536797,
+            avg_retx_ratio=5.6060606060606055,
+            avg_txoh_ratio=0.7274254608375592,
+            mrts_len_avg=None, mrts_len_max=None, abort_avg=None,
+            n_generated=15, total_deliveries=148, total_drops=41,
+            total_retransmissions=350),
+    ),
+    "mx-faults": dict(
+        config=dict(protocol="mx", seed=3, faults=FAULTS),
+        events=5216,
+        trace_events=2686,
+        trace_sha256="c1e8b634f4127c75ae2c97a82983f8c5"
+                     "09c73e5d9dc3f3371224d0b12c75ea66",
+        metrics=dict(
+            delivery_ratio=0.4256410256410256,
+            avg_delay_s=0.00722495048192771, max_delay_s=0.023671133,
+            avg_drop_ratio=0.0, avg_retx_ratio=0.5619047619047619,
+            avg_txoh_ratio=0.21101190476190473,
+            mrts_len_avg=32.142857142857146, mrts_len_max=36.0,
+            abort_avg=0.0, n_generated=15, total_deliveries=83,
+            total_drops=0, total_retransmissions=29),
+    ),
+    "lamm-faults": dict(
+        config=dict(protocol="lamm", seed=3, faults=FAULTS),
+        events=35352,
+        trace_events=20351,
+        trace_sha256="bc28c42dfe0c27734bff901f9ca0bbab"
+                     "16ca9d03181980ec78366003b46f7ebe",
+        metrics=dict(
+            delivery_ratio=0.9743589743589743,
+            avg_delay_s=0.029597466305263158, max_delay_s=0.204237144,
+            avg_drop_ratio=0.13333333333333336,
+            avg_retx_ratio=3.453333333333334,
+            avg_txoh_ratio=0.40371114998172863,
+            mrts_len_avg=None, mrts_len_max=None, abort_avg=None,
+            n_generated=15, total_deliveries=190, total_drops=10,
+            total_retransmissions=259),
     ),
     "rmac-mobile": dict(
         config=dict(protocol="rmac", seed=5, mobile=True),
