@@ -25,7 +25,7 @@ Design notes (the BMMM paper leaves these open; choices documented here):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.mac.addresses import BROADCAST
 from repro.mac.base import SendRequest
@@ -47,69 +47,32 @@ class BmmmProtocol(Dot11Base):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._request: Optional[SendRequest] = None
         self._pending: List[int] = []
         self._acked: List[int] = []
-        self._failures = 0
-        self._seq = 0
-        self._phase = "idle"
         self._round_receivers: List[int] = []
         self._round_index = 0
-        self._round_cts: Dict[int, bool] = {}
         self._round_ack: Dict[int, bool] = {}
-        self._retx_counted = False
         # Receiver side: per-sender buffered data frame awaiting RAK.
         self._rx_buffer: Dict[int, DataFrame] = {}
         self._rx_expect: Dict[int, bool] = {}
 
-    def _has_work(self) -> bool:
-        return self._request is not None or super()._has_work()
-
     # ==================================================================
     # Sender side
     # ==================================================================
-    def _begin_txn(self) -> None:
-        if self._request is None:
-            request = self.queue.pop()
-            self._request = request
-            self._seq = (self._seq + 1) & 0xFFFF
-            self._failures = 0
-            self._acked = []
-            self._pending = list(request.receivers) if request.reliable else []
-            self._retx_counted = False
-        request = self._request
-        if not request.reliable:
-            frame = DataFrame(
-                src=self.node_id,
-                dst=request.receivers[0],
-                seq=self._seq,
-                payload_bytes=request.payload_bytes,
-                reliable=False,
-                payload=request.payload,
-                overhead=self.config.data_overhead,
-            )
-            self.stats.count_tx("UDATA")
-            self._phase = "tx-bcast"
-            self._send_frame(frame, self._on_broadcast_sent)
-            return
-        # Start one batch round over the still-pending receivers.
+    def _new_request(self, request: SendRequest) -> None:
+        self._acked = []
+        self._pending = list(request.receivers)
+
+    def _attempt(self, request: SendRequest) -> None:
+        # One batch round over the still-pending receivers; every round
+        # after the first is a retransmission.
         if self._failures > 0:
             self.stats.retransmissions += 1
         self._round_receivers = list(self._pending)
         self._round_index = 0
-        self._round_cts = {}
         self._round_ack = {}
         self._phase = "rts"
         self._send_next_rts()
-
-    def _on_broadcast_sent(self, frame: object, aborted: bool) -> None:
-        request = self._request
-        self._request = None
-        self._phase = "idle"
-        self.stats.unreliable_sent += 1
-        assert request is not None
-        self._complete(request, acked=(), failed=(), dropped=False)
-        self._end_txn()
 
     # -- RTS/CTS sequence ------------------------------------------------
     def _send_next_rts(self) -> None:
@@ -121,10 +84,6 @@ class BmmmProtocol(Dot11Base):
         rts = RtsFrame(self.node_id, receiver, aux=self._nav_remaining_us())
         self._send_frame(rts, self._on_rts_sent)
 
-    def _on_rts_sent(self, frame: object, aborted: bool) -> None:
-        self._phase = "wait-cts"
-        self._phase_timer.start(self.config.response_timeout(CtsFrame.SIZE))
-
     def _handle_cts(self, frame: CtsFrame) -> None:
         if self._phase != "wait-cts" or frame.receiver != self.node_id:
             return
@@ -132,7 +91,6 @@ class BmmmProtocol(Dot11Base):
         if frame.transmitter != expected:
             return
         self._phase_timer.cancel()
-        self._round_cts[expected] = True
         self._advance_rts()
 
     def _advance_rts(self) -> None:
@@ -149,17 +107,7 @@ class BmmmProtocol(Dot11Base):
         if self.radio.is_transmitting:  # extremely rare; retry one SIFS later
             self.sim.after(self.config.phy.sifs, self._send_data, label="sifs-data")
             return
-        request = self._request
-        assert request is not None
-        frame = DataFrame(
-            src=self.node_id,
-            dst=BROADCAST,
-            seq=self._seq,
-            payload_bytes=request.payload_bytes,
-            reliable=True,
-            payload=request.payload,
-            overhead=self.config.data_overhead,
-        )
+        frame = self._data_frame(BROADCAST, reliable=True)
         self.stats.count_tx("RDATA")
         self._send_frame(frame, self._on_data_sent)
 
@@ -210,39 +158,22 @@ class BmmmProtocol(Dot11Base):
             self._advance_rak()
 
     def _finish_round(self) -> None:
-        request = self._request
-        assert request is not None
         newly_acked = [r for r in self._round_receivers if self._round_ack.get(r)]
         self._acked.extend(newly_acked)
         self._pending = [r for r in self._pending if r not in self._round_ack]
         if not self._pending:
-            self._phase = "idle"
-            self._request = None
-            self.backoff.reset_cw()
-            self.stats.packets_delivered += 1
-            self._complete(request, acked=tuple(self._acked), failed=(), dropped=False)
-            self._end_txn()
+            self._succeed(tuple(self._acked))
             return
         self._failures += 1
         if self._failures > self.config.retry_limit:
-            self._phase = "idle"
-            self._request = None
-            self.stats.packets_dropped += 1
-            self.backoff.reset_cw()
-            self._complete(
-                request, acked=tuple(self._acked), failed=tuple(self._pending), dropped=True
-            )
-            self._end_txn()
+            self._drop(acked=tuple(self._acked), failed=tuple(self._pending))
         else:
-            self._phase = "idle"
-            self.backoff.double_cw()
-            self._end_txn()  # re-contend; _begin_txn resumes the round
+            self._retry()  # _begin_txn runs the next round
 
     def _nav_remaining_us(self) -> int:
         """Nominal remaining transaction time, for third-party NAVs."""
         phy = self.config.phy
         request = self._request
-        assert request is not None
         n = len(self._round_receivers)
         i = self._round_index
         sifs = phy.sifs

@@ -22,7 +22,7 @@ the network layer hands the MAC one packet at a time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.mac.base import SendRequest
 from repro.mac.dot11 import Dot11Base
@@ -36,69 +36,27 @@ class BmwProtocol(Dot11Base):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._request: Optional[SendRequest] = None
         self._pending: List[int] = []
         self._acked: List[int] = []
         self._failed: List[int] = []
-        self._failures = 0
-        self._seq = 0
-        self._phase = "idle"
-        self._drop_counted = False
         #: receiver side: highest seq seen per sender (for the CTS field).
         self._last_seen: Dict[int, int] = {}
-
-    def _has_work(self) -> bool:
-        return self._request is not None or super()._has_work()
 
     # ==================================================================
     # Sender
     # ==================================================================
-    def _begin_txn(self) -> None:
-        if self._request is None:
-            request = self.queue.pop()
-            self._request = request
-            self._seq = (self._seq + 1) & 0xFFFF
-            self._pending = list(request.receivers) if request.reliable else []
-            self._acked = []
-            self._failed = []
-            self._failures = 0
-            self._drop_counted = False
-        request = self._request
-        if not request.reliable:
-            frame = DataFrame(
-                src=self.node_id,
-                dst=request.receivers[0],
-                seq=self._seq,
-                payload_bytes=request.payload_bytes,
-                reliable=False,
-                payload=request.payload,
-                overhead=self.config.data_overhead,
-            )
-            self.stats.count_tx("UDATA")
-            self._phase = "tx-bcast"
-            self._send_frame(frame, self._on_broadcast_sent)
-            return
-        if not self._pending:  # everyone handled; finish
-            self._finish()
-            return
+    def _new_request(self, request: SendRequest) -> None:
+        self._pending = list(request.receivers)
+        self._acked = []
+        self._failed = []
+
+    def _attempt(self, request: SendRequest) -> None:
+        # One unicast to the head of the round-robin; a repeat to the
+        # same receiver is a retransmission.
         if self._failures > 0:
             self.stats.retransmissions += 1
-        target = self._pending[0]
         self._phase = "rts"
-        self._send_frame(RtsFrame(self.node_id, target), self._on_rts_sent)
-
-    def _on_broadcast_sent(self, frame: object, aborted: bool) -> None:
-        request = self._request
-        self._request = None
-        self._phase = "idle"
-        self.stats.unreliable_sent += 1
-        assert request is not None
-        self._complete(request, acked=(), failed=(), dropped=False)
-        self._end_txn()
-
-    def _on_rts_sent(self, frame: object, aborted: bool) -> None:
-        self._phase = "wait-cts"
-        self._phase_timer.start(self.config.response_timeout(CtsFrame.SIZE))
+        self._send_frame(RtsFrame(self.node_id, self._pending[0]), self._on_rts_sent)
 
     def _handle_cts(self, frame: CtsFrame) -> None:
         if self._phase != "wait-cts" or frame.receiver != self.node_id:
@@ -110,28 +68,7 @@ class BmwProtocol(Dot11Base):
             # Receiver already overheard this frame: skip the DATA.
             self._receiver_done(acked=True)
             return
-        request = self._request
-        assert request is not None
-        data = DataFrame(
-            src=self.node_id,
-            dst=self._pending[0],
-            seq=self._seq,
-            payload_bytes=request.payload_bytes,
-            reliable=True,
-            payload=request.payload,
-            overhead=self.config.data_overhead,
-        )
-        self._phase = "send-data"
-        self.sim.after(
-            self.config.phy.sifs,
-            lambda: self._send_frame(data, self._on_data_sent),
-            label="sifs-data",
-        )
-
-    def _on_data_sent(self, frame: object, aborted: bool) -> None:
-        self.stats.count_tx("RDATA")
-        self._phase = "wait-ack"
-        self._phase_timer.start(self.config.response_timeout(AckFrame.SIZE))
+        self._send_data_after_sifs(self._pending[0])
 
     def _handle_ack(self, frame: AckFrame) -> None:
         if self._phase != "wait-ack" or frame.receiver != self.node_id:
@@ -148,16 +85,16 @@ class BmwProtocol(Dot11Base):
         if self._failures > self.config.retry_limit:
             self._receiver_done(acked=False)
         else:
-            self._phase = "idle"
-            self.backoff.double_cw()
-            self._end_txn()  # back off, then retry the same receiver
+            self._retry()  # back off, then retry the same receiver
 
     def _receiver_done(self, acked: bool) -> None:
         target = self._pending.pop(0)
-        (self._acked if acked else self._failed).append(target)
-        if not acked and not self._drop_counted:
-            self._drop_counted = True
-            self.stats.packets_dropped += 1
+        if acked:
+            self._acked.append(target)
+        else:
+            if not self._failed:  # the packet's first failed receiver
+                self.stats.packets_dropped += 1
+            self._failed.append(target)
         self._failures = 0
         self.backoff.reset_cw()
         self._phase = "idle"
@@ -167,19 +104,10 @@ class BmwProtocol(Dot11Base):
             self._finish()
 
     def _finish(self) -> None:
-        request = self._request
-        self._request = None
-        self._phase = "idle"
-        assert request is not None
-        if not self._failed:
+        failed = tuple(self._failed)
+        if not failed:
             self.stats.packets_delivered += 1
-        self._complete(
-            request,
-            acked=tuple(self._acked),
-            failed=tuple(self._failed),
-            dropped=self._drop_counted,
-        )
-        self._end_txn()
+        self._finish_request(acked=tuple(self._acked), failed=failed, dropped=bool(failed))
 
     # ==================================================================
     # Receiver

@@ -11,9 +11,30 @@ extend, simplified to what their evaluation exercises:
 * the RTS/CTS/DATA/ACK exchange for reliable unicast and one-shot
   transmission for broadcast.
 
-:class:`Dot11Base` owns contention and the receiver-side responder logic
-with overridable hooks; :class:`Dot11Dcf` adds the standard unicast
-transaction. BMMM/BMW/LBP subclass the base and replace the transaction.
+:class:`Dot11Base` owns contention, the receiver-side dispatch and the
+request lifecycle every family member shares. ``_begin_txn`` pops a
+request, bumps its sequence number and resets the per-request state
+(``_request``, ``_seq``, ``_failures``, ``_phase``), sends an unreliable
+request as one broadcast, and hands a reliable one to the subclass.
+A subclass (:class:`Dot11Dcf` here; BMMM, BMW, LAMM, LBP and MX
+elsewhere) implements:
+
+* ``_attempt(request)`` -- one attempt of the reliable exchange, run at
+  the start of the request and again after every backoff;
+* ``_new_request(request)`` -- optional, resets the subclass's own
+  per-request state;
+* the ``_handle_*`` receive hooks it needs, and overrides of
+  ``_on_data_sent`` (default: wait for an ACK) or ``_on_phase_timeout``
+  (default: a missing CTS or ACK fails the attempt) where its exchange
+  differs.
+
+It inherits the building blocks and the tails: ``_data_frame``,
+``_on_rts_sent`` (wait for a CTS), ``_send_data_after_sifs``,
+``_succeed`` (reset CW, count the delivery, complete), ``_drop`` (count
+the drop, reset CW, complete), ``_retry`` (double CW and re-contend),
+``_attempt_failed`` (count the failure, then drop at the retry limit or
+count a retransmission and retry) and ``_finish_request``, which every
+tail ends in.
 """
 
 from __future__ import annotations
@@ -115,6 +136,13 @@ class Dot11Base(MacProtocol):
         #: last delivered data seq per source (duplicate suppression on
         #: MAC-level retransmissions).
         self._delivered_seq: Dict[int, int] = {}
+        #: The request in service (kept across backoffs until it
+        #: completes), its data sequence number, its failed attempts so
+        #: far and the sender side's phase of the exchange.
+        self._request: Optional[SendRequest] = None
+        self._seq = 0
+        self._failures = 0
+        self._phase = "idle"
 
     # ==================================================================
     # Contention: DIFS + the backoff tick
@@ -130,7 +158,7 @@ class Dot11Base(MacProtocol):
         return min(physical, max(0, virtual)) if self.nav_until > 0 else physical
 
     def _has_work(self) -> bool:
-        return self.in_txn or bool(self.queue)
+        return self._request is not None or self.in_txn or bool(self.queue)
 
     def _kick(self) -> None:
         if not self._tick_pending and not self.in_txn:
@@ -301,11 +329,107 @@ class Dot11Base(MacProtocol):
             self.stats.count_rx("UDATA")
             self.deliver_up(frame.payload, frame.src)
 
-    # -- hooks for subclasses ------------------------------------------
+    # ==================================================================
+    # The request lifecycle
+    # ==================================================================
     def _begin_txn(self) -> None:
-        raise NotImplementedError
+        """Contention won: start the next request, or resume the one in
+        service after a backoff."""
+        request = self._request
+        if request is None:
+            request = self._request = self.queue.pop()
+            self._seq = (self._seq + 1) & 0xFFFF
+            self._failures = 0
+            self._new_request(request)
+        if request.reliable:
+            self._attempt(request)
+            return
+        self.stats.count_tx("UDATA")
+        self._phase = "tx-bcast"
+        self._send_frame(self._data_frame(request.receivers[0], reliable=False),
+                         self._on_broadcast_sent)
+
+    def _on_broadcast_sent(self, frame: object, aborted: bool) -> None:
+        self.stats.unreliable_sent += 1
+        self._finish_request(acked=(), failed=(), dropped=False)
+
+    def _data_frame(self, dst: int, reliable: bool) -> DataFrame:
+        """The in-service request's data frame, addressed to ``dst``."""
+        request = self._request
+        return DataFrame(
+            src=self.node_id,
+            dst=dst,
+            seq=self._seq,
+            payload_bytes=request.payload_bytes,
+            reliable=reliable,
+            payload=request.payload,
+            overhead=self.config.data_overhead,
+        )
+
+    def _on_rts_sent(self, frame: object, aborted: bool) -> None:
+        self._phase = "wait-cts"
+        self._phase_timer.start(self.config.response_timeout(CtsFrame.SIZE))
+
+    def _send_data_after_sifs(self, dst: int) -> None:
+        """Send the reliable data frame to ``dst`` one SIFS from now."""
+        data = self._data_frame(dst, reliable=True)
+        self._phase = "send-data"
+        self.sim.after(
+            self.config.phy.sifs,
+            lambda: self._send_frame(data, self._on_data_sent),
+            label="sifs-data",
+        )
+
+    def _on_data_sent(self, frame: object, aborted: bool) -> None:
+        self.stats.count_tx("RDATA")
+        self._phase = "wait-ack"
+        self._phase_timer.start(self.config.response_timeout(AckFrame.SIZE))
 
     def _on_phase_timeout(self) -> None:
+        if self._phase in ("wait-cts", "wait-ack"):
+            self._attempt_failed()
+
+    def _attempt_failed(self) -> None:
+        """The failed-attempt tail: drop at the retry limit, else retry."""
+        self._failures += 1
+        if self._failures > self.config.retry_limit:
+            self._drop(acked=(), failed=self._request.receivers)
+        else:
+            self.stats.retransmissions += 1
+            self._retry()
+
+    def _retry(self) -> None:
+        """Back off with a doubled CW; ``_begin_txn`` resumes the request."""
+        self._phase = "idle"
+        self.backoff.double_cw()
+        self._end_txn()
+
+    def _succeed(self, acked: Tuple[int, ...]) -> None:
+        self.backoff.reset_cw()
+        self.stats.packets_delivered += 1
+        self._finish_request(acked=acked, failed=(), dropped=False)
+
+    def _drop(self, acked: Tuple[int, ...], failed: Tuple[int, ...]) -> None:
+        self.stats.packets_dropped += 1
+        self.backoff.reset_cw()
+        self._finish_request(acked=acked, failed=failed, dropped=True)
+
+    def _finish_request(
+        self, acked: Tuple[int, ...], failed: Tuple[int, ...], dropped: bool
+    ) -> None:
+        """Complete the request in service and leave the transaction."""
+        request = self._request
+        self._request = None
+        self._phase = "idle"
+        self._complete(request, acked=acked, failed=failed, dropped=dropped)
+        self._end_txn()
+
+    # -- hooks for subclasses ------------------------------------------
+    def _new_request(self, request: SendRequest) -> None:
+        """Reset the subclass's per-request state for a fresh request."""
+
+    def _attempt(self, request: SendRequest) -> None:
+        """Run one attempt of the reliable exchange for ``request``."""
         raise NotImplementedError
 
     def _handle_rts(self, frame: RtsFrame) -> None:
@@ -353,44 +477,13 @@ class Dot11Dcf(Dot11Base):
 
     NAME = "dot11"
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._request: Optional[SendRequest] = None
-        self._failures = 0
-        self._phase = "idle"
-        self._seq = 0
-
-    def _has_work(self) -> bool:
-        return self._request is not None or super()._has_work()
-
-    # ------------------------------------------------------------------
     def send_reliable(self, receivers, payload, payload_bytes, on_complete=None):
         if len(tuple(receivers)) != 1:
             raise ValueError("802.11 DCF supports reliable unicast only")
         return super().send_reliable(receivers, payload, payload_bytes, on_complete)
 
-    def _begin_txn(self) -> None:
-        if self._request is None:
-            self._request = self.queue.pop()
-            self._failures = 0
-            self._seq = (self._seq + 1) & 0xFFFF
-        request = self._request
-        if not request.reliable:
-            frame = DataFrame(
-                src=self.node_id,
-                dst=request.receivers[0],
-                seq=self._seq,
-                payload_bytes=request.payload_bytes,
-                reliable=False,
-                payload=request.payload,
-                overhead=self.config.data_overhead,
-            )
-            self.stats.count_tx("UDATA")
-            self._phase = "tx-bcast"
-            self._send_frame(frame, self._on_broadcast_sent)
-            return
+    def _attempt(self, request: SendRequest) -> None:
         self._phase = "tx-rts"
-        dst = request.receivers[0]
         phy = self.config.phy
         # NAV covers CTS + DATA + ACK with SIFS gaps.
         nav = (
@@ -399,79 +492,19 @@ class Dot11Dcf(Dot11Base):
             + phy.frame_airtime(request.payload_bytes + self.config.data_overhead)
             + phy.frame_airtime(AckFrame.SIZE)
         )
-        rts = RtsFrame(self.node_id, dst, aux=min(0xFFFF, nav // US))
+        rts = RtsFrame(self.node_id, request.receivers[0], aux=min(0xFFFF, nav // US))
         self._send_frame(rts, self._on_rts_sent)
-
-    def _on_broadcast_sent(self, frame: object, aborted: bool) -> None:
-        request = self._request
-        self._request = None
-        self.stats.unreliable_sent += 1
-        self._phase = "idle"
-        assert request is not None
-        self._complete(request, acked=(), failed=(), dropped=False)
-        self._end_txn()
-
-    def _on_rts_sent(self, frame: object, aborted: bool) -> None:
-        self._phase = "wait-cts"
-        self._phase_timer.start(self.config.response_timeout(CtsFrame.SIZE))
 
     def _handle_cts(self, frame: CtsFrame) -> None:
         if self._phase != "wait-cts" or frame.receiver != self.node_id:
             return
         self._phase_timer.cancel()
-        request = self._request
-        assert request is not None
-        phy = self.config.phy
-        data = DataFrame(
-            src=self.node_id,
-            dst=request.receivers[0],
-            seq=self._seq,
-            payload_bytes=request.payload_bytes,
-            reliable=True,
-            payload=request.payload,
-            overhead=self.config.data_overhead,
-        )
-        self._phase = "send-data"
-        self.sim.after(
-            phy.sifs, lambda: self._send_frame(data, self._on_data_sent), label="sifs-data"
-        )
-
-    def _on_data_sent(self, frame: object, aborted: bool) -> None:
-        self.stats.count_tx("RDATA")
-        self._phase = "wait-ack"
-        self._phase_timer.start(self.config.response_timeout(AckFrame.SIZE))
+        self._send_data_after_sifs(self._request.receivers[0])
 
     def _handle_ack(self, frame: AckFrame) -> None:
         if self._phase != "wait-ack" or frame.receiver != self.node_id:
             return
-        self._phase_timer.cancel()
-        request = self._request
-        self._request = None
-        self._phase = "idle"
-        self.backoff.reset_cw()
-        self.stats.packets_delivered += 1
-        assert request is not None
-        self._complete(request, acked=request.receivers, failed=(), dropped=False)
-        self._end_txn()
-
-    def _on_phase_timeout(self) -> None:
-        if self._phase not in ("wait-cts", "wait-ack"):
-            return
-        self._failures += 1
-        request = self._request
-        assert request is not None
-        if self._failures > self.config.retry_limit:
-            self._request = None
-            self._phase = "idle"
-            self.stats.packets_dropped += 1
-            self.backoff.reset_cw()
-            self._complete(request, acked=(), failed=request.receivers, dropped=True)
-            self._end_txn()
-        else:
-            self.stats.retransmissions += 1
-            self._phase = "idle"
-            self.backoff.double_cw()
-            self._end_txn()  # re-contend; _begin_txn resumes self._request
+        self._succeed(self._request.receivers)
 
     # ------------------------------------------------------------------
     # Receiver side

@@ -30,7 +30,7 @@ sender. This keeps the wire format to standard 802.11 frames.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.mac.addresses import BROADCAST
 from repro.mac.base import SendRequest
@@ -45,134 +45,43 @@ class LbpProtocol(Dot11Base):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._request: Optional[SendRequest] = None
-        self._failures = 0
-        self._seq = 0
-        self._phase = "idle"
         #: src -> expiry of an overheard exchange window (set by an RTS from
         #: src; a frame error from src inside the window draws ONE NAK).
         self._exchange_window: dict[int, int] = {}
 
-    def _has_work(self) -> bool:
-        return self._request is not None or super()._has_work()
-
     # ==================================================================
     # Sender
     # ==================================================================
-    def _begin_txn(self) -> None:
-        if self._request is None:
-            request = self.queue.pop()
-            self._request = request
-            self._seq = (self._seq + 1) & 0xFFFF
-            self._failures = 0
-        request = self._request
-        if not request.reliable:
-            frame = DataFrame(
-                src=self.node_id,
-                dst=request.receivers[0],
-                seq=self._seq,
-                payload_bytes=request.payload_bytes,
-                reliable=False,
-                payload=request.payload,
-                overhead=self.config.data_overhead,
-            )
-            self.stats.count_tx("UDATA")
-            self._phase = "tx-bcast"
-            self._send_frame(frame, self._on_broadcast_sent)
-            return
+    def _attempt(self, request: SendRequest) -> None:
         leader = request.receivers[0]
         self._phase = "rts"
         self._send_frame(RtsFrame(self.node_id, leader), self._on_rts_sent)
 
-    def _on_broadcast_sent(self, frame: object, aborted: bool) -> None:
-        request = self._request
-        self._request = None
-        self._phase = "idle"
-        self.stats.unreliable_sent += 1
-        assert request is not None
-        self._complete(request, acked=(), failed=(), dropped=False)
-        self._end_txn()
-
-    def _on_rts_sent(self, frame: object, aborted: bool) -> None:
-        self._phase = "wait-cts"
-        self._phase_timer.start(self.config.response_timeout(CtsFrame.SIZE))
-
     def _handle_cts(self, frame: CtsFrame) -> None:
-        request = self._request
         if self._phase != "wait-cts" or frame.receiver != self.node_id:
             return
-        assert request is not None
-        if frame.transmitter != request.receivers[0]:
+        if frame.transmitter != self._request.receivers[0]:
             return
         self._phase_timer.cancel()
-        data = DataFrame(
-            src=self.node_id,
-            dst=BROADCAST,  # multicast data: all receivers decode it
-            seq=self._seq,
-            payload_bytes=request.payload_bytes,
-            reliable=True,
-            payload=request.payload,
-            overhead=self.config.data_overhead,
-        )
-        self._phase = "send-data"
-        self.sim.after(
-            self.config.phy.sifs,
-            lambda: self._send_frame(data, self._on_data_sent),
-            label="sifs-data",
-        )
+        self._send_data_after_sifs(BROADCAST)  # multicast data: all receivers decode it
 
     def _handle_ncts(self, frame: NctsFrame) -> None:
         # An explicit NCTS reached us intact: a receiver's channel is busy.
         if self._phase == "wait-cts" and frame.receiver == self.node_id:
-            self._phase_timer.cancel()
             self._attempt_failed()
 
-    def _on_data_sent(self, frame: object, aborted: bool) -> None:
-        self.stats.count_tx("RDATA")
-        self._phase = "wait-ack"
-        self._phase_timer.start(self.config.response_timeout(AckFrame.SIZE))
-
     def _handle_ack(self, frame: AckFrame) -> None:
-        request = self._request
         if self._phase != "wait-ack" or frame.receiver != self.node_id:
             return
-        assert request is not None
-        if frame.transmitter != request.receivers[0]:
+        if frame.transmitter != self._request.receivers[0]:
             return
         # A clean ACK means the leader succeeded AND no NAK collided.
-        self._phase_timer.cancel()
-        self._request = None
-        self._phase = "idle"
-        self.backoff.reset_cw()
-        self.stats.packets_delivered += 1
-        self._complete(request, acked=request.receivers, failed=(), dropped=False)
-        self._end_txn()
+        self._succeed(self._request.receivers)
 
     def _handle_nak(self, frame: NakFrame) -> None:
         # A NAK that got through intact (no ACK to collide with).
         if self._phase == "wait-ack" and frame.receiver == self.node_id:
-            self._phase_timer.cancel()
             self._attempt_failed()
-
-    def _on_phase_timeout(self) -> None:
-        if self._phase in ("wait-cts", "wait-ack"):
-            self._attempt_failed()
-
-    def _attempt_failed(self) -> None:
-        request = self._request
-        assert request is not None
-        self._failures += 1
-        if self._failures > self.config.retry_limit:
-            self._request = None
-            self._phase = "idle"
-            self.stats.packets_dropped += 1
-            self.backoff.reset_cw()
-            self._complete(request, acked=(), failed=request.receivers, dropped=True)
-        else:
-            self.stats.retransmissions += 1
-            self._phase = "idle"
-            self.backoff.double_cw()
-        self._end_txn()
 
     # ==================================================================
     # Receiver

@@ -41,10 +41,6 @@ class MxProtocol(Dot11Base):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._request: Optional[SendRequest] = None
-        self._failures = 0
-        self._seq = 0
-        self._phase = "idle"
         self._nak_check_start = 0
         self._nak_timer = Timer(self.sim, self._on_nak_window_done, "nak-window")
         # Receiver side.
@@ -52,33 +48,10 @@ class MxProtocol(Dot11Base):
         self._expect_timer = Timer(self.sim, self._on_expect_timeout, "mx-expect")
         self._got_first_bit = False
 
-    def _has_work(self) -> bool:
-        return self._request is not None or super()._has_work()
-
     # ==================================================================
     # Sender
     # ==================================================================
-    def _begin_txn(self) -> None:
-        if self._request is None:
-            request = self.queue.pop()
-            self._request = request
-            self._seq = (self._seq + 1) & 0xFFFF
-            self._failures = 0
-        request = self._request
-        if not request.reliable:
-            frame = DataFrame(
-                src=self.node_id,
-                dst=request.receivers[0],
-                seq=self._seq,
-                payload_bytes=request.payload_bytes,
-                reliable=False,
-                payload=request.payload,
-                overhead=self.config.data_overhead,
-            )
-            self.stats.count_tx("UDATA")
-            self._phase = "tx-bcast"
-            self._send_frame(frame, self._on_broadcast_sent)
-            return
+    def _attempt(self, request: SendRequest) -> None:
         announce = MrtsFrame(self.node_id, tuple(request.receivers))
         self._phase = "announce"
         self.stats.count_tx("MRTS")
@@ -86,33 +59,8 @@ class MxProtocol(Dot11Base):
         self.stats.record_mrts_length(announce.size_bytes)
         self._send_frame(announce, self._on_announce_sent)
 
-    def _on_broadcast_sent(self, frame: object, aborted: bool) -> None:
-        request = self._request
-        self._request = None
-        self._phase = "idle"
-        self.stats.unreliable_sent += 1
-        assert request is not None
-        self._complete(request, acked=(), failed=(), dropped=False)
-        self._end_txn()
-
     def _on_announce_sent(self, frame: object, aborted: bool) -> None:
-        request = self._request
-        assert request is not None
-        data = DataFrame(
-            src=self.node_id,
-            dst=BROADCAST,
-            seq=self._seq,
-            payload_bytes=request.payload_bytes,
-            reliable=True,
-            payload=request.payload,
-            overhead=self.config.data_overhead,
-        )
-        self._phase = "send-data"
-        self.sim.after(
-            self.config.phy.sifs,
-            lambda: self._send_frame(data, self._on_data_sent),
-            label="sifs-data",
-        )
+        self._send_data_after_sifs(BROADCAST)
 
     def _on_data_sent(self, frame: object, aborted: bool) -> None:
         self.stats.count_tx("RDATA")
@@ -121,8 +69,6 @@ class MxProtocol(Dot11Base):
         self._nak_timer.start(self.NAK_WINDOW)
 
     def _on_nak_window_done(self) -> None:
-        request = self._request
-        assert request is not None
         nak = (
             self.radio.tone_longest_presence(
                 ToneType.ABT, self._nak_check_start, self.sim.now
@@ -130,31 +76,12 @@ class MxProtocol(Dot11Base):
             >= self.config.phy.cca_time
         )
         self.stats.abt_check_time += self.NAK_WINDOW
-        if not nak:
+        if nak:
+            self._attempt_failed()
+        else:
             # Silence: assume success (including receivers that never heard
             # the announcement -- the reliability gap).
-            self._request = None
-            self._phase = "idle"
-            self.backoff.reset_cw()
-            self.stats.packets_delivered += 1
-            self._complete(request, acked=request.receivers, failed=(), dropped=False)
-            self._end_txn()
-            return
-        self._failures += 1
-        if self._failures > self.config.retry_limit:
-            self._request = None
-            self._phase = "idle"
-            self.stats.packets_dropped += 1
-            self.backoff.reset_cw()
-            self._complete(request, acked=(), failed=request.receivers, dropped=True)
-        else:
-            self.stats.retransmissions += 1
-            self._phase = "idle"
-            self.backoff.double_cw()
-        self._end_txn()
-
-    def _on_phase_timeout(self) -> None:  # pragma: no cover - MX has none
-        pass
+            self._succeed(self._request.receivers)
 
     # ==================================================================
     # Receiver

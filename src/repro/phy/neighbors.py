@@ -146,7 +146,7 @@ class SinrView:
     holds the delays of the rest, the interference-only links, in the
     same order. With no interference-only link, ``heard`` is
     ``by_delay`` itself. ``mw[k]`` caches link ``k``'s power in mW once
-    a replay has read it (None until then).
+    :meth:`power_mw` has read it (None until then).
     """
 
     __slots__ = ("delays", "links", "index", "span", "heard", "quiet", "mw")
@@ -170,6 +170,14 @@ class SinrView:
                           tuple([links[k] for k in heard]))
             self.quiet = tuple([delays[k] for k, link in enumerate(links)
                                 if not (link.sensed or link.in_rx_range)])
+
+    def power_mw(self, k: int) -> float:
+        """Link ``k``'s received power in mW, converted once per view."""
+        power = self.mw[k]
+        if power is None:
+            power = self.mw[k] = 10.0 ** (
+                self.links[k].power_dbm / 10.0)  # type: ignore[operator]
+        return power
 
 
 class LinkTable:

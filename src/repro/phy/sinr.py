@@ -320,12 +320,7 @@ class TxArrivals:
         signals = self.signals
         if signals is not None:
             return signals[k]
-        view = self.view
-        power = view.mw[k]
-        if power is None:
-            power = view.mw[k] = 10.0 ** (
-                view.links[k].power_dbm / 10.0)  # type: ignore[operator]
-        return power
+        return self.view.power_mw(k)
 
 
 def _passed(time: int, seq: int, now: int, now_seq: int) -> bool:
@@ -513,8 +508,7 @@ class SinrState:
             gain = self.fading.gain
             rng = self.rng
             for _, _, air, k in due:
-                power = 10.0 ** (air.view.links[k].power_dbm / 10.0)
-                air.signals[k] = power * gain(rng)  # type: ignore[index]
+                air.signals[k] = air.view.power_mw(k) * gain(rng)  # type: ignore[index]
 
     def replay(self, air: TxArrivals, node: int) -> Tuple[float, float]:
         """``(signal_mw, peak_interference_mw)`` of ``air``'s arrival at

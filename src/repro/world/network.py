@@ -20,7 +20,11 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.mac.base import MacProtocol
 from repro.mac.bmmm import BmmmProtocol
-from repro.mac.dot11 import Dot11Config, Dot11Dcf
+from repro.mac.bmw import BmwProtocol
+from repro.mac.dot11 import Dot11Config
+from repro.mac.lamm import LammProtocol
+from repro.mac.lbp import LbpProtocol
+from repro.mac.mx import MxProtocol
 from repro.metrics.collectors import MetricsCollector
 from repro.metrics.summary import RunSummary, summarize
 from repro.mobility.base import MobilityProvider
@@ -128,16 +132,6 @@ def _make_rmac(node_id: int, tb: MacTestbed, rng: random.Random, overrides: dict
     return RmacProtocol(node_id, tb.sim, tb.radios[node_id], rng, config, tracer=tb.tracer)
 
 
-def _make_bmmm(node_id: int, tb: MacTestbed, rng: random.Random, overrides: dict):
-    config = Dot11Config(phy=tb.phy, **overrides)
-    return BmmmProtocol(node_id, tb.sim, tb.radios[node_id], rng, config, tracer=tb.tracer)
-
-
-def _make_dot11(node_id: int, tb: MacTestbed, rng: random.Random, overrides: dict):
-    config = Dot11Config(phy=tb.phy, **overrides)
-    return Dot11Dcf(node_id, tb.sim, tb.radios[node_id], rng, config, tracer=tb.tracer)
-
-
 def _dot11_family(cls):
     def factory(node_id: int, tb: MacTestbed, rng: random.Random, overrides: dict):
         config = Dot11Config(phy=tb.phy, **overrides)
@@ -146,17 +140,10 @@ def _dot11_family(cls):
     return factory
 
 
+# Plain DCF (``Dot11Dcf``) is not registered: it has no reliable
+# multicast, so the multicast network stack cannot run on it.
 register_protocol("rmac", _make_rmac)
-register_protocol("bmmm", _make_bmmm)
-register_protocol("dot11", _make_dot11)
-
-# Extension protocols (see DESIGN.md): imported lazily to keep the core
-# import graph small is unnecessary here -- the modules are tiny.
-from repro.mac.bmw import BmwProtocol
-from repro.mac.lamm import LammProtocol
-from repro.mac.lbp import LbpProtocol
-from repro.mac.mx import MxProtocol
-
+register_protocol("bmmm", _dot11_family(BmmmProtocol))
 register_protocol("bmw", _dot11_family(BmwProtocol))
 register_protocol("lamm", _dot11_family(LammProtocol))
 register_protocol("lbp", _dot11_family(LbpProtocol))

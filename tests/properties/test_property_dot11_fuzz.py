@@ -1,4 +1,5 @@
-"""Property fuzz for the 802.11-family batch protocols (BMMM/LAMM).
+"""Property fuzz for the 802.11-family multicast MACs (BMMM, BMW, LAMM,
+LBP, MX).
 
 Random small topologies and request mixes; after draining, the global
 invariants must hold: every request completed once with acked + failed
@@ -28,7 +29,7 @@ def scenarios(draw):
         receivers = tuple(draw(st.permutations(others))[:k])
         start = draw(st.integers(min_value=0, max_value=15 * MS))
         requests.append((sender, receivers, start))
-    protocol = draw(st.sampled_from(["bmmm", "lamm"]))
+    protocol = draw(st.sampled_from(["bmmm", "bmw", "lamm", "lbp", "mx"]))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     return coords, requests, protocol, seed
 

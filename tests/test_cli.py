@@ -8,7 +8,7 @@ from repro.cli import build_parser, main
 def test_protocols_lists_registry(capsys):
     assert main(["protocols"]) == 0
     out = capsys.readouterr().out.split()
-    for name in ("rmac", "bmmm", "bmw", "lbp", "mx", "dot11"):
+    for name in ("rmac", "bmmm", "bmw", "lbp", "mx"):
         assert name in out
 
 

@@ -14,6 +14,15 @@ def test_unknown_protocol_rejected():
         build_network(ScenarioConfig(protocol="nope"))
 
 
+def test_plain_dcf_is_refused_before_the_run():
+    """Plain DCF has no reliable multicast, so the registry refuses it
+    when the network is built rather than mid-run at the first forward
+    to more than one child."""
+    assert "dot11" not in PROTOCOLS
+    with pytest.raises(ValueError, match="unknown protocol 'dot11'"):
+        build_network(ScenarioConfig(protocol="dot11", **SMALL))
+
+
 def test_all_registered_protocols_run_the_workload():
     for protocol in ("rmac", "bmmm", "bmw", "lbp", "mx"):
         summary = build_network(ScenarioConfig(protocol=protocol, **SMALL)).run()
