@@ -14,9 +14,12 @@ Full paper scale takes hours in pure Python, so two presets exist:
 
 * :func:`paper_scenario` -- the exact Section 4.1 parameters;
 * :func:`scaled_scenario` -- the same network and rates with fewer
-  packets/seeds, used by the committed benchmarks (each bench documents
-  its scale). Shapes -- orderings, crossovers -- are preserved; absolute
+  packets/seeds, used by the sweep scales of ``repro.cli.FIGURE_SCALES``.
+  Shapes -- orderings, crossovers -- are preserved; absolute
   confidence intervals are wider.
+
+:func:`family_scenario` is the one static workload on which every MAC of
+the Section 2 survey is compared.
 """
 
 from __future__ import annotations
@@ -117,3 +120,31 @@ def scaled_scenario(
             max_speed=config.max_speed * shrink,
         )
     return config
+
+
+#: The MACs compared on :func:`family_scenario`: RMAC and the Section 2
+#: survey.
+FAMILY_PROTOCOLS: Tuple[str, ...] = ("rmac", "bmmm", "lamm", "bmw", "lbp", "mx")
+
+
+def family_scenario(
+    protocol: str,
+    scenario: str,
+    rate_pps: float,
+    seed: int,
+) -> ScenarioConfig:
+    """The protocol-family workload: 60 packets on one 20-node network,
+    the same placement for every protocol (``repro validate`` runs it
+    stationary at 10 pkt/s, seed 9)."""
+    return ScenarioConfig(
+        protocol=protocol,
+        n_nodes=20,
+        width=260.0,
+        height=160.0,
+        rate_pps=rate_pps,
+        n_packets=60,
+        warmup_s=4.0,
+        drain_s=4.0,
+        seed=seed,
+        **SCENARIOS[scenario],
+    )

@@ -4,9 +4,12 @@ Reliable broadcast realized as one RTS/CTS/DATA/ACK *unicast per
 receiver*, each preceded by its own contention phase, while the other
 receivers try to overhear the DATA frame:
 
-* the CTS carries the receiver's next expected sequence number (``aux``);
-  if the receiver already overheard the current frame the sender skips
-  the DATA/ACK and moves to the next receiver -- BMW's saving;
+* the CTS carries the receiver's next expected sequence number (``aux``,
+  the last seq it heard from the sender plus one, modulo 2^16); if the
+  receiver already overheard the current frame the sender skips the
+  DATA/ACK and moves to the next receiver -- BMW's saving. Seq 0 stands
+  for "never heard", so a sender's seq runs 1..0xFFFF and skips 0 when
+  it wraps;
 * every node delivers overheard reliable DATA promiscuously (with
   duplicate suppression), since the frame is meant for the whole
   neighborhood;
@@ -39,13 +42,15 @@ class BmwProtocol(Dot11Base):
         self._pending: List[int] = []
         self._acked: List[int] = []
         self._failed: List[int] = []
-        #: receiver side: highest seq seen per sender (for the CTS field).
+        #: receiver side: last seq heard per sender (for the CTS field).
         self._last_seen: Dict[int, int] = {}
 
     # ==================================================================
     # Sender
     # ==================================================================
     def _new_request(self, request: SendRequest) -> None:
+        if self._seq == 0:  # reserved: a CTS announcing 1 never heard us
+            self._seq = 1
         self._pending = list(request.receivers)
         self._acked = []
         self._failed = []
@@ -64,7 +69,7 @@ class BmwProtocol(Dot11Base):
         if not self._pending or frame.transmitter != self._pending[0]:
             return
         self._phase_timer.cancel()
-        if frame.aux > self._seq:
+        if frame.aux == (self._seq + 1) & 0xFFFF:
             # Receiver already overheard this frame: skip the DATA.
             self._receiver_done(acked=True)
             return
@@ -117,7 +122,7 @@ class BmwProtocol(Dot11Base):
             return
         if self.radio.is_transmitting or self.in_txn:
             return
-        next_expected = self._last_seen.get(frame.transmitter, 0) + 1
+        next_expected = (self._last_seen.get(frame.transmitter, 0) + 1) & 0xFFFF
         self._respond_after_sifs(
             CtsFrame(self.node_id, frame.transmitter, aux=next_expected)
         )
@@ -125,7 +130,9 @@ class BmwProtocol(Dot11Base):
     def _handle_reliable_data(self, frame: DataFrame) -> None:
         # Promiscuous: BMW data is broadcast content riding in a unicast.
         self.stats.count_rx("RDATA")
-        self._last_seen[frame.src] = max(self._last_seen.get(frame.src, 0), frame.seq)
+        # A sender's seqs only move forward, so the last one heard is the
+        # newest, across the 16-bit wrap too.
+        self._last_seen[frame.src] = frame.seq
         if frame.dst == self.node_id:
             self._respond_after_sifs(AckFrame(self.node_id, frame.src))
         self._deliver_data(frame)

@@ -102,3 +102,25 @@ def tree_statistics(tree: TreeSnapshot) -> Dict[str, float]:
         "p99_children": float(np.percentile(child_counts, 99)) if child_counts else 0.0,
         "reachable": float(len(tree.reachable())),
     }
+
+
+def placement_tree_statistics(
+    n_nodes: int = 75, placements: int = 10, seed: int = 1000,
+) -> List[Dict[str, float]]:
+    """Fig. 6's statistics over random connected placements.
+
+    Placement ``i`` draws ``n_nodes`` nodes on the paper's 500 x 300 m
+    plain from ``random.Random(seed + i)``; each row is the
+    :func:`tree_statistics` of its BFS tree at 75 m range, plus the seed.
+    """
+    import random
+
+    from repro.world.placement import random_placement
+
+    rows = []
+    for i in range(placements):
+        coords = random_placement(n_nodes, 500, 300, random.Random(seed + i))
+        stats = tree_statistics(bfs_tree(coords, 75.0))
+        stats["seed"] = seed + i
+        rows.append(stats)
+    return rows

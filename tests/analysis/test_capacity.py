@@ -51,3 +51,27 @@ def test_validation():
         saturation_rate(1, 100, 0)
     with pytest.raises(ValueError):
         saturation_rate(1, 100, 1, protocol="nope")
+
+
+def test_capacity_floor_vs_simulation():
+    """The simulated network never beats the zero-contention floor, and
+    BMMM's delay knee arrives before RMAC's -- the mechanism behind
+    Fig. 9's separation."""
+    from repro.sim.units import SEC
+    from repro.world.network import ScenarioConfig, build_network
+
+    base = dict(n_nodes=16, width=220, height=160, n_packets=60,
+                warmup_s=4.0, drain_s=6.0, seed=3)
+    delay = {
+        (protocol, rate): build_network(
+            ScenarioConfig(protocol=protocol, rate_pps=rate, **base)
+        ).run().avg_delay_s
+        for protocol in ("rmac", "bmmm") for rate in (10, 80)
+    }
+    # Per-packet delay can never beat the single-hop floor.
+    for (protocol, rate), delay_s in delay.items():
+        assert delay_s * SEC >= rmac_transaction_time(1, 500) * 0.5
+    # The load-induced delay growth is steeper for BMMM (earlier knee).
+    rmac_growth = delay[("rmac", 80)] / delay[("rmac", 10)]
+    bmmm_growth = delay[("bmmm", 80)] / delay[("bmmm", 10)]
+    assert bmmm_growth > rmac_growth

@@ -68,3 +68,22 @@ def test_sequence_numbers_advance_per_packet():
     tb.run(300 * MS)
     assert [p for p, _ in rx1] == ["p0", "p1", "p2"]
     assert tb.macs[0].stats.packets_delivered == 3
+
+
+@pytest.mark.parametrize("start_seq", [0xFFFD, 0xFFFF])
+def test_overhear_skip_survives_sequence_wrap(start_seq):
+    """Across the 16-bit seq wrap each receiver still gets every packet:
+    a receiver that last heard 0xFFFF, or never heard the sender, must
+    not be taken to hold the first packet after the wrap."""
+    tb = make_dot11_testbed(TRIANGLE, protocol="bmw", seed=1)
+    tb.macs[0]._seq = start_seq
+    rx1 = collect_upper(tb.macs[1])
+    rx2 = collect_upper(tb.macs[2])
+    outcomes = []
+    for i in range(4):
+        tb.macs[0].send_reliable((1, 2), f"p{i}", 300,
+                                 on_complete=outcomes.append)
+    tb.run(400 * MS)
+    assert [o.acked for o in outcomes] == [(1, 2)] * 4
+    sent = ["p0", "p1", "p2", "p3"]
+    assert [p for p, _ in rx1] == sent and [p for p, _ in rx2] == sent

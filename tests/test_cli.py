@@ -111,6 +111,25 @@ def test_parser_rejects_unknown_figure():
         build_parser().parse_args(["figure", "fig99"])
 
 
+def test_figure_and_validate_accept_every_scale():
+    from repro.cli import FIGURE_SCALES
+
+    for scale in FIGURE_SCALES:
+        for command in (["figure", "fig7"], ["validate"]):
+            args = build_parser().parse_args(command + ["--scale", scale])
+            assert args.scale == scale
+
+
+def test_validate_fails_when_a_sweep_leaves_claims_unjudged(capsys,
+                                                            monkeypatch):
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: [])
+    assert main(["validate", "--scale", "smoke"]) == 1
+    out = capsys.readouterr().out
+    assert "n/a" in out and "FAIL" not in out
+
+
 def test_campaign_run_status_and_figure_from(capsys, tmp_path, monkeypatch):
     import repro.cli as cli
     import repro.experiments.runner as runner_module
