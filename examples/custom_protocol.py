@@ -32,7 +32,6 @@ class RmacNoRbt(RmacProtocol):
         if self.state not in (RmacState.IDLE, RmacState.BACKOFF):
             return
         self._rx_mrts = mrts
-        self._rx_index = mrts.index_of(self.node_id)
         self._rx_first_bit = False
         self._set_state(RmacState.WF_RDATA)
         self._twf_rdata.start(self.config.twf_rdata)
@@ -42,15 +41,9 @@ class RmacNoRbt(RmacProtocol):
         # Without RBT there is nothing to detect; transmit unconditionally.
         from repro.core.states import RmacState
         from repro.mac.addresses import BROADCAST
-        from repro.mac.frames import DataFrame
 
         assert self.state is RmacState.WF_RBT
-        txn = self._txn
-        frame = DataFrame(
-            src=self.node_id, dst=BROADCAST, seq=txn.seq,
-            payload_bytes=txn.request.payload_bytes, reliable=True,
-            payload=txn.request.payload, overhead=self.config.data_overhead,
-        )
+        frame = self._data_frame(BROADCAST, reliable=True)
         self._set_state(RmacState.TX_RDATA)
         self.stats.count_tx("RDATA")
         self._current_tx = self.radio.transmit(frame)
@@ -59,7 +52,6 @@ class RmacNoRbt(RmacProtocol):
         # The base implementation turns RBT off; here it was never on.
         self._twf_rdata.cancel()
         self._rx_mrts = None
-        self._rx_index = -1
         self._rx_first_bit = False
         self._enter_contention(draw=False)
 

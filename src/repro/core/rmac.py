@@ -25,55 +25,29 @@ against the Fig. 14 transition table.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import RmacConfig
 from repro.core.mrts import build_mrts, split_receivers
 from repro.core.states import RmacState, valid_transition
-from repro.mac.addresses import BROADCAST, MULTICAST_FLAG
-from repro.mac.backoff import Backoff, BackoffTick, SlotCountdown
+from repro.mac.addresses import BROADCAST
+from repro.mac.backoff import Backoff, SlotCountdown
 from repro.mac.base import MacProtocol, SendRequest
 from repro.mac.frames import DataFrame, MrtsFrame
 from repro.phy.busytone import ToneType
 from repro.phy.channel import Transmission
 from repro.phy.radio import Radio
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
 from repro.sim.trace import NULL_TRACER, Tracer
-
-
-@dataclass
-class _ReliableTransaction:
-    """Sender-side state for one Reliable Send request."""
-
-    request: SendRequest
-    chunks: List[Tuple[int, ...]]
-    seq: int
-    chunk_index: int = 0
-    pending: List[int] = field(default_factory=list)
-    acked: List[int] = field(default_factory=list)
-    failed: List[int] = field(default_factory=list)
-    #: Failed attempts of the *current* chunk (abort / no RBT / missing ABTs).
-    failures: int = 0
-    #: MRTS transmissions started for the current chunk.
-    attempts: int = 0
-    drop_counted: bool = False
-
-    def load_chunk(self) -> None:
-        self.pending = list(self.chunks[self.chunk_index])
-        self.failures = 0
-        self.attempts = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.chunk_index >= len(self.chunks)
 
 
 class RmacProtocol(MacProtocol):
     """RMAC: reliable + unreliable send over busy tones."""
 
     NAME = "rmac"
+    FRESH_SEQ_PER_UNIT = True
+    TRACES_REQUESTS = True
 
     def __init__(
         self,
@@ -89,43 +63,28 @@ class RmacProtocol(MacProtocol):
             node_id,
             sim,
             radio,
-            rng,
             queue_capacity=self.config.queue_capacity,
             tracer=tracer,
         )
         phy = self.config.phy
-        #: Slot duration (ns), cached off the config chain.
-        self._slot_time = phy.slot_time
         self.state = RmacState.IDLE
         self.backoff = Backoff(rng, phy.cw_min, phy.cw_max)
-        self.multicast_groups: set[int] = set()
 
         # Sender-side context.
-        self._txn: Optional[_ReliableTransaction] = None
         self._current_tx: Optional[Transmission] = None
         self._rbt_window_start: int = 0
-        self._abt_check_event: Optional[EventHandle] = None
-        self._seq = 0
 
         # Receiver-side context.
         self._rx_mrts: Optional[MrtsFrame] = None
-        self._rx_index: int = -1
         self._rx_first_bit = False
         self._twf_rdata = Timer(sim, self._on_twf_rdata_expired, "Twf_rdata")
         self._twf_rbt = Timer(sim, self._on_twf_rbt_expired, "Twf_rbt")
 
-        #: The backoff tick (never cancelled, at most one in flight --
-        #: guarded by ``_tick_pending``, which also covers a running
-        #: countdown) and the countdown that spans the idle slots between
-        #: ticks. The countdown senses the RBT channel besides the data
-        #: channel (Section 3.3.1).
-        self._tick_event = BackoffTick(self)
-        self._tick_pending = False
+        #: The countdown that spans the idle slots between ticks. It
+        #: senses the RBT channel besides the data channel (3.3.1).
         self.countdown = SlotCountdown(
-            sim, radio, self.backoff, self._slot_time, self._tick_event,
+            sim, radio, self.backoff, phy.slot_time, self._tick_event,
             tones=(radio.tone_channel(ToneType.RBT),))
-        self._idle_wait_pending = False
-        self._pending_unreliable: Optional[SendRequest] = None
 
     # ==================================================================
     # State bookkeeping
@@ -158,9 +117,6 @@ class RmacProtocol(MacProtocol):
                 return False
         return True
 
-    def _has_work(self) -> bool:
-        return self._txn is not None or bool(self.queue)
-
     # ==================================================================
     # Contention: the backoff tick (Section 3.3.1)
     # ==================================================================
@@ -183,12 +139,6 @@ class RmacProtocol(MacProtocol):
             sim = self.sim
             sim.schedule_fast(sim.now, self._tick_event)
 
-    def _ensure_tick(self, delay: int) -> None:
-        if not self._tick_pending:
-            self._tick_pending = True
-            sim = self.sim
-            sim.schedule_fast(sim.now + delay, self._tick_event)
-
     def _tick(self) -> None:
         """One slot of the backoff procedure, at a slot boundary."""
         self._tick_pending = False
@@ -202,7 +152,7 @@ class RmacProtocol(MacProtocol):
                     self._set_state(RmacState.BACKOFF)  # C8
                 backoff.consume(1)
             if backoff.bi == 0:
-                if self._txn is not None or self.queue:
+                if self._request is not None or self.queue:
                     # "When BI counts down to 0, the sender begins frame
                     # transmission immediately."  (C6/C14, or C1/C10.)
                     self._start_transmission()
@@ -221,7 +171,7 @@ class RmacProtocol(MacProtocol):
             # busy period, sleep until the busy channel clears (the
             # channels report the transition exactly), then resume the
             # slotted countdown.
-            if self.backoff.bi > 0 or self._txn is not None or self.queue:
+            if self.backoff.bi > 0 or self._request is not None or self.queue:
                 self._wait_for_idle()
 
     def _wait_for_idle(self) -> None:
@@ -242,7 +192,7 @@ class RmacProtocol(MacProtocol):
         if self.state in (RmacState.IDLE, RmacState.BACKOFF) and (
             self.backoff.bi > 0 or self._has_work()
         ):
-            self._ensure_tick(self._slot_time)
+            self._ensure_tick(self.config.phy.slot_time)
 
     def _enter_contention(self, draw: bool) -> None:
         """Return to IDLE/BACKOFF, optionally invoking the backoff draw."""
@@ -253,46 +203,25 @@ class RmacProtocol(MacProtocol):
         else:
             self._set_state(RmacState.IDLE)
         if self.backoff.bi > 0 or self._has_work():
-            self._ensure_tick(self._slot_time)
-
-    # ==================================================================
-    # Transmission start (the tick reached BI == 0 with work queued)
-    # ==================================================================
-    def _start_transmission(self) -> None:
-        if self._txn is None:
-            request = self.queue.pop()
-            if request.reliable:
-                self._txn = _ReliableTransaction(
-                    request=request,
-                    chunks=split_receivers(request.receivers, self.config.max_receivers),
-                    seq=self._next_seq(),
-                )
-                self._txn.load_chunk()
-            else:
-                self._transmit_unreliable(request)
-                return
-        self._transmit_mrts()
-
-    def _next_seq(self) -> int:
-        self._seq = (self._seq + 1) & 0xFFFF
-        return self._seq
+            self._ensure_tick(self.config.phy.slot_time)
 
     # ------------------------------------------------------------------
     # Reliable Send, sender side (Section 3.3.2)
     # ------------------------------------------------------------------
-    def _transmit_mrts(self) -> None:
-        txn = self._txn
-        assert txn is not None and txn.pending
-        mrts = build_mrts(self.node_id, txn.pending)
+    def _units_of(self, receivers: Tuple[int, ...]) -> Sequence[Tuple[int, ...]]:
+        # Section 3.4: at most max_receivers per MRTS, one invocation each.
+        return split_receivers(receivers, self.config.max_receivers)
+
+    def _attempt(self, request: SendRequest) -> None:
+        """Send the MRTS naming the unit's receivers not yet confirmed."""
+        pending = self._pending
+        mrts = build_mrts(self.node_id, pending)
         self._set_state(RmacState.TX_MRTS)  # C10 / C14
-        if txn.attempts > 0:
-            self.stats.retransmissions += 1
-        txn.attempts += 1
         if self.tracer.enabled:
             # Guarded: the tuple() copy is only worth making when traced.
             self.tracer.emit(
                 self.sim.now, self.node_id, "mrts-tx",
-                receivers=tuple(txn.pending), seq=txn.seq, attempt=txn.attempts,
+                receivers=tuple(pending), seq=self._seq, attempt=self._failures + 1,
             )
         self.stats.mrts_transmissions += 1
         self.stats.record_mrts_length(mrts.size_bytes)
@@ -317,8 +246,6 @@ class RmacProtocol(MacProtocol):
             )
             >= self.config.detect_time
         )
-        txn = self._txn
-        assert txn is not None
         if detected:
             # C18: at least one receiver is ready; send the data frame.
             if self.tracer.enabled:
@@ -326,21 +253,13 @@ class RmacProtocol(MacProtocol):
                     self.sim.now, self.node_id, "rbt-detected",
                     window_start=self._rbt_window_start,
                 )
-            frame = DataFrame(
-                src=self.node_id,
-                dst=BROADCAST,
-                seq=txn.seq,
-                payload_bytes=txn.request.payload_bytes,
-                reliable=True,
-                payload=txn.request.payload,
-                overhead=self.config.data_overhead,
-            )
+            frame = self._data_frame(BROADCAST, reliable=True)
             self._set_state(RmacState.TX_RDATA)
             self.stats.count_tx("RDATA")
             if self.tracer.enabled:
                 self.tracer.emit(
                     self.sim.now, self.node_id, "rdata-tx",
-                    seq=txn.seq, n_pending=len(txn.pending),
+                    seq=self._seq, n_pending=len(self._pending),
                 )
             self._current_tx = self.radio.transmit(frame)
         else:
@@ -355,110 +274,41 @@ class RmacProtocol(MacProtocol):
         end of the last window that inspects each window's tone-presence
         history is equivalent to the paper's per-window timer cycling.
         """
-        txn = self._txn
-        assert txn is not None
-        n = len(txn.pending)
+        n = len(self._pending)
         end = data_tx_end + n * self.config.l_abt
-        self._abt_check_event = self.sim.at(end, self._on_abt_windows_done, label="Twf_abt")
+        self.sim.at(end, self._on_abt_windows_done, label="Twf_abt")
 
     def _on_abt_windows_done(self) -> None:
-        self._abt_check_event = None
         assert self.state is RmacState.WF_ABT
-        txn = self._txn
-        assert txn is not None
-        n = len(txn.pending)
+        pending = self._pending
+        n = len(pending)
         l_abt = self.config.l_abt
         start = self.sim.now - n * l_abt
         self.stats.abt_check_time += n * l_abt
         still_pending: List[int] = []
-        for i, receiver in enumerate(txn.pending):
+        for i, receiver in enumerate(pending):
             t0 = start + i * l_abt
             t1 = t0 + l_abt
             presence = self.radio.tone_longest_presence(ToneType.ABT, t0, t1)
             if presence >= self.config.detect_time:
-                txn.acked.append(receiver)
+                self._acked.append(receiver)
                 self.tracer.emit(self.sim.now, self.node_id, "abt-heard", receiver=receiver)
             else:
                 still_pending.append(receiver)
-        txn.pending = still_pending
-        if not txn.pending:
-            self._chunk_succeeded()
+        self._pending = still_pending
+        if not still_pending:
+            self._unit_succeeded()
         else:
             self.tracer.emit(
                 self.sim.now, self.node_id, "abt-missing", receivers=tuple(still_pending)
             )
             self._attempt_failed()
 
-    def _chunk_succeeded(self) -> None:
-        txn = self._txn
-        assert txn is not None
-        self.backoff.reset_cw()
-        txn.chunk_index += 1
-        self._advance_transaction()
-
-    def _attempt_failed(self) -> None:
-        """A Reliable Send attempt failed (abort, no RBT, or missing ABTs)."""
-        txn = self._txn
-        assert txn is not None
-        txn.failures += 1
-        if txn.failures > self.config.retry_limit:
-            # "If this limit is exceeded, the frame will be dropped."
-            txn.failed.extend(txn.pending)
-            txn.pending = []
-            if not txn.drop_counted:
-                txn.drop_counted = True
-                self.stats.packets_dropped += 1
-            self.tracer.emit(self.sim.now, self.node_id, "drop", seq=txn.seq)
-            self.backoff.reset_cw()
-            txn.chunk_index += 1
-            self._advance_transaction()
-        else:
-            self.backoff.double_cw()
-            self._enter_contention(draw=True)
-
-    def _advance_transaction(self) -> None:
-        """Move to the next chunk or complete the request."""
-        txn = self._txn
-        assert txn is not None
-        if txn.exhausted:
-            self._txn = None
-            if not txn.failed:
-                self.stats.packets_delivered += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.sim.now, self.node_id, "reliable-done",
-                    requested=tuple(txn.request.receivers),
-                    acked=tuple(txn.acked), failed=tuple(txn.failed),
-                    dropped=txn.drop_counted,
-                )
-            self._complete(
-                txn.request,
-                acked=tuple(txn.acked),
-                failed=tuple(txn.failed),
-                dropped=txn.drop_counted,
-            )
-        else:
-            txn.load_chunk()
-            txn.seq = self._next_seq()
-        # Backoff separates invocations and successive transmissions alike.
-        self._enter_contention(draw=True)
-
     # ------------------------------------------------------------------
     # Unreliable Send (Section 3.3.3)
     # ------------------------------------------------------------------
-    def _transmit_unreliable(self, request: SendRequest) -> None:
-        frame = DataFrame(
-            src=self.node_id,
-            dst=request.receivers[0],
-            seq=self._next_seq(),
-            payload_bytes=request.payload_bytes,
-            reliable=False,
-            payload=request.payload,
-            overhead=self.config.data_overhead,
-        )
+    def _send_unreliable(self, frame: DataFrame) -> None:
         self._set_state(RmacState.TX_UNRDATA)  # C1 / C6
-        self._pending_unreliable = request
-        self.stats.count_tx("UDATA")
         self._current_tx = self.radio.transmit(frame)
         # Step 2 of 3.3.3: abort if RBT is sensed during the transmission.
         self.radio.watch_tone(ToneType.RBT, self._on_rbt_detected_during_tx)
@@ -488,15 +338,8 @@ class RmacProtocol(MacProtocol):
             self._begin_abt_check(self.sim.now)
         elif isinstance(frame, DataFrame):
             self.radio.unwatch_tone(ToneType.RBT)
-            request = self._pending_unreliable
-            self._pending_unreliable = None
-            if aborted:
-                self.stats.unreliable_aborted += 1
-            else:
-                self.stats.unreliable_sent += 1
             # C2/C5 with the condition-(3) backoff draw.
-            self._complete(request, acked=(), failed=(), dropped=aborted)
-            self._enter_contention(draw=True)
+            self._on_unreliable_sent(frame, aborted)
 
     def on_rx_start(self, sender: int) -> None:
         if self.state is RmacState.WF_RDATA and not self._rx_first_bit:
@@ -507,27 +350,21 @@ class RmacProtocol(MacProtocol):
             self._twf_rdata.cancel()
 
     def on_frame_received(self, frame: object, sender: int) -> None:
-        # Exact-type checks first: DataFrame (hellos + payload traffic)
-        # dominates receptions, and neither frame class is subclassed;
-        # isinstance stays as the fallback for exotic test frames.
+        # Exact-type checks: DataFrame (hellos + payload traffic)
+        # dominates receptions, and neither frame class is subclassed.
         tf = type(frame)
         if tf is DataFrame:
             if frame.reliable:
                 self._handle_reliable_data(frame)
             else:
                 self._handle_unreliable_data(frame)
-        elif tf is MrtsFrame or isinstance(frame, MrtsFrame):
+        elif tf is MrtsFrame:
             self.stats.count_rx("MRTS")
             if self.node_id in frame.receivers:
                 # Only MRTSs naming this node count toward its R_txoh
                 # (overheard MRTSs belong to other transactions).
                 self.stats.control_rx_time += self.radio.frame_airtime(frame)
             self._handle_mrts(frame)
-        elif isinstance(frame, DataFrame):
-            if frame.reliable:
-                self._handle_reliable_data(frame)
-            else:
-                self._handle_unreliable_data(frame)
 
     def on_frame_error(self, sender: int) -> None:
         if self.state is RmacState.WF_RDATA and self._rx_first_bit:
@@ -550,14 +387,14 @@ class RmacProtocol(MacProtocol):
         if self.state not in (RmacState.IDLE, RmacState.BACKOFF):
             return  # busy as a sender or already committed as a receiver
         self._rx_mrts = mrts
-        self._rx_index = mrts.index_of(self.node_id)
         self._rx_first_bit = False
         # Committing ends contention: settle a running countdown so BI
         # holds exactly the slots counted before the commitment.
         self.countdown.interrupt()
         self._set_state(RmacState.WF_RDATA)  # C3
         self.radio.tone_on(ToneType.RBT)
-        self.tracer.emit(self.sim.now, self.node_id, "rbt-on-rx", index=self._rx_index)
+        self.tracer.emit(self.sim.now, self.node_id, "rbt-on-rx",
+                         index=mrts.index_of(self.node_id))
         self._twf_rdata.start(self.config.twf_rdata)
 
     def _on_twf_rdata_expired(self) -> None:
@@ -576,7 +413,7 @@ class RmacProtocol(MacProtocol):
             self._receiver_finish(success=False)
             return
         self.stats.count_rx("RDATA")
-        index = self._rx_index
+        index = mrts.index_of(self.node_id)
         l_abt = self.config.l_abt
         # Step 4: reply an ABT in the slot given by the MRTS ordering.
         delay = index * l_abt
@@ -597,32 +434,10 @@ class RmacProtocol(MacProtocol):
         if self.radio.tone_emitting(ToneType.RBT):
             self.radio.tone_off(ToneType.RBT)
         self._rx_mrts = None
-        self._rx_index = -1
         self._rx_first_bit = False
         # C4/C7: back to contention; BI is kept (receiving is not a
         # transmission, so no new backoff draw).
         self._enter_contention(draw=False)
-
-    # ------------------------------------------------------------------
-    # Unreliable Send, receiver side
-    # ------------------------------------------------------------------
-    def _handle_unreliable_data(self, frame: DataFrame) -> None:
-        dst = frame.dst
-        if dst == self.node_id or dst == BROADCAST:
-            pass  # unicast to us, or a broadcast
-        elif dst == MULTICAST_FLAG:
-            group = getattr(frame.payload, "group", None)
-            if group not in self.multicast_groups:
-                return
-        else:
-            return
-        # count_rx/deliver_up inlined: this is the busiest rx path at
-        # paper scale (every BLESS hello lands here).
-        counts = self.stats.frames_rx
-        counts["UDATA"] = counts.get("UDATA", 0) + 1
-        upper = self.upper_rx
-        if upper is not None:
-            upper(frame.payload, frame.src)
 
 
 class _AbtPulse:

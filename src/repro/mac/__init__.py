@@ -13,10 +13,8 @@
 * :mod:`repro.mac.lbp`     -- the Leader Based Protocol [extension].
 * :mod:`repro.mac.mx`      -- an 802.11MX-style receiver-initiated
   busy-tone NAK protocol [extension].
-* :mod:`repro.mac.rmac`    -- RMAC itself, re-exported here so every
-  protocol is importable from one package. The canonical home stays
-  :mod:`repro.core` (the paper's contribution gets its own package) and
-  ``repro.core.rmac`` imports keep working unchanged.
+
+RMAC itself, the paper's contribution, lives in :mod:`repro.core`.
 """
 
 from repro.mac.backoff import Backoff
@@ -34,25 +32,7 @@ from repro.mac.frames import (
 )
 from repro.mac.stats import MacStats
 
-#: RMAC names re-exported from :mod:`repro.mac.rmac`, resolved lazily
-#: (PEP 562): the engine's own imports pass through this package while
-#: :mod:`repro.core` is still initializing, so an eager import here
-#: would be circular.
-_RMAC_EXPORTS = ("RmacConfig", "RmacProtocol", "RmacState")
-
-
-def __getattr__(name):
-    if name in _RMAC_EXPORTS:
-        from repro.mac import rmac
-
-        return getattr(rmac, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "RmacConfig",
-    "RmacProtocol",
-    "RmacState",
     "Backoff",
     "BROADCAST",
     "MacProtocol",

@@ -47,8 +47,6 @@ class BmmmProtocol(Dot11Base):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._pending: List[int] = []
-        self._acked: List[int] = []
         self._round_receivers: List[int] = []
         self._round_index = 0
         self._round_ack: Dict[int, bool] = {}
@@ -59,15 +57,8 @@ class BmmmProtocol(Dot11Base):
     # ==================================================================
     # Sender side
     # ==================================================================
-    def _new_request(self, request: SendRequest) -> None:
-        self._acked = []
-        self._pending = list(request.receivers)
-
     def _attempt(self, request: SendRequest) -> None:
-        # One batch round over the still-pending receivers; every round
-        # after the first is a retransmission.
-        if self._failures > 0:
-            self.stats.retransmissions += 1
+        # One batch round over the still-pending receivers.
         self._round_receivers = list(self._pending)
         self._round_index = 0
         self._round_ack = {}
@@ -161,14 +152,10 @@ class BmmmProtocol(Dot11Base):
         newly_acked = [r for r in self._round_receivers if self._round_ack.get(r)]
         self._acked.extend(newly_acked)
         self._pending = [r for r in self._pending if r not in self._round_ack]
-        if not self._pending:
-            self._succeed(tuple(self._acked))
-            return
-        self._failures += 1
-        if self._failures > self.config.retry_limit:
-            self._drop(acked=tuple(self._acked), failed=tuple(self._pending))
+        if self._pending:
+            self._attempt_failed()  # a retry runs the next round
         else:
-            self._retry()  # _begin_txn runs the next round
+            self._unit_succeeded()
 
     def _nav_remaining_us(self) -> int:
         """Nominal remaining transaction time, for third-party NAVs."""

@@ -13,10 +13,12 @@ receivers try to overhear the DATA frame:
 * every node delivers overheard reliable DATA promiscuously (with
   duplicate suppression), since the frame is meant for the whole
   neighborhood;
-* a missing CTS/ACK retries the same receiver after backoff with CW
-  doubling; at the retry limit that receiver is marked failed and the
-  round-robin continues -- this sequencing is what produces the
-  arbitrarily long per-receiver delays the paper criticizes in Section 2.
+* each receiver is one unit of the request's lifecycle
+  (:class:`~repro.mac.base.MacProtocol`): a missing CTS/ACK retries the
+  same receiver after backoff with CW doubling; at the retry limit that
+  receiver is marked failed and the round-robin continues -- this
+  sequencing is what produces the arbitrarily long per-receiver delays
+  the paper criticizes in Section 2.
 
 The full BMW queue/window machinery (receivers requesting old sequence
 numbers) collapses in this workload to the overhear-skip above, because
@@ -25,7 +27,7 @@ the network layer hands the MAC one packet at a time.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.mac.base import SendRequest
 from repro.mac.dot11 import Dot11Base
@@ -39,80 +41,44 @@ class BmwProtocol(Dot11Base):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._pending: List[int] = []
-        self._acked: List[int] = []
-        self._failed: List[int] = []
         #: receiver side: last seq heard per sender (for the CTS field).
         self._last_seen: Dict[int, int] = {}
 
     # ==================================================================
     # Sender
     # ==================================================================
-    def _new_request(self, request: SendRequest) -> None:
-        if self._seq == 0:  # reserved: a CTS announcing 1 never heard us
-            self._seq = 1
-        self._pending = list(request.receivers)
-        self._acked = []
-        self._failed = []
+    def _next_seq(self) -> int:
+        # 1..0xFFFF: seq 0 is reserved, a CTS announcing 1 never heard us.
+        self._seq = self._seq % 0xFFFF + 1
+        return self._seq
+
+    def _units_of(self, receivers: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+        return [(receiver,) for receiver in receivers]
 
     def _attempt(self, request: SendRequest) -> None:
-        # One unicast to the head of the round-robin; a repeat to the
-        # same receiver is a retransmission.
-        if self._failures > 0:
-            self.stats.retransmissions += 1
+        # One unicast to the receiver in service.
         self._phase = "rts"
         self._send_frame(RtsFrame(self.node_id, self._pending[0]), self._on_rts_sent)
 
     def _handle_cts(self, frame: CtsFrame) -> None:
         if self._phase != "wait-cts" or frame.receiver != self.node_id:
             return
-        if not self._pending or frame.transmitter != self._pending[0]:
+        if frame.transmitter != self._pending[0]:
             return
         self._phase_timer.cancel()
         if frame.aux == (self._seq + 1) & 0xFFFF:
             # Receiver already overheard this frame: skip the DATA.
-            self._receiver_done(acked=True)
+            self._unit_succeeded()
             return
         self._send_data_after_sifs(self._pending[0])
 
     def _handle_ack(self, frame: AckFrame) -> None:
         if self._phase != "wait-ack" or frame.receiver != self.node_id:
             return
-        if not self._pending or frame.transmitter != self._pending[0]:
+        if frame.transmitter != self._pending[0]:
             return
         self._phase_timer.cancel()
-        self._receiver_done(acked=True)
-
-    def _on_phase_timeout(self) -> None:
-        if self._phase not in ("wait-cts", "wait-ack"):
-            return
-        self._failures += 1
-        if self._failures > self.config.retry_limit:
-            self._receiver_done(acked=False)
-        else:
-            self._retry()  # back off, then retry the same receiver
-
-    def _receiver_done(self, acked: bool) -> None:
-        target = self._pending.pop(0)
-        if acked:
-            self._acked.append(target)
-        else:
-            if not self._failed:  # the packet's first failed receiver
-                self.stats.packets_dropped += 1
-            self._failed.append(target)
-        self._failures = 0
-        self.backoff.reset_cw()
-        self._phase = "idle"
-        if self._pending:
-            self._end_txn()  # contention phase before the next unicast
-        else:
-            self._finish()
-
-    def _finish(self) -> None:
-        failed = tuple(self._failed)
-        if not failed:
-            self.stats.packets_delivered += 1
-        self._finish_request(acked=tuple(self._acked), failed=failed, dropped=bool(failed))
+        self._unit_succeeded()
 
     # ==================================================================
     # Receiver

@@ -11,40 +11,26 @@ extend, simplified to what their evaluation exercises:
 * the RTS/CTS/DATA/ACK exchange for reliable unicast and one-shot
   transmission for broadcast.
 
-:class:`Dot11Base` owns contention, the receiver-side dispatch and the
-request lifecycle every family member shares. ``_begin_txn`` pops a
-request, bumps its sequence number and resets the per-request state
-(``_request``, ``_seq``, ``_failures``, ``_phase``), sends an unreliable
-request as one broadcast, and hands a reliable one to the subclass.
+:class:`Dot11Base` owns contention, NAV, the SIFS responders and the
+receiver-side dispatch every family member shares; the request lifecycle
+is :class:`~repro.mac.base.MacProtocol`'s. An unreliable request goes
+out as one broadcast, and the sender's exchange state is ``_phase``.
 A subclass (:class:`Dot11Dcf` here; BMMM, BMW, LAMM, LBP and MX
-elsewhere) implements:
-
-* ``_attempt(request)`` -- one attempt of the reliable exchange, run at
-  the start of the request and again after every backoff;
-* ``_new_request(request)`` -- optional, resets the subclass's own
-  per-request state;
-* the ``_handle_*`` receive hooks it needs, and overrides of
-  ``_on_data_sent`` (default: wait for an ACK) or ``_on_phase_timeout``
-  (default: a missing CTS or ACK fails the attempt) where its exchange
-  differs.
-
-It inherits the building blocks and the tails: ``_data_frame``,
-``_on_rts_sent`` (wait for a CTS), ``_send_data_after_sifs``,
-``_succeed`` (reset CW, count the delivery, complete), ``_drop`` (count
-the drop, reset CW, complete), ``_retry`` (double CW and re-contend),
-``_attempt_failed`` (count the failure, then drop at the retry limit or
-count a retransmission and retry) and ``_finish_request``, which every
-tail ends in.
+elsewhere) implements ``_attempt(request)``, one attempt of its reliable
+exchange, and the ``_handle_*`` receive hooks it needs. It overrides
+``_on_data_sent`` (default: wait for an ACK) or ``_on_phase_timeout``
+(default: a missing CTS or ACK fails the attempt) only where its
+exchange differs. The building blocks are ``_on_rts_sent`` (wait for a
+CTS) and ``_send_data_after_sifs``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from repro.mac.addresses import BROADCAST, MULTICAST_FLAG
-from repro.mac.backoff import Backoff, BackoffTick, SlotCountdown
+from repro.mac.backoff import Backoff, SlotCountdown
 from repro.mac.base import MacProtocol, SendRequest
 from repro.mac.frames import (
     DOT11_DATA_OVERHEAD,
@@ -112,36 +98,23 @@ class Dot11Base(MacProtocol):
             node_id,
             sim,
             radio,
-            rng,
             queue_capacity=self.config.queue_capacity,
             tracer=tracer,
         )
         phy = self.config.phy
         self.backoff = Backoff(rng, phy.cw_min, phy.cw_max)
         self.nav_until: int = 0
-        self.multicast_groups: set[int] = set()
         self.in_txn = False
-        #: The backoff tick (never cancelled, at most one in flight --
-        #: guarded by ``_tick_pending``, which also covers a running
-        #: countdown) and the countdown spanning the idle slots between
-        #: ticks, as in RMAC. NAV updates reach it through ``interrupt``.
-        self._tick_event = BackoffTick(self)
-        self._tick_pending = False
+        #: The countdown spanning the idle slots between ticks, as in
+        #: RMAC. NAV updates reach it through ``interrupt``.
         self.countdown = SlotCountdown(sim, radio, self.backoff, phy.slot_time,
                                        self._tick_event)
-        self._idle_wait_pending = False
         self._phase_timer = Timer(sim, self._on_phase_timeout, "phase")
         self._tx_done_cb: Optional[Callable[[object, bool], None]] = None
-        self._response_queue: list[object] = []
         #: last delivered data seq per source (duplicate suppression on
         #: MAC-level retransmissions).
         self._delivered_seq: Dict[int, int] = {}
-        #: The request in service (kept across backoffs until it
-        #: completes), its data sequence number, its failed attempts so
-        #: far and the sender side's phase of the exchange.
-        self._request: Optional[SendRequest] = None
-        self._seq = 0
-        self._failures = 0
+        #: The sender side's phase of the exchange.
         self._phase = "idle"
 
     # ==================================================================
@@ -157,9 +130,6 @@ class Dot11Base(MacProtocol):
         virtual = self.sim.now - self.nav_until
         return min(physical, max(0, virtual)) if self.nav_until > 0 else physical
 
-    def _has_work(self) -> bool:
-        return self._request is not None or self.in_txn or bool(self.queue)
-
     def _kick(self) -> None:
         if not self._tick_pending and not self.in_txn:
             # 802.11: immediate access is allowed only if the medium has
@@ -171,12 +141,6 @@ class Dot11Base(MacProtocol):
             self._tick_pending = True
             sim = self.sim
             sim.schedule_fast(sim.now, self._tick_event)
-
-    def _ensure_tick(self, delay: int) -> None:
-        if not self._tick_pending:
-            self._tick_pending = True
-            sim = self.sim
-            sim.schedule_fast(sim.now + delay, self._tick_event)
 
     def _tick(self) -> None:
         """One slot of DIFS + backoff contention, at a slot boundary."""
@@ -197,7 +161,7 @@ class Dot11Base(MacProtocol):
                     backoff.consume(1)
                 if backoff.bi == 0 and self._has_work():
                     self.in_txn = True
-                    self._begin_txn()
+                    self._start_transmission()
                     return
                 if backoff.bi == 0:
                     return  # countdown done, nothing to send
@@ -226,8 +190,9 @@ class Dot11Base(MacProtocol):
         if not self.in_txn and (self.backoff.bi > 0 or self._has_work()):
             self._ensure_tick(self.config.phy.slot_time)
 
-    def _end_txn(self, draw: bool = True) -> None:
+    def _enter_contention(self, draw: bool) -> None:
         self.in_txn = False
+        self._phase = "idle"
         self._phase_timer.cancel()
         if draw:
             self.backoff.draw()
@@ -321,50 +286,12 @@ class Dot11Base(MacProtocol):
         self._delivered_seq[frame.src] = frame.seq
         self.deliver_up(frame.payload, frame.src)
 
-    def _handle_unreliable_data(self, frame: DataFrame) -> None:
-        accept = frame.dst in (self.node_id, BROADCAST)
-        if frame.dst == MULTICAST_FLAG:
-            accept = getattr(frame.payload, "group", None) in self.multicast_groups
-        if accept:
-            self.stats.count_rx("UDATA")
-            self.deliver_up(frame.payload, frame.src)
-
     # ==================================================================
-    # The request lifecycle
+    # The sender's exchange
     # ==================================================================
-    def _begin_txn(self) -> None:
-        """Contention won: start the next request, or resume the one in
-        service after a backoff."""
-        request = self._request
-        if request is None:
-            request = self._request = self.queue.pop()
-            self._seq = (self._seq + 1) & 0xFFFF
-            self._failures = 0
-            self._new_request(request)
-        if request.reliable:
-            self._attempt(request)
-            return
-        self.stats.count_tx("UDATA")
+    def _send_unreliable(self, frame: DataFrame) -> None:
         self._phase = "tx-bcast"
-        self._send_frame(self._data_frame(request.receivers[0], reliable=False),
-                         self._on_broadcast_sent)
-
-    def _on_broadcast_sent(self, frame: object, aborted: bool) -> None:
-        self.stats.unreliable_sent += 1
-        self._finish_request(acked=(), failed=(), dropped=False)
-
-    def _data_frame(self, dst: int, reliable: bool) -> DataFrame:
-        """The in-service request's data frame, addressed to ``dst``."""
-        request = self._request
-        return DataFrame(
-            src=self.node_id,
-            dst=dst,
-            seq=self._seq,
-            payload_bytes=request.payload_bytes,
-            reliable=reliable,
-            payload=request.payload,
-            overhead=self.config.data_overhead,
-        )
+        self._send_frame(frame, self._on_unreliable_sent)
 
     def _on_rts_sent(self, frame: object, aborted: bool) -> None:
         self._phase = "wait-cts"
@@ -389,49 +316,7 @@ class Dot11Base(MacProtocol):
         if self._phase in ("wait-cts", "wait-ack"):
             self._attempt_failed()
 
-    def _attempt_failed(self) -> None:
-        """The failed-attempt tail: drop at the retry limit, else retry."""
-        self._failures += 1
-        if self._failures > self.config.retry_limit:
-            self._drop(acked=(), failed=self._request.receivers)
-        else:
-            self.stats.retransmissions += 1
-            self._retry()
-
-    def _retry(self) -> None:
-        """Back off with a doubled CW; ``_begin_txn`` resumes the request."""
-        self._phase = "idle"
-        self.backoff.double_cw()
-        self._end_txn()
-
-    def _succeed(self, acked: Tuple[int, ...]) -> None:
-        self.backoff.reset_cw()
-        self.stats.packets_delivered += 1
-        self._finish_request(acked=acked, failed=(), dropped=False)
-
-    def _drop(self, acked: Tuple[int, ...], failed: Tuple[int, ...]) -> None:
-        self.stats.packets_dropped += 1
-        self.backoff.reset_cw()
-        self._finish_request(acked=acked, failed=failed, dropped=True)
-
-    def _finish_request(
-        self, acked: Tuple[int, ...], failed: Tuple[int, ...], dropped: bool
-    ) -> None:
-        """Complete the request in service and leave the transaction."""
-        request = self._request
-        self._request = None
-        self._phase = "idle"
-        self._complete(request, acked=acked, failed=failed, dropped=dropped)
-        self._end_txn()
-
-    # -- hooks for subclasses ------------------------------------------
-    def _new_request(self, request: SendRequest) -> None:
-        """Reset the subclass's per-request state for a fresh request."""
-
-    def _attempt(self, request: SendRequest) -> None:
-        """Run one attempt of the reliable exchange for ``request``."""
-        raise NotImplementedError
-
+    # -- receive hooks for subclasses -------------------------------------
     def _handle_rts(self, frame: RtsFrame) -> None:
         pass
 
@@ -504,7 +389,7 @@ class Dot11Dcf(Dot11Base):
     def _handle_ack(self, frame: AckFrame) -> None:
         if self._phase != "wait-ack" or frame.receiver != self.node_id:
             return
-        self._succeed(self._request.receivers)
+        self._unit_succeeded()
 
     # ------------------------------------------------------------------
     # Receiver side

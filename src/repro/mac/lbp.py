@@ -4,15 +4,12 @@ One receiver (here: the first in the request's receiver list, standing in
 for the paper's leader-election machinery, whose difficulty the RMAC
 paper cites as LBP's drawback) answers on behalf of the group:
 
-* sender transmits an RTS naming the leader but carrying the multicast
-  intent (the other receivers recognize membership from the group list
-  distributed out of band -- here, the explicit receiver tuple);
-* the leader replies CTS; a non-leader whose virtual carrier sense
-  forbids the exchange replies NCTS instead, deliberately colliding with
-  the CTS so the sender backs off;
-* after the DATA, the leader replies ACK; a non-leader that *detected a
-  corrupted copy* replies NAK, deliberately colliding with the ACK so the
-  sender retransmits.
+* the sender transmits an RTS naming the leader;
+* the leader replies CTS, or NCTS when its virtual carrier sense forbids
+  the exchange, and an NCTS makes the sender back off;
+* the sender broadcasts the DATA; the leader replies ACK, and a node that
+  *detected a corrupted copy* replies NAK, deliberately colliding with
+  the ACK so the sender retransmits.
 
 The protocol's structural weakness is preserved faithfully: a non-leader
 that missed the DATA entirely (never started receiving it) stays silent,
@@ -20,12 +17,12 @@ so the sender can believe the multicast succeeded -- LBP trades full
 reliability for constant feedback cost, which is exactly the contrast
 RMAC's Section 2 draws.
 
-Group membership signalling: receivers must know an RTS implicates them.
-Real LBP uses a group address; here the sender's MAC shares the receiver
-tuple with group members through the frame's ``aux``-less payload
-side-channel is avoided -- instead non-leader receivers arm on the
-*DATA* frame (multicast dst) and on corruption send NAK referencing the
-sender. This keeps the wire format to standard 802.11 frames.
+Group membership signalling: real LBP uses a group address, so that a
+receiver knows an RTS implicates it. Here the wire format stays standard
+802.11 frames and no node tracks membership. Every overheard RTS opens
+an exchange window for its sender (``_handle_rts``, ``EXCHANGE_WINDOW``),
+a DATA frame from that sender closes it, and a frame error from that
+sender inside the window draws exactly one NAK (``on_frame_error``).
 """
 
 from __future__ import annotations
@@ -76,7 +73,7 @@ class LbpProtocol(Dot11Base):
         if frame.transmitter != self._request.receivers[0]:
             return
         # A clean ACK means the leader succeeded AND no NAK collided.
-        self._succeed(self._request.receivers)
+        self._unit_succeeded()
 
     def _handle_nak(self, frame: NakFrame) -> None:
         # A NAK that got through intact (no ACK to collide with).

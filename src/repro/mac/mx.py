@@ -81,7 +81,7 @@ class MxProtocol(Dot11Base):
         else:
             # Silence: assume success (including receivers that never heard
             # the announcement -- the reliability gap).
-            self._succeed(self._request.receivers)
+            self._unit_succeeded()
 
     # ==================================================================
     # Receiver

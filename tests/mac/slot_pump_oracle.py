@@ -41,7 +41,7 @@ def rmac_per_slot_tick(self: RmacProtocol) -> None:
                 self._set_state(RmacState.BACKOFF)  # C8
             backoff.bi = bi = bi - 1
         if bi == 0:
-            if self._txn is not None or self.queue:
+            if self._request is not None or self.queue:
                 self._start_transmission()
                 return
             if self.state is not RmacState.IDLE:
@@ -50,11 +50,11 @@ def rmac_per_slot_tick(self: RmacProtocol) -> None:
         if not self._tick_pending:
             self._tick_pending = True
             sim = self.sim
-            sim.schedule_fast(sim.now + self._slot_time, self._tick_event)
+            sim.schedule_fast(sim.now + self.config.phy.slot_time, self._tick_event)
     else:
         if state is not RmacState.IDLE:
             self._set_state(RmacState.IDLE)  # C9: suspended, BI kept
-        if self.backoff.bi > 0 or self._txn is not None or self.queue:
+        if self.backoff.bi > 0 or self._request is not None or self.queue:
             self._wait_for_idle()
 
 
@@ -76,7 +76,7 @@ def dcf_per_slot_tick(self: Dot11Base) -> None:
                 self.backoff.bi -= 1
             if self.backoff.bi == 0 and self._has_work():
                 self.in_txn = True
-                self._begin_txn()
+                self._start_transmission()
                 return
             if self.backoff.bi == 0:
                 return  # countdown done, nothing to send

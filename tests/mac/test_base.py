@@ -4,8 +4,12 @@ import pytest
 
 from repro.mac.addresses import BROADCAST
 from repro.mac.base import SendRequest, TransmitQueue
+from repro.mac.dot11 import Dot11Config
+from repro.sim.units import MS
 from repro.world.testbed import MacTestbed
 from repro.core import RmacProtocol, RmacConfig
+
+from tests.conftest import make_dot11_testbed, make_rmac_testbed
 
 
 class TestSendRequest:
@@ -73,3 +77,53 @@ class TestServiceEntryPoints:
     def test_deliver_up_without_listener_is_safe(self):
         tb, mac = self._mac()
         mac.deliver_up("payload", 1)  # no upper_rx attached: no raise
+
+
+class TestRequestLifecycle:
+    """The shared tails: one drop per request, one retransmission per
+    retry, units served in order."""
+
+    #: Node 0 reaches node 2 only; node 1 is out of everyone's range.
+    COORDS = [(0.0, 0.0), (500.0, 0.0), (0.0, 50.0)]
+
+    @pytest.mark.parametrize("protocol", ["bmmm", "bmw", "lamm", "lbp"])
+    def test_dot11_family_gives_up_on_the_unreachable_receiver(self, protocol):
+        tb = make_dot11_testbed(self.COORDS, protocol=protocol, seed=1,
+                                config=Dot11Config(retry_limit=1))
+        outcomes = []
+        tb.macs[0].send_reliable((1,), "pkt", 300, on_complete=outcomes.append)
+        tb.run(400 * MS)
+        (outcome,) = outcomes
+        assert (outcome.acked, outcome.failed, outcome.dropped) == ((), (1,), True)
+        stats = tb.macs[0].stats
+        assert (stats.packets_dropped, stats.packets_delivered) == (1, 0)
+        assert stats.retransmissions == 1
+        assert tb.macs[0]._request is None and not tb.macs[0].in_txn
+
+    def test_rmac_units_take_fresh_seqs_and_count_one_drop(self):
+        tb = make_rmac_testbed(self.COORDS, seed=1, trace=True,
+                               config=RmacConfig(retry_limit=1, max_receivers=1))
+        outcomes = []
+        tb.macs[0].send_reliable((1, 2), "pkt", 300, on_complete=outcomes.append)
+        tb.run(400 * MS)
+        (outcome,) = outcomes
+        assert (outcome.acked, outcome.failed, outcome.dropped) == ((2,), (1,), True)
+        stats = tb.macs[0].stats
+        assert (stats.packets_dropped, stats.packets_delivered) == (1, 0)
+        assert stats.retransmissions == 1
+        mrts = [(e.detail["receivers"], e.detail["seq"], e.detail["attempt"])
+                for e in tb.tracer.events if e.kind == "mrts-tx" and e.node == 0]
+        assert mrts == [((1,), 1, 1), ((1,), 1, 2), ((2,), 2, 1)]
+
+
+@pytest.mark.parametrize("protocol", ["rmac", "dot11", "bmw", "lbp"])
+def test_mac_instances_keep_shared_key_dicts(protocol):
+    """Fewer than 30 instance fields: CPython then shares the dict keys
+    across instances; past that every node's MAC carries a full dict
+    (about 1.3 KB more each) and attribute loads slow down. BMMM, LAMM
+    and MX are over the budget already."""
+    if protocol == "rmac":
+        mac = make_rmac_testbed(TestRequestLifecycle.COORDS).macs[0]
+    else:
+        mac = make_dot11_testbed(TestRequestLifecycle.COORDS, protocol=protocol).macs[0]
+    assert len(vars(mac)) < 30

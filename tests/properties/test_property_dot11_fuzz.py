@@ -50,6 +50,7 @@ def test_batch_protocol_global_invariants(scenario):
     for outcome in outcomes:
         combined = sorted(outcome.acked + outcome.failed)
         assert combined == sorted(outcome.request.receivers)
+        assert outcome.dropped == bool(outcome.failed)
 
     for mac in tb.macs:
         assert not mac.in_txn

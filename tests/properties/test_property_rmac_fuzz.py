@@ -66,7 +66,7 @@ def test_rmac_global_invariants(scenario):
         assert not tb.radios[i].tone_emitting(ToneType.RBT)
         assert not tb.radios[i].tone_emitting(ToneType.ABT)
         assert len(mac.queue) == 0
-        assert mac._txn is None
+        assert mac._request is None
         stats = mac.stats
         assert stats.packets_delivered + stats.packets_dropped == stats.packets_offered
         assert stats.mrts_aborted <= stats.mrts_transmissions
