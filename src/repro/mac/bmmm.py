@@ -25,7 +25,7 @@ Design notes (the BMMM paper leaves these open; choices documented here):
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from repro.mac.addresses import BROADCAST
 from repro.mac.base import SendRequest
@@ -40,6 +40,10 @@ from repro.mac.frames import (
 from repro.sim.units import US
 
 
+#: A sender with no buffered frame and no RTS naming this node.
+_NOTHING: Tuple[Optional[DataFrame], bool] = (None, False)
+
+
 class BmmmProtocol(Dot11Base):
     """Batch Mode Multicast MAC."""
 
@@ -47,12 +51,14 @@ class BmmmProtocol(Dot11Base):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        #: The round's receivers in RTS (then RAK) order, and the index
+        #: of the one being polled. A receiver that ACKs moves from
+        #: ``_pending`` to ``_acked`` at once.
         self._round_receivers: List[int] = []
         self._round_index = 0
-        self._round_ack: Dict[int, bool] = {}
-        # Receiver side: per-sender buffered data frame awaiting RAK.
-        self._rx_buffer: Dict[int, DataFrame] = {}
-        self._rx_expect: Dict[int, bool] = {}
+        #: Receiver side, per sender: the last data frame buffered for a
+        #: RAK, and whether an RTS named this node (deliver on arrival).
+        self._rx_from: Dict[int, Tuple[Optional[DataFrame], bool]] = {}
 
     # ==================================================================
     # Sender side
@@ -61,7 +67,6 @@ class BmmmProtocol(Dot11Base):
         # One batch round over the still-pending receivers.
         self._round_receivers = list(self._pending)
         self._round_index = 0
-        self._round_ack = {}
         self._phase = "rts"
         self._send_next_rts()
 
@@ -130,7 +135,8 @@ class BmmmProtocol(Dot11Base):
         if frame.transmitter != expected:
             return
         self._phase_timer.cancel()
-        self._round_ack[expected] = True
+        self._pending.remove(expected)
+        self._acked.append(expected)
         self._advance_rak()
 
     def _advance_rak(self) -> None:
@@ -149,9 +155,6 @@ class BmmmProtocol(Dot11Base):
             self._advance_rak()
 
     def _finish_round(self) -> None:
-        newly_acked = [r for r in self._round_receivers if self._round_ack.get(r)]
-        self._acked.extend(newly_acked)
-        self._pending = [r for r in self._pending if r not in self._round_ack]
         if self._pending:
             self._attempt_failed()  # a retry runs the next round
         else:
@@ -187,24 +190,27 @@ class BmmmProtocol(Dot11Base):
         # module docstring), unless we are mid-transaction ourselves.
         if self.in_txn:
             return
-        self._rx_expect[frame.transmitter] = True
-        self._respond_after_sifs(CtsFrame(self.node_id, frame.transmitter))
+        sender = frame.transmitter
+        self._rx_from[sender] = (self._rx_from.get(sender, _NOTHING)[0], True)
+        self._respond_after_sifs(CtsFrame(self.node_id, sender))
 
     def _handle_reliable_data(self, frame: DataFrame) -> None:
         # Broadcast-addressed batch data: buffer it if we expect from this
         # sender (RTS seen), or unconditionally -- a RAK may reveal that we
         # were an intended receiver whose CTS phase failed.
         self.stats.count_rx("RDATA")
-        self._rx_buffer[frame.src] = frame
-        if self._rx_expect.get(frame.src):
+        expected = self._rx_from.get(frame.src, _NOTHING)[1]
+        self._rx_from[frame.src] = (frame, expected)
+        if expected:
             self._deliver_data(frame)
 
     def _handle_rak(self, frame: RakFrame) -> None:
         if frame.receiver != self.node_id:
             return
-        buffered = self._rx_buffer.get(frame.transmitter)
+        sender = frame.transmitter
+        buffered = self._rx_from.get(sender, _NOTHING)[0]
         if buffered is None or buffered.seq != frame.aux:
             return  # nothing to acknowledge: stay silent
-        self._respond_after_sifs(AckFrame(self.node_id, frame.transmitter))
+        self._respond_after_sifs(AckFrame(self.node_id, sender))
         self._deliver_data(buffered)
-        self._rx_expect.pop(frame.transmitter, None)
+        self._rx_from[sender] = (buffered, False)

@@ -14,10 +14,13 @@ extend, simplified to what their evaluation exercises:
 :class:`Dot11Base` owns contention, NAV, the SIFS responders and the
 receiver-side dispatch every family member shares; the request lifecycle
 is :class:`~repro.mac.base.MacProtocol`'s. An unreliable request goes
-out as one broadcast, and the sender's exchange state is ``_phase``.
-A subclass (:class:`Dot11Dcf` here; BMMM, BMW, LAMM, LBP and MX
-elsewhere) implements ``_attempt(request)``, one attempt of its reliable
-exchange, and the ``_handle_*`` receive hooks it needs. It overrides
+out as one broadcast, and the sender's exchange state is ``_phase``:
+any value but ``"idle"`` means the node is in its own transaction
+(``in_txn``). A subclass (:class:`Dot11Dcf` here; BMMM, BMW, LAMM, LBP
+and MX elsewhere) implements ``_attempt(request)``, one attempt of its
+reliable exchange, which sets ``_phase`` before it sends anything, and
+the ``_handle_*`` receive hooks it needs (``_handle_mrts`` included:
+received frames are dispatched on their exact type). It overrides
 ``_on_data_sent`` (default: wait for an ACK) or ``_on_phase_timeout``
 (default: a missing CTS or ACK fails the attempt) only where its
 exchange differs. The building blocks are ``_on_rts_sent`` (wait for a
@@ -51,8 +54,10 @@ from repro.sim.timers import Timer
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.sim.units import US
 
-#: Control frame classes whose airtime counts as control overhead.
-CONTROL_FRAMES = (RtsFrame, CtsFrame, AckFrame, RakFrame, NctsFrame, NakFrame, MrtsFrame)
+#: Control frame classes whose airtime counts as control overhead. The
+#: MAC dispatches on a frame's exact type (no frame class is subclassed).
+CONTROL_FRAMES = frozenset(
+    (RtsFrame, CtsFrame, AckFrame, RakFrame, NctsFrame, NakFrame, MrtsFrame))
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,6 @@ class Dot11Base(MacProtocol):
         phy = self.config.phy
         self.backoff = Backoff(rng, phy.cw_min, phy.cw_max)
         self.nav_until: int = 0
-        self.in_txn = False
         #: The countdown spanning the idle slots between ticks, as in
         #: RMAC. NAV updates reach it through ``interrupt``.
         self.countdown = SlotCountdown(sim, radio, self.backoff, phy.slot_time,
@@ -114,8 +118,15 @@ class Dot11Base(MacProtocol):
         #: last delivered data seq per source (duplicate suppression on
         #: MAC-level retransmissions).
         self._delivered_seq: Dict[int, int] = {}
-        #: The sender side's phase of the exchange.
+        #: The sender side's phase of the exchange: anything but
+        #: ``"idle"`` means a transaction owns the node.
         self._phase = "idle"
+
+    @property
+    def in_txn(self) -> bool:
+        """Whether the node is in its own transaction (contention won,
+        not yet back in contention)."""
+        return self._phase != "idle"
 
     # ==================================================================
     # Contention: DIFS + the backoff tick
@@ -131,7 +142,7 @@ class Dot11Base(MacProtocol):
         return min(physical, max(0, virtual)) if self.nav_until > 0 else physical
 
     def _kick(self) -> None:
-        if not self._tick_pending and not self.in_txn:
+        if not self._tick_pending and self._phase == "idle":
             # 802.11: immediate access is allowed only if the medium has
             # already been idle for DIFS when the frame arrives; otherwise
             # the station must perform a backoff. Without the draw, sibling
@@ -145,7 +156,7 @@ class Dot11Base(MacProtocol):
     def _tick(self) -> None:
         """One slot of DIFS + backoff contention, at a slot boundary."""
         self._tick_pending = False
-        if self.in_txn:
+        if self._phase != "idle":
             return
         phy = self.config.phy
         if self.radio.is_transmitting:  # mid-response; try again next slot
@@ -160,7 +171,6 @@ class Dot11Base(MacProtocol):
                 if backoff.bi > 0:
                     backoff.consume(1)
                 if backoff.bi == 0 and self._has_work():
-                    self.in_txn = True
                     self._start_transmission()
                     return
                 if backoff.bi == 0:
@@ -187,11 +197,10 @@ class Dot11Base(MacProtocol):
 
     def _on_medium_cleared(self) -> None:
         self._idle_wait_pending = False
-        if not self.in_txn and (self.backoff.bi > 0 or self._has_work()):
+        if self._phase == "idle" and (self.backoff.bi > 0 or self._has_work()):
             self._ensure_tick(self.config.phy.slot_time)
 
     def _enter_contention(self, draw: bool) -> None:
-        self.in_txn = False
         self._phase = "idle"
         self._phase_timer.cancel()
         if draw:
@@ -206,8 +215,9 @@ class Dot11Base(MacProtocol):
         self, frame: object, on_sent: Optional[Callable[[object, bool], None]] = None
     ) -> Transmission:
         self._tx_done_cb = on_sent
-        if not isinstance(frame, DataFrame):  # data counted as RDATA/UDATA
-            self.stats.count_tx(type(frame).__name__)
+        tf = type(frame)
+        if tf is not DataFrame:  # data counted as RDATA/UDATA
+            self.stats.count_tx(tf.__name__)
         return self.radio.transmit(frame)
 
     def _respond_after_sifs(self, frame: object) -> None:
@@ -222,16 +232,17 @@ class Dot11Base(MacProtocol):
         self._send_frame(frame, None)
 
     def on_tx_complete(self, frame: object, aborted: bool) -> None:
-        duration = self.radio.frame_airtime(frame)
-        if isinstance(frame, CONTROL_FRAMES):
-            self.stats.control_tx_time += duration
-        elif isinstance(frame, DataFrame) and frame.reliable:
-            self.stats.data_tx_time += duration
+        tf = type(frame)
+        if tf is DataFrame:
+            if frame.reliable:
+                self.stats.data_tx_time += self.radio.frame_airtime(frame)
+        elif tf in CONTROL_FRAMES:
+            self.stats.control_tx_time += self.radio.frame_airtime(frame)
         callback = self._tx_done_cb
         self._tx_done_cb = None
         if callback is not None:
             callback(frame, aborted)
-        if not self.in_txn and (self.backoff.bi > 0 or self._has_work()):
+        if self._phase == "idle" and (self.backoff.bi > 0 or self._has_work()):
             # e.g. a CTS/ACK response finished while our own traffic waits.
             self._ensure_tick(self.config.phy.slot_time)
 
@@ -239,45 +250,49 @@ class Dot11Base(MacProtocol):
     # Receive path
     # ==================================================================
     def on_frame_received(self, frame: object, sender: int) -> None:
-        addressed_to_me = getattr(frame, "receiver", None) == self.node_id or (
-            isinstance(frame, DataFrame) and frame.dst == self.node_id
-        )
-        if isinstance(frame, CONTROL_FRAMES):
-            self.stats.count_rx(type(frame).__name__)
-            if addressed_to_me:
-                # R_txoh counts control frames this node spends time
-                # *participating* in, not everything it overhears --
-                # otherwise dense neighborhoods inflate every node's
-                # overhead with other transactions' control traffic.
-                self.stats.control_rx_time += self.radio.frame_airtime(frame)
-        if not addressed_to_me:
-            self._update_nav(frame)
-        if isinstance(frame, RtsFrame):
-            self._handle_rts(frame)
-        elif isinstance(frame, CtsFrame):
-            self._handle_cts(frame)
-        elif isinstance(frame, AckFrame):
-            self._handle_ack(frame)
-        elif isinstance(frame, RakFrame):
-            self._handle_rak(frame)
-        elif isinstance(frame, NctsFrame):
-            self._handle_ncts(frame)
-        elif isinstance(frame, NakFrame):
-            self._handle_nak(frame)
-        elif isinstance(frame, DataFrame):
+        # Exact-type dispatch, as in RmacProtocol: no frame class is
+        # subclassed, and data frames (hellos + payload) dominate.
+        tf = type(frame)
+        if tf is DataFrame:
             if frame.reliable:
                 self._handle_reliable_data(frame)
             else:
                 self._handle_unreliable_data(frame)
-
-    def _update_nav(self, frame: object) -> None:
-        duration_us = getattr(frame, "aux", 0)
-        if isinstance(frame, DataFrame):
-            duration_us = 0  # our data frames carry no NAV in this model
-        if duration_us > 0:
-            self.nav_until = max(self.nav_until, self.sim.now + duration_us * US)
+            return
+        if tf is MrtsFrame:
+            self._handle_mrts(frame)
+            return
+        if tf not in CONTROL_FRAMES:
+            return
+        stats = self.stats
+        counts = stats.frames_rx
+        name = tf.__name__
+        counts[name] = counts.get(name, 0) + 1
+        if frame.receiver == self.node_id:
+            # R_txoh counts control frames this node spends time
+            # *participating* in, not everything it overhears --
+            # otherwise dense neighborhoods inflate every node's
+            # overhead with other transactions' control traffic.
+            stats.control_rx_time += self.radio.frame_airtime(frame)
+        elif frame.aux > 0:
+            # An overheard control frame's duration field sets the NAV.
+            # (BMW's CTS carries an expected seq in ``aux``; it is read
+            # as a duration here too.)
+            self.nav_until = max(self.nav_until, self.sim.now + frame.aux * US)
             # Virtual carrier sense turned busy: a busy notice.
             self.countdown.interrupt()
+        if tf is RtsFrame:
+            self._handle_rts(frame)
+        elif tf is CtsFrame:
+            self._handle_cts(frame)
+        elif tf is AckFrame:
+            self._handle_ack(frame)
+        elif tf is RakFrame:
+            self._handle_rak(frame)
+        elif tf is NctsFrame:
+            self._handle_ncts(frame)
+        else:  # NakFrame
+            self._handle_nak(frame)
 
     def _deliver_data(self, frame: DataFrame) -> None:
         """Deliver with duplicate suppression keyed on (src, seq)."""
@@ -317,6 +332,10 @@ class Dot11Base(MacProtocol):
             self._attempt_failed()
 
     # -- receive hooks for subclasses -------------------------------------
+    def _handle_mrts(self, frame: MrtsFrame) -> None:
+        # RMAC's frame: the 802.11 family counts it and ignores it.
+        self.stats.count_rx("MrtsFrame")
+
     def _handle_rts(self, frame: RtsFrame) -> None:
         pass
 

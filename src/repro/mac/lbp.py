@@ -118,7 +118,7 @@ class LbpProtocol(Dot11Base):
     _expecting_ack_for: Optional[int] = None
 
     def _respond_after_sifs(self, frame: object) -> None:
-        if isinstance(frame, CtsFrame):
+        if type(frame) is CtsFrame:
             self._expecting_ack_for = frame.receiver
         super()._respond_after_sifs(frame)
 

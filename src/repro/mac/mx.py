@@ -41,12 +41,13 @@ class MxProtocol(Dot11Base):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._nak_check_start = 0
+        #: Ends the NAK window, ``NAK_WINDOW`` after the data frame.
         self._nak_timer = Timer(self.sim, self._on_nak_window_done, "nak-window")
-        # Receiver side.
+        # Receiver side: the announcing sender whose data frame is due,
+        # and the wait for its first bit. While ``_expect_from`` is set,
+        # a stopped ``_expect_timer`` means the first bit arrived.
         self._expect_from: Optional[int] = None
         self._expect_timer = Timer(self.sim, self._on_expect_timeout, "mx-expect")
-        self._got_first_bit = False
 
     # ==================================================================
     # Sender
@@ -65,14 +66,12 @@ class MxProtocol(Dot11Base):
     def _on_data_sent(self, frame: object, aborted: bool) -> None:
         self.stats.count_tx("RDATA")
         self._phase = "nak-window"
-        self._nak_check_start = self.sim.now
         self._nak_timer.start(self.NAK_WINDOW)
 
     def _on_nak_window_done(self) -> None:
+        now = self.sim.now
         nak = (
-            self.radio.tone_longest_presence(
-                ToneType.ABT, self._nak_check_start, self.sim.now
-            )
+            self.radio.tone_longest_presence(ToneType.ABT, now - self.NAK_WINDOW, now)
             >= self.config.phy.cca_time
         )
         self.stats.abt_check_time += self.NAK_WINDOW
@@ -86,25 +85,20 @@ class MxProtocol(Dot11Base):
     # ==================================================================
     # Receiver
     # ==================================================================
-    def on_frame_received(self, frame: object, sender: int) -> None:
-        if isinstance(frame, MrtsFrame):
-            self.stats.count_rx("MRTS")
-            if self.node_id in frame.receivers:
-                self.stats.control_rx_time += self.radio.frame_airtime(frame)
-            if self.node_id in frame.receivers and not self.in_txn:
+    def _handle_mrts(self, frame: MrtsFrame) -> None:
+        self.stats.count_rx("MRTS")
+        if self.node_id in frame.receivers:
+            self.stats.control_rx_time += self.radio.frame_airtime(frame)
+            if not self.in_txn:
                 self._expect_from = frame.transmitter
-                self._got_first_bit = False
                 # DATA follows after SIFS; generous guard.
                 self._expect_timer.start(
                     self.config.phy.sifs + 2 * self.config.tau + 4 * US
                 )
-            return
-        super().on_frame_received(frame, sender)
 
     def on_rx_start(self, sender: int) -> None:
-        if self._expect_from is not None and not self._got_first_bit:
-            self._got_first_bit = True
-            self._expect_timer.cancel()
+        if self._expect_from is not None:
+            self._expect_timer.cancel()  # the first bit: no-op after it
 
     def _handle_reliable_data(self, frame: DataFrame) -> None:
         if self._expect_from is None or frame.src != self._expect_from:
@@ -114,13 +108,13 @@ class MxProtocol(Dot11Base):
         self._deliver_data(frame)
 
     def on_frame_error(self, sender: int) -> None:
-        if self._expect_from is not None and self._got_first_bit:
+        if self._expect_from is not None and not self._expect_timer.running:
             # Corrupted copy: raise the NAK tone.
             self._expect_from = None
             self._nak_pulse()
 
     def _on_expect_timeout(self) -> None:
-        if self._expect_from is not None and not self._got_first_bit:
+        if self._expect_from is not None:
             # Announcement heard but no data started: NAK as well.
             self._expect_from = None
             self._nak_pulse()

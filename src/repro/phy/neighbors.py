@@ -20,11 +20,16 @@ size = the model's ``max_range()``), which prunes candidates to the
 :meth:`NeighborService._table_of`, serves every table: a static
 placement freezes by building all senders' tables through it once, and
 a mobile bucket builds only the tables that are asked for, against one
-grid per bucket. It computes the candidates' distances in numpy (and,
-in power mode, their link powers in one batch call), then filters them
-and constructs the links in one pass over plain Python lists. The tests
-check it against a brute-force oracle that scans all n nodes per sender
-(``tests/phy/link_oracle.py``).
+grid per bucket. It computes the candidates' distances in numpy and
+filters and labels them with the model's batch calls: in threshold mode
+``carrier_sensed_batch`` keeps a link, ``in_range_batch`` marks it
+decodable and ``received_power_dbm_batch`` gives its power (a model on
+the base constant power needs no call: its links share
+``IN_RANGE_POWER_DBM``); in power mode one ``link_power_dbm_batch``
+call gives the powers every decision reads. One pass over plain Python
+lists then constructs the links. The tests check it against a
+brute-force oracle that scans all n nodes per sender with the scalar
+predicates (``tests/phy/link_oracle.py``).
 
 **Power mode** (:class:`LinkPowerSpec`, used by the SINR subsystem):
 instead of the model's boolean range predicates, links are kept down to
@@ -52,7 +57,7 @@ from typing import Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from repro.phy.grid import SpatialGrid
-from repro.phy.propagation import PropagationModel
+from repro.phy.propagation import IN_RANGE_POWER_DBM, PropagationModel
 
 #: Sort key for delay-ordered views: a Link's ``delay_ns`` and a
 #: ``(node, delay)`` map item's delay are both field 1.
@@ -349,6 +354,12 @@ class NeighborService:
     ):
         self._provider = provider
         self._model = model
+        #: Whether the model keeps the base ``received_power_dbm``: then
+        #: every link the threshold builder keeps (all carrier-sensed)
+        #: reports IN_RANGE_POWER_DBM, and the links share that one float
+        #: object instead of holding a float each.
+        self._constant_power = (type(model).received_power_dbm
+                                is PropagationModel.received_power_dbm)
         self._power_spec = power_spec
         self._static = provider.is_static()
         self._cache_window = int(cache_window)
@@ -482,10 +493,12 @@ class NeighborService:
         within the search range, so links come out in ascending-node
         order. Per candidate, the float64 operations are the oracle's
         (``tests/phy/link_oracle.py``): the same subtraction and
-        ``np.hypot`` for distances, the model's scalar predicates (or,
-        in power mode, ``link_power_dbm_batch``, bit-identical to its
-        scalar form) and banker's-rounded delays -- so every Link equals
-        the oracle's to the last bit.
+        ``np.hypot`` for distances, the model's batch predicates and
+        powers (``carrier_sensed_batch``, ``in_range_batch`` and
+        ``received_power_dbm_batch``; in power mode
+        ``link_power_dbm_batch``), each bit-identical to the scalar form
+        the oracle calls, and banker's-rounded delays -- so every Link
+        equals the oracle's to the last bit.
         """
         cand = grid.candidates_of(sender)
         xs, ys = grid.xs, grid.ys
@@ -501,15 +514,19 @@ class NeighborService:
         # is propagation_delay_ns inlined (d >= 0, so ``or 1`` is the floor).
         if spec is None:
             model = self._model
-            max_range = model.max_range()
-            sensed_fn = model.carrier_sensed
-            in_range_fn = model.in_range
-            power_fn = model.received_power_dbm
+            keep = dists <= model.max_range()
+            keep &= model.carrier_sensed_batch(dists)
+            nodes, dists = cand[keep], dists[keep]
+            if self._constant_power:
+                powers = [IN_RANGE_POWER_DBM] * len(dists)
+            else:
+                powers = model.received_power_dbm_batch(dists).tolist()
             links = tuple([
-                new(Link, (node, round(d / c) or 1, in_range_fn(d),
-                           float(power_fn(d)), True))
-                for node, d in zip(cand.tolist(), dists.tolist())
-                if d <= max_range and node != sender and sensed_fn(d)])
+                new(Link, (node, round(d / c) or 1, rx, p, True))
+                for node, d, rx, p in zip(nodes.tolist(), dists.tolist(),
+                                          model.in_range_batch(dists).tolist(),
+                                          powers)
+                if node != sender])
         else:
             near = (dists <= spec.prune_range) & (cand != sender)
             nodes, dists = cand[near], dists[near]

@@ -15,7 +15,8 @@ the 802.11-family baselines (DCF, BMMM, BMW, LBP) use all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
+from typing import Dict
 
 from repro.sim.units import US
 
@@ -49,6 +50,15 @@ class PhyParams:
     #: Maximum contention window (802.11b: 1023).
     cw_max: int = 1023
 
+    def __post_init__(self) -> None:
+        # frame_airtime's memo, size -> ns. Not a field: equality, hash,
+        # repr and asdict (the config hash) see the parameters only.
+        object.__setattr__(self, "_airtime", {})
+
+    def __reduce__(self):
+        # Pickle and copy the parameters; the copy starts a fresh memo.
+        return (type(self), astuple(self))
+
     @property
     def difs(self) -> int:
         """DIFS = SIFS + 2 * slot (802.11): 50 us with 802.11b numbers."""
@@ -78,8 +88,14 @@ class PhyParams:
         physical-layer preamble and header.
 
         E.g. a 14-byte ACK: 96 us + 56 us = 152 us (the paper's numbers).
+        Memoized per size: every frame on the air asks.
         """
-        return self.phy_overhead + self.payload_airtime(nbytes)
+        memo: Dict[int, int] = self._airtime  # type: ignore[attr-defined]
+        try:
+            return memo[nbytes]
+        except KeyError:
+            airtime = memo[nbytes] = self.phy_overhead + self.payload_airtime(nbytes)
+            return airtime
 
 
 def _bits_airtime(bits: int, rate: int) -> int:

@@ -40,8 +40,11 @@ class PropagationModel(ABC):
     """Decides whether a transmission is receivable and senseable.
 
     The scalar predicates are the reference semantics; the ``*_batch``
-    variants evaluate a whole distance array at once for the power-mode
-    link builder (see :mod:`repro.phy.neighbors`). The base-class batch
+    variants evaluate a whole distance array at once, for both link
+    builders (see :mod:`repro.phy.neighbors`): the threshold builder
+    filters and labels a sender's candidates with ``carrier_sensed_batch``,
+    ``in_range_batch`` and ``received_power_dbm_batch``, the power-mode
+    builder reads ``link_power_dbm_batch``. The base-class batch
     fallbacks call the scalar predicate per element, so any subclass is
     automatically batch-correct; the built-in models override them with
     true array expressions that are bit-identical to their scalar forms.
@@ -69,6 +72,11 @@ class PropagationModel(ABC):
         """
         return self.in_range(distance)
 
+    def in_range_batch(self, distances: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`in_range` (bool array, same shape)."""
+        return np.fromiter((self.in_range(float(d)) for d in distances),
+                           dtype=bool, count=len(distances))
+
     def carrier_sensed_batch(self, distances: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`carrier_sensed` (bool array, same shape)."""
         return np.fromiter((self.carrier_sensed(float(d)) for d in distances),
@@ -87,8 +95,8 @@ class PropagationModel(ABC):
 
     def received_power_dbm_batch(self, distances: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`received_power_dbm` (float array, same shape)."""
-        return np.where(self.carrier_sensed_batch(distances),
-                        IN_RANGE_POWER_DBM, -np.inf)
+        return np.fromiter((self.received_power_dbm(float(d)) for d in distances),
+                           dtype=float, count=len(distances))
 
     # -- pair-aware power (shadowing/fading hooks) ----------------------
     def link_power_dbm(self, sender: int, receiver: int,
@@ -123,8 +131,15 @@ class UnitDiskModel(PropagationModel):
     def carrier_sensed(self, distance: float) -> bool:
         return distance <= self.sense_range
 
+    def in_range_batch(self, distances: np.ndarray) -> np.ndarray:
+        return distances <= self.radio_range
+
     def carrier_sensed_batch(self, distances: np.ndarray) -> np.ndarray:
         return distances <= self.sense_range
+
+    def received_power_dbm_batch(self, distances: np.ndarray) -> np.ndarray:
+        return np.where(self.carrier_sensed_batch(distances),
+                        IN_RANGE_POWER_DBM, -np.inf)
 
     def max_range(self) -> float:
         return self.sense_range
@@ -201,6 +216,12 @@ class LogDistanceModel(PropagationModel):
 
     def carrier_sensed(self, distance: float) -> bool:
         return self.received_power_dbm(distance) >= self.cs_threshold_dbm
+
+    def in_range_batch(self, distances: np.ndarray) -> np.ndarray:
+        return self.received_power_dbm_batch(distances) >= self.rx_threshold_dbm
+
+    def carrier_sensed_batch(self, distances: np.ndarray) -> np.ndarray:
+        return self.received_power_dbm_batch(distances) >= self.cs_threshold_dbm
 
     def max_range(self) -> float:
         return self._range_for_threshold(self.cs_threshold_dbm)

@@ -61,7 +61,7 @@ def rmac_per_slot_tick(self: RmacProtocol) -> None:
 def dcf_per_slot_tick(self: Dot11Base) -> None:
     """The 802.11 family's tick, rescheduled every idle slot."""
     self._tick_pending = False
-    if self.in_txn:
+    if self._phase != "idle":
         return
     phy = self.config.phy
     if self.radio.is_transmitting:  # mid-response; try again next slot
@@ -75,7 +75,6 @@ def dcf_per_slot_tick(self: Dot11Base) -> None:
             if self.backoff.bi > 0:
                 self.backoff.bi -= 1
             if self.backoff.bi == 0 and self._has_work():
-                self.in_txn = True
                 self._start_transmission()
                 return
             if self.backoff.bi == 0:

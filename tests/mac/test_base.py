@@ -6,6 +6,7 @@ from repro.mac.addresses import BROADCAST
 from repro.mac.base import SendRequest, TransmitQueue
 from repro.mac.dot11 import Dot11Config
 from repro.sim.units import MS
+from repro.world.network import PROTOCOLS
 from repro.world.testbed import MacTestbed
 from repro.core import RmacProtocol, RmacConfig
 
@@ -116,14 +117,27 @@ class TestRequestLifecycle:
         assert mrts == [((1,), 1, 1), ((1,), 1, 2), ((2,), 2, 1)]
 
 
-@pytest.mark.parametrize("protocol", ["rmac", "dot11", "bmw", "lbp"])
+#: Every registered MAC, and plain DCF (not registered: it has no
+#: reliable multicast).
+ALL_MACS = sorted(set(PROTOCOLS) | {"dot11"})
+
+
+@pytest.mark.parametrize("protocol", ALL_MACS)
 def test_mac_instances_keep_shared_key_dicts(protocol):
-    """Fewer than 30 instance fields: CPython then shares the dict keys
-    across instances; past that every node's MAC carries a full dict
-    (about 1.3 KB more each) and attribute loads slow down. BMMM, LAMM
-    and MX are over the budget already."""
-    if protocol == "rmac":
-        mac = make_rmac_testbed(TestRequestLifecycle.COORDS).macs[0]
+    """Fewer than 30 instance fields, also after an exchange has run:
+    CPython then shares the dict keys across instances; past that every
+    node's MAC carries a full dict (about 1.3 KB more each) and
+    attribute loads slow down."""
+    coords = TestRequestLifecycle.COORDS
+    if protocol == "dot11":
+        tb = make_dot11_testbed(coords, protocol=protocol)
     else:
-        mac = make_dot11_testbed(TestRequestLifecycle.COORDS, protocol=protocol).macs[0]
-    assert len(vars(mac)) < 30
+        tb = MacTestbed(coords=coords, seed=1)
+        tb.build_macs(lambda i, t: PROTOCOLS[protocol](i, t, t.node_rng(i), {}))
+    for mac in tb.macs:
+        assert len(vars(mac)) < 30
+    tb.macs[0].send_reliable((2,), "pkt", 300)
+    tb.run(50 * MS)
+    assert tb.macs[0].stats.packets_delivered == 1
+    for mac in tb.macs:
+        assert len(vars(mac)) < 30

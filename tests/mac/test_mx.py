@@ -80,11 +80,12 @@ def test_announcement_without_data_naks(monkeypatch):
     def skip_data_once(self, frame, aborted):
         if not state["skipped"]:
             state["skipped"] = True
-            # Pretend the data went out; watch a window wide enough to
-            # catch the receivers' expectation-timeout NAK (~16 us in).
+            # Pretend the data went out and ended just as the receivers'
+            # expectation times out, so their NAK fills the NAK window.
             self._phase = "nak-window"
-            self._nak_check_start = self.sim.now
-            self._nak_timer.start(self.NAK_WINDOW + 40 * US)
+            expect_timeout = self.config.phy.sifs + 2 * self.config.tau + 4 * US
+            self.sim.after(expect_timeout,
+                           lambda: self._nak_timer.start(self.NAK_WINDOW))
             return
         original(self, frame, aborted)
 

@@ -8,7 +8,7 @@ from repro.phy.neighbors import (
     StaticPositions,
     propagation_delay_ns,
 )
-from repro.phy.propagation import UnitDiskModel
+from repro.phy.propagation import IN_RANGE_POWER_DBM, PropagationModel, UnitDiskModel
 from tests.phy.link_oracle import oracle_links
 
 
@@ -367,3 +367,51 @@ def test_propagation_delay_rounds_like_rint():
     for d in halves:
         k = math.floor(d / c)
         assert propagation_delay_ns(d) == max(1, k + (k % 2))
+
+
+def test_unit_disk_links_share_one_power_object():
+    """A unit-disk model reports the same power on every link; the
+    tables hold it as one float object, not one per link."""
+    import random
+
+    rng = random.Random(3)
+    coords = [(rng.uniform(0, 200), rng.uniform(0, 150)) for _ in range(40)]
+    svc = service(coords)
+    for sender in range(len(coords)):
+        links = svc.links_from(sender, 0)
+        assert links == oracle_links(coords, sender, svc.model)
+        assert all(link.power_dbm is IN_RANGE_POWER_DBM for link in links)
+
+
+class _ScalarOnlyModel(PropagationModel):
+    """A custom model with scalar predicates only: decodes to 40 m,
+    senses to 60 m and reports a distance-dependent power, so the link
+    builder's batch calls go through the base-class fallbacks."""
+
+    def in_range(self, distance):
+        return distance <= 40.0
+
+    def carrier_sensed(self, distance):
+        return distance <= 60.0
+
+    def received_power_dbm(self, distance):
+        return -30.0 - distance / 3.0
+
+    def max_range(self):
+        return 60.0
+
+
+def test_scalar_only_model_tables_equal_oracle():
+    import random
+
+    rng = random.Random(8)
+    coords = [(rng.uniform(0, 250), rng.uniform(0, 150)) for _ in range(50)]
+    model = _ScalarOnlyModel()
+    svc = NeighborService(StaticPositions(coords), model)
+    decodable = sensed_only = 0
+    for sender in range(len(coords)):
+        links = svc.links_from(sender, 0)
+        assert links == oracle_links(coords, sender, model)
+        decodable += sum(link.in_rx_range for link in links)
+        sensed_only += sum(not link.in_rx_range for link in links)
+    assert decodable and sensed_only
