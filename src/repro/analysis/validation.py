@@ -17,8 +17,8 @@ Four scales of evidence:
 * ``topology`` -- Fig. 6's BFS trees over ten 75-node placements
   (:func:`repro.net.tree.placement_tree_statistics`);
 * ``bench`` -- the RMAC-vs-BMMM sweep over all three scenarios
-  (``FIGURE_SCALES["bench"]`` in :mod:`repro.cli`; other sweep scales
-  are judged against the same bands);
+  (``FIGURE_SCALES["bench"]`` in :mod:`repro.experiments.scenarios`;
+  other sweep scales are judged against the same bands);
 * ``family`` -- every MAC of the Section 2 survey on one static
   20-node network (:func:`repro.experiments.scenarios.family_scenario`).
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from time import perf_counter
 from typing import Optional, Sequence
 
@@ -30,11 +31,10 @@ from repro.experiments.figures import FIGURES, figure_rows
 from repro.experiments.report import format_table, rows_to_csv
 from repro.experiments.runner import run_sweep, sweep_failures
 from repro.experiments.scenarios import (
-    PAPER_RATES,
+    FIGURE_SCALES,
     SCENARIOS,
     SINR_PROFILES,
-    paper_scenario,
-    scaled_scenario,
+    scale_make_config,
     sinr_preset,
 )
 from repro.world.network import PROTOCOLS, ScenarioConfig, build_network
@@ -168,42 +168,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                              "(default: report and keep partial results)")
 
 
-#: (n_nodes, n_packets, rates, seeds) per --scale choice. "smoke" is
-#: the committed 40-node spec CI drives end to end (the farm smoke job
-#: runs it twice — across 2 workers and in-process — and asserts
-#: bit-identity). "bench" is the sweep the paper claims' bands are set
-#: at (``repro.analysis.validation``); CI validates every claim on it.
-FIGURE_SCALES = {
-    "smoke": (40, 40, (20,), (1, 2)),
-    "bench": (40, 100, (10, 60, 120), (1, 2)),
-    "small": (25, 60, (10, 60, 120), (1, 2)),
-    "medium": (40, 150, (5, 20, 60, 120), (1, 2, 3)),
-    "paper": (75, 10_000, PAPER_RATES, tuple(range(1, 11))),
-}
-
-
-def _scale_make_config(scale: str, faults=None, oracle: bool = False,
-                       sinr=None):
-    """The make_config factory for one --scale choice.
-
-    ``faults`` (a FaultPlan), ``oracle`` and ``sinr`` (a SinrConfig)
-    apply to every point; all live on the ScenarioConfig, so they flow
-    into each point's config_hash and the store resumes faulted or
-    SINR campaigns exactly.
-    """
-    def make_config(protocol, scenario, rate, seed):
-        if scale == "paper":
-            config = paper_scenario(protocol, scenario, rate, seed)
-        else:
-            n_nodes, n_packets, _rates, _seeds = FIGURE_SCALES[scale]
-            config = scaled_scenario(protocol, scenario, rate, seed,
-                                     n_packets=n_packets, n_nodes=n_nodes)
-        if faults is not None or oracle or sinr is not None:
-            config = config.variant(faults=faults, oracle=oracle, sinr=sinr)
-        return config
-    return make_config
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
     spec = FIGURES[args.figure]
     if args.from_store:
@@ -216,7 +180,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     else:
         _n, _p, rates, seeds = FIGURE_SCALES[args.scale]
         results = run_sweep(list(spec.protocols), list(SCENARIOS), list(rates),
-                            list(seeds), _scale_make_config(args.scale),
+                            list(seeds), scale_make_config(args.scale),
                             **_sweep_options(args))
         rows = figure_rows(spec, results)
     print(format_table(rows, title=spec.title))
@@ -285,7 +249,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     _n, _p, rates, seeds = FIGURE_SCALES[args.scale]
     options = _sweep_options(args)
     results = run_sweep(["rmac", "bmmm"], list(SCENARIOS), list(rates),
-                        list(seeds), _scale_make_config(args.scale), **options)
+                        list(seeds), scale_make_config(args.scale), **options)
     family = run_sweep(list(FAMILY_PROTOCOLS), ["stationary"], [10], [9],
                        family_scenario, **options)
     rows = validate(results, family=family, topology=topology,
@@ -319,8 +283,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         manifest_extra["sinr"] = sinr.to_dict()
     results = farm.run(
         args.protocols.split(","), list(SCENARIOS), list(rates), list(seeds),
-        _scale_make_config(args.scale, faults=faults, oracle=args.oracle,
-                           sinr=sinr),
+        scale_make_config(args.scale, faults=faults, oracle=args.oracle,
+                          sinr=sinr),
         manifest_extra=manifest_extra,
         **options,
     )
@@ -329,7 +293,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         rows = figure_rows(spec, results)
         print(format_table(rows, title=f"{figure}: {spec.title}"))
     print("farm: " + ", ".join(f"{k.replace('points_', '')}={v}"
-                               for k, v in farm.counters.as_dict().items()))
+                               for k, v in asdict(farm.counters).items()))
     print(f"campaign store: {farm.path} ({len(farm)} points)")
     return _report_failures(results, args.fail_on_error)
 
@@ -356,31 +320,11 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    from repro.experiments.campaign import Campaign
+    from repro.experiments.farm import farm_status
     from repro.experiments.report import render_status
-    from repro.experiments.store import ResultStore
 
-    campaign = Campaign(ResultStore(args.out, create=False))
-    manifest = campaign.store.manifest() or {}
-    make_config = None
-    if manifest.get("scale") in FIGURE_SCALES:
-        faults = None
-        if manifest.get("faults") is not None:
-            from repro.faults import FaultPlan
-
-            faults = FaultPlan.from_dict(manifest["faults"])
-        sinr = None
-        if manifest.get("sinr") is not None:
-            from repro.phy.sinr import SinrConfig
-
-            sinr = SinrConfig.from_dict(manifest["sinr"])
-        make_config = _scale_make_config(
-            manifest["scale"], faults=faults,
-            oracle=bool(manifest.get("oracle")), sinr=sinr,
-        )
-    status = campaign.status(make_config)
-    print(render_status(status, title=f"campaign store: {campaign.path}"),
-          end="")
+    print(render_status(farm_status(args.out),
+                        title=f"campaign store: {args.out}"), end="")
     return 0
 
 
@@ -466,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_run.add_argument("--out", required=True, metavar="DIR",
                               help="result-store directory (created on "
-                                   "first run; a v0 .json checkpoint "
-                                   "here is migrated in place)")
+                                   "first run)")
     campaign_run.add_argument("--scale", choices=sorted(FIGURE_SCALES),
                               default="small")
     campaign_run.add_argument("--protocols", default="rmac,bmmm",

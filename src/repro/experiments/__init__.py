@@ -4,28 +4,31 @@ Ownership boundaries within the package (each module's docstring is the
 API reference for its layer):
 
 * :mod:`~repro.experiments.scenarios` — the Section 4.1 matrix as
-  config factories (``paper_scenario`` / ``scaled_scenario``); pure
-  construction, no execution.
+  config factories (``paper_scenario`` / ``scaled_scenario``) and the
+  ``--scale`` presets (``FIGURE_SCALES``, rebuilt from a campaign
+  manifest by ``manifest_make_config``); pure construction, no
+  execution.
 * :mod:`~repro.experiments.runner` — the matrix and aggregation:
   ``run_sweep`` turns (protocol, scenario, rate, seed) jobs into
   seed-averaged ``SweepResult`` points through the farm;
-  ``results_from_store`` aggregates without simulating.
+  ``aggregate_points`` is the one fold from per-seed outcomes to
+  points, which ``results_from_store`` also uses to aggregate a store
+  without simulating.
 * :mod:`~repro.experiments.store` — persistence: the append-only JSONL
-  ``ResultStore``, the config hash, and migration of legacy layouts
-  (v0 checkpoint files, an older farm's ``shards/``).
-* :mod:`~repro.experiments.campaign` — workflow: ``Campaign`` reports a
-  store's status (done / failed / stale / missing) and aggregates; its
-  ``run`` is a thin call into the farm.
-* :mod:`~repro.experiments.farm` — execution: ``CampaignFarm`` is the
-  one executor, in-process at ``workers <= 1``, otherwise leasing jobs
-  from one queue to worker processes (crash detection + lease requeue);
-  either way the coordinator is the only writer of the one store;
-  ``farm_status`` and ``make_status_server`` power ``repro campaign
-  serve``.
+  ``ResultStore`` and the config hash.
+* :mod:`~repro.experiments.farm` — execution and progress:
+  ``CampaignFarm`` is the one executor and the only object over a
+  store, in-process at ``workers <= 1``, otherwise leasing jobs from
+  one queue to worker processes (crash detection + lease requeue);
+  either way the coordinator is the only writer of the one store.
+  ``farm_status`` is the one progress count (done / failed / stale /
+  missing over the manifest's matrix, plus liveness) that ``repro
+  campaign status`` and ``repro campaign serve`` both print;
+  ``make_status_server`` serves it.
 * :mod:`~repro.experiments.figures` — figure definitions: what each
   paper figure plots, and rows from results or straight from a store.
 * :mod:`~repro.experiments.report` — presentation: text tables, CSV,
-  campaign status rendering.
+  ``repro campaign status`` rendering.
 * :mod:`~repro.experiments.bench` — ``METRIC_FIELDS``, the
   ``RunSummary`` fields that pin a run's outcome. Performance is
   measured by ``benchmarks/e2e`` only (end to end, uninstrumented).
@@ -42,7 +45,6 @@ from repro.experiments.store import (
     config_hash,
     point_key,
 )
-from repro.experiments.campaign import Campaign
 from repro.experiments.farm import CampaignFarm, FarmCounters, farm_status
 from repro.experiments.runner import (
     PointFailure,
@@ -61,7 +63,6 @@ from repro.experiments.figures import (
 from repro.experiments.report import format_table, render_status, rows_to_csv
 
 __all__ = [
-    "Campaign",
     "CampaignFarm",
     "FarmCounters",
     "PAPER_RATES",

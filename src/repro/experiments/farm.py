@@ -8,12 +8,13 @@ their deaths (lease requeue). Scenario construction stays in
 :mod:`~repro.experiments.store` (the farm root *is* a ``ResultStore``
 directory), aggregation in :mod:`~repro.experiments.runner`.
 
-:class:`CampaignFarm` is the only executor: ``run_sweep``,
-``Campaign.run`` and ``repro campaign run`` are thin calls into
-:meth:`CampaignFarm.run`. The coordinator is the **only writer**: each
-job runs :func:`run_job` (``run_point`` with retries) and its outcome
-goes through one ``finish`` step that appends the first completion of
-each point to the root store, fsynced, before progress is reported.
+:class:`CampaignFarm` is the only executor and the only object over a
+store: ``run_sweep`` (its store-less entry point) and ``repro campaign
+run`` are thin calls into :meth:`CampaignFarm.run`. The coordinator is
+the **only writer**: each job runs :func:`run_job` (``run_point`` with
+retries) and its outcome goes through one ``finish`` step that appends
+the first completion of each point to the root store, fsynced, before
+progress is reported.
 
 * **In-process** (``workers <= 1``). No process is spawned; the
   coordinator runs each job itself.
@@ -31,10 +32,11 @@ each point to the root store, fsynced, before progress is reported.
 Liveness is observable while the farm runs: the coordinator maintains
 ``DIR/farm.json`` and every worker heartbeats ``DIR/workers/worker-NN
 .json`` (atomic replace, one write per lease/completion), which is what
-``repro campaign serve --out DIR`` reads — see :func:`farm_status` for
-the exact fields. The farm counters (done/requeued, worker deaths)
-are in ``farm.json`` under ``"counters"``, final once the run is done
-or aborted.
+``repro campaign serve --out DIR`` reads. :func:`farm_status` is the
+one progress count of a store directory: ``repro campaign status`` and
+``repro campaign serve`` both print it. The farm counters
+(done/requeued, worker deaths) are in ``farm.json`` under
+``"counters"``, final once the run is done or aborted.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import queue as queue_module
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.experiments import runner
@@ -55,10 +57,16 @@ from repro.experiments.runner import (
     PointFailure,
     ProgressFn,
     SweepResult,
+    aggregate_points,
     build_jobs,
-    collect_results,
 )
-from repro.experiments.store import ResultStore, config_hash
+from repro.experiments.scenarios import MakeConfig, manifest_make_config
+from repro.experiments.store import (
+    PointKey,
+    ResultStore,
+    config_hash,
+    point_key,
+)
 from repro.metrics.summary import RunSummary
 
 #: Subdirectory holding one heartbeat JSON file per worker.
@@ -91,17 +99,6 @@ class FarmCounters:
     points_requeued: int = 0
     workers_spawned: int = 0
     workers_died: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "points_total": self.points_total,
-            "points_cached": self.points_cached,
-            "points_done": self.points_done,
-            "points_failed": self.points_failed,
-            "points_requeued": self.points_requeued,
-            "workers_spawned": self.workers_spawned,
-            "workers_died": self.workers_died,
-        }
 
 
 def _write_json_atomic(path: str, payload: dict) -> None:
@@ -278,7 +275,9 @@ class CampaignFarm:
             self._write_state("aborted", started_at, total, counters)
             raise
         self._write_state("done", started_at, total, counters)
-        return collect_results(jobs, seeds, outcomes)
+        return aggregate_points(
+            ((job.protocol, job.scenario, job.rate_pps, job.seed),
+             outcomes[job.key]) for job in jobs)
 
     # ------------------------------------------------------------------
     def _replay(self, jobs: Sequence[Job],
@@ -390,7 +389,7 @@ class CampaignFarm:
             "started_at": started_at,
             "updated_at": time.time(),
             "total": total,
-            "counters": counters.as_dict(),
+            "counters": asdict(counters),
         })
 
 
@@ -406,38 +405,84 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def farm_status(out: str, now: Optional[float] = None) -> dict:
-    """One JSON-ready snapshot of a farm directory's live progress.
+#: The manifest keys that define a campaign's matrix.
+_MATRIX_KEYS = ("protocols", "scenarios", "rates", "seeds")
 
-    Computed purely from on-disk state (the root store, heartbeats,
-    ``farm.json``) so it works from any process at any moment — during
-    the run, after a crash, or long after completion. Fields are
-    documented in ``docs/campaign-farm.md`` ("The serve endpoint").
+
+def farm_status(out: str, now: Optional[float] = None,
+                make_config: Optional[MakeConfig] = None) -> dict:
+    """One JSON-ready snapshot of a store directory's progress.
+
+    Computed purely from on-disk state (the root store, its manifest,
+    heartbeats, ``farm.json``) so it works from any process at any
+    moment — during the run, after a crash, or long after completion.
+    ``repro campaign status`` and ``repro campaign serve`` both print
+    it; fields are documented in ``docs/campaign-farm.md`` ("The serve
+    endpoint").
+
+    Points are counted over the manifest's matrix. A point is *done*
+    when its latest record is ``ok`` under the config hash the matrix
+    expects now, *stale* when ``ok`` under another hash, *failed* when
+    it is a captured failure and *missing* without a record. The
+    expected hashes come from ``make_config``, by default rebuilt from
+    the manifest (:func:`~repro.experiments.scenarios.manifest_make_config`);
+    without one, every ``ok`` record counts as done. Without a manifest
+    every record is counted and ``total``/``missing`` are None.
     """
     now = time.time() if now is None else now
     root = ResultStore(out, create=False)
     manifest = root.manifest() or {}
+    records = dict(root.records())
+    expected: Optional[Dict[PointKey, Optional[str]]] = None
+    if all(k in manifest for k in _MATRIX_KEYS):
+        make_config = make_config or manifest_make_config(manifest)
+        expected = {
+            point_key(protocol, scenario, rate, seed): (
+                config_hash(make_config(protocol, scenario, rate, seed))
+                if make_config is not None else None)
+            for protocol in manifest["protocols"]
+            for scenario in manifest["scenarios"]
+            for rate in manifest["rates"]
+            for seed in manifest["seeds"]
+        }
+
+    rows: Dict[tuple, dict] = {}
+    for key in (records if expected is None else expected):
+        row = rows.setdefault(key[:2], {
+            "protocol": key[0], "scenario": key[1], "done": 0,
+            "failed": 0, "stale": 0,
+            "total": None if expected is None else 0})
+        if expected is not None:
+            row["total"] += 1
+        record = records.get(key)
+        if record is None:
+            continue
+        if record["status"] != "ok":
+            row["failed"] += 1
+        elif expected is not None and expected[key] not in (
+                None, record["config_hash"]):
+            row["stale"] += 1
+        else:
+            row["done"] += 1
+    done, failed, stale = (sum(row[field] for row in rows.values())
+                           for field in ("done", "failed", "stale"))
+    total = missing = None
+    if expected is not None:
+        total = len(expected)
+        missing = total - done - failed - stale
+
     state_path = os.path.join(out, FARM_STATE)
     state: dict = {}
     if os.path.exists(state_path):
         with open(state_path) as fh:
             state = json.load(fh)
-
-    done = len(root)
-    failed = len(root.failures())
-    total = None
-    if all(k in manifest for k in ("protocols", "scenarios", "rates", "seeds")):
-        total = (len(manifest["protocols"]) * len(manifest["scenarios"])
-                 * len(manifest["rates"]) * len(manifest["seeds"]))
-    missing = None if total is None else max(total - done - failed, 0)
-
     started_at = state.get("started_at")
     cached = (state.get("counters") or {}).get("points_cached", 0)
     points_per_sec = eta_s = None
     if started_at and now > started_at and done > cached:
         points_per_sec = (done - cached) / (now - started_at)
         if missing is not None and points_per_sec > 0:
-            eta_s = missing / points_per_sec
+            eta_s = (missing + stale) / points_per_sec
 
     workers = []
     workers_dir = os.path.join(out, WORKERS_DIR)
@@ -469,7 +514,9 @@ def farm_status(out: str, now: Optional[float] = None) -> dict:
         "total": total,
         "done": done,
         "failed": failed,
+        "stale": stale,
         "missing": missing,
+        "rows": [rows[k] for k in sorted(rows)],
         "cached": cached,
         "points_per_sec": points_per_sec,
         "eta_s": eta_s,
@@ -520,7 +567,7 @@ def make_status_server(out: str, host: str = "127.0.0.1", port: int = 8765):
         def do_GET(self):  # noqa: N802 (http.server API)
             try:
                 status = farm_status(out)
-            except FileNotFoundError:
+            except (FileNotFoundError, NotADirectoryError):
                 self.send_error(404, "no farm store at %r" % out)
                 return
             if self.path.rstrip("/") in ("", "/"):

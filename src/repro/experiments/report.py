@@ -4,7 +4,8 @@ Ownership: this module owns **presentation only** -- turning row dicts
 (figure rows, validation rows, campaign status rows) into aligned text
 tables or CSV. It holds no experiment logic and reads nothing from
 disk; ``render_status`` formats the progress dict that
-``Campaign.status`` computes from the result store.
+:func:`repro.experiments.farm.farm_status` computes from a store
+directory (``repro campaign status``).
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
 
 
 def render_status(status: dict, title: Optional[str] = None) -> str:
-    """Render a ``Campaign.status()`` dict: per-(protocol, scenario)
+    """Render a ``farm_status()`` dict: per-(protocol, scenario)
     table plus a one-line total (percentages only when the store has a
     manifest to define the full matrix)."""
     out = io.StringIO()

@@ -1,12 +1,13 @@
 """Sweep runner: the (point, seed) matrix, its jobs and its aggregates.
 
 Ownership: this module owns **the matrix and aggregation** — turning a
-(protocols x scenarios x rates x seeds) matrix into jobs and the jobs'
-outcomes into per-point :class:`SweepResult` averages. Execution is
+(protocols x scenarios x rates x seeds) matrix into jobs, and per-seed
+outcomes into per-point :class:`SweepResult` averages through one fold,
+:func:`aggregate_points`, which both a farm run and a store read
+(:func:`results_from_store`) call. Execution, resume and status are
 :class:`repro.experiments.farm.CampaignFarm`, the one executor
 (``run_sweep`` is a thin call into it); persistence lives in
-:mod:`repro.experiments.store`; workflow (manifest, resume, status) in
-:mod:`repro.experiments.campaign`.
+:mod:`repro.experiments.store`.
 
 A *point* is (protocol, scenario, rate); each point runs over several
 seeds (the paper: ten random placements, identical across protocols so
@@ -31,9 +32,9 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.experiments.store import ResultStore
+from repro.experiments.store import PointKey, ResultStore
 from repro.metrics.summary import RunSummary
 from repro.world.network import ScenarioConfig, build_network
 
@@ -146,9 +147,10 @@ def build_jobs(
 ) -> List[Job]:
     """The full matrix as jobs, in canonical matrix order.
 
-    The order is load-bearing: :func:`collect_results` slices the job
-    list back into (protocol, scenario, rate) points ``len(seeds)`` at a
-    time, and the store/farm layers key caches by :attr:`Job.key`.
+    The order is load-bearing: :func:`aggregate_points` emits points in
+    the order it first sees them, so a farm run's results come out in
+    matrix order, and the store/farm layers key caches by
+    :attr:`Job.key`.
     """
     jobs: List[Job] = []
     for protocol in protocols:
@@ -162,27 +164,26 @@ def build_jobs(
     return jobs
 
 
-def collect_results(
-    jobs: Sequence[Job],
-    seeds: Sequence[int],
-    outcomes: Dict[str, object],
+def aggregate_points(
+    outcomes: Iterable[Tuple[PointKey, object]],
 ) -> List[SweepResult]:
-    """Fold per-job outcomes (``RunSummary`` or ``PointFailure`` keyed by
-    :attr:`Job.key`) into seed-averaged points, in matrix order."""
-    results: List[SweepResult] = []
-    for index in range(0, len(jobs), max(len(seeds), 1)):
-        chunk_jobs = jobs[index : index + len(seeds)]
-        if not chunk_jobs:
-            break
-        chunk = [outcomes[j.key] for j in chunk_jobs]
-        summaries = [o for o in chunk if isinstance(o, RunSummary)]
-        failures = [o for o in chunk if isinstance(o, PointFailure)]
-        first = chunk_jobs[0]
-        results.append(
-            aggregate(first.protocol, first.scenario, first.rate_pps,
-                      summaries, failures)
-        )
-    return results
+    """Fold per-seed outcomes into seed-averaged points.
+
+    ``outcomes`` yields ((protocol, scenario, rate, seed), outcome)
+    pairs, each outcome a ``RunSummary`` or a :class:`PointFailure`.
+    They are grouped by (protocol, scenario, rate); points come out in
+    the order they are first seen, and each point's seeds in the order
+    given.
+    """
+    groups: Dict[Tuple[str, str, float], List[object]] = {}
+    for (protocol, scenario, rate, _seed), outcome in outcomes:
+        groups.setdefault((protocol, scenario, rate), []).append(outcome)
+    return [
+        aggregate(*point,
+                  [o for o in chunk if isinstance(o, RunSummary)],
+                  [o for o in chunk if isinstance(o, PointFailure)])
+        for point, chunk in groups.items()
+    ]
 
 
 #: Progress callback: (done, total, job_key, error_or_None).
@@ -253,19 +254,11 @@ def results_from_store(
 ) -> List[SweepResult]:
     """Aggregate whatever a store holds, without simulating anything.
 
-    Groups every completed point by (protocol, scenario, rate) — a
-    partially-populated store yields partial results, each point
+    Every completed point, in key order, through :func:`aggregate_points`
+    — a partially-populated store yields partial results, each point
     averaged over the seeds actually present. Powers ``repro figure
     --from DIR`` and ``repro validate --from DIR``.
     """
-    groups: Dict[Tuple[str, str, float], List[Tuple[int, RunSummary]]] = {}
-    for (protocol, scenario, rate, seed), summary in store.completed().items():
-        if protocols is not None and protocol not in protocols:
-            continue
-        groups.setdefault((protocol, scenario, rate), []).append((seed, summary))
-    results: List[SweepResult] = []
-    for (protocol, scenario, rate) in sorted(groups):
-        per_seed = [s for _, s in sorted(groups[(protocol, scenario, rate)],
-                                         key=lambda pair: pair[0])]
-        results.append(aggregate(protocol, scenario, rate, per_seed))
-    return results
+    return aggregate_points(
+        (key, summary) for key, summary in sorted(store.completed().items())
+        if protocols is None or key[0] in protocols)

@@ -14,9 +14,13 @@ Full paper scale takes hours in pure Python, so two presets exist:
 
 * :func:`paper_scenario` -- the exact Section 4.1 parameters;
 * :func:`scaled_scenario` -- the same network and rates with fewer
-  packets/seeds, used by the sweep scales of ``repro.cli.FIGURE_SCALES``.
+  packets/seeds, used by the sweep scales of :data:`FIGURE_SCALES`.
   Shapes -- orderings, crossovers -- are preserved; absolute
   confidence intervals are wider.
+
+:func:`scale_make_config` is the ``make_config`` of one ``--scale``
+choice, and :func:`manifest_make_config` rebuilds it from a campaign
+manifest, so a store's status can recompute every point's config hash.
 
 :func:`family_scenario` is the one static workload on which every MAC of
 the Section 2 survey is compared.
@@ -24,8 +28,9 @@ the Section 2 survey is compared.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.faults.plan import FaultPlan
 from repro.phy.sinr import SinrConfig
 from repro.world.network import ScenarioConfig
 
@@ -120,6 +125,60 @@ def scaled_scenario(
             max_speed=config.max_speed * shrink,
         )
     return config
+
+
+#: (n_nodes, n_packets, rates, seeds) per ``--scale`` choice. "smoke" is
+#: the committed 40-node spec CI drives end to end (the farm smoke job
+#: runs it twice — across 2 workers and in-process — and asserts
+#: bit-identity). "bench" is the sweep the paper claims' bands are set
+#: at (``repro.analysis.validation``); CI validates every claim on it.
+FIGURE_SCALES = {
+    "smoke": (40, 40, (20,), (1, 2)),
+    "bench": (40, 100, (10, 60, 120), (1, 2)),
+    "small": (25, 60, (10, 60, 120), (1, 2)),
+    "medium": (40, 150, (5, 20, 60, 120), (1, 2, 3)),
+    "paper": (75, 10_000, PAPER_RATES, tuple(range(1, 11))),
+}
+
+#: ``make_config(protocol, scenario, rate, seed) -> ScenarioConfig``.
+MakeConfig = Callable[[str, str, float, int], ScenarioConfig]
+
+
+def scale_make_config(scale: str, faults: Optional[FaultPlan] = None,
+                      oracle: bool = False,
+                      sinr: Optional[SinrConfig] = None) -> MakeConfig:
+    """The make_config factory for one :data:`FIGURE_SCALES` choice.
+
+    ``faults``, ``oracle`` and ``sinr`` apply to every point; all live
+    on the ScenarioConfig, so they flow into each point's config_hash
+    and the store resumes faulted or SINR campaigns exactly.
+    """
+    def make_config(protocol, scenario, rate, seed):
+        if scale == "paper":
+            config = paper_scenario(protocol, scenario, rate, seed)
+        else:
+            n_nodes, n_packets, _rates, _seeds = FIGURE_SCALES[scale]
+            config = scaled_scenario(protocol, scenario, rate, seed,
+                                     n_packets=n_packets, n_nodes=n_nodes)
+        if faults is not None or oracle or sinr is not None:
+            config = config.variant(faults=faults, oracle=oracle, sinr=sinr)
+        return config
+    return make_config
+
+
+def manifest_make_config(manifest: dict) -> Optional[MakeConfig]:
+    """The make_config a ``repro campaign run`` manifest was written
+    with (its ``scale``, ``faults``, ``oracle`` and ``sinr``), or None
+    when the manifest names no known scale."""
+    if manifest.get("scale") not in FIGURE_SCALES:
+        return None
+    faults, sinr = manifest.get("faults"), manifest.get("sinr")
+    return scale_make_config(
+        manifest["scale"],
+        faults=None if faults is None else FaultPlan.from_dict(faults),
+        oracle=bool(manifest.get("oracle")),
+        sinr=None if sinr is None else SinrConfig.from_dict(sinr),
+    )
 
 
 #: The MACs compared on :func:`family_scenario`: RMAC and the Section 2

@@ -1,9 +1,9 @@
 """Append-only on-disk result store for experiment campaigns.
 
 Ownership: this module owns **persistence only** — the record format,
-the config hash, durability, and migration of legacy checkpoints. It
-knows nothing about how points are executed (``runner``), how they are
-averaged (``runner.aggregate``), or what they mean (``figures``,
+the config hash and durability. It knows nothing about how points are
+executed (``farm``), how they are averaged (``runner``), how progress
+is counted (``farm.farm_status``) or what they mean (``figures``,
 ``analysis``); those layers read and write through :class:`ResultStore`.
 
 A store is a *directory* holding:
@@ -15,9 +15,6 @@ A store is a *directory* holding:
 * ``manifest.json`` — optional campaign matrix (written by
   ``repro campaign run``) so ``repro campaign status`` can report
   missing and stale counts without the caller re-deriving the matrix.
-* ``legacy.json`` — byte-for-byte backup of a migrated v0 store.
-* ``shards.folded/`` — the per-worker shard stores an older campaign
-  farm kept under ``shards/``, after their points were folded in.
 
 Record schema (version 1)::
 
@@ -42,19 +39,8 @@ Compatibility rules:
 * a truncated final line (the process was killed mid-append) is
   skipped; malformed lines elsewhere are skipped too and counted in
   :attr:`ResultStore.corrupt_lines`;
-* a *file* at the store path is treated as a v0 single-JSON campaign
-  checkpoint (the pre-store ``Campaign`` format) and migrated in place:
-  the file becomes a directory of the same name, the original bytes are
-  kept as ``legacy.json``, and every entry is re-appended under schema
-  v1. The v0 fingerprint was exactly the canonical config JSON, so its
-  hash equals the new ``config_hash`` and migrated points survive a
-  resume without re-simulating;
-* a ``shards/`` directory inside the store (left by an older farm whose
-  workers each wrote their own store) is folded in once on open: every
-  ``ok`` shard record the store does not already hold as ``ok`` under
-  the same hash is appended, then ``shards/`` becomes
-  ``shards.folded/``. A fold cut short by a crash simply resumes on the
-  next open.
+* anything but a directory at the store path raises
+  ``NotADirectoryError`` naming the path.
 """
 
 from __future__ import annotations
@@ -69,9 +55,6 @@ from repro.metrics.summary import RunSummary
 
 #: Record schema version written by this code.
 SCHEMA_VERSION = 1
-
-#: Where an older campaign farm kept its per-worker shard stores.
-_SHARDS_DIR = "shards"
 
 #: A point's identity within a store: (protocol, scenario, rate, seed).
 PointKey = Tuple[str, str, float, int]
@@ -112,14 +95,11 @@ def canonical_config_json(config) -> str:
     return json.dumps(payload, sort_keys=True, default=_canonical_default)
 
 
-def hash_canonical(canonical: str) -> str:
-    """SHA-256 of a canonical config string, truncated to 16 hex chars."""
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
 def config_hash(config) -> str:
-    """Stable fingerprint of a full scenario configuration."""
-    return hash_canonical(canonical_config_json(config))
+    """Stable fingerprint of a full scenario configuration: SHA-256 of
+    its canonical JSON, truncated to 16 hex chars."""
+    return hashlib.sha256(
+        canonical_config_json(config).encode()).hexdigest()[:16]
 
 
 def point_key(protocol: str, scenario: str, rate_pps: float, seed: int) -> PointKey:
@@ -137,12 +117,12 @@ class ResultStore:
 
     RESULTS_NAME = "results.jsonl"
     MANIFEST_NAME = "manifest.json"
-    LEGACY_NAME = "legacy.json"
 
     def __init__(self, directory: str, create: bool = True):
-        if os.path.isfile(directory):
-            self._migrate_legacy_file(directory)
-        elif not os.path.isdir(directory):
+        if os.path.exists(directory) and not os.path.isdir(directory):
+            raise NotADirectoryError(
+                f"{directory!r} is a file, not a result store directory")
+        if not os.path.isdir(directory):
             if not create:
                 raise FileNotFoundError(f"no result store at {directory!r}")
             os.makedirs(directory, exist_ok=True)
@@ -152,9 +132,6 @@ class ResultStore:
         self.corrupt_lines = 0
         self._records: Dict[PointKey, dict] = {}
         self._load()
-        shards = os.path.join(directory, _SHARDS_DIR)
-        if os.path.isdir(shards):
-            self._fold_shards(shards)
 
     # -- loading -------------------------------------------------------
     def _load(self) -> None:
@@ -177,45 +154,6 @@ class ResultStore:
                     self.corrupt_lines += 1
                 continue
             self._records[key] = record
-
-    def _migrate_legacy_file(self, path: str) -> None:
-        """Upgrade a v0 single-JSON checkpoint file into a directory."""
-        with open(path) as fh:
-            raw = fh.read()
-        legacy = json.loads(raw)
-        os.unlink(path)
-        os.makedirs(path)
-        with open(os.path.join(path, self.LEGACY_NAME), "w") as fh:
-            fh.write(raw)
-        with open(os.path.join(path, self.RESULTS_NAME), "w") as fh:
-            for key, entry in legacy.items():
-                protocol, scenario, rate, seed = key.split("|")
-                record = {
-                    "v": SCHEMA_VERSION,
-                    "protocol": protocol,
-                    "scenario": scenario,
-                    "rate_pps": float(rate),
-                    "seed": int(seed),
-                    # The v0 fingerprint is the canonical config JSON.
-                    "config_hash": hash_canonical(entry["fingerprint"]),
-                    "status": "ok",
-                    "summary": entry["summary"],
-                }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def _fold_shards(self, shards: str) -> None:
-        """Fold an older farm's shard stores into this one, once."""
-        for name in sorted(os.listdir(shards)):
-            if not os.path.isdir(os.path.join(shards, name)):
-                continue
-            shard = ResultStore(os.path.join(shards, name), create=False)
-            for key, record in sorted(shard.records()):
-                held = self._records.get(key)
-                if record["status"] == "ok" and (
-                        held is None or held["status"] != "ok"
-                        or held["config_hash"] != record["config_hash"]):
-                    self._append(key, record)
-        os.rename(shards, shards + ".folded")
 
     # -- appending -----------------------------------------------------
     def _append(self, key: PointKey, record: dict) -> None:
@@ -308,28 +246,3 @@ class ResultStore:
             return None
         with open(self.manifest_path) as fh:
             return json.load(fh)
-
-    # -- status --------------------------------------------------------
-    def status(self, expected: Optional[Dict[PointKey, str]] = None) -> dict:
-        """Progress counts; with ``expected`` (key -> config_hash for
-        the full matrix) also reports missing and stale points."""
-        if expected is None:
-            done = len(self)
-            failed = len(self.failures())
-            return {"total": None, "done": done, "failed": failed,
-                    "stale": 0, "missing": None}
-        done = failed = stale = 0
-        for key, want_hash in expected.items():
-            record = self._records.get(key)
-            if record is None:
-                continue
-            if record["status"] == "ok" and record["config_hash"] == want_hash:
-                done += 1
-            elif record["status"] == "ok":
-                stale += 1
-            else:
-                failed += 1
-        total = len(expected)
-        return {"total": total, "done": done, "failed": failed,
-                "stale": stale, "missing": total - done - failed - stale}
-

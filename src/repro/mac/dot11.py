@@ -216,7 +216,8 @@ class Dot11Base(MacProtocol):
     ) -> Transmission:
         self._tx_done_cb = on_sent
         tf = type(frame)
-        if tf is not DataFrame:  # data counted as RDATA/UDATA
+        # Data is counted as RDATA/UDATA, MX's announcement as MRTS.
+        if tf is not DataFrame and tf is not MrtsFrame:
             self.stats.count_tx(tf.__name__)
         return self.radio.transmit(frame)
 

@@ -208,9 +208,6 @@ class LogDistanceModel(PropagationModel):
         margin = self.tx_power_dbm - self.reference_loss_db - threshold_dbm
         return self.reference_distance * 10.0 ** (margin / (10.0 * self.path_loss_exponent))
 
-    # Backwards-compatible private alias (pre-SINR name).
-    _range_for_threshold = range_for_threshold
-
     def in_range(self, distance: float) -> bool:
         return self.received_power_dbm(distance) >= self.rx_threshold_dbm
 
@@ -224,7 +221,7 @@ class LogDistanceModel(PropagationModel):
         return self.received_power_dbm_batch(distances) >= self.cs_threshold_dbm
 
     def max_range(self) -> float:
-        return self._range_for_threshold(self.cs_threshold_dbm)
+        return self.range_for_threshold(self.cs_threshold_dbm)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -12,10 +12,10 @@ import signal
 import threading
 import time
 import urllib.request
+from dataclasses import asdict
 
 import pytest
 
-from repro.experiments.campaign import Campaign
 from repro.experiments import runner
 from repro.experiments.farm import (
     WORKERS_DIR,
@@ -25,9 +25,8 @@ from repro.experiments.farm import (
     make_status_server,
     render_farm_status,
 )
-from repro.experiments.runner import run_point
 from repro.experiments.scenarios import scaled_scenario
-from repro.experiments.store import ResultStore, config_hash
+from repro.experiments.store import ResultStore
 
 
 def tiny_config(protocol, scenario, rate, seed):
@@ -59,7 +58,7 @@ def assert_stores_bit_identical(farmed, reference):
 # ---------------------------------------------------------------------------
 
 def test_farm_bit_identical_to_unsharded_campaign(tmp_path):
-    reference_results = Campaign(str(tmp_path / "reference")).run(
+    reference_results = CampaignFarm(str(tmp_path / "reference")).run(
         *MATRIX, tiny_config)
 
     farm = CampaignFarm(str(tmp_path / "farm"))
@@ -78,7 +77,7 @@ def test_farm_bit_identical_to_unsharded_campaign(tmp_path):
 
     # The final counters are published in farm.json.
     with open(tmp_path / "farm" / "farm.json") as fh:
-        assert json.load(fh)["counters"] == counters.as_dict()
+        assert json.load(fh)["counters"] == asdict(counters)
 
 
 def test_farm_resume_serves_everything_cached(tmp_path):
@@ -121,24 +120,6 @@ def test_in_process_mode_spawns_nothing(tmp_path):
     assert len(ResultStore(root)) == 4 and len(results) == 2
     status = farm_status(root)
     assert status["state"] == "done" and status["missing"] == 0
-
-
-def test_farm_replays_partial_shard_of_dead_worker(tmp_path):
-    """A shard store left by an older farm resumes as cached points."""
-    root = str(tmp_path / "farm")
-    # Pre-seed shard-00 with one completed point, as an older farm's
-    # worker left it when it died (durable append, no ack, no merge).
-    config = tiny_config("rmac", "stationary", 10, 1)
-    shard = ResultStore(os.path.join(root, "shards", "shard-00"))
-    shard.record_success("rmac", "stationary", 10, 1,
-                         config_hash(config), run_point(config))
-
-    farm = CampaignFarm(root)
-    farm.run(*MATRIX, tiny_config, workers=2)
-    assert farm.counters.points_cached == 1
-    assert farm.counters.points_done == 3
-    # The replayed point made it into the root store.
-    assert ("rmac", "stationary", 10.0, 1) in ResultStore(root)
 
 
 def test_farm_captures_point_failures(tmp_path):
@@ -229,7 +210,7 @@ def _assassinate_first_leased_worker(root, killed):
 
 
 def test_sigkilled_worker_requeues_lease_and_farm_completes(tmp_path):
-    reference = Campaign(str(tmp_path / "reference")).run(
+    reference = CampaignFarm(str(tmp_path / "reference")).run(
         *KILL_MATRIX, slow_config)
 
     root = str(tmp_path / "farm")

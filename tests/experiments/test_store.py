@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.experiments.farm import farm_status
 from repro.experiments.runner import results_from_store, run_point
 from repro.experiments.scenarios import scaled_scenario
 from repro.experiments.store import (
@@ -133,6 +134,15 @@ def test_open_existing_only(tmp_path):
         ResultStore(str(tmp_path / "missing"), create=False)
 
 
+@pytest.mark.parametrize("create", [True, False])
+def test_file_at_store_path_is_a_clear_error(tmp_path, create):
+    path = tmp_path / "campaign.json"
+    path.write_text("{}")
+    with pytest.raises(NotADirectoryError, match="campaign.json.*is a file"):
+        ResultStore(str(path), create=create)
+    assert path.read_text() == "{}"     # left untouched
+
+
 def test_results_from_store_groups_and_filters(tmp_path, one_run):
     config, summary = one_run
     h = config_hash(config)
@@ -154,7 +164,7 @@ def test_status_without_manifest(tmp_path, one_run):
                          config_hash(config), summary)
     store.record_failure("rmac", "stationary", 10, 2,
                          config_hash(config), "boom")
-    status = store.status()
+    status = farm_status(str(tmp_path / "s"))
     assert status["done"] == 1 and status["failed"] == 1
     assert status["total"] is None and status["missing"] is None
 
@@ -170,32 +180,3 @@ def test_config_hash_is_pinned():
     config = scaled_scenario("rmac", "stationary", 10, 1,
                              n_packets=4, n_nodes=10)
     assert config_hash(config) == "a82959b3b35d35ee"
-
-
-def test_old_farm_shards_fold_into_the_store_once(tmp_path, one_run):
-    config, summary = one_run
-    h = config_hash(config)
-    root = tmp_path / "farm"
-    held = ResultStore(str(root))
-    held.record_success("rmac", "stationary", 10, 1, h, summary)
-    # An older farm's worker stores: one point the root already holds,
-    # one it lacks, one captured failure, one stale-hash record.
-    shard = ResultStore(str(root / "shards" / "shard-00"))
-    shard.record_success("rmac", "stationary", 10, 1, h, summary)
-    shard.record_success("rmac", "stationary", 10, 2, h, summary)
-    shard.record_failure("rmac", "stationary", 10, 3, h, "boom")
-    other = ResultStore(str(root / "shards" / "shard-01"))
-    other.record_success("rmac", "speed1", 10, 1, "0" * 16, summary)
-
-    store = ResultStore(str(root))
-    assert store.get("rmac", "stationary", 10, 2, h) == summary
-    assert store.get("rmac", "speed1", 10, 1, "0" * 16) == summary
-    assert not store.failures()
-    lines = (root / "results.jsonl").read_text().splitlines()
-    assert len(lines) == 3          # held point not appended twice
-    assert not (root / "shards").exists()
-    assert (root / "shards.folded" / "shard-00" / "results.jsonl").exists()
-
-    # Folded once: reopening appends nothing.
-    ResultStore(str(root))
-    assert (root / "results.jsonl").read_text().splitlines() == lines

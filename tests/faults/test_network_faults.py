@@ -6,7 +6,7 @@ import json
 import pytest
 
 import repro.experiments.runner as runner_module
-from repro.experiments.campaign import Campaign
+from repro.experiments.farm import CampaignFarm
 from repro.experiments.runner import run_point
 from repro.experiments.scenarios import scaled_scenario
 from repro.experiments.store import canonical_config_json, config_hash
@@ -110,7 +110,7 @@ def _faulted_config(protocol, scenario, rate, seed):
 
 
 def test_killed_faulted_campaign_resumes_bit_identical(tmp_path, monkeypatch):
-    reference = Campaign(str(tmp_path / "reference")).run(
+    reference = CampaignFarm(str(tmp_path / "reference")).run(
         *MATRIX, _faulted_config)
 
     original = runner_module.run_point
@@ -125,10 +125,10 @@ def test_killed_faulted_campaign_resumes_bit_identical(tmp_path, monkeypatch):
     path = str(tmp_path / "interrupted")
     monkeypatch.setattr(runner_module, "run_point", crashing_run_point)
     with pytest.raises(KeyboardInterrupt):
-        Campaign(path).run(*MATRIX, _faulted_config)
+        CampaignFarm(path).run(*MATRIX, _faulted_config)
     monkeypatch.setattr(runner_module, "run_point", original)
 
-    assert len(Campaign(path)) == 1
+    assert len(CampaignFarm(path)) == 1
 
     executed = []
 
@@ -137,7 +137,7 @@ def test_killed_faulted_campaign_resumes_bit_identical(tmp_path, monkeypatch):
         return original(config)
 
     monkeypatch.setattr(runner_module, "run_point", spying_run_point)
-    resumed = Campaign(path).run(*MATRIX, _faulted_config)
+    resumed = CampaignFarm(path).run(*MATRIX, _faulted_config)
     # The completed point came from disk; only the rest simulated.
     assert len(executed) == 2
 

@@ -24,6 +24,14 @@ def test_silence_means_success():
     assert not tb.macs[2].stats.frames_tx
 
 
+def test_announcement_counted_once_under_the_receivers_key():
+    tb = make_dot11_testbed(TRIANGLE, protocol="mx", seed=1)
+    tb.macs[0].send_reliable((1, 2), "pkt", 500)
+    tb.run(100 * MS)
+    assert tb.macs[0].stats.frames_tx == {"MRTS": 1, "RDATA": 1}
+    assert tb.macs[1].stats.frames_rx["MRTS"] == 1
+
+
 def test_corrupted_copy_draws_nak_tone_and_retransmission(monkeypatch):
     original = MxProtocol._handle_reliable_data
     state = {"corrupted": False}

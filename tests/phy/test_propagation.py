@@ -42,8 +42,8 @@ class TestLogDistance:
 
     def test_rx_and_cs_ranges_ordered(self):
         model = LogDistanceModel()
-        rx = model._range_for_threshold(model.rx_threshold_dbm)
-        cs = model._range_for_threshold(model.cs_threshold_dbm)
+        rx = model.range_for_threshold(model.rx_threshold_dbm)
+        cs = model.range_for_threshold(model.cs_threshold_dbm)
         assert cs > rx > 0
         assert model.in_range(rx * 0.99)
         assert not model.in_range(rx * 1.01)

@@ -95,7 +95,7 @@ def test_figure_reports_failed_points_without_failing(capsys, monkeypatch,
         config = real(protocol, scenario, rate, seed, **kw)
         return config.variant(protocol="boom") if seed == 2 else config
 
-    monkeypatch.setattr(cli, "scaled_scenario", sabotaged)
+    monkeypatch.setattr(scenarios, "scaled_scenario", sabotaged)
     code = main(["figure", "fig12", "--scale", "small", "--progress"])
     captured = capsys.readouterr()
     assert code == 0  # partial results, exit zero unless asked
@@ -169,6 +169,51 @@ def test_campaign_run_status_and_figure_from(capsys, tmp_path, monkeypatch):
     code = main(["validate", "--from", str(store)])
     assert code in (0, 1)
     assert "Paper-claim validation" in capsys.readouterr().out
+
+
+def test_campaign_status_and_serve_count_the_same_matrix(capsys, tmp_path,
+                                                         monkeypatch):
+    """A store that keeps points of an earlier, larger run: ``campaign
+    status`` and ``campaign serve`` both count the manifest's matrix
+    only, and both see a config change as stale, not done."""
+    import json
+
+    import repro.cli as cli
+    from repro.experiments.farm import CampaignFarm, render_farm_status
+    from repro.experiments.scenarios import scaled_scenario
+
+    def tiny(protocol, scenario, rate, seed):
+        return scaled_scenario(protocol, scenario, rate, seed,
+                               n_packets=4, n_nodes=10)
+
+    # "small" rebuilt from the manifest is exactly ``tiny``.
+    monkeypatch.setitem(cli.FIGURE_SCALES, "small", (10, 4, (10,), (1,)))
+    store = str(tmp_path / "campaign")
+    for seeds in ([1, 2, 3], [1]):
+        CampaignFarm(store).run(["rmac"], ["stationary"], [10], seeds, tiny,
+                                manifest_extra={"scale": "small"})
+
+    def status_and_serve():
+        assert main(["campaign", "status", "--out", store]) == 0
+        text = capsys.readouterr().out
+        assert main(["campaign", "serve", "--out", store, "--once"]) == 0
+        served = json.loads(capsys.readouterr().out)
+        row = next(line.split() for line in text.splitlines()
+                   if line.startswith("rmac"))
+        return text, row, served
+
+    text, row, served = status_and_serve()
+    assert "1/1 points done (100%), 0 failed, 0 stale, 0 missing" in text
+    assert row == ["rmac", "stationary", "1", "0", "0", "1"]
+    assert (served["done"], served["total"], served.get("stale")) == (1, 1, 0)
+    assert "1/1 points done" in render_farm_status(served)
+
+    monkeypatch.setitem(cli.FIGURE_SCALES, "small", (10, 6, (10,), (1,)))
+    text, row, served = status_and_serve()
+    assert "0/1 points done (0%), 0 failed, 1 stale, 0 missing" in text
+    assert row == ["rmac", "stationary", "0", "0", "1", "1"]
+    assert (served["done"], served["total"], served.get("stale")) == (0, 1, 1)
+    assert "0/1 points done" in render_farm_status(served)
 
 
 def test_campaign_status_requires_existing_store(tmp_path):

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import pytest
 
 import repro.experiments.runner as runner_module
-from repro.experiments.campaign import Campaign
+from repro.experiments.farm import CampaignFarm
 from repro.experiments.scenarios import scaled_scenario, sinr_preset
 from repro.experiments.store import ResultStore, canonical_config_json, config_hash
 from repro.metrics.summary import RunSummary
@@ -139,7 +139,7 @@ MATRIX = (["rmac", "bmmm"], ["stationary"], [10], [1, 2])
 
 
 def test_killed_sinr_campaign_resumes_bit_identical(tmp_path, monkeypatch):
-    reference = Campaign(str(tmp_path / "reference")).run(
+    reference = CampaignFarm(str(tmp_path / "reference")).run(
         *MATRIX, shadowed_config)
 
     original = runner_module.run_point
@@ -154,8 +154,8 @@ def test_killed_sinr_campaign_resumes_bit_identical(tmp_path, monkeypatch):
     path = str(tmp_path / "interrupted")
     monkeypatch.setattr(runner_module, "run_point", crashing_run_point)
     with pytest.raises(KeyboardInterrupt):
-        Campaign(path).run(*MATRIX, shadowed_config)
+        CampaignFarm(path).run(*MATRIX, shadowed_config)
     monkeypatch.setattr(runner_module, "run_point", original)
-    resumed = Campaign(path).run(*MATRIX, shadowed_config)
+    resumed = CampaignFarm(path).run(*MATRIX, shadowed_config)
 
     assert [asdict(r) for r in resumed] == [asdict(r) for r in reference]
