@@ -22,6 +22,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 from time import perf_counter
@@ -38,6 +39,17 @@ from repro.experiments.scenarios import (
     sinr_preset,
 )
 from repro.world.network import PROTOCOLS, ScenarioConfig, build_network
+
+
+def _store_dir(path: str) -> str:
+    """``path``, if it is a directory; otherwise exit 2 with one line on
+    stderr naming it, as for a usage error (the read-only commands need
+    an existing result store)."""
+    if os.path.isdir(path):
+        return path
+    problem = "is not a directory" if os.path.exists(path) else "does not exist"
+    print(f"repro: error: result store {path!r} {problem}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _load_faults(path: Optional[str]):
@@ -174,7 +186,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         from repro.experiments.figures import figure_rows_from_store
         from repro.experiments.store import ResultStore
 
-        store = ResultStore(args.from_store, create=False)
+        store = ResultStore(_store_dir(args.from_store), create=False)
         rows = figure_rows_from_store(spec, store)
         results = []
     else:
@@ -237,15 +249,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.experiments.scenarios import FAMILY_PROTOCOLS, family_scenario
     from repro.net.tree import placement_tree_statistics
 
-    topology = placement_tree_statistics()
     if args.from_store:
         from repro.experiments.store import ResultStore
 
-        rows = validate_store(ResultStore(args.from_store, create=False),
-                              topology=topology, analytic=analytic_evidence())
+        store = ResultStore(_store_dir(args.from_store), create=False)
+        rows = validate_store(store, topology=placement_tree_statistics(),
+                              analytic=analytic_evidence())
         print(format_table(rows, title="Paper-claim validation"))
         return 0 if all_pass(rows) else 1
 
+    topology = placement_tree_statistics()
     _n, _p, rates, seeds = FIGURE_SCALES[args.scale]
     options = _sweep_options(args)
     results = run_sweep(["rmac", "bmmm"], list(SCENARIOS), list(rates),
@@ -304,7 +317,8 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
     if args.once:
         import json
 
-        print(json.dumps(farm_status(args.out), indent=1, sort_keys=True))
+        print(json.dumps(farm_status(_store_dir(args.out)), indent=1,
+                         sort_keys=True))
         return 0
     server = make_status_server(args.out, args.host, args.port)
     host, port = server.server_address[:2]
@@ -323,7 +337,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.experiments.farm import farm_status
     from repro.experiments.report import render_status
 
-    print(render_status(farm_status(args.out),
+    print(render_status(farm_status(_store_dir(args.out)),
                         title=f"campaign store: {args.out}"), end="")
     return 0
 

@@ -534,7 +534,7 @@ def render_farm_status(status: dict) -> str:
     head = (f"{status['done']}/{total}" if total is not None
             else str(status["done"]))
     lines.append(f"farm [{status['state']}]: {head} points done, "
-                 f"{status['failed']} failed"
+                 f"{status['failed']} failed, {status['stale']} stale"
                  + (f", {status['missing']} missing"
                     if status["missing"] is not None else ""))
     if status["points_per_sec"]:

@@ -20,23 +20,26 @@ Semantics, following Section 3 of the paper:
     (Fig. 5) instead of assuming oracle knowledge.
 
 Presence is judged from the emissions themselves, not kept by events.
-Each emission reserves the simulator seqs its per-listener on and off
+Each emission is an :class:`~repro.phy.neighbors.Emission` over its
+listeners: it reserves the simulator seqs its per-listener on and off
 deltas would have taken as events (:meth:`Simulator.reserve`), and each
-listener keeps the emissions that reach it. ``present(node)`` counts the
-emissions whose on position has passed and whose off position has not,
-compared with the executing event's ``(now, now_seq)``; a same-nanosecond
-event therefore sees a delta exactly when it would have run after it.
-The presence waiters (``notify_present`` / ``notify_clear``) cost one
-check event per reserved position of a listener that has a waiter,
-scheduled under that position's seq (:meth:`Simulator.at_seq`), which
-fires the waiter only on a real 0 -> 1 or 1 -> 0 transition.
+listener keeps the emissions that reach it. ``present(node)`` asks
+whether an emission's on position has passed at the node and its off
+position has not (:meth:`Emission.live`), at the executing event's
+``(now, now_seq)``; a same-nanosecond event therefore sees a delta
+exactly when it would have run after it. The presence waiters
+(``notify_present`` / ``notify_clear``) cost one check event per
+reserved position of a listener that has a waiter, scheduled under that
+position's seq (:meth:`Simulator.at_seq`), which fires the waiter only
+on a real 0 -> 1 or 1 -> 0 transition.
 
-Tone reach: by default an emission reaches every *sensed* link of the
-emitter (``LinkTable.delay_map``); under the SINR subsystem's
-power-domain link tables that already excludes interference-only links.
-An explicit ``power_threshold_dbm`` moves tone detection fully into the
-power domain: the tone reaches exactly the links whose received power
-clears the threshold.
+Tone reach: an emission reaches the *sensed* links of the emitter (the
+``sensed`` group of its table's :class:`~repro.phy.neighbors.LinkView`),
+the nodes whose radios detect its energy -- the same nodes, in the same
+order, that the data channel's carrier sense reaches. Under the SINR
+subsystem's power-domain link tables a link is sensed iff its power
+clears the carrier-sense threshold, so interference-only links hear no
+tone.
 """
 
 from __future__ import annotations
@@ -44,10 +47,9 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from functools import partial
-from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.phy.neighbors import DelayOrder, NeighborService, order_by_delay
+from repro.phy.neighbors import Emission, LinkView, NeighborService
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.trace import NULL_TRACER, Tracer
 
@@ -62,57 +64,14 @@ class ToneType(enum.Enum):
     ABT = "ABT"
 
 
-class _Emission:
-    __slots__ = ("emitter", "start", "end", "link_delays", "order", "suppressed",
-                 "on_seq", "off_seq")
+#: The view of a crashed emitter's tone: it reaches nobody, and it is
+#: absent from the on/off trace too (the invariant oracle must see the
+#: silence the rest of the network sees).
+_SUPPRESSED = LinkView(())
 
-    def __init__(self, emitter: int, start: int, link_delays: Dict[int, int],
-                 order: DelayOrder,
-                 suppressed: bool = False):
-        self.emitter = emitter
-        self.start = start
-        self.end: Optional[int] = None
-        #: listener node -> propagation delay (frozen at emission start)
-        self.link_delays = link_delays
-        #: ``link_delays`` as delay-sorted ``(delays, nodes)``: listener
-        #: ``nodes[i]`` senses the tone from ``(start + delays[i],
-        #: on_seq + i)`` until ``(end + delays[i], off_seq + i)``.
-        self.order = order
-        #: True for a crashed emitter's tone: never on the air, so it is
-        #: absent from the on/off trace too (the invariant oracle must
-        #: see the silence the rest of the network sees).
-        self.suppressed = suppressed
-        #: First reserved seq of the on and off positions (off: None
-        #: while the emission lasts).
-        self.on_seq = 0
-        self.off_seq: Optional[int] = None
-
-
-#: One listener's view of an emission: ``(emission, delay, index)``, its
-#: position ``index`` in ``emission.order``.
-_Reach = Tuple[_Emission, int, int]
-
-
-def _entries(emission: _Emission):
-    """``emission``'s reach entries, one per listener in delay order."""
-    delays = emission.order[0]
-    return zip(repeat(emission), delays, range(len(delays)))
-
-
-def _presence(reach: List[_Reach], now: int, seq: int) -> int:
-    """How many emissions in ``reach`` are present at position ``(now, seq)``."""
-    count = 0
-    for emission, delay, index in reach:
-        time = emission.start + delay
-        if time > now or (time == now and emission.on_seq + index > seq):
-            continue  # not on yet
-        end = emission.end
-        if end is not None:
-            time = end + delay
-            if time < now or (time == now and emission.off_seq + index <= seq):
-                continue  # already off
-        count += 1
-    return count
+#: One listener's entry for an emission that reaches it: ``(emission,
+#: k)``, the listener being link ``k`` of ``emission.view``.
+_Reach = Tuple[Emission, int]
 
 
 class BusyToneChannel:
@@ -131,17 +90,12 @@ class BusyToneChannel:
         detect_time: int,
         tracer: Tracer = NULL_TRACER,
         faults: Optional["FaultInjector"] = None,
-        power_threshold_dbm: Optional[float] = None,
     ):
         self._sim = sim
         self._neighbors = neighbors
         self.tone = tone
         #: lambda: continuous presence needed for detection (ns).
         self.detect_time = int(detect_time)
-        #: Tone-detection threshold in the power domain: when set, an
-        #: emission reaches exactly the links whose received power (dBm)
-        #: clears it. None = all sensed links.
-        self.power_threshold_dbm = power_threshold_dbm
         self._tracer = tracer
         #: Optional fault injector: a crashed emitter's tone reaches
         #: nobody, and a crashed listener senses nothing new. ``None``
@@ -150,9 +104,9 @@ class BusyToneChannel:
         #: Trace kinds, precomputed off the per-emission hot path.
         self._on_kind = f"{tone.value.lower()}-on"
         self._off_kind = f"{tone.value.lower()}-off"
-        self._active: Dict[int, _Emission] = {}
+        self._active: Dict[int, Emission] = {}
         #: Finished emissions, in turn-off order (so by end time).
-        self._recent: List[_Emission] = []
+        self._recent: List[Emission] = []
         #: listener -> the active and recent emissions that reach it.
         self._reach: Dict[int, List[_Reach]] = defaultdict(list)
         #: node -> [callbacks, check handles]: one-shot callbacks fired
@@ -172,68 +126,46 @@ class BusyToneChannel:
         """Start emitting the tone from ``emitter``."""
         if emitter in self._active:
             raise RuntimeError(f"node {emitter} already emits {self.tone.value}")
-        now = self._sim.now
+        sim = self._sim
+        now = sim.now
         table = self._neighbors.table_from(emitter, now)
         faults = self._faults
-        threshold = self.power_threshold_dbm
-        suppressed = False
         if faults is None:
-            # Shared, lazily-built views: every emission in the same bucket
-            # epoch reuses one dict (and its sorted twin) instead of
-            # re-deriving its own. _Emission only ever reads them.
-            if threshold is None:
-                link_delays = table.delay_map
-                order = table.delay_order
-            else:
-                link_delays = table.tone_map(threshold)
-                order = table.tone_order(threshold)
+            view = table.view.sensed
         elif faults.node_down(emitter, now):
             # A crashed emitter's tone reaches nobody. The emission is
             # still registered (with no listeners) so the MAC's matching
             # turn_off stays valid, and the suppression is traced so the
             # invariant oracle can tell an injected silence from a bug.
-            link_delays = {}
-            order = ((), ())
-            suppressed = True
+            view = _SUPPRESSED
             if self._tracer.enabled:
                 self._tracer.emit(now, emitter, "fault-tone-suppressed",
                                   tone=self.tone.value)
         else:
             # Deaf listeners (crashed at emission start) sense nothing.
-            if threshold is None:
-                link_delays = {l.node: l.delay_ns for l in table.links
-                               if l.sensed
-                               and not faults.node_down(l.node, now)}
-            else:
-                link_delays = {l.node: l.delay_ns for l in table.links
-                               if l.power_dbm is not None
-                               and l.power_dbm >= threshold
-                               and not faults.node_down(l.node, now)}
-            order = order_by_delay(link_delays)
-        emission = _Emission(emitter, now, link_delays, order,
-                             suppressed=suppressed)
-        self._active[emitter] = emission
+            view = LinkView(tuple([link for link in table.view.sensed.links
+                                   if not faults.node_down(link.node, now)]))
         # The on positions take their seqs ahead of the detections.
-        delays, nodes = order
-        sim = self._sim
-        emission.on_seq = seq0 = sim.reserve(now, delays)
+        delays = view.delays
+        emission = Emission(view, now, sim.reserve(now, delays))
+        self._active[emitter] = emission
         reach = self._reach
-        for node, entry in zip(nodes, _entries(emission)):
-            reach[node].append(entry)
+        for k, link in enumerate(view.links):
+            reach[link.node].append((emission, k))
         waiters = self._present_waiters
         if waiters:
-            for node in waiters.keys() & link_delays.keys():
-                index = nodes.index(node)
-                waiters[node][1].append(self._check_at(
-                    node, now + delays[index], seq0 + index, on=True))
+            self._check_new(waiters, emission, True)
         watchers = self._watchers
         if watchers:
-            detect_time = self.detect_time
-            for node, delay in link_delays.items():
-                if node in watchers:
-                    self._schedule_detection(emission, node,
-                                             now + delay + detect_time)
-        if self._tracer.enabled and not suppressed:
+            # In delay order, equal delays in link-table order: the order
+            # the detections have always taken their seqs in.
+            index = view.index
+            detect_at = now + self.detect_time
+            for k in sorted([index[node] for node in watchers
+                             if node in index]):
+                self._schedule_detection(emission, view.links[k].node,
+                                         detect_at + delays[k])
+        if self._tracer.enabled and view is not _SUPPRESSED:
             self._tracer.emit(now, emitter, self._on_kind)
 
     def turn_off(self, emitter: int) -> None:
@@ -244,18 +176,31 @@ class BusyToneChannel:
         sim = self._sim
         now = sim.now
         emission.end = now
-        delays, nodes = emission.order
-        emission.off_seq = seq0 = sim.reserve(now, delays)
+        emission.end_seq = sim.reserve(now, emission.view.delays)
         waiters = self._clear_waiters
         if waiters:
-            for node in waiters.keys() & emission.link_delays.keys():
-                index = nodes.index(node)
-                waiters[node][1].append(self._check_at(
-                    node, now + delays[index], seq0 + index, on=False))
+            self._check_new(waiters, emission, False)
         self._recent.append(emission)
         self._prune(now)
-        if self._tracer.enabled and not emission.suppressed:
+        if self._tracer.enabled and emission.view is not _SUPPRESSED:
             self._tracer.emit(now, emitter, self._off_kind)
+
+    def _check_new(self, waiters: Dict[int, list], emission: Emission,
+                   on: bool) -> None:
+        """Check events for ``waiters`` at the on (off) positions that
+        ``emission`` has just reserved."""
+        if on:
+            base, seq = emission.start, emission.seq
+        else:
+            base, seq = emission.end, emission.end_seq
+        view = emission.view
+        index = view.index
+        delays = view.delays
+        for node, waiter in waiters.items():
+            k = index.get(node)
+            if k is not None:
+                waiter[1].append(self._check_at(node, base + delays[k],
+                                                seq + k, on))
 
     def pulse(self, emitter: int, duration: int) -> None:
         """Emit the tone for exactly ``duration`` ns (used for ABT)."""
@@ -274,7 +219,12 @@ class BusyToneChannel:
         if not reach:
             return False
         sim = self._sim
-        return _presence(reach, sim.now, sim.now_seq) > 0
+        now = sim.now
+        now_seq = sim.now_seq
+        for emission, k in reach:
+            if emission.live(k, now, now_seq):
+                return True
+        return False
 
     def longest_presence(self, node: int, t0: int, t1: int) -> int:
         """Longest continuously-present stretch at ``node`` within ``(t0, t1]``.
@@ -288,7 +238,8 @@ class BusyToneChannel:
         intervals: List[Tuple[int, int]] = []
         # The node's reach list holds exactly the active and recently
         # finished emissions that reach it.
-        for emission, delay, _index in self._reach.get(node, ()):
+        for emission, k in self._reach.get(node, ()):
+            delay = emission.view.delays[k]
             lo = emission.start + delay
             hi = (emission.end + delay) if emission.end is not None else t1
             lo = max(lo, t0)
@@ -323,10 +274,11 @@ class BusyToneChannel:
             raise RuntimeError(f"node {node} already watches {self.tone.value}")
         self._watchers[node] = (callback, [])
         now = self._sim.now
-        for emission, delay, _index in self._reach.get(node, ()):
+        for emission, k in self._reach.get(node, ()):
             if emission.end is not None:
                 continue
-            detect_at = emission.start + delay + self.detect_time
+            detect_at = (emission.start + emission.view.delays[k]
+                         + self.detect_time)
             if detect_at >= now:
                 self._schedule_detection(emission, node, detect_at)
             else:
@@ -342,7 +294,7 @@ class BusyToneChannel:
         for handle in entry[1]:
             handle.cancel()
 
-    def _schedule_detection(self, emission: _Emission, node: int, when: int) -> None:
+    def _schedule_detection(self, emission: Emission, node: int, when: int) -> None:
         entry = self._watchers.get(node)
         if entry is None:
             return
@@ -351,7 +303,7 @@ class BusyToneChannel:
         )
         entry[1].append(handle)
 
-    def _run_detection(self, emission: _Emission, node: int) -> None:
+    def _run_detection(self, emission: Emission, node: int) -> None:
         entry = self._watchers.get(node)
         if entry is None:
             return
@@ -405,17 +357,16 @@ class BusyToneChannel:
         now = sim.now
         now_seq = sim.now_seq
         checks = []
-        for emission, delay, index in self._reach.get(node, ()):
+        for emission, k in self._reach.get(node, ()):
+            delay = emission.view.delays[k]
             if on:
-                time = emission.start + delay
-                seq = emission.on_seq + index
-            elif emission.end is not None:
-                time = emission.end + delay
-                seq = emission.off_seq + index
-            else:
-                continue
-            if time > now or (time == now and seq > now_seq):
-                checks.append(self._check_at(node, time, seq, on))
+                if not emission.started(k, now, now_seq):
+                    checks.append(self._check_at(
+                        node, emission.start + delay, emission.seq + k, on))
+            elif (emission.end is not None
+                  and not emission.ended(k, now, now_seq)):
+                checks.append(self._check_at(
+                    node, emission.end + delay, emission.end_seq + k, on))
         return checks
 
     def _check_at(self, node: int, time: int, seq: int, on: bool) -> EventHandle:
@@ -430,7 +381,11 @@ class BusyToneChannel:
         waiters = self._present_waiters if on else self._clear_waiters
         waiter = waiters[node]
         sim = self._sim
-        if _presence(self._reach[node], sim.now, sim.now_seq) != (1 if on else 0):
+        now = sim.now
+        now_seq = sim.now_seq
+        present = sum([emission.live(k, now, now_seq)
+                       for emission, k in self._reach[node]])
+        if present != (1 if on else 0):
             # No transition here: drop this check's spent handle.
             waiter[1] = [handle for handle in waiter[1] if handle.pending]
             return
@@ -452,18 +407,18 @@ class BusyToneChannel:
             stale += 1
         reach = self._reach
         for emission in recent[:stale]:
-            for node, entry in zip(emission.order[1], _entries(emission)):
-                listened = reach[node]
-                listened.remove(entry)
+            for k, link in enumerate(emission.view.links):
+                listened = reach[link.node]
+                listened.remove((emission, k))
                 if not listened:
-                    del reach[node]
+                    del reach[link.node]
         del recent[:stale]
 
 
 class _DetectionCheck:
     __slots__ = ("channel", "emission", "node")
 
-    def __init__(self, channel: BusyToneChannel, emission: _Emission, node: int):
+    def __init__(self, channel: BusyToneChannel, emission: Emission, node: int):
         self.channel = channel
         self.emission = emission
         self.node = node

@@ -12,16 +12,18 @@ Models GloMoSim-style frame transmission with:
 * abortable transmissions (truncated frames shorten the busy interval
   and are never delivered).
 
-Every arrival the receiver's radio notices runs through one pipeline
-(``_arrival_start`` / ``_arrival_end``). The only optional stage is the
-reception decision of a :class:`repro.phy.sinr.SinrState` (``sinr``):
+Every arrival the receiver's radio senses runs through one pipeline
+(``_arrival_start`` / ``_arrival_end``), fanned out over the ``sensed``
+links of the sender's :class:`~repro.phy.neighbors.LinkView`. The only
+optional stage is the reception decision of a
+:class:`repro.phy.sinr.SinrState` (``sinr``):
 it replaces the overlap rule with accumulated interference when its
 accounting is on, and at arrival end decodes only if the
 signal-to-(peak interference + noise) ratio clears its threshold. The
 stage reads the transmissions themselves: each one reports its start
 and end with the seqs its arrivals take, and a decode replays the
 reception's window from them. Interference-only links (power mode,
-``Link.sensed`` False and not decodable) get no arrival events at all,
+``Link.sensed`` False, never decodable) get no arrival events at all,
 only reserved seqs (:meth:`~repro.sim.engine.Simulator.reserve`), so
 the event order of everything else is unchanged. Capture -- a strong
 frame surviving a weak overlap -- is that decision with the capture
@@ -76,10 +78,11 @@ class ChannelListener(Protocol):
 class Transmission:
     """One in-flight frame transmission.
 
-    ``links`` are the sender's links that get arrival events, sorted by
-    delay (ties in link-table order), and ``delays`` their delays: the
-    order both arrival fan-outs take. ``arrivals`` is the SINR stage's
-    record of every arrival (None without SINR reception).
+    ``links`` are the sender's sensed links, the ones that get arrival
+    events, sorted by delay (ties in link-table order), and ``delays``
+    their delays: the order both arrival fan-outs take. ``arrivals`` is
+    the SINR stage's record of every arrival (None without SINR
+    reception).
     """
 
     __slots__ = ("sender", "frame", "start", "airtime", "delays", "links",
@@ -281,13 +284,10 @@ class DataChannel:
         sim = self._sim
         now = sim.now
         airtime = self._phy.frame_airtime(frame.size_bytes)  # type: ignore[attr-defined]
-        table = self._neighbors.table_from(sender, now)
-        sinr = self._sinr
-        if sinr is None:
-            delays, links = table.by_delay
-        else:
-            view = table.sinr_view
-            delays, links = view.heard
+        view = self._neighbors.table_from(sender, now).view
+        sensed = view.sensed
+        delays = sensed.delays
+        links = sensed.links
         tx = Transmission(sender, frame, now, airtime, delays, links)
         state.tx = tx
         # Transmitting while receiving destroys the ongoing receptions
@@ -295,12 +295,14 @@ class DataChannel:
         ongoing = state.receiving
         for other in ongoing:
             ongoing[other] = True
-        sim.fan_out(now, delays, links, self._arrival_start, tx, "rx-start")
+        seq = sim.fan_out(now, delays, links, self._arrival_start, tx,
+                          "rx-start")
+        sinr = self._sinr
         if sinr is not None:
             # The interference-only arrivals take the seqs after the
             # fan-out's, so the whole block is as large as ever.
-            tx.arrivals = sinr.start(
-                view, sim.reserve(now, view.quiet) - len(delays))
+            sim.reserve(now, view.quiet)
+            tx.arrivals = sinr.start(view, seq)
         tx._end_event = sim.at(now + airtime, lambda: self._end_tx(tx, False), label="tx-end")
         tracer = self._tracer
         if tracer.enabled:
@@ -333,12 +335,12 @@ class DataChannel:
             state.last_busy_end = end
             if state.idle_waiters:
                 self._fire_idle(state)
-        sim.fan_out(end, tx.delays, tx.links, self._arrival_end, tx, "rx-end")
+        seq = sim.fan_out(end, tx.delays, tx.links, self._arrival_end, tx,
+                          "rx-end")
         arrivals = tx.arrivals
         if arrivals is not None:
-            self._sinr.end(  # type: ignore[union-attr]
-                arrivals,
-                sim.reserve(end, arrivals.view.quiet) - len(tx.delays))
+            sim.reserve(end, arrivals.view.quiet)
+            self._sinr.end(arrivals, seq)  # type: ignore[union-attr]
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(end, sender, "tx-abort" if aborted else "tx-end",
@@ -351,27 +353,26 @@ class DataChannel:
     # The arrival pipeline (driven by the per-link fan-outs)
     # ------------------------------------------------------------------
     def _arrival_start(self, tx: Transmission, link: Link) -> None:
-        """First bit of ``tx`` reaches ``link.node``.
+        """First bit of ``tx`` reaches ``link.node``, a sensed link.
 
-        Busy counters move only for *sensed* links. An overlap between
-        sensed arrivals corrupts every reception involved -- unless the
-        SINR decision accounts interference, in which case the SINR check
-        at arrival end replaces the boolean rule.
+        The node's busy counter rises. An overlap between arrivals
+        corrupts every reception involved -- unless the SINR decision
+        accounts interference, in which case the SINR check at arrival
+        end replaces the boolean rule.
         """
         node = link.node
         state = self._nodes[node]
         ongoing = state.receiving
         overlap = False
-        if link.sensed:
-            prior = state.busy
-            state.busy = prior + 1
-            if prior:
-                overlap = self._overlap_rule
-            else:
-                waiter = state.busy_waiter
-                if waiter is not None:
-                    state.busy_waiter = None
-                    waiter()
+        prior = state.busy
+        state.busy = prior + 1
+        if prior:
+            overlap = self._overlap_rule
+        else:
+            waiter = state.busy_waiter
+            if waiter is not None:
+                state.busy_waiter = None
+                waiter()
         if overlap:
             for other in ongoing:
                 ongoing[other] = True
@@ -399,26 +400,25 @@ class DataChannel:
         """
         node = link.node
         state = self._nodes[node]
-        if link.sensed:
-            count = state.busy
-            if count <= 0:
-                # An end without a matching start means arrival bookkeeping
-                # lost or duplicated an event; inventing a count here would
-                # silently mask it. Fail loudly instead.
-                self._tracer.emit(
-                    self._sim.now, node, "channel-underflow", sender=tx.sender
-                )
-                raise SimulationError(
-                    f"busy-counter underflow at node {node}: arrival-end from "
-                    f"sender {tx.sender} at t={self._sim.now} without a "
-                    f"matching arrival-start"
-                )
-            count -= 1
-            state.busy = count
-            if not count and state.tx is None:
-                state.last_busy_end = self._sim.now
-                if state.idle_waiters:
-                    self._fire_idle(state)
+        count = state.busy
+        if count <= 0:
+            # An end without a matching start means arrival bookkeeping
+            # lost or duplicated an event; inventing a count here would
+            # silently mask it. Fail loudly instead.
+            self._tracer.emit(
+                self._sim.now, node, "channel-underflow", sender=tx.sender
+            )
+            raise SimulationError(
+                f"busy-counter underflow at node {node}: arrival-end from "
+                f"sender {tx.sender} at t={self._sim.now} without a "
+                f"matching arrival-start"
+            )
+        count -= 1
+        state.busy = count
+        if not count and state.tx is None:
+            state.last_busy_end = self._sim.now
+            if state.idle_waiters:
+                self._fire_idle(state)
         corrupted = state.receiving.pop(tx, None)
         if corrupted is None:
             return

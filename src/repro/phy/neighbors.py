@@ -3,7 +3,9 @@
 The data channel and the busy-tone channels both need, at the moment a
 transmission (or tone emission) starts, the set of nodes that will sense
 it and the per-link propagation delay. This module centralizes that
-computation over a position provider:
+computation over a position provider, and gives every reader one view
+of a sender's links (:class:`LinkView`, in arrival order) and one record
+of an emission on the air (:class:`Emission`):
 
 * static scenarios: every sender's link table is computed once and frozen
   (later calls are a single list index);
@@ -39,11 +41,13 @@ link's received power, which includes per-pair shadowing
 (``model.link_power_dbm``) and per-node heterogeneous radio offsets.
 Links below carrier sense but above the cutoff are *interference-only*
 (``Link.sensed`` False): their power counts in SINR decodes (read from
-the table's :class:`SinrView` when a decode replays its window), but
+the table's :class:`LinkView` when a decode replays its window), but
 they never raise carrier sense or busy-tone detection, and the data
-channel gives them no arrival events. The grid cell size
-becomes the spec's ``prune_range`` (the interference radius), not the
-model's ``max_range()``. ``link_power_dbm_batch`` is bit-identical to
+channel gives them no arrival events. A decodable link is always
+sensed (the spec rejects ``rx_threshold_dbm < cs_threshold_dbm``), so
+the view's ``sensed`` group holds every link that can decode. The grid
+cell size becomes the spec's ``prune_range`` (the interference radius),
+not the model's ``max_range()``. ``link_power_dbm_batch`` is bit-identical to
 the oracle's scalar ``link_power_dbm``, so power-mode tables are exact
 too (property-tested against the oracle).
 """
@@ -58,10 +62,10 @@ import numpy as np
 
 from repro.phy.grid import SpatialGrid
 from repro.phy.propagation import IN_RANGE_POWER_DBM, PropagationModel
+from repro.sim.engine import passed
 
-#: Sort key for delay-ordered views: a Link's ``delay_ns`` and a
-#: ``(node, delay)`` map item's delay are both field 1.
-_second = itemgetter(1)
+#: Sort key for delay-ordered views: a Link's ``delay_ns``.
+_delay = itemgetter(1)
 
 #: Speed of light in meters per nanosecond.
 _LIGHT_SPEED_M_PER_NS = 0.299792458
@@ -115,8 +119,7 @@ class Link(NamedTuple):
     in_rx_range: bool  # False => carrier-sensed only (cannot decode)
     #: Received power at the node (dBm). Every PropagationModel reports
     #: one (unit-disk models a documented constant); the None default
-    #: only serves hand-built links. Feeds the SINR reception stage and
-    #: busy-tone power thresholds.
+    #: only serves hand-built links. Feeds the SINR reception stage.
     power_dbm: Optional[float] = None
     #: False => interference-only: the node's radio cannot sense this
     #: transmission (no carrier sense, no busy-tone detection), but its
@@ -126,55 +129,44 @@ class Link(NamedTuple):
     sensed: bool = True
 
 
-#: A node -> delay map as ``(delays, nodes)``, sorted by delay.
-DelayOrder = Tuple[Tuple[int, ...], Tuple[int, ...]]
+class LinkView:
+    """A table's links in delay order: the order of their arrivals.
 
-
-def order_by_delay(delay_map: Dict[int, int]) -> DelayOrder:
-    """``(delays, nodes)`` of a node -> delay map, sorted by delay.
-
-    The sort is stable, so equal delays keep the map's order: the order
-    a fan-out of per-node events over the map must fire in.
-    """
-    items = sorted(delay_map.items(), key=_second)
-    return tuple([item[1] for item in items]), tuple([item[0] for item in items])
-
-
-class SinrView:
-    """A table's links in arrival order, as the SINR reception stage
-    and the data channel under it read them.
-
-    Arrival ``k`` is ``by_delay``'s ``k``-th link: ``links[k]``, after
-    ``delays[k]``; ``index`` maps a node to its ``k``. ``heard`` is
-    ``(delays, links)`` of the links the receiver's radio notices
-    (sensed or decodable), the ones that get arrival events; ``quiet``
-    holds the delays of the rest, the interference-only links, in the
-    same order. With no interference-only link, ``heard`` is
-    ``by_delay`` itself. ``mw[k]`` caches link ``k``'s power in mW once
-    :meth:`power_mw` has read it (None until then).
+    ``links[k]`` is reached ``delays[k]`` after the sender starts (equal
+    delays in link-table order) and ``index`` maps a node to its ``k``.
+    The links split into two groups. ``sensed`` is the view of the
+    links the receiver's radio senses: they get arrival events, raise
+    carrier sense and hear busy tones. It is the view itself when every
+    link is sensed, and its own ``sensed`` is itself. ``quiet`` holds
+    the delays of the others, the interference-only links, which only
+    take reserved seqs after the sensed ones. A decodable link is always
+    sensed (both builders guarantee it), so no decodable link is quiet.
+    ``mw[k]`` caches link ``k``'s power in mW once :meth:`power_mw` has
+    read it (None until then).
     """
 
-    __slots__ = ("delays", "links", "index", "span", "heard", "quiet", "mw")
+    __slots__ = ("delays", "links", "index", "span", "quiet", "mw", "_sensed")
 
-    def __init__(self, by_delay: Tuple[Tuple[int, ...], Tuple[Link, ...]]):
-        delays, links = by_delay
-        self.delays = delays
+    def __init__(self, links: Tuple[Link, ...]):
         self.links = links
+        self.delays = delays = tuple([link.delay_ns for link in links])
         self.index = {link.node: k for k, link in enumerate(links)}
         self.mw: List[Optional[float]] = [None] * len(links)
         #: The longest delay: every arrival has started ``span`` after the
         #: transmission starts and ended ``span`` after it ends.
         self.span = delays[-1] if delays else 0
-        heard = [k for k, link in enumerate(links)
-                 if link.sensed or link.in_rx_range]
-        if len(heard) == len(links):
-            self.heard = by_delay
-            self.quiet: Tuple[int, ...] = ()
-        else:
-            self.heard = (tuple([delays[k] for k in heard]),
-                          tuple([links[k] for k in heard]))
-            self.quiet = tuple([delays[k] for k, link in enumerate(links)
-                                if not (link.sensed or link.in_rx_range)])
+        quiet = tuple([link.delay_ns for link in links if not link.sensed])
+        self.quiet = quiet
+        # None stands for the view itself: a view holding itself would be
+        # a reference cycle, kept until the cyclic collector runs.
+        self._sensed = LinkView(tuple([link for link in links
+                                       if link.sensed])) if quiet else None
+
+    @property
+    def sensed(self) -> "LinkView":
+        """The view of the sensed links (itself when all are sensed)."""
+        sensed = self._sensed
+        return self if sensed is None else sensed
 
     def power_mw(self, k: int) -> float:
         """Link ``k``'s received power in mW, converted once per view."""
@@ -185,91 +177,73 @@ class SinrView:
         return power
 
 
-class LinkTable:
-    """One sender's links for one bucket epoch, plus derived views.
+#: A view with no links: a crashed emitter's busy tone reaches nobody.
+NO_LINKS = LinkView(())
 
-    ``delay_map`` (node -> delay_ns) is built lazily and shared by every
-    busy-tone emission in the epoch, instead of each emission re-deriving
-    its own dict from the links. It covers *sensed* links only: a
-    busy tone (like carrier sense) reaches exactly the nodes whose
-    radios detect energy; power-mode interference-only links are
-    excluded. ``tone_map`` restricts further to links at or above an
-    explicit power threshold (busy-tone detection in the power domain);
-    one threshold is cached since a run uses a single tone threshold.
 
-    A frame's arrival fan-outs fire in delay order, and a tone's
-    presence changes take their reserved positions in that order, so
-    each view has a lazily-built, delay-sorted twin: ``by_delay`` for the
-    links, ``delay_order`` and ``tone_order`` for the maps (see
-    :func:`order_by_delay`). A channel with SINR reception reads
-    ``sinr_view`` instead of ``by_delay``.
+class Emission:
+    """One transmission or busy tone on the air: when each link of its
+    view has it.
+
+    Link ``k`` of ``view`` has it from position ``(start +
+    view.delays[k], seq + k)`` until ``(end + view.delays[k], end_seq +
+    k)``. ``seq`` and ``end_seq`` are the first seqs of the blocks its
+    start and end took in the event order
+    (:meth:`~repro.sim.engine.Simulator.fan_out` or
+    :meth:`~repro.sim.engine.Simulator.reserve`): the positions one
+    event per link would have had, so they order against each other and
+    against the executing event's ``(now, now_seq)`` exactly as those
+    events would. ``end`` is None while it lasts.
     """
 
-    __slots__ = ("links", "_by_delay", "_sinr_view", "_delay_map",
-                 "_delay_order", "_tone_thr", "_tone_map", "_tone_order")
+    __slots__ = ("view", "start", "seq", "end", "end_seq")
+
+    def __init__(self, view: LinkView, start: int, seq: int):
+        self.view = view
+        self.start = start
+        self.seq = seq
+        self.end: Optional[int] = None
+        self.end_seq = 0
+
+    def started(self, k: int, now: int, now_seq: int) -> bool:
+        """Whether link ``k``'s start position has passed at ``(now, now_seq)``."""
+        return passed(self.start + self.view.delays[k], self.seq + k,
+                      now, now_seq)
+
+    def ended(self, k: int, now: int, now_seq: int) -> bool:
+        """Whether link ``k``'s end position has passed at ``(now, now_seq)``."""
+        end = self.end
+        return end is not None and passed(
+            end + self.view.delays[k], self.end_seq + k, now, now_seq)
+
+    def live(self, k: int, now: int, now_seq: int) -> bool:
+        """Whether link ``k`` has it at ``(now, now_seq)``."""
+        return self.started(k, now, now_seq) and not self.ended(k, now, now_seq)
+
+
+class LinkTable:
+    """One sender's links for one bucket epoch, and their :class:`LinkView`.
+
+    The view is built on first read, once per table, and shared by every
+    transmission and busy-tone emission of the epoch: the data channel
+    fans out over its sensed links, the SINR stage replays over all of
+    them and the tone channels reach its sensed links. Most mobile
+    tables are never read, so most never build one.
+    """
+
+    __slots__ = ("links", "_view")
 
     def __init__(self, links: Tuple[Link, ...]):
         self.links = links
-        self._by_delay: Optional[Tuple[Tuple[int, ...], Tuple[Link, ...]]] = None
-        self._sinr_view: Optional[SinrView] = None
-        self._delay_map: Optional[Dict[int, int]] = None
-        self._delay_order: Optional[DelayOrder] = None
-        self._tone_thr: Optional[float] = None
-        self._tone_map: Optional[Dict[int, int]] = None
-        self._tone_order: Optional[DelayOrder] = None
+        self._view: Optional[LinkView] = None
 
     @property
-    def by_delay(self) -> Tuple[Tuple[int, ...], Tuple[Link, ...]]:
-        """``(delays, links)`` sorted by delay, ties in link order."""
-        view = self._by_delay
+    def view(self) -> LinkView:
+        """The links as a :class:`LinkView`, sorted by delay, ties in link order."""
+        view = self._view
         if view is None:
-            links = tuple(sorted(self.links, key=_second))
-            view = self._by_delay = (tuple([link.delay_ns for link in links]), links)
-        return view
-
-    @property
-    def sinr_view(self) -> SinrView:
-        """``by_delay`` as a :class:`SinrView`."""
-        view = self._sinr_view
-        if view is None:
-            view = self._sinr_view = SinrView(self.by_delay)
-        return view
-
-    @property
-    def delay_map(self) -> Dict[int, int]:
-        mapping = self._delay_map
-        if mapping is None:
-            mapping = {link.node: link.delay_ns
-                       for link in self.links if link.sensed}
-            self._delay_map = mapping
-        return mapping
-
-    @property
-    def delay_order(self) -> DelayOrder:
-        """``delay_map`` as delay-sorted ``(delays, nodes)``."""
-        view = self._delay_order
-        if view is None:
-            view = self._delay_order = order_by_delay(self.delay_map)
-        return view
-
-    def tone_map(self, threshold_dbm: float) -> Dict[int, int]:
-        """node -> delay for links whose power clears ``threshold_dbm``."""
-        if self._tone_thr != threshold_dbm:
-            self._tone_map = {
-                link.node: link.delay_ns for link in self.links
-                if link.power_dbm is not None
-                and link.power_dbm >= threshold_dbm
-            }
-            self._tone_order = None
-            self._tone_thr = threshold_dbm
-        return self._tone_map  # type: ignore[return-value]
-
-    def tone_order(self, threshold_dbm: float) -> DelayOrder:
-        """``tone_map(threshold_dbm)`` as delay-sorted ``(delays, nodes)``."""
-        mapping = self.tone_map(threshold_dbm)
-        view = self._tone_order
-        if view is None:
-            view = self._tone_order = order_by_delay(mapping)
+            view = self._view = LinkView(
+                tuple(sorted(self.links, key=_delay)))
         return view
 
 
@@ -283,7 +257,9 @@ class LinkPowerSpec:
     ``model.link_power_dbm`` plus per-node radio offsets) reaches
     ``keep_threshold_dbm`` (the interference cutoff), decodes iff it
     reaches ``rx_threshold_dbm``, and is carrier-sensed
-    (:attr:`Link.sensed`) iff it reaches ``cs_threshold_dbm``.
+    (:attr:`Link.sensed`) iff it reaches ``cs_threshold_dbm``. The
+    thresholds must order ``keep <= cs <= rx``, so every decodable link
+    is sensed.
     ``prune_range`` bounds the spatial search (the grid cell size): the
     distance beyond which no link -- even with maximal shadowing and
     radio offsets -- can reach the cutoff.
@@ -306,6 +282,10 @@ class LinkPowerSpec:
             raise ValueError(
                 "keep_threshold_dbm (interference cutoff) must not exceed "
                 "cs_threshold_dbm")
+        if self.rx_threshold_dbm < self.cs_threshold_dbm:
+            raise ValueError(
+                "rx_threshold_dbm must not be below cs_threshold_dbm "
+                "(a decodable link must be carrier-sensed)")
         if (self.tx_offset_dbm is None) != (self.rx_gain_dbm is None):
             raise ValueError(
                 "tx_offset_dbm and rx_gain_dbm must be set together")

@@ -32,7 +32,11 @@ The channel tells it when each transmission starts and ends, with the
 seqs its arrivals take in the event order
 (:meth:`SinrState.start` / :meth:`SinrState.end`), and asks it for a
 decode's signal and peak interference at arrival end. No arrival event
-calls into it, so links that only interfere need no events at all.
+calls into it, so links that only interfere need no events at all. A
+transmission's record, :class:`TxArrivals`, is the
+:class:`~repro.phy.neighbors.Emission` a busy tone keeps too, over the
+sender's whole :class:`~repro.phy.neighbors.LinkView`, with the stage's
+bookkeeping on top.
 
 Determinism: shadowing draws hang off ``derive_seed(seed, ...)`` per
 node pair, radio jitter per node, and fading off a dedicated RNG stream,
@@ -55,6 +59,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
+from repro.phy.neighbors import Emission, LinkPowerSpec, LinkView
 from repro.phy.params import PhyParams
 from repro.phy.propagation import (
     LogDistanceModel,
@@ -65,7 +70,6 @@ from repro.phy.propagation import (
 from repro.sim.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.phy.neighbors import SinrView
     from repro.sim.engine import Simulator
 
 
@@ -282,28 +286,15 @@ class SinrCounters:
             self.min_sinr_db = sinr_db
 
 
-class TxArrivals:
-    """One transmission's arrivals, as the SINR stage replays them.
+class TxArrivals(Emission):
+    """One transmission's arrivals, as the SINR stage replays them: an
+    :class:`~repro.phy.neighbors.Emission` over the table's whole view,
+    interference-only links included, with the stage's bookkeeping."""
 
-    Arrival ``k`` (in ``view``'s order) starts at position
-    ``(start + view.delays[k], seq + k)`` and ends at ``(end +
-    view.delays[k], end_seq + k)``, where ``seq`` and ``end_seq`` are
-    the first seqs of the blocks the transmission's start and end took
-    in the event order. Those are the positions one event per arrival
-    would have had, so they order against each other and against
-    ``(now, now_seq)`` exactly as those events would. ``end`` is None
-    while the frame is on the air.
-    """
+    __slots__ = ("anchor", "signals", "drawn", "counted")
 
-    __slots__ = ("view", "start", "seq", "end", "end_seq", "anchor",
-                 "signals", "drawn", "counted")
-
-    def __init__(self, view: "SinrView", start: int, seq: int):
-        self.view = view
-        self.start = start
-        self.seq = seq
-        self.end: Optional[int] = None
-        self.end_seq = 0
+    def __init__(self, view: LinkView, start: int, seq: int):
+        super().__init__(view, start, seq)
         #: The earliest start among the transmissions on the air or still
         #: propagating when this one started (see SinrState.start).
         self.anchor = start
@@ -321,11 +312,6 @@ class TxArrivals:
         if signals is not None:
             return signals[k]
         return self.view.power_mw(k)
-
-
-def _passed(time: int, seq: int, now: int, now_seq: int) -> bool:
-    """Whether position ``(time, seq)`` is at or before ``(now, now_seq)``."""
-    return time < now or (time == now and seq <= now_seq)
 
 
 class SinrState:
@@ -372,7 +358,7 @@ class SinrState:
         """Read positions against ``sim``'s ``(now, now_seq)``."""
         self._sim = sim
 
-    def start(self, view: "SinrView", seq: int) -> TxArrivals:
+    def start(self, view: LinkView, seq: int) -> TxArrivals:
         """A transmission starts now; its arrivals took the seqs from ``seq``.
 
         Its anchor is the earliest start among the transmissions still on
@@ -449,7 +435,7 @@ class SinrState:
         start = air.start
         seq0 = air.seq
         last = start + view.span
-        done = not n or _passed(last, seq0 + n - 1, now, now_seq)
+        done = not n or air.started(n - 1, now, now_seq)
         others = [other for other in self._recent if other is not air
                   and other.start <= last and (other.end is None
                   or other.end + other.view.span >= start)]
@@ -457,25 +443,16 @@ class SinrState:
         if len(others) >= high:
             links = view.links
             for k in range(n):
+                if not air.started(k, now, now_seq):
+                    break
                 time = start + delays[k]
                 seq = seq0 + k
-                if not _passed(time, seq, now, now_seq):
-                    break
                 node = links[k].node
                 live = 1
                 for other in others:
                     j = other.view.index.get(node)
-                    if j is None:
-                        continue
-                    delay = other.view.delays[j]
-                    if not _passed(other.start + delay, other.seq + j,
-                                   time, seq):
-                        continue  # starts after this one
-                    end = other.end
-                    if end is not None and _passed(
-                            end + delay, other.end_seq + j, time, seq):
-                        continue  # ended before it
-                    live += 1
+                    if j is not None and other.live(j, time, seq):
+                        live += 1
                 if live > high:
                     high = live
             self.high_water = high
@@ -495,7 +472,7 @@ class SinrState:
             start = air.start
             seq = air.seq
             k = air.drawn
-            while k < n and _passed(start + delays[k], seq + k, now, now_seq):
+            while k < n and air.started(k, now, now_seq):
                 due.append((start + delays[k], seq + k, air, k))
                 k += 1
             air.drawn = k
@@ -614,10 +591,7 @@ class SinrWiring:
     model: PropagationModel
     #: Power-domain link-building spec (None for unitdisk propagation,
     #: which keeps the classic distance-threshold link path).
-    power_spec: Optional[object]
-    #: Busy-tone detection threshold in the power domain (None for
-    #: unitdisk propagation: tones fall back to sensed links).
-    tone_threshold_dbm: Optional[float]
+    power_spec: Optional[LinkPowerSpec]
 
     def build_state(self, rng: Optional[random.Random] = None) -> SinrState:
         """A fresh per-run channel state (counters start empty)."""
@@ -670,13 +644,11 @@ def node_radio_offsets(config: SinrConfig, n_nodes: int, seed: int):
 def wire_sinr(config: SinrConfig, phy: PhyParams, n_nodes: int,
               seed: int) -> SinrWiring:
     """Assemble the propagation model + link spec for one scenario run."""
-    from repro.phy.neighbors import LinkPowerSpec
-
     if config.propagation == "unitdisk":
         # The paper's geometry, SINR reception on top: links keep the
         # classic distance-threshold path (constant in-range power).
         model: PropagationModel = UnitDiskModel(phy.radio_range)
-        return SinrWiring(config, model, None, None)
+        return SinrWiring(config, model, None)
 
     kwargs = dict(
         tx_power_dbm=config.tx_power_dbm,
@@ -710,4 +682,4 @@ def wire_sinr(config: SinrConfig, phy: PhyParams, n_nodes: int,
         tx_offset_dbm=tx_offset,
         rx_gain_dbm=rx_gain,
     )
-    return SinrWiring(config, model, spec, config.cs_threshold_dbm)
+    return SinrWiring(config, model, spec)

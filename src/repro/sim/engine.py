@@ -29,8 +29,9 @@ busy tone's presence at each listener is a known interval, answered
 from the emission. :meth:`Simulator.reserve` takes the seqs such a
 batch would have had, and ``(now, now_seq)`` -- the executing event's
 position, kept by the run loop -- tells whether a reserved position has
-passed. :meth:`Simulator.at_seq` schedules a cancellable event under a
-reserved seq when something must happen exactly there.
+passed (:func:`passed`). :meth:`Simulator.at_seq` schedules a
+cancellable event under a reserved seq when something must happen
+exactly there.
 
 This is the substrate standing in for GloMoSim's event kernel; every
 other subsystem (PHY, MAC, network layer, mobility, metrics) hangs off
@@ -47,6 +48,15 @@ _heappush = heapq.heappush
 
 class SimulationError(RuntimeError):
     """Raised for scheduling errors (e.g. scheduling into the past)."""
+
+
+def passed(time: int, seq: int, now: int, now_seq: int) -> bool:
+    """Whether position ``(time, seq)`` is at or before ``(now, now_seq)``.
+
+    Positions order by time, then seq; the event at ``(now, now_seq)``
+    is executing, so its own position has passed.
+    """
+    return time < now or (time == now and seq <= now_seq)
 
 
 class FastEvent:
@@ -351,7 +361,7 @@ class Simulator:
         return handle
 
     def fan_out(self, base: int, delays, payloads, fire: Callable[[Any, Any], None],
-                arg: Any, label: str) -> None:
+                arg: Any, label: str) -> int:
         """Schedule ``fire(arg, payloads[i])`` at ``base + delays[i]`` for
         every ``i``, as one heap entry (the PHY fan-out path).
 
@@ -361,12 +371,14 @@ class Simulator:
         the ``(time, seq)`` position it would have had as its own heap
         entry, same-time ties with other events included. Members are
         fire-and-forget: no handle, no cancellation. Each counts as one
-        executed event; ``label`` names the batch in errors. An empty
-        batch schedules nothing and takes no seq.
+        executed event; ``label`` names the batch in errors. Returns the
+        first seq, as :meth:`reserve` does; an empty batch schedules
+        nothing and takes no seq.
         """
+        seq = self._seq
         n = len(delays)
         if not n:
-            return
+            return seq
         if base + delays[0] < self.now:
             raise SimulationError(
                 f"cannot schedule event '{label}' at t={base + delays[0]} "
@@ -380,11 +392,11 @@ class Simulator:
         batch.fire = fire
         batch.arg = arg
         batch.index = 0
-        seq = self._seq
         batch.seq0 = seq
         heapq.heappush(self._queue, (base + delays[0], seq, batch))
         self._seq = seq + n
         self._fanned += n - 1
+        return seq
 
     def reserve(self, base: int, delays) -> int:
         """Take the seqs ``fan_out(base, delays, ...)`` would take, for a
@@ -419,11 +431,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event '{label}' under seq {seq}: "
                 f"never reserved")
-        now = self.now
-        if time < now or (time == now and seq <= self.now_seq):
+        if passed(time, seq, self.now, self.now_seq):
             raise SimulationError(
                 f"cannot schedule event '{label}' at (t={time}, seq={seq}) "
-                f"at or before (now={now}, seq={self.now_seq})")
+                f"at or before (now={self.now}, seq={self.now_seq})")
         handle = EventHandle(time, seq, callback, label, self)
         heapq.heappush(self._queue, (time, seq, handle))
         return handle

@@ -68,7 +68,6 @@ class MacTestbed:
         #: channel.
         self.sinr_state: Optional["SinrState"] = None
         power_spec = None
-        tone_threshold = None
         if sinr is not None:
             if propagation is not None:
                 raise ValueError(
@@ -79,7 +78,6 @@ class MacTestbed:
             wiring = wire_sinr(sinr, phy, n_nodes, seed)
             model: PropagationModel = wiring.model
             power_spec = wiring.power_spec
-            tone_threshold = wiring.tone_threshold_dbm
             self.sinr_state = wiring.build_state(self.rngs.stream("fading"))
         else:
             model = propagation or UnitDiskModel(phy.radio_range)
@@ -102,7 +100,6 @@ class MacTestbed:
             tone: BusyToneChannel(
                 self.sim, self.neighbors, tone, detect_time=phy.cca_time,
                 tracer=self.tracer, faults=faults,
-                power_threshold_dbm=tone_threshold,
             )
             for tone in ToneType
         }

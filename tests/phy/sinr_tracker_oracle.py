@@ -163,7 +163,8 @@ class TrackerChannel(DataChannel):
             waiter()
         now = self._sim.now
         airtime = self._phy.frame_airtime(frame.size_bytes)  # type: ignore[attr-defined]
-        delays, links = self._neighbors.table_from(sender, now).by_delay
+        view = self._neighbors.table_from(sender, now).view
+        delays, links = view.delays, view.links
         tx = Transmission(sender, frame, now, airtime, delays, links)
         state.tx = tx
         ongoing = self._tracked.get(sender)

@@ -274,7 +274,8 @@ def test_reach_lists_hold_only_retained_emissions_after_a_long_run():
         assert newest >= 10 * channel.RETENTION
         assert all(e.end >= newest - channel.RETENTION for e in recent)
         kept = list(channel._active.values()) + recent
-        expected = sorted((node, id(e)) for e in kept for node in e.order[1])
+        expected = sorted((link.node, id(e)) for e in kept
+                          for link in e.view.links)
         held = sorted((node, id(entry[0]))
                       for node, entries in channel._reach.items()
                       for entry in entries)

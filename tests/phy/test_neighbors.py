@@ -210,48 +210,44 @@ def test_static_service_freezes_once():
         len(svc.links_from(sender, 0)) for sender in range(len(coords)))
 
 
-def test_table_from_shares_delay_map():
+def test_table_from_shares_one_view():
     svc = service([(0, 0), (50, 0), (70, 0)])
     table = svc.table_from(0, 0)
-    assert table.delay_map is svc.table_from(0, 0).delay_map
-    assert table.delay_map == {l.node: l.delay_ns for l in table.links}
+    assert table.view is svc.table_from(0, 0).view
+    assert table.view.sensed is table.view
+    assert {link.node: link.delay_ns for link in table.view.links} == {
+        link.node: link.delay_ns for link in table.links}
 
 
 def test_delay_sorted_views_are_stable_and_cached():
-    """The fan-out views list members by delay, equal delays in
-    link-table order, and are built once per table."""
-    from repro.phy.neighbors import Link, LinkTable, order_by_delay
+    """The one view lists links by delay, equal delays in link-table
+    order, and is built once per table; its sensed group (the links that
+    get arrival events and hear tones) keeps that order."""
+    from repro.phy.neighbors import Link, LinkTable
 
     table = LinkTable((Link(1, 30, True, -50.0), Link(2, 10, True, -70.0),
-                       Link(3, 30, False, -60.0), Link(4, 10, True, -40.0,
+                       Link(3, 30, False, -60.0), Link(4, 10, False, -80.0,
                                                        sensed=False)))
-    assert table.by_delay == ((10, 10, 30, 30), tuple(
-        table.links[k] for k in (1, 3, 0, 2)))
-    assert table.by_delay is table.by_delay
-    assert table.delay_order == ((10, 30, 30), (2, 1, 3))
-    assert table.delay_order is table.delay_order
-    assert table.tone_order(-60.0) == ((10, 30, 30), (4, 1, 3))
-    assert table.tone_order(-60.0) is table.tone_order(-60.0)
-    assert table.tone_order(-55.0) == ((10, 30), (4, 1))
-    assert order_by_delay({7: 5, 3: 2, 9: 5}) == ((2, 5, 5), (3, 7, 9))
-    # The SINR view: arrivals in by_delay order, and the links that get
-    # arrival events (sensed or decodable) split from the
-    # interference-only ones, which keep only their delays.
-    mixed = LinkTable(table.links + (Link(5, 20, False, -85.0, sensed=False),))
-    view = mixed.sinr_view
-    assert view is mixed.sinr_view
-    assert view.delays == (10, 10, 20, 30, 30)
-    assert view.links == mixed.by_delay[1]
-    assert [link.node for link in view.links] == [2, 4, 5, 1, 3]
-    assert view.index == {2: 0, 4: 1, 5: 2, 1: 3, 3: 4}
+    view = table.view
+    assert view is table.view
+    assert view.delays == (10, 10, 30, 30)
+    assert view.links == tuple(table.links[k] for k in (1, 3, 0, 2))
+    assert view.index == {2: 0, 4: 1, 1: 2, 3: 3}
     assert view.span == 30
-    assert view.heard == ((10, 10, 30, 30), table.by_delay[1])
-    assert view.quiet == (20,)
-    # With no interference-only link, the split is by_delay itself.
-    assert table.sinr_view.heard is table.by_delay
+    # The sensed links split from the interference-only ones, which
+    # keep only their delays.
+    sensed = view.sensed
+    assert sensed.delays == (10, 30, 30)
+    assert [link.node for link in sensed.links] == [2, 1, 3]
+    assert sensed.index == {2: 0, 1: 1, 3: 2}
+    assert sensed.sensed is sensed
+    assert view.quiet == (10,)
+    assert sensed.quiet == ()
+    # With no interference-only link, the sensed group is the view itself.
     classic = LinkTable((Link(1, 30, True, -50.0), Link(2, 10, True, -70.0)))
-    assert classic.sinr_view.heard is classic.by_delay
-    assert classic.sinr_view.quiet == ()
+    assert classic.view.sensed is classic.view
+    assert classic.view.quiet == ()
+    assert [link.node for link in classic.view.links] == [2, 1]
 
 
 def test_link_is_tuple_compatible():

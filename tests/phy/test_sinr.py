@@ -122,6 +122,16 @@ def test_config_validation_errors():
         SinrConfig(propagation="unitdisk", tx_power_jitter_db=3.0)
 
 
+def test_link_power_spec_rejects_decodable_but_unsensed_links():
+    """A decodable link must be carrier-sensed: a link view's sensed
+    group (arrival events, tones) then holds every link that decodes."""
+    LinkPowerSpec(rx_threshold_dbm=-75.0, cs_threshold_dbm=-75.0,
+                  keep_threshold_dbm=-90.0, prune_range=100.0)
+    with pytest.raises(ValueError, match="rx_threshold_dbm"):
+        LinkPowerSpec(rx_threshold_dbm=-80.0, cs_threshold_dbm=-75.0,
+                      keep_threshold_dbm=-90.0, prune_range=100.0)
+
+
 def test_config_effective_cutoff_defaults_to_noise_floor():
     assert SinrConfig().effective_cutoff_dbm() == -90.0
     assert SinrConfig(
@@ -175,7 +185,6 @@ def test_wire_sinr_unitdisk_keeps_classic_links():
     wiring = wire_sinr(SinrConfig(propagation="unitdisk"), DEFAULT_PHY, 5, 1)
     assert isinstance(wiring.model, UnitDiskModel)
     assert wiring.power_spec is None
-    assert wiring.tone_threshold_dbm is None
 
 
 def test_wire_sinr_shadowing_builds_power_spec():
@@ -184,7 +193,7 @@ def test_wire_sinr_shadowing_builds_power_spec():
     assert isinstance(wiring.model, LogDistanceShadowing)
     spec = wiring.power_spec
     assert spec.keep_threshold_dbm == config.noise_floor_dbm
-    assert wiring.tone_threshold_dbm == config.cs_threshold_dbm
+    assert spec.cs_threshold_dbm == config.cs_threshold_dbm
     # The spatial prune radius covers the interference cutoff with full
     # shadow headroom, so it exceeds the model's own sense radius.
     assert spec.prune_range > wiring.model.max_range()
@@ -371,9 +380,8 @@ def test_tone_reaches_sensed_links_only():
     svc = NeighborService(StaticPositions(coords), wiring.model,
                           power_spec=wiring.power_spec)
     tone = BusyToneChannel(sim, svc, ToneType.RBT,
-                           detect_time=DEFAULT_PHY.cca_time,
-                           power_threshold_dbm=wiring.tone_threshold_dbm)
-    # Node 0 emits: node 1 (-61.4 dBm) clears the -75 dBm tone
+                           detect_time=DEFAULT_PHY.cca_time)
+    # Node 0 emits: node 1 (-61.4 dBm) clears the -75 dBm carrier-sense
     # threshold, node 2 (-75.2 dBm) is interference-only and must not.
     tone.turn_on(0)
     seen = {}
@@ -382,18 +390,6 @@ def test_tone_reaches_sensed_links_only():
     sim.at(30 * US, lambda: tone.turn_off(0))
     sim.run()
     assert seen == {"near": True, "far": False}
-
-
-def test_link_table_tone_map_filters_by_threshold():
-    coords = [HIDDEN["receiver"], HIDDEN["sender"], HIDDEN["interferer"]]
-    wiring = wire_sinr(SinrConfig(propagation="logdistance"), DEFAULT_PHY,
-                       len(coords), 1)
-    svc = NeighborService(StaticPositions(coords), wiring.model,
-                          power_spec=wiring.power_spec)
-    table = svc.table_from(0, 0)
-    assert set(table.tone_map(-75.0)) == {1}
-    assert set(table.tone_map(-80.0)) == {1, 2}
-    assert table.delay_map == table.tone_map(-75.0)
 
 
 def test_unit_disk_base_power_constant_in_range():

@@ -18,9 +18,9 @@ require the same answers at the same positions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
-from repro.phy.neighbors import DelayOrder, NeighborService
+from repro.phy.neighbors import NeighborService
 from repro.sim.engine import Simulator
 
 
@@ -31,7 +31,8 @@ class ToneCountOracle:
     def __init__(self, sim: Simulator, neighbors: NeighborService):
         self._sim = sim
         self._neighbors = neighbors
-        self._active: Dict[int, DelayOrder] = {}
+        #: emitter -> (delays, nodes) of its tone's listeners.
+        self._active: Dict[int, Tuple[Tuple[int, ...], List[int]]] = {}
         self._present: Dict[int, int] = {}
         self._clear_waiters: Dict[int, List[Callable[[], None]]] = {}
         self._present_waiters: Dict[int, Callable[[], None]] = {}
@@ -40,9 +41,10 @@ class ToneCountOracle:
         if emitter in self._active:
             raise RuntimeError(f"node {emitter} already emits")
         now = self._sim.now
-        order = self._neighbors.table_from(emitter, now).delay_order
-        self._active[emitter] = order
-        delays, nodes = order
+        sensed = self._neighbors.table_from(emitter, now).view.sensed
+        delays = sensed.delays
+        nodes = [link.node for link in sensed.links]
+        self._active[emitter] = (delays, nodes)
         self._sim.fan_out(now, delays, nodes, ToneCountOracle._tone_on, self,
                           "tone-on")
 

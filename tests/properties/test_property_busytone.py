@@ -109,7 +109,7 @@ class _Side:
         svc = NeighborService(StaticPositions(NODES), UnitDiskModel(75.0))
         self.channel = channel = make_channel(sim, svc)
         self.log = []
-        delays = {e: sorted(svc.table_from(e, 0).delay_map.values())
+        delays = {e: svc.table_from(e, 0).view.sensed.delays
                   for e in range(len(NODES))}
         for action in script:
             kind, at = action[0], action[1]

@@ -7,7 +7,7 @@ table must have the same node set, the same ``delay_ns``, the same ``in_rx_range
 same ``power_dbm`` (to the last bit) as the scan-everything oracle in
 ``tests/phy/link_oracle.py``, for both propagation models, in power
 mode, across mobility bucket epochs, and with nodes straddling
-grid-cell boundaries.
+grid-cell boundaries. Both builders keep every decodable link sensed.
 """
 
 import random
@@ -64,7 +64,10 @@ def test_static_grid_tables_equal_brute(seed, n, kind, sense_extra, clustered):
     grid = NeighborService(provider, model)
     pos = provider.positions(0)
     for sender in range(n):
-        assert grid.links_from(sender, 0) == oracle_links(pos, sender, model)
+        links = grid.links_from(sender, 0)
+        assert links == oracle_links(pos, sender, model)
+        # Decodable => sensed: every link that decodes gets arrival events.
+        assert all(link.sensed for link in links if link.in_rx_range)
 
 
 def make_power_spec(kind, hetero, n, seed):
@@ -104,6 +107,7 @@ def test_static_power_mode_grid_tables_equal_brute(
             assert link.sensed == (link.power_dbm >= spec.cs_threshold_dbm)
             assert link.in_rx_range == (link.power_dbm >= spec.rx_threshold_dbm)
             assert link.power_dbm >= spec.keep_threshold_dbm
+            assert link.sensed or not link.in_rx_range
 
 
 @settings(max_examples=15, deadline=None)

@@ -456,6 +456,16 @@ def test_reserve_of_an_empty_batch_takes_nothing():
     assert sim.at(1, lambda: None).seq == first.seq + 1
 
 
+def test_fan_out_returns_its_first_seq_like_reserve():
+    sim = Simulator()
+    first = sim.at(1, lambda: None)
+    assert sim.fan_out(0, (), (), print, None, "empty") == first.seq + 1
+    seq0 = sim.fan_out(0, (2, 3), ("a", "b"), lambda arg, p: None, None,
+                       "batch")
+    assert seq0 == first.seq + 1
+    assert sim.reserve(0, (4,)) == seq0 + 2
+
+
 def test_at_seq_handle_cancels_like_any_other():
     sim = Simulator()
     log = []

@@ -206,19 +206,44 @@ def test_campaign_status_and_serve_count_the_same_matrix(capsys, tmp_path,
     assert "1/1 points done (100%), 0 failed, 0 stale, 0 missing" in text
     assert row == ["rmac", "stationary", "1", "0", "0", "1"]
     assert (served["done"], served["total"], served.get("stale")) == (1, 1, 0)
-    assert "1/1 points done" in render_farm_status(served)
+    assert "1/1 points done, 0 failed, 0 stale, 0 missing" in (
+        render_farm_status(served))
 
     monkeypatch.setitem(cli.FIGURE_SCALES, "small", (10, 6, (10,), (1,)))
     text, row, served = status_and_serve()
     assert "0/1 points done (0%), 0 failed, 1 stale, 0 missing" in text
     assert row == ["rmac", "stationary", "0", "0", "1", "1"]
     assert (served["done"], served["total"], served.get("stale")) == (0, 1, 1)
-    assert "0/1 points done" in render_farm_status(served)
+    assert "0/1 points done, 0 failed, 1 stale, 0 missing" in (
+        render_farm_status(served))
 
 
 def test_campaign_status_requires_existing_store(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(SystemExit) as exc:
         main(["campaign", "status", "--out", str(tmp_path / "nope")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["campaign", "status", "--out"],
+    ["campaign", "serve", "--once", "--out"],
+    ["figure", "fig7", "--from"],
+    ["validate", "--from"],
+])
+def test_bad_store_path_is_a_one_line_usage_error(command, capsys, tmp_path):
+    """A store path that is missing or is a file exits 2 with one line
+    on stderr naming the path, not a traceback."""
+    afile = tmp_path / "afile.json"
+    afile.write_text("{}")
+    for path, problem in ((tmp_path / "missing", "does not exist"),
+                          (afile, "is not a directory")):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro: error: result store {str(path)!r} {problem}\n")
 
 
 def test_campaign_requires_subcommand():
