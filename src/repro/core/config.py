@@ -14,7 +14,7 @@ first bit of the data frame arrives at the receiver at the *same instant*
 timer runs 2 tau + lambda from the MRTS reception -- the propagation delay
 appears on both sides). Real hardware has turnaround slack; we make the
 intent explicit with a small ``rdata_guard`` added to ``Twf_rdata``
-(default 2 us). Ablation benches sweep it.
+(default 2 us). ``tests/integration/test_ablations.py`` sweeps it.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from repro.mac.addresses import BROADCAST, MULTICAST_FLAG, is_unicast
 from repro.mac.backoff import BackoffTick
 from repro.mac.frames import DataFrame
 from repro.mac.stats import MacStats
-from repro.phy.radio import Radio, RadioListener
+from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.trace import NULL_TRACER, Tracer
 
@@ -117,7 +117,7 @@ class TransmitQueue:
         return bool(self._items)
 
 
-class MacProtocol(RadioListener, ABC):
+class MacProtocol(ABC):
     """Base class for every MAC protocol in the repository.
 
     The base owns the queue, the stats, upper-layer delivery, the service
@@ -455,3 +455,18 @@ class MacProtocol(RadioListener, ABC):
 
     def start(self) -> None:
         """Called once when the simulation begins (default: nothing)."""
+
+    # ------------------------------------------------------------------
+    # Data-channel callbacks (a ChannelListener; default: ignore)
+    # ------------------------------------------------------------------
+    def on_frame_received(self, frame: object, sender: int) -> None:
+        """A frame arrived intact on the data channel."""
+
+    def on_frame_error(self, sender: int) -> None:
+        """A frame arrived corrupted (collision / abort / bit errors)."""
+
+    def on_tx_complete(self, frame: object, aborted: bool) -> None:
+        """This node's own transmission ended."""
+
+    def on_rx_start(self, sender: int) -> None:
+        """The first bit of a decodable frame is arriving."""

@@ -100,7 +100,7 @@ class LammProtocol(BmmmProtocol):
 
     def _position_of(self, node: int) -> Tuple[float, float]:
         """The GPS reading for ``node`` (the simulator's ground truth)."""
-        coords = self.radio._data.neighbors.positions_at(self.sim.now)
+        coords = self.radio.data_channel.neighbors.positions_at(self.sim.now)
         return (float(coords[node][0]), float(coords[node][1]))
 
     # The RAK phase must cover every pending receiver, not just the

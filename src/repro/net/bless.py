@@ -6,7 +6,8 @@ one-hop broadcast of the routing messages. This broadcast is performed by
 the unreliable services of RMAC or BMMM accordingly."
 
 Mechanics chosen here (the paper gives only the sentence above; all
-values are configurable and swept by the ablation bench):
+values are configurable, and ``tests/integration/test_ablations.py``
+sweeps the period):
 
 * every node broadcasts ``RoutingMessage(origin, hops, parent)`` each
   ``period`` (default 1 s), with a random initial phase to avoid

@@ -27,7 +27,7 @@ from repro.phy.propagation import (
     PropagationModel,
     UnitDiskModel,
 )
-from repro.phy.radio import Radio, RadioListener
+from repro.phy.radio import Radio
 from repro.phy.sinr import (
     RayleighFading,
     RicianFading,
@@ -59,5 +59,4 @@ __all__ = [
     "RicianFading",
     "wire_sinr",
     "Radio",
-    "RadioListener",
 ]

@@ -22,10 +22,10 @@ accounting is on, and at arrival end decodes only if the
 signal-to-(peak interference + noise) ratio clears its threshold. The
 stage reads the transmissions themselves: each one reports its start
 and end with the seqs its arrivals take, and a decode replays the
-reception's window from them. Interference-only links (power mode,
-``Link.sensed`` False, never decodable) get no arrival events at all,
-only reserved seqs (:meth:`~repro.sim.engine.Simulator.reserve`), so
-the event order of everything else is unchanged. Capture -- a strong
+reception's window from them. Interference-only links (below carrier
+sense but above the spec's cutoff: ``Link.sensed`` False, never
+decodable) get no arrival events at all, only reserved seqs
+(:meth:`~repro.sim.engine.Simulator.reserve`), so the event order of everything else is unchanged. Capture -- a strong
 frame surviving a weak overlap -- is that decision with the capture
 margin as the threshold. Without it (``sinr=None``, the paper's model)
 the pipeline is the overlap rule alone; unit-disk SINR reproduces it

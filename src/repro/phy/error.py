@@ -4,7 +4,8 @@ The paper's headline experiments use a collision-only loss model (GloMoSim
 with no fading and no random bit errors: delivery ratio ~1 when static),
 so :class:`NoErrors` is the default. :class:`UniformBitErrors` supports the
 paper's remark that the 20-receiver MRTS limit "can be further reduced in
-case of high error bit rate" -- the ablation benches sweep the BER.
+case of high error bit rate" -- ``tests/integration/test_error_channel.py``
+sweeps the BER.
 :class:`GilbertElliott` adds the bursty two-state channel that feedback-
 recovery work (FEBER; Abstract-MAC unreliable-link models) identifies as
 the regime where multicast MACs actually break; the fault-injection layer

@@ -1,14 +1,14 @@
 """Uniform spatial hashing for neighbor-candidate pruning.
 
 ``NeighborService`` needs, for every sender, the set of nodes within the
-propagation model's ``max_range()``. The brute-force answer is an O(n)
+link spec's ``prune_range``. The brute-force answer is an O(n)
 distance pass per sender -- O(n^2) per mobility bucket, which is exactly
 the per-bucket cost that caps topology size (ROADMAP: "as fast as the
 hardware allows" at 1000+ nodes).
 
 A :class:`SpatialGrid` buckets positions into square cells of side
-``cell_size``. When ``cell_size >= max_range``, any two nodes within
-``max_range`` of each other differ by at most 1 in each floor-cell
+``cell_size``. When ``cell_size >= prune_range``, any two nodes within
+``prune_range`` of each other differ by at most 1 in each floor-cell
 coordinate, so every sender's true neighbor set is contained in its
 3 x 3 cell neighborhood. Candidate generation therefore touches at most
 9 cells per sender instead of all n nodes, and the caller only has to

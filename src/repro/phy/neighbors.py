@@ -17,39 +17,34 @@ of an emission on the air (:class:`Emission`):
   for exact per-call evaluation.
 
 Links are found through a :class:`~repro.phy.grid.SpatialGrid` (cell
-size = the model's ``max_range()``), which prunes candidates to the
+size = the spec's ``prune_range``), which prunes candidates to the
 3 x 3 cell neighborhoods. One per-sender builder,
 :meth:`NeighborService._table_of`, serves every table: a static
 placement freezes by building all senders' tables through it once, and
 a mobile bucket builds only the tables that are asked for, against one
-grid per bucket. It computes the candidates' distances in numpy and
-filters and labels them with the model's batch calls: in threshold mode
-``carrier_sensed_batch`` keeps a link, ``in_range_batch`` marks it
-decodable and ``received_power_dbm_batch`` gives its power (a model on
-the base constant power needs no call: its links share
-``IN_RANGE_POWER_DBM``); in power mode one ``link_power_dbm_batch``
-call gives the powers every decision reads. One pass over plain Python
-lists then constructs the links. The tests check it against a
+grid per bucket. It computes the candidates' distances in numpy, one
+``link_power_dbm_batch`` call gives their powers, and one pass over
+plain Python lists constructs the links. The tests check it against a
 brute-force oracle that scans all n nodes per sender with the scalar
-predicates (``tests/phy/link_oracle.py``).
+``link_power_dbm`` (``tests/phy/link_oracle.py``).
 
-**Power mode** (:class:`LinkPowerSpec`, used by the SINR subsystem):
-instead of the model's boolean range predicates, links are kept down to
-an *interference* cutoff (default: the noise floor) and every decision
--- decodable, carrier-sensed, kept at all -- is a threshold on the
-link's received power, which includes per-pair shadowing
-(``model.link_power_dbm``) and per-node heterogeneous radio offsets.
-Links below carrier sense but above the cutoff are *interference-only*
+**One link rule** (:class:`LinkPowerSpec`): the model reports power,
+and every decision -- kept at all, carrier-sensed, decodable -- is a
+threshold on the link's received power, which includes per-pair
+shadowing (``model.link_power_dbm``) and per-node heterogeneous radio
+offsets. Links are kept down to an *interference* cutoff. Links below
+carrier sense but above the cutoff are *interference-only*
 (``Link.sensed`` False): their power counts in SINR decodes (read from
 the table's :class:`LinkView` when a decode replays its window), but
 they never raise carrier sense or busy-tone detection, and the data
 channel gives them no arrival events. A decodable link is always
 sensed (the spec rejects ``rx_threshold_dbm < cs_threshold_dbm``), so
-the view's ``sensed`` group holds every link that can decode. The grid
-cell size becomes the spec's ``prune_range`` (the interference radius),
-not the model's ``max_range()``. ``link_power_dbm_batch`` is bit-identical to
-the oracle's scalar ``link_power_dbm``, so power-mode tables are exact
-too (property-tested against the oracle).
+the view's ``sensed`` group holds every link that can decode. The
+paper's fixed range is the spec :meth:`LinkPowerSpec.unit_disk` over
+:class:`~repro.phy.propagation.UnitDiskModel` powers: all three
+thresholds at :data:`~repro.phy.propagation.IN_RANGE_POWER_DBM`, so a
+node within the range is kept, sensed and decodable, and no link is
+interference-only.
 """
 
 from __future__ import annotations
@@ -123,9 +118,8 @@ class Link(NamedTuple):
     power_dbm: Optional[float] = None
     #: False => interference-only: the node's radio cannot sense this
     #: transmission (no carrier sense, no busy-tone detection), but its
-    #: power still counts as interference in SINR decodes. Only the
-    #: power-mode link builder produces False; classic links are always
-    #: sensed (the carrier-sense predicate is the keep filter there).
+    #: power still counts as interference in SINR decodes. Only a spec
+    #: whose interference cutoff lies below carrier sense produces False.
     sensed: bool = True
 
 
@@ -140,7 +134,8 @@ class LinkView:
     link is sensed, and its own ``sensed`` is itself. ``quiet`` holds
     the delays of the others, the interference-only links, which only
     take reserved seqs after the sensed ones. A decodable link is always
-    sensed (both builders guarantee it), so no decodable link is quiet.
+    sensed (:class:`LinkPowerSpec` guarantees it), so no decodable link
+    is quiet.
     ``mw[k]`` caches link ``k``'s power in mW once :meth:`power_mw` has
     read it (None until then).
     """
@@ -249,11 +244,9 @@ class LinkTable:
 
 @dataclass(eq=False)
 class LinkPowerSpec:
-    """Power-domain link-building thresholds (the SINR subsystem's view).
+    """The link rule: power thresholds that build every link table.
 
-    When a :class:`NeighborService` carries one of these, link tables
-    are built from received *power* rather than the model's boolean
-    range predicates: a candidate is kept iff its link power (pair-aware
+    A candidate is kept iff its link power (pair-aware
     ``model.link_power_dbm`` plus per-node radio offsets) reaches
     ``keep_threshold_dbm`` (the interference cutoff), decodes iff it
     reaches ``rx_threshold_dbm``, and is carrier-sensed
@@ -289,6 +282,15 @@ class LinkPowerSpec:
         if (self.tx_offset_dbm is None) != (self.rx_gain_dbm is None):
             raise ValueError(
                 "tx_offset_dbm and rx_gain_dbm must be set together")
+
+    @classmethod
+    def unit_disk(cls, radio_range: float) -> "LinkPowerSpec":
+        """The paper's fixed range over
+        :class:`~repro.phy.propagation.UnitDiskModel` powers: a node
+        within ``radio_range`` reports :data:`IN_RANGE_POWER_DBM` and is
+        kept, sensed and decodable; one beyond it reports ``-inf``."""
+        return cls(IN_RANGE_POWER_DBM, IN_RANGE_POWER_DBM,
+                   IN_RANGE_POWER_DBM, radio_range)
 
 
 class NeighborCounters:
@@ -329,17 +331,11 @@ class NeighborService:
         self,
         provider: PositionProvider,
         model: PropagationModel,
+        power_spec: LinkPowerSpec,
         cache_window: int = 50_000_000,
-        power_spec: Optional[LinkPowerSpec] = None,
     ):
         self._provider = provider
         self._model = model
-        #: Whether the model keeps the base ``received_power_dbm``: then
-        #: every link the threshold builder keeps (all carrier-sensed)
-        #: reports IN_RANGE_POWER_DBM, and the links share that one float
-        #: object instead of holding a float each.
-        self._constant_power = (type(model).received_power_dbm
-                                is PropagationModel.received_power_dbm)
         self._power_spec = power_spec
         self._static = provider.is_static()
         self._cache_window = int(cache_window)
@@ -368,14 +364,9 @@ class NeighborService:
         return self._model
 
     @property
-    def power_spec(self) -> Optional[LinkPowerSpec]:
-        """The power-domain link spec, or None on the classic path."""
+    def power_spec(self) -> LinkPowerSpec:
+        """The link rule every table is built by."""
         return self._power_spec
-
-    def _search_range(self) -> float:
-        """Spatial pruning radius: interference radius in power mode."""
-        spec = self._power_spec
-        return spec.prune_range if spec is not None else self._model.max_range()
 
     def _bucket(self, time_ns: int) -> int:
         """The position-bucket epoch ``time_ns`` falls into."""
@@ -456,7 +447,7 @@ class NeighborService:
         return table
 
     def _new_grid(self, pos: np.ndarray) -> SpatialGrid:
-        grid = SpatialGrid(pos, self._search_range())
+        grid = SpatialGrid(pos, self._power_spec.prune_range)
         self.counters.grid_cells += grid.n_cells
         return grid
 
@@ -470,60 +461,43 @@ class NeighborService:
         """One sender's links against its 3x3 cell neighborhood.
 
         ``grid.candidates_of(sender)`` is a sorted superset of every node
-        within the search range, so links come out in ascending-node
+        within ``prune_range``, so links come out in ascending-node
         order. Per candidate, the float64 operations are the oracle's
         (``tests/phy/link_oracle.py``): the same subtraction and
-        ``np.hypot`` for distances, the model's batch predicates and
-        powers (``carrier_sensed_batch``, ``in_range_batch`` and
-        ``received_power_dbm_batch``; in power mode
-        ``link_power_dbm_batch``), each bit-identical to the scalar form
-        the oracle calls, and banker's-rounded delays -- so every Link
-        equals the oracle's to the last bit.
+        ``np.hypot`` for distances, ``link_power_dbm_batch`` (bit-identical
+        to the scalar ``link_power_dbm`` the oracle calls) plus the radio
+        offsets in the oracle's order, and banker's-rounded delays -- so
+        every Link equals the oracle's to the last bit.
         """
         cand = grid.candidates_of(sender)
         xs, ys = grid.xs, grid.ys
         dists = np.hypot(xs[cand] - xs[sender], ys[cand] - ys[sender])
         counters = self.counters
         counters.grid_pairs += len(cand)
+        spec = self._power_spec
+        near = dists <= spec.prune_range
+        nodes, dists = cand[near], dists[near]
+        # The sender is among the candidates; the list pass below drops
+        # it, which is cheaper than one more numpy mask.
+        powers = self._model.link_power_dbm_batch(sender, nodes, dists)
+        tx = spec.tx_offset_dbm
+        if tx is not None:
+            # The oracle's addition order: (base + tx offset) + rx gain.
+            powers = powers + tx[sender]
+            powers = powers + spec.rx_gain_dbm[nodes]  # type: ignore[index]
+        keep = spec.keep_threshold_dbm
+        rx = spec.rx_threshold_dbm
+        cs = spec.cs_threshold_dbm
         c = _LIGHT_SPEED_M_PER_NS
         new = tuple.__new__
-        spec = self._power_spec
         # tuple.__new__ skips the namedtuple __new__ wrapper (~2x cheaper
         # per link); every construction supplies all five fields, so the
         # result is the 5-tuple Link(...) would build. ``round(d / c) or 1``
         # is propagation_delay_ns inlined (d >= 0, so ``or 1`` is the floor).
-        if spec is None:
-            model = self._model
-            keep = dists <= model.max_range()
-            keep &= model.carrier_sensed_batch(dists)
-            nodes, dists = cand[keep], dists[keep]
-            if self._constant_power:
-                powers = [IN_RANGE_POWER_DBM] * len(dists)
-            else:
-                powers = model.received_power_dbm_batch(dists).tolist()
-            links = tuple([
-                new(Link, (node, round(d / c) or 1, rx, p, True))
-                for node, d, rx, p in zip(nodes.tolist(), dists.tolist(),
-                                          model.in_range_batch(dists).tolist(),
-                                          powers)
-                if node != sender])
-        else:
-            near = (dists <= spec.prune_range) & (cand != sender)
-            nodes, dists = cand[near], dists[near]
-            powers = self._model.link_power_dbm_batch(
-                np.full(len(nodes), sender), nodes, dists)
-            tx = spec.tx_offset_dbm
-            if tx is not None:
-                # The oracle's addition order: (base + tx offset) + rx gain.
-                powers = powers + tx[sender]
-                powers = powers + spec.rx_gain_dbm[nodes]  # type: ignore[index]
-            keep = spec.keep_threshold_dbm
-            rx = spec.rx_threshold_dbm
-            cs = spec.cs_threshold_dbm
-            links = tuple([
-                new(Link, (node, round(d / c) or 1, p >= rx, p, p >= cs))
-                for node, d, p in zip(nodes.tolist(), dists.tolist(),
-                                      powers.tolist())
-                if p >= keep])
+        links = tuple([
+            new(Link, (node, round(d / c) or 1, p >= rx, p, p >= cs))
+            for node, d, p in zip(nodes.tolist(), dists.tolist(),
+                                  powers.tolist())
+            if p >= keep and node != sender])
         counters.links_built += len(links)
         return LinkTable(links)

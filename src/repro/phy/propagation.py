@@ -1,20 +1,20 @@
-"""Propagation models.
+"""Propagation models: the received power on every link.
 
 The paper's evaluation uses a fixed 75 m radio range (GloMoSim's default
 range-threshold behaviour), which the :class:`UnitDiskModel` reproduces.
-:class:`LogDistanceModel` computes a received-power-vs-threshold decision
-from a log-distance path loss, which still reduces to a deterministic
-circular range. :class:`LogDistanceShadowing` breaks that circularity:
-every node pair draws a lognormal shadowing term (deterministic in the
-seed), so reception becomes link-specific -- the propagation substrate
-the SINR interference subsystem (:mod:`repro.phy.sinr`) builds on.
+:class:`LogDistanceModel` computes power from a log-distance path loss,
+which still falls off with distance alone. :class:`LogDistanceShadowing`
+breaks that circularity: every node pair draws a lognormal shadowing
+term (deterministic in the seed), so reception becomes link-specific --
+the propagation substrate the SINR interference subsystem
+(:mod:`repro.phy.sinr`) builds on.
 
-Every model reports received power. Models that do not actually compute
-power (``UnitDiskModel`` and any minimal subclass) fall back to a
-documented constant -- :data:`IN_RANGE_POWER_DBM` inside carrier-sense
-range, ``-inf`` outside -- so power-aware consumers (SINR
-accumulation and capture, busy-tone power thresholds) never have to type-sniff the
-model.
+A model reports power only. Who decodes and who senses whom is one
+rule, the thresholds of a :class:`~repro.phy.neighbors.LinkPowerSpec`
+on that power; the paper's unit disk is the spec
+:meth:`~repro.phy.neighbors.LinkPowerSpec.unit_disk` over
+:class:`UnitDiskModel` powers (:data:`IN_RANGE_POWER_DBM` inside the
+range, ``-inf`` outside).
 """
 
 from __future__ import annotations
@@ -28,75 +28,30 @@ import numpy as np
 
 from repro.sim.rng import derive_seed
 
-#: Received power (dBm) reported inside carrier-sense range by models
-#: that do not compute real powers (``UnitDiskModel``): 0 dBm = 1 mW.
-#: Under SINR reception this makes every in-range signal equally strong,
-#: which reduces accumulated-interference decisions to the paper's
-#: all-overlaps-collide rule (see ``repro.phy.sinr``).
+#: Received power (dBm) :class:`UnitDiskModel` reports inside its range:
+#: 0 dBm = 1 mW. Under SINR reception this makes every in-range signal
+#: equally strong, which reduces accumulated-interference decisions to
+#: the paper's all-overlaps-collide rule (see ``repro.phy.sinr``).
 IN_RANGE_POWER_DBM = 0.0
 
 
 class PropagationModel(ABC):
-    """Decides whether a transmission is receivable and senseable.
+    """Reports the received power of a transmission, in dBm.
 
-    The scalar predicates are the reference semantics; the ``*_batch``
-    variants evaluate a whole distance array at once, for both link
-    builders (see :mod:`repro.phy.neighbors`): the threshold builder
-    filters and labels a sender's candidates with ``carrier_sensed_batch``,
-    ``in_range_batch`` and ``received_power_dbm_batch``, the power-mode
-    builder reads ``link_power_dbm_batch``. The base-class batch
-    fallbacks call the scalar predicate per element, so any subclass is
-    automatically batch-correct; the built-in models override them with
-    true array expressions that are bit-identical to their scalar forms.
+    The scalar methods are the reference semantics; the ``*_batch``
+    variants evaluate a whole array at once for the link builder (see
+    :mod:`repro.phy.neighbors`), which reads ``link_power_dbm_batch``.
+    Every batch form must be bit-identical to its scalar form, so that
+    link tables equal the brute-force oracle's to the last bit.
     """
 
-    #: True when link power depends on the endpoint pair (shadowing,
-    #: per-link fading), not on distance alone. Pair-dependent models
-    #: must override :meth:`link_power_dbm` (+ batch); consumers that
-    #: cache by distance must not.
-    pair_dependent: bool = False
-
     @abstractmethod
-    def in_range(self, distance: float) -> bool:
-        """True if a frame can be received at ``distance`` meters."""
-
-    @abstractmethod
-    def max_range(self) -> float:
-        """An upper bound on the reception distance (for spatial pruning)."""
-
-    def carrier_sensed(self, distance: float) -> bool:
-        """True if a transmission at ``distance`` raises carrier sense.
-
-        Defaults to the reception range; subclasses may extend it (real
-        radios sense further than they decode).
-        """
-        return self.in_range(distance)
-
-    def in_range_batch(self, distances: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`in_range` (bool array, same shape)."""
-        return np.fromiter((self.in_range(float(d)) for d in distances),
-                           dtype=bool, count=len(distances))
-
-    def carrier_sensed_batch(self, distances: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`carrier_sensed` (bool array, same shape)."""
-        return np.fromiter((self.carrier_sensed(float(d)) for d in distances),
-                           dtype=bool, count=len(distances))
-
-    # -- received power (every model reports one) -----------------------
     def received_power_dbm(self, distance: float) -> float:
-        """Received power at ``distance`` meters (dBm).
+        """Received power at ``distance`` meters (dBm)."""
 
-        Base fallback for models that do not compute real powers:
-        :data:`IN_RANGE_POWER_DBM` inside carrier-sense range, ``-inf``
-        outside. Threshold models override this with the path-loss
-        computation.
-        """
-        return IN_RANGE_POWER_DBM if self.carrier_sensed(distance) else -math.inf
-
+    @abstractmethod
     def received_power_dbm_batch(self, distances: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`received_power_dbm` (float array, same shape)."""
-        return np.fromiter((self.received_power_dbm(float(d)) for d in distances),
-                           dtype=float, count=len(distances))
 
     # -- pair-aware power (shadowing/fading hooks) ----------------------
     def link_power_dbm(self, sender: int, receiver: int,
@@ -108,52 +63,40 @@ class PropagationModel(ABC):
         """
         return self.received_power_dbm(distance)
 
-    def link_power_dbm_batch(self, senders: np.ndarray, receivers: np.ndarray,
+    def link_power_dbm_batch(self, sender: int, receivers: np.ndarray,
                              distances: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`link_power_dbm` (float array, same shape)."""
+        """Vectorized :meth:`link_power_dbm` from one ``sender``."""
         return self.received_power_dbm_batch(distances)
 
 
 class UnitDiskModel(PropagationModel):
-    """Fixed circular radio range (the paper's model; default 75 m)."""
+    """Fixed circular radio range (the paper's model; default 75 m).
 
-    def __init__(self, radio_range: float = 75.0, sense_range: float | None = None):
+    Power is :data:`IN_RANGE_POWER_DBM` within ``radio_range`` (inclusive)
+    and ``-inf`` beyond it.
+    """
+
+    def __init__(self, radio_range: float = 75.0):
         if radio_range <= 0:
             raise ValueError("radio_range must be positive")
         self.radio_range = float(radio_range)
-        self.sense_range = float(sense_range) if sense_range is not None else self.radio_range
-        if self.sense_range < self.radio_range:
-            raise ValueError("sense_range must be >= radio_range")
 
-    def in_range(self, distance: float) -> bool:
-        return distance <= self.radio_range
-
-    def carrier_sensed(self, distance: float) -> bool:
-        return distance <= self.sense_range
-
-    def in_range_batch(self, distances: np.ndarray) -> np.ndarray:
-        return distances <= self.radio_range
-
-    def carrier_sensed_batch(self, distances: np.ndarray) -> np.ndarray:
-        return distances <= self.sense_range
+    def received_power_dbm(self, distance: float) -> float:
+        return IN_RANGE_POWER_DBM if distance <= self.radio_range else -math.inf
 
     def received_power_dbm_batch(self, distances: np.ndarray) -> np.ndarray:
-        return np.where(self.carrier_sensed_batch(distances),
+        return np.where(distances <= self.radio_range,
                         IN_RANGE_POWER_DBM, -np.inf)
 
-    def max_range(self) -> float:
-        return self.sense_range
-
     def __repr__(self) -> str:  # pragma: no cover
-        return f"UnitDiskModel(range={self.radio_range}m, sense={self.sense_range}m)"
+        return f"UnitDiskModel(range={self.radio_range}m)"
 
 
 class LogDistanceModel(PropagationModel):
-    """Log-distance path loss with a reception power threshold.
+    """Log-distance path loss.
 
-    ``PL(d) = PL(d0) + 10 * n * log10(d / d0)`` dB. A frame is receivable
-    when ``tx_power_dbm - PL(d) >= rx_threshold_dbm`` and carrier-sensed
-    when it clears ``cs_threshold_dbm`` (typically ~10 dB lower).
+    ``PL(d) = PL(d0) + 10 * n * log10(d / d0)`` dB, so the received power
+    is ``tx_power_dbm - PL(d)``.
     """
 
     def __init__(
@@ -162,19 +105,13 @@ class LogDistanceModel(PropagationModel):
         path_loss_exponent: float = 2.8,
         reference_loss_db: float = 40.0,
         reference_distance: float = 1.0,
-        rx_threshold_dbm: float = -65.0,
-        cs_threshold_dbm: float = -75.0,
     ):
         if path_loss_exponent <= 0:
             raise ValueError("path_loss_exponent must be positive")
-        if cs_threshold_dbm > rx_threshold_dbm:
-            raise ValueError("carrier-sense threshold must not exceed rx threshold")
         self.tx_power_dbm = tx_power_dbm
         self.path_loss_exponent = path_loss_exponent
         self.reference_loss_db = reference_loss_db
         self.reference_distance = reference_distance
-        self.rx_threshold_dbm = rx_threshold_dbm
-        self.cs_threshold_dbm = cs_threshold_dbm
 
     def received_power_dbm(self, distance: float) -> float:
         """Received power at ``distance`` meters (clamped to d0 up close).
@@ -208,25 +145,10 @@ class LogDistanceModel(PropagationModel):
         margin = self.tx_power_dbm - self.reference_loss_db - threshold_dbm
         return self.reference_distance * 10.0 ** (margin / (10.0 * self.path_loss_exponent))
 
-    def in_range(self, distance: float) -> bool:
-        return self.received_power_dbm(distance) >= self.rx_threshold_dbm
-
-    def carrier_sensed(self, distance: float) -> bool:
-        return self.received_power_dbm(distance) >= self.cs_threshold_dbm
-
-    def in_range_batch(self, distances: np.ndarray) -> np.ndarray:
-        return self.received_power_dbm_batch(distances) >= self.rx_threshold_dbm
-
-    def carrier_sensed_batch(self, distances: np.ndarray) -> np.ndarray:
-        return self.received_power_dbm_batch(distances) >= self.cs_threshold_dbm
-
-    def max_range(self) -> float:
-        return self.range_for_threshold(self.cs_threshold_dbm)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"LogDistanceModel(n={self.path_loss_exponent}, "
-            f"rx_range={self.range_for_threshold(self.rx_threshold_dbm):.1f}m)"
+            f"tx={self.tx_power_dbm}dBm)"
         )
 
 
@@ -241,19 +163,13 @@ class LogDistanceShadowing(LogDistanceModel):
     via :func:`repro.sim.rng.derive_seed`, so runs are deterministic,
     bit-reproducible across processes, and campaign-resumable.
 
-    Draws are truncated to ``+- max_sigma_factor * sigma`` so the model
-    can still report a finite :meth:`max_range` for spatial pruning
-    (an untruncated lognormal has unbounded gain).
+    Draws are truncated to ``+- max_sigma_factor * sigma`` so that a
+    finite distance bounds every link above a power cutoff, which the
+    spatial pruning needs (an untruncated lognormal has unbounded gain).
 
-    The distance-only predicates (``in_range``/``carrier_sensed``)
-    deliberately keep the *median* (no-shadow) semantics: this model is
-    meant to be consumed through the pair-aware :meth:`link_power_dbm`
-    by the power-domain link builder (see
-    :class:`repro.phy.neighbors.LinkPowerSpec`), which derives
-    decode/sense decisions from the shadowed power itself.
+    The distance-only :meth:`received_power_dbm` keeps the *median*
+    (no-shadow) power; links read the pair-aware :meth:`link_power_dbm`.
     """
-
-    pair_dependent = True
 
     def __init__(
         self,
@@ -296,20 +212,15 @@ class LogDistanceShadowing(LogDistanceModel):
                        distance: float) -> float:
         return self.received_power_dbm(distance) + self.shadow_db(sender, receiver)
 
-    def link_power_dbm_batch(self, senders: np.ndarray, receivers: np.ndarray,
+    def link_power_dbm_batch(self, sender: int, receivers: np.ndarray,
                              distances: np.ndarray) -> np.ndarray:
         base = self.received_power_dbm_batch(distances)
         shadow_db = self.shadow_db
         shadows = np.fromiter(
-            (shadow_db(int(s), int(r)) for s, r in zip(senders, receivers)),
+            (shadow_db(sender, r) for r in receivers.tolist()),
             dtype=float, count=len(distances),
         )
         return base + shadows
-
-    def max_range(self) -> float:
-        """Sense radius with full shadow headroom (for spatial pruning)."""
-        return self.range_for_threshold(
-            self.cs_threshold_dbm - self.max_shadow_db())
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

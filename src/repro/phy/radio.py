@@ -2,8 +2,9 @@
 
 A :class:`Radio` bundles, for one node, access to the shared data channel
 and the busy-tone channels. MAC protocols talk only to their radio; the
-radio forwards channel callbacks to the attached :class:`RadioListener`
-(the MAC).
+listener attached through it (the MAC, a
+:class:`~repro.phy.channel.ChannelListener`) takes the data channel's
+callbacks directly.
 """
 
 from __future__ import annotations
@@ -11,24 +12,8 @@ from __future__ import annotations
 from typing import Callable, Mapping, Optional
 
 from repro.phy.busytone import BusyToneChannel, ToneType
-from repro.phy.channel import DataChannel, Transmission
+from repro.phy.channel import ChannelListener, DataChannel, Transmission
 from repro.phy.params import PhyParams
-
-
-class RadioListener:
-    """Callbacks a MAC receives from its radio. Subclass and override."""
-
-    def on_frame_received(self, frame: object, sender: int) -> None:
-        """A frame arrived intact on the data channel."""
-
-    def on_frame_error(self, sender: int) -> None:
-        """A frame arrived corrupted (collision / abort / bit errors)."""
-
-    def on_tx_complete(self, frame: object, aborted: bool) -> None:
-        """This node's own transmission ended."""
-
-    def on_rx_start(self, sender: int) -> None:
-        """The first bit of a decodable frame is arriving."""
 
 
 class Radio:
@@ -41,15 +26,14 @@ class Radio:
         tones: Mapping[ToneType, BusyToneChannel],
     ):
         self.node_id = node_id
-        self._data = data_channel
+        #: The shared data channel this radio transmits and senses on.
+        self.data_channel = data_channel
         self._tones = dict(tones)
         # Direct RBT/ABT references: Enum.__hash__ is a Python-level call,
         # so dict-by-enum lookups showed up in profiles of the tone hot
         # paths. Identity dispatch below avoids hashing entirely.
         self._rbt = self._tones.get(ToneType.RBT)
         self._abt = self._tones.get(ToneType.ABT)
-        self._listener: Optional[RadioListener] = None
-        data_channel.attach(node_id, self)
 
     def _tone(self, tone: ToneType) -> BusyToneChannel:
         if tone is ToneType.RBT and self._rbt is not None:
@@ -61,20 +45,15 @@ class Radio:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def attach(self, listener: RadioListener) -> None:
-        self._listener = listener
-        # Re-register the listener directly with the data channel: the
-        # RadioListener and ChannelListener callback signatures are
-        # identical, so the per-frame forwarding hop through this radio
-        # (four methods, two of them on the arrival hot path) vanishes.
-        # The radio stays registered until a listener exists, and the
-        # forwarding methods below remain for tests that drive a radio
-        # without a MAC.
-        self._data.attach(self.node_id, listener)
+    def attach(self, listener: ChannelListener) -> None:
+        """Register ``listener`` (the MAC) for this node's data-channel
+        callbacks: the channel calls it directly, with no hop through
+        the radio on the arrival hot path."""
+        self.data_channel.attach(self.node_id, listener)
 
     @property
     def phy(self) -> PhyParams:
-        return self._data.phy
+        return self.data_channel.phy
 
     def frame_airtime(self, frame: object) -> int:
         """Airtime (ns) of ``frame`` including the PHY preamble/header."""
@@ -84,39 +63,39 @@ class Radio:
     # Data channel
     # ------------------------------------------------------------------
     def transmit(self, frame: object) -> Transmission:
-        return self._data.transmit(self.node_id, frame)
+        return self.data_channel.transmit(self.node_id, frame)
 
     def abort(self, tx: Transmission) -> None:
-        self._data.abort(tx)
+        self.data_channel.abort(tx)
 
     @property
     def is_transmitting(self) -> bool:
-        return self._data.is_transmitting(self.node_id)
+        return self.data_channel.is_transmitting(self.node_id)
 
     def current_tx(self) -> Optional[Transmission]:
-        return self._data.current_tx(self.node_id)
+        return self.data_channel.current_tx(self.node_id)
 
     def data_busy(self) -> bool:
         """Carrier sense on the data channel."""
-        return self._data.busy(self.node_id)
+        return self.data_channel.busy(self.node_id)
 
     def data_idle_duration(self) -> int:
         """How long the data channel has been continuously idle (0 if busy)."""
-        return self._data.idle_duration(self.node_id)
+        return self.data_channel.idle_duration(self.node_id)
 
     def notify_data_idle(self, callback: Callable[[], None]) -> None:
         """Register a one-shot callback for the next busy->idle transition
         on the data channel. Fires immediately (synchronously) if idle."""
-        self._data.notify_idle(self.node_id, callback)
+        self.data_channel.notify_idle(self.node_id, callback)
 
     def notify_data_busy(self, callback: Callable[[], None]) -> None:
         """Register a one-shot callback for the next idle->busy transition
         on the data channel (see :meth:`DataChannel.notify_busy`)."""
-        self._data.notify_busy(self.node_id, callback)
+        self.data_channel.notify_busy(self.node_id, callback)
 
     def cancel_notify_data_busy(self) -> None:
         """Drop the callback registered by :meth:`notify_data_busy`."""
-        self._data.cancel_notify_busy(self.node_id)
+        self.data_channel.cancel_notify_busy(self.node_id)
 
     # ------------------------------------------------------------------
     # Busy tones
@@ -148,22 +127,3 @@ class Radio:
 
     def unwatch_tone(self, tone: ToneType) -> None:
         self._tone(tone).unwatch_detection(self.node_id)
-
-    # ------------------------------------------------------------------
-    # DataChannel listener protocol (forwarded to the MAC)
-    # ------------------------------------------------------------------
-    def on_frame_received(self, frame: object, sender: int) -> None:
-        if self._listener is not None:
-            self._listener.on_frame_received(frame, sender)
-
-    def on_frame_error(self, sender: int) -> None:
-        if self._listener is not None:
-            self._listener.on_frame_error(sender)
-
-    def on_tx_complete(self, frame: object, aborted: bool) -> None:
-        if self._listener is not None:
-            self._listener.on_tx_complete(frame, aborted)
-
-    def on_rx_start(self, sender: int) -> None:
-        if self._listener is not None:
-            self._listener.on_rx_start(sender)

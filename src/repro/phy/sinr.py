@@ -128,7 +128,7 @@ class SinrConfig:
     fading: Optional[str] = None
     #: Rician K factor (dB; ratio of line-of-sight to scattered power).
     rician_k_db: float = 6.0
-    #: Base transmit power (dBm; threshold-model propagation only).
+    #: Base transmit power (dBm; log-distance propagation only).
     tx_power_dbm: float = 15.0
     #: Heterogeneous radios: each node's tx power is jittered uniformly
     #: in ``+- tx_power_jitter_db`` (deterministic in the seed).
@@ -137,7 +137,7 @@ class SinrConfig:
     antenna_gain_db: float = 0.0
     #: Per-node antenna-gain jitter (uniform ``+-``, deterministic).
     antenna_gain_jitter_db: float = 0.0
-    #: Path-loss exponent for the threshold models.
+    #: Path-loss exponent for the log-distance models.
     path_loss_exponent: float = 2.8
     #: Receive / carrier-sense power thresholds (dBm).
     rx_threshold_dbm: float = -65.0
@@ -589,9 +589,8 @@ class SinrWiring:
 
     config: SinrConfig
     model: PropagationModel
-    #: Power-domain link-building spec (None for unitdisk propagation,
-    #: which keeps the classic distance-threshold link path).
-    power_spec: Optional[LinkPowerSpec]
+    #: The link rule (the unit-disk spec for unitdisk propagation).
+    power_spec: LinkPowerSpec
 
     def build_state(self, rng: Optional[random.Random] = None) -> SinrState:
         """A fresh per-run channel state (counters start empty)."""
@@ -645,16 +644,14 @@ def wire_sinr(config: SinrConfig, phy: PhyParams, n_nodes: int,
               seed: int) -> SinrWiring:
     """Assemble the propagation model + link spec for one scenario run."""
     if config.propagation == "unitdisk":
-        # The paper's geometry, SINR reception on top: links keep the
-        # classic distance-threshold path (constant in-range power).
-        model: PropagationModel = UnitDiskModel(phy.radio_range)
-        return SinrWiring(config, model, None)
+        # The paper's geometry, SINR reception on top: the unit-disk
+        # links (constant in-range power).
+        return SinrWiring(config, UnitDiskModel(phy.radio_range),
+                          LinkPowerSpec.unit_disk(phy.radio_range))
 
     kwargs = dict(
         tx_power_dbm=config.tx_power_dbm,
         path_loss_exponent=config.path_loss_exponent,
-        rx_threshold_dbm=config.rx_threshold_dbm,
-        cs_threshold_dbm=config.cs_threshold_dbm,
     )
     if config.propagation == "shadowing":
         model = LogDistanceShadowing(

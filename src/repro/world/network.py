@@ -68,15 +68,16 @@ class ScenarioConfig:
     #: a 4-period expiry keeps static delivery ~1.0 (shorter expiries let
     #: clustered hello losses evict live children under load) while
     #: repairing mobile trees fast enough to approach the paper's mobile
-    #: delivery levels. The ablation bench sweeps the sensitivity.
+    #: delivery levels. ``tests/integration/test_ablations.py`` sweeps
+    #: the period.
     bless_period_s: float = 0.5
     bless_expiry_s: float = 2.0
     require_connected: bool = True
     trace: bool = False
     #: Uniform bit-error rate on the data channel (0 = collision-only
     #: losses, the paper's setting). Section 3.4 notes the MRTS cap
-    #: "can be further reduced in case of high error bit rate"; the BER
-    #: ablation bench sweeps this.
+    #: "can be further reduced in case of high error bit rate";
+    #: ``tests/integration/test_error_channel.py`` sweeps this.
     ber: float = 0.0
     #: Protocol-config overrides (e.g. {"retry_limit": 4}).
     mac_overrides: dict = field(default_factory=dict)

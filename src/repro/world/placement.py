@@ -5,7 +5,7 @@ The evaluation drops 75 nodes uniformly on a 500 m x 300 m plain with a
 connected, but a disconnected draw would silently depress every delivery
 metric, so :func:`random_placement` can (optionally, on by default)
 redraw until the unit-disk graph is connected -- a standard hygiene step
-the paper does not discuss; the ablation bench measures its effect.
+the paper does not discuss.
 """
 
 from __future__ import annotations

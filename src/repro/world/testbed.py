@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 from repro.phy.busytone import BusyToneChannel, ToneType
 from repro.phy.channel import DataChannel
 from repro.phy.error import BitErrorModel
-from repro.phy.neighbors import NeighborService, PositionProvider, StaticPositions
+from repro.phy.neighbors import (LinkPowerSpec, NeighborService,
+                                 PositionProvider, StaticPositions)
 from repro.phy.params import DEFAULT_PHY, PhyParams
 from repro.phy.propagation import PropagationModel, UnitDiskModel
 from repro.phy.radio import Radio
@@ -39,7 +40,6 @@ class MacTestbed:
         provider: Optional[PositionProvider] = None,
         n_nodes: Optional[int] = None,
         phy: PhyParams = DEFAULT_PHY,
-        propagation: Optional[PropagationModel] = None,
         error_model: Optional[BitErrorModel] = None,
         seed: int = 1,
         trace: bool = False,
@@ -63,16 +63,11 @@ class MacTestbed:
         #: JsonlTraceSink backend); otherwise one is built from ``trace``.
         self.tracer = tracer if tracer is not None else Tracer(enabled=trace)
         #: SINR subsystem (see repro.phy.sinr): the wiring supplies the
-        #: propagation model and the power-domain link spec; the per-run
-        #: channel state (recent transmissions, counters) hangs off the data
-        #: channel.
+        #: propagation model and the link spec; the per-run channel state
+        #: (recent transmissions, counters) hangs off the data channel.
+        #: Without it, links are the paper's unit disk.
         self.sinr_state: Optional["SinrState"] = None
-        power_spec = None
         if sinr is not None:
-            if propagation is not None:
-                raise ValueError(
-                    "give either a propagation model or a SinrConfig "
-                    "(the SINR wiring builds its own model)")
             from repro.phy.sinr import wire_sinr
 
             wiring = wire_sinr(sinr, phy, n_nodes, seed)
@@ -80,9 +75,10 @@ class MacTestbed:
             power_spec = wiring.power_spec
             self.sinr_state = wiring.build_state(self.rngs.stream("fading"))
         else:
-            model = propagation or UnitDiskModel(phy.radio_range)
+            model = UnitDiskModel(phy.radio_range)
+            power_spec = LinkPowerSpec.unit_disk(phy.radio_range)
         self.neighbors = NeighborService(
-            provider, model, cache_window=cache_window, power_spec=power_spec,
+            provider, model, power_spec, cache_window=cache_window,
         )
         #: Optional fault injector shared by the data and tone channels.
         self.faults = faults

@@ -87,7 +87,7 @@ class HashBuffer(TraceBuffer):
 #: injected faults (so every 802.11-family MAC runs its retry and drop
 #: paths), mobile RMAC (random
 #: waypoint, so link tables are rebuilt per position bucket), and mobile
-#: RMAC under SINR reception with shadowing (power-mode link tables
+#: RMAC under SINR reception with shadowing (shadowed link tables
 #: across position buckets), and BMMM under SINR reception with Rician
 #: fading and heterogeneous radios. Unlike the
 #: same-commit comparisons above, these hold across commits: a change

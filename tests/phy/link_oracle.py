@@ -6,29 +6,28 @@ candidates, then one pass over plain lists. This module answers the
 same question the slow, obvious way: one O(n) distance pass per sender, then a scalar
 loop over *all* n nodes in ascending order. It uses the same float64
 operations per link (subtract, ``np.hypot``, the model's scalar
-predicates, banker's-rounded delays), so the service must match it bit
-for bit -- node set, delays, decode and sense flags and ``power_dbm``.
+``link_power_dbm``, banker's-rounded delays), so the service must match
+it bit for bit -- node set, delays, decode and sense flags and
+``power_dbm``.
 """
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.phy.neighbors import Link, LinkPowerSpec, propagation_delay_ns
-from repro.phy.propagation import PropagationModel
+from repro.phy.neighbors import (Link, LinkPowerSpec, NeighborService,
+                                 PositionProvider, propagation_delay_ns)
+from repro.phy.propagation import LogDistanceModel, PropagationModel, UnitDiskModel
 
 
 def oracle_links(pos, sender: int, model: PropagationModel,
-                 power_spec: Optional[LinkPowerSpec] = None
-                 ) -> Tuple[Link, ...]:
+                 power_spec: LinkPowerSpec) -> Tuple[Link, ...]:
     """``sender``'s links over the (n, 2) positions ``pos``.
 
-    Classic mode keeps a node iff it lies within ``model.max_range()``
-    and is carrier-sensed. Power mode keeps it iff it lies within
-    ``power_spec.prune_range`` and its link power (pair-aware model
-    power plus the sender's tx offset plus the receiver's rx gain)
-    reaches the interference cutoff; decode and sense are thresholds on
-    that power.
+    A node is kept iff it lies within ``power_spec.prune_range`` and its
+    link power (pair-aware model power plus the sender's tx offset plus
+    the receiver's rx gain) reaches the interference cutoff; decode and
+    sense are thresholds on that power.
     """
     pos = np.asarray(pos, dtype=float)
     if not 0 <= sender < len(pos):
@@ -40,12 +39,6 @@ def oracle_links(pos, sender: int, model: PropagationModel,
         if node == sender:
             continue
         d = float(dists[node])
-        if power_spec is None:
-            if d > model.max_range() or not model.carrier_sensed(d):
-                continue
-            links.append(Link(node, propagation_delay_ns(d), model.in_range(d),
-                              float(model.received_power_dbm(d))))
-            continue
         if d > power_spec.prune_range:
             continue
         power = model.link_power_dbm(sender, node, d)
@@ -58,3 +51,18 @@ def oracle_links(pos, sender: int, model: PropagationModel,
                           power >= power_spec.rx_threshold_dbm, power,
                           power >= power_spec.cs_threshold_dbm))
     return tuple(links)
+
+
+def unit_disk_service(provider: PositionProvider, radio_range: float = 75.0,
+                      **kwargs) -> NeighborService:
+    """A service over the paper's unit disk of ``radio_range`` meters."""
+    return NeighborService(provider, UnitDiskModel(radio_range),
+                           LinkPowerSpec.unit_disk(radio_range), **kwargs)
+
+
+def threshold_spec(model: LogDistanceModel, rx_threshold_dbm: float = -65.0,
+                   cs_threshold_dbm: float = -75.0) -> LinkPowerSpec:
+    """Decode and carrier-sense thresholds on ``model``'s power, with
+    links kept down to carrier sense (no interference-only links)."""
+    return LinkPowerSpec(rx_threshold_dbm, cs_threshold_dbm, cs_threshold_dbm,
+                         model.range_for_threshold(cs_threshold_dbm))

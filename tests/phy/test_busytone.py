@@ -3,17 +3,17 @@
 import pytest
 
 from repro.phy.busytone import BusyToneChannel, ToneType
-from repro.phy.neighbors import NeighborService, StaticPositions
-from repro.phy.propagation import UnitDiskModel
+from repro.phy.neighbors import StaticPositions
 from repro.sim.engine import Simulator
 from repro.sim.units import US
+from tests.phy.link_oracle import unit_disk_service
 
 LAMBDA = 15 * US
 
 
 def make_tone(coords):
     sim = Simulator()
-    svc = NeighborService(StaticPositions(coords), UnitDiskModel(75.0))
+    svc = unit_disk_service(StaticPositions(coords))
     tone = BusyToneChannel(sim, svc, ToneType.RBT, detect_time=LAMBDA)
     return sim, tone
 

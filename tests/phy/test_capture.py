@@ -11,12 +11,13 @@ from dataclasses import dataclass
 import pytest
 
 from repro.phy.channel import DataChannel
-from repro.phy.neighbors import NeighborService, StaticPositions
+from repro.phy.neighbors import LinkPowerSpec, NeighborService, StaticPositions
 from repro.phy.params import DEFAULT_PHY
 from repro.phy.propagation import LogDistanceModel, UnitDiskModel
 from repro.phy.sinr import SinrReceptionModel, SinrState
 from repro.sim.engine import Simulator
 from repro.sim.units import US
+from tests.phy.link_oracle import threshold_spec
 
 
 @dataclass(frozen=True)
@@ -43,12 +44,17 @@ class Recorder:
         pass
 
 
-def make(coords, capture_db=None, model=None):
+def make(coords, capture_db=None, unit_disk=False):
     """A channel whose reception captures at ``capture_db`` (None: the
-    paper's all-overlaps-collide rule)."""
+    paper's all-overlaps-collide rule), over log-distance thresholds or
+    the unit disk."""
     sim = Simulator()
-    svc = NeighborService(StaticPositions(coords),
-                          model or LogDistanceModel(path_loss_exponent=3.0))
+    if unit_disk:
+        model, spec = UnitDiskModel(75.0), LinkPowerSpec.unit_disk(75.0)
+    else:
+        model = LogDistanceModel(path_loss_exponent=3.0)
+        spec = threshold_spec(model)
+    svc = NeighborService(StaticPositions(coords), model, spec)
     sinr = None
     if capture_db is not None:
         sinr = SinrState(SinrReceptionModel(capture_db, noise_floor_dbm=-90.0))
@@ -109,7 +115,7 @@ def test_capture_with_unit_disk_falls_back_to_collision():
     # beat another by the margin, so capture degrades to the paper's
     # model rather than misbehaving.
     sim, ch, recs = make([(0.0, 0.0), (30.0, 0.0), (60.0, 0.0)],
-                         capture_db=10.0, model=UnitDiskModel(75.0))
+                         capture_db=10.0, unit_disk=True)
     ch.transmit(0, Frame(100, "a"))
     sim.at(20 * US, lambda: ch.transmit(2, Frame(100, "b")))
     sim.run()

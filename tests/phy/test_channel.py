@@ -9,9 +9,10 @@ from repro.phy.channel import DataChannel
 from repro.phy.error import UniformBitErrors
 from repro.phy.neighbors import NeighborService, StaticPositions
 from repro.phy.params import DEFAULT_PHY
-from repro.phy.propagation import UnitDiskModel
+from repro.phy.propagation import LogDistanceModel
 from repro.sim.engine import Simulator
 from repro.sim.units import US
+from tests.phy.link_oracle import threshold_spec, unit_disk_service
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class Recorder:
 
 def make_channel(coords, error_model=None):
     sim = Simulator()
-    svc = NeighborService(StaticPositions(coords), UnitDiskModel(75.0))
+    svc = unit_disk_service(StaticPositions(coords))
     channel = DataChannel(sim, svc, DEFAULT_PHY, error_model=error_model)
     recorders = []
     for node in range(len(coords)):
@@ -172,6 +173,43 @@ def test_abort_after_completion_rejected():
     assert recs[1].received  # the clean delivery already happened
 
 
+def test_sensed_undecodable_link_collides_but_never_calls_back():
+    """A link with cs <= power < rx on the overlap path: its arrival
+    raises carrier sense and corrupts an overlapping reception at that
+    node, but begins no reception there, so the node's listener never
+    hears of it. LogDistanceModel defaults give -61.4 dBm from 20 m
+    (decodable) and -72.6 dBm from 50 m (sensed only); the two senders,
+    70 m apart, do not sense each other."""
+    model = LogDistanceModel()
+    svc = NeighborService(StaticPositions([(0, 0), (20, 0), (-50, 0)]),
+                          model, threshold_spec(model))
+    assert [(l.node, l.in_rx_range, l.sensed)
+            for l in svc.links_from(2, 0)] == [(0, False, True)]
+    sim = Simulator()
+    ch = DataChannel(sim, svc, DEFAULT_PHY)
+    recs = [Recorder() for _ in range(3)]
+    for node, rec in enumerate(recs):
+        ch.attach(node, rec)
+
+    # Alone: busy at the receiver while it lasts, and no callback.
+    ch.transmit(2, Frame(100, "sensed"))
+    busy = []
+    sim.at(50 * US, lambda: busy.append(ch.busy(0)))
+    sim.run()
+    assert busy == [True] and not ch.busy(0)
+    assert (recs[0].rx_starts, recs[0].received, recs[0].errors) == ([], [], [])
+
+    # Overlapping a decodable frame: that frame is corrupted, and the
+    # only callbacks at the receiver are the decodable frame's.
+    frame = Frame(100, "data")
+    ch.transmit(1, frame)
+    sim.at(sim.now + 10 * US, lambda: ch.transmit(2, Frame(100, "sensed")))
+    sim.run()
+    assert recs[0].rx_starts == [1]
+    assert recs[0].received == [] and recs[0].errors == [1]
+    assert not ch.busy(0)
+
+
 def test_bit_errors_drop_frames():
     sim, ch, recs = make_channel([(0, 0), (50, 0)], error_model=UniformBitErrors(0.99))
     ch.transmit(0, Frame(100))
@@ -188,7 +226,7 @@ def test_arrival_end_without_start_raises_underflow():
     from repro.sim.trace import Tracer
 
     sim = Simulator()
-    svc = NeighborService(StaticPositions([(0, 0), (50, 0)]), UnitDiskModel(75.0))
+    svc = unit_disk_service(StaticPositions([(0, 0), (50, 0)]))
     tracer = Tracer(enabled=True)
     ch = DataChannel(sim, svc, DEFAULT_PHY, tracer=tracer)
     rec = Recorder()
@@ -214,7 +252,7 @@ def test_unattached_and_unseen_nodes_get_records_on_demand():
     from repro.sim.trace import Tracer
 
     sim = Simulator()
-    svc = NeighborService(StaticPositions([(0, 0), (50, 0)]), UnitDiskModel(75.0))
+    svc = unit_disk_service(StaticPositions([(0, 0), (50, 0)]))
     tracer = Tracer(enabled=True)
     ch = DataChannel(sim, svc, DEFAULT_PHY, tracer=tracer)
     sender = Recorder()
@@ -265,8 +303,7 @@ def _sensed_and_hidden_setup(sensed_sender):
     from repro.phy.sinr import SinrReceptionModel, SinrState
 
     sim = Simulator()
-    svc = NeighborService(StaticPositions([(0, 0), (60, 0), (120, 0)]),
-                          UnitDiskModel(75.0))
+    svc = unit_disk_service(StaticPositions([(0, 0), (60, 0), (120, 0)]))
     state = SinrState(SinrReceptionModel(10.0, noise_floor_dbm=-90.0))
     ch = DataChannel(sim, svc, DEFAULT_PHY, sinr=state)
     recs = []

@@ -3,17 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.phy.neighbors import (
-    NeighborService,
-    StaticPositions,
-    propagation_delay_ns,
-)
-from repro.phy.propagation import IN_RANGE_POWER_DBM, PropagationModel, UnitDiskModel
-from tests.phy.link_oracle import oracle_links
+from repro.phy.neighbors import StaticPositions, propagation_delay_ns
+from tests.phy.link_oracle import oracle_links, unit_disk_service
 
 
 def service(coords, rng=75.0):
-    return NeighborService(StaticPositions(coords), UnitDiskModel(rng))
+    return unit_disk_service(StaticPositions(coords), rng)
 
 
 def test_propagation_delay_speed_of_light():
@@ -59,13 +54,13 @@ class _MovingProvider:
 
 
 def test_mobile_cache_window_refreshes():
-    svc = NeighborService(_MovingProvider(), UnitDiskModel(75.0), cache_window=1000)
+    svc = unit_disk_service(_MovingProvider(), cache_window=1000)
     assert [l.node for l in svc.links_from(0, 0)] == [1]
     assert [l.node for l in svc.links_from(0, 2 * 10**9)] == []
 
 
 def test_mobile_cache_window_zero_is_exact():
-    svc = NeighborService(_MovingProvider(), UnitDiskModel(75.0), cache_window=0)
+    svc = unit_disk_service(_MovingProvider(), cache_window=0)
     assert [l.node for l in svc.links_from(0, 10**9 - 1)] == [1]
     assert [l.node for l in svc.links_from(0, 10**9)] == []
 
@@ -98,8 +93,8 @@ def test_mobile_cache_follows_position_bucket_epoch():
                                     (140.0, 0.0), (40.0, 100.0)])
     ]
     provider = MobilityProvider(models)
-    svc = NeighborService(provider, UnitDiskModel(75.0), cache_window=window)
-    exact = NeighborService(provider, UnitDiskModel(75.0), cache_window=0)
+    svc = unit_disk_service(provider, cache_window=window)
+    exact = unit_disk_service(provider, cache_window=0)
     for k in range(40):
         # Prime the cache late in bucket k, then query early in bucket
         # k+1: the second answer must reflect the new bucket's
@@ -112,8 +107,7 @@ def test_mobile_cache_follows_position_bucket_epoch():
 
 
 def test_mobile_cache_hit_within_bucket_returns_same_object():
-    svc = NeighborService(_MovingProvider(), UnitDiskModel(75.0),
-                          cache_window=1000)
+    svc = unit_disk_service(_MovingProvider(), cache_window=1000)
     assert svc.links_from(0, 100) is svc.links_from(0, 900)
 
 
@@ -141,7 +135,7 @@ def test_two_slot_position_cache_survives_interleaved_times():
     query. Two slots make the alternating pattern all hits.
     """
     provider = _CountingProvider([(0.0, 0.0), (50.0, 0.0)])
-    svc = NeighborService(provider, UnitDiskModel(75.0), cache_window=1000)
+    svc = unit_disk_service(provider, cache_window=1000)
     now, lookback = 5_000, 1_500  # distinct buckets
     for _ in range(10):
         svc.positions_at(now)
@@ -158,8 +152,7 @@ def test_two_slot_position_cache_survives_interleaved_times():
 
 
 def test_counters_track_table_cache():
-    svc = NeighborService(_MovingProvider(), UnitDiskModel(75.0),
-                          cache_window=1000)
+    svc = unit_disk_service(_MovingProvider(), cache_window=1000)
     # A mobile bucket builds only the table it is asked for (sender 0's,
     # not sender 1's)...
     svc.links_from(0, 100)
@@ -182,7 +175,8 @@ def test_grid_and_brute_static_tables_identical():
     svc = service(coords)
     tables = [svc.links_from(sender, 0) for sender in range(len(coords))]
     for sender, links in enumerate(tables):
-        assert links == oracle_links(coords, sender, svc.model)
+        assert links == oracle_links(coords, sender, svc.model,
+                                     svc.power_spec)
     counters = svc.counters
     assert counters.table_rebuilds == 1
     assert counters.grid_cells > 0
@@ -202,7 +196,7 @@ def test_static_service_freezes_once():
     for _ in range(2):
         for sender in range(len(coords)):
             assert svc.links_from(sender, 0) == oracle_links(
-                coords, sender, svc.model)
+                coords, sender, svc.model, svc.power_spec)
     assert svc.counters.table_rebuilds == 1
     assert svc.counters.table_misses == 0
     assert svc.counters.table_hits == 2 * len(coords)
@@ -276,7 +270,7 @@ class _DriftProvider:
 def test_grid_mobile_buckets_build_only_served_tables():
     n = 80
     provider = _DriftProvider(n)
-    svc = NeighborService(provider, UnitDiskModel(75.0), cache_window=1000)
+    svc = unit_disk_service(provider, cache_window=1000)
     served = {}
     # Sparse traffic: one sender per bucket.
     for bucket in range(3):
@@ -294,7 +288,8 @@ def test_grid_mobile_buckets_build_only_served_tables():
     assert counters.table_hits == 2 * n
     assert counters.links_built == sum(len(links) for links in served.values())
     for (s, t), links in served.items():
-        assert links == oracle_links(provider.positions(t), s, svc.model)
+        assert links == oracle_links(provider.positions(t), s, svc.model,
+                                     svc.power_spec)
 
 
 def test_waypoint_1000_tables_equal_oracle_in_any_query_order():
@@ -314,7 +309,7 @@ def test_waypoint_1000_tables_equal_oracle_in_any_query_order():
                             width, height, 0.0, 8.0, 0.0,
                             random.Random(1000 + i))
         for i in range(1000)])
-    svc = NeighborService(provider, UnitDiskModel(75.0), cache_window=window)
+    svc = unit_disk_service(provider, cache_window=window)
     cached_bucket = {}
     built = []
     for bucket in (0, 1, 2, 0):
@@ -324,7 +319,7 @@ def test_waypoint_1000_tables_equal_oracle_in_any_query_order():
             t = bucket * window + rng.randrange(window)
             links = svc.links_from(sender, t)
             assert links == oracle_links(svc.positions_at(t), sender,
-                                         svc.model)
+                                         svc.model, svc.power_spec)
             assert svc.links_from(sender, t) is links
             # A sender's cached table survives until it is asked for in
             # another bucket, so back in bucket 0 some tables still hit.
@@ -363,51 +358,3 @@ def test_propagation_delay_rounds_like_rint():
     for d in halves:
         k = math.floor(d / c)
         assert propagation_delay_ns(d) == max(1, k + (k % 2))
-
-
-def test_unit_disk_links_share_one_power_object():
-    """A unit-disk model reports the same power on every link; the
-    tables hold it as one float object, not one per link."""
-    import random
-
-    rng = random.Random(3)
-    coords = [(rng.uniform(0, 200), rng.uniform(0, 150)) for _ in range(40)]
-    svc = service(coords)
-    for sender in range(len(coords)):
-        links = svc.links_from(sender, 0)
-        assert links == oracle_links(coords, sender, svc.model)
-        assert all(link.power_dbm is IN_RANGE_POWER_DBM for link in links)
-
-
-class _ScalarOnlyModel(PropagationModel):
-    """A custom model with scalar predicates only: decodes to 40 m,
-    senses to 60 m and reports a distance-dependent power, so the link
-    builder's batch calls go through the base-class fallbacks."""
-
-    def in_range(self, distance):
-        return distance <= 40.0
-
-    def carrier_sensed(self, distance):
-        return distance <= 60.0
-
-    def received_power_dbm(self, distance):
-        return -30.0 - distance / 3.0
-
-    def max_range(self):
-        return 60.0
-
-
-def test_scalar_only_model_tables_equal_oracle():
-    import random
-
-    rng = random.Random(8)
-    coords = [(rng.uniform(0, 250), rng.uniform(0, 150)) for _ in range(50)]
-    model = _ScalarOnlyModel()
-    svc = NeighborService(StaticPositions(coords), model)
-    decodable = sensed_only = 0
-    for sender in range(len(coords)):
-        links = svc.links_from(sender, 0)
-        assert links == oracle_links(coords, sender, model)
-        decodable += sum(link.in_rx_range for link in links)
-        sensed_only += sum(not link.in_rx_range for link in links)
-    assert decodable and sensed_only

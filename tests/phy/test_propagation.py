@@ -1,34 +1,37 @@
 """Propagation models."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.phy.propagation import LogDistanceModel, UnitDiskModel
+from repro.phy.neighbors import LinkPowerSpec
+from repro.phy.propagation import IN_RANGE_POWER_DBM, LogDistanceModel, UnitDiskModel
 
 
 class TestUnitDisk:
     def test_in_range_boundary_inclusive(self):
         model = UnitDiskModel(75.0)
-        assert model.in_range(75.0)
-        assert not model.in_range(75.0001)
-        assert model.in_range(0.0)
+        assert model.received_power_dbm(75.0) == IN_RANGE_POWER_DBM
+        assert model.received_power_dbm(75.0001) == -math.inf
+        assert model.received_power_dbm(0.0) == IN_RANGE_POWER_DBM
+        batch = model.received_power_dbm_batch(np.array([0.0, 75.0, 75.0001]))
+        assert batch.tolist() == [IN_RANGE_POWER_DBM, IN_RANGE_POWER_DBM,
+                                  -math.inf]
 
     def test_sense_range_defaults_to_rx(self):
-        model = UnitDiskModel(75.0)
-        assert model.carrier_sensed(75.0)
-        assert not model.carrier_sensed(76.0)
-        assert model.max_range() == 75.0
-
-    def test_extended_sense_range(self):
-        model = UnitDiskModel(75.0, sense_range=150.0)
-        assert model.carrier_sensed(120.0)
-        assert not model.in_range(120.0)
-        assert model.max_range() == 150.0
+        # The unit-disk spec senses exactly where it decodes: one power
+        # for all three thresholds, and the search ends at the range.
+        spec = LinkPowerSpec.unit_disk(75.0)
+        assert (spec.rx_threshold_dbm == spec.cs_threshold_dbm
+                == spec.keep_threshold_dbm == IN_RANGE_POWER_DBM)
+        assert spec.prune_range == 75.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             UnitDiskModel(0)
         with pytest.raises(ValueError):
-            UnitDiskModel(75.0, sense_range=50.0)
+            LinkPowerSpec.unit_disk(0.0)
 
 
 class TestLogDistance:
@@ -42,18 +45,21 @@ class TestLogDistance:
 
     def test_rx_and_cs_ranges_ordered(self):
         model = LogDistanceModel()
-        rx = model.range_for_threshold(model.rx_threshold_dbm)
-        cs = model.range_for_threshold(model.cs_threshold_dbm)
+        rx = model.range_for_threshold(-65.0)
+        cs = model.range_for_threshold(-75.0)
         assert cs > rx > 0
-        assert model.in_range(rx * 0.99)
-        assert not model.in_range(rx * 1.01)
-        assert model.carrier_sensed(rx * 1.01)
-        assert not model.carrier_sensed(cs * 1.01)
-        assert model.max_range() == pytest.approx(cs)
+        assert model.received_power_dbm(rx * 0.99) >= -65.0
+        assert model.received_power_dbm(rx * 1.01) < -65.0
+        assert model.received_power_dbm(rx * 1.01) >= -75.0
+        assert model.received_power_dbm(cs * 1.01) < -75.0
 
     def test_threshold_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            LogDistanceModel(rx_threshold_dbm=-80, cs_threshold_dbm=-70)
+        # The thresholds live on the link spec, which orders them
+        # keep <= cs <= rx.
+        with pytest.raises(ValueError, match="rx_threshold_dbm"):
+            LinkPowerSpec(-80.0, -70.0, -90.0, 100.0)
+        with pytest.raises(ValueError, match="keep_threshold_dbm"):
+            LinkPowerSpec(-65.0, -75.0, -70.0, 100.0)
 
     def test_positive_exponent_required(self):
         with pytest.raises(ValueError):

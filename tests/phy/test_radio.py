@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 from repro.phy.busytone import ToneType
-from repro.phy.radio import RadioListener
 from repro.sim.units import US
 from repro.world.testbed import MacTestbed
 
@@ -13,7 +12,7 @@ class Frame:
     size_bytes: int
 
 
-class Recorder(RadioListener):
+class Recorder:
     def __init__(self):
         self.received = []
         self.errors = []
@@ -36,8 +35,8 @@ class Recorder(RadioListener):
 def make_pair():
     tb = MacTestbed(coords=[(0, 0), (50, 0)])
     recs = [Recorder(), Recorder()]
-    for radio, rec in zip(tb.radios, recs):
-        radio.attach(rec)
+    for node, rec in enumerate(recs):
+        tb.data_channel.attach(node, rec)
     return tb, recs
 
 

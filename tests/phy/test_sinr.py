@@ -36,7 +36,7 @@ from repro.phy.sinr import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.units import US
-from repro.world.testbed import MacTestbed
+from tests.phy.link_oracle import threshold_spec
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,12 @@ def test_radio_offsets_deterministic_and_bounded():
 def test_wire_sinr_unitdisk_keeps_classic_links():
     wiring = wire_sinr(SinrConfig(propagation="unitdisk"), DEFAULT_PHY, 5, 1)
     assert isinstance(wiring.model, UnitDiskModel)
-    assert wiring.power_spec is None
+    assert wiring.model.radio_range == DEFAULT_PHY.radio_range
+    spec = wiring.power_spec
+    assert (spec.rx_threshold_dbm, spec.cs_threshold_dbm,
+            spec.keep_threshold_dbm) == (IN_RANGE_POWER_DBM,) * 3
+    assert spec.prune_range == DEFAULT_PHY.radio_range
+    assert spec.tx_offset_dbm is None
 
 
 def test_wire_sinr_shadowing_builds_power_spec():
@@ -195,8 +200,10 @@ def test_wire_sinr_shadowing_builds_power_spec():
     assert spec.keep_threshold_dbm == config.noise_floor_dbm
     assert spec.cs_threshold_dbm == config.cs_threshold_dbm
     # The spatial prune radius covers the interference cutoff with full
-    # shadow headroom, so it exceeds the model's own sense radius.
-    assert spec.prune_range > wiring.model.max_range()
+    # shadow headroom, so it exceeds the sense radius with that headroom.
+    model = wiring.model
+    assert spec.prune_range > model.range_for_threshold(
+        config.cs_threshold_dbm - model.max_shadow_db())
 
 
 def test_wire_sinr_heterogeneous_offsets_extend_prune_range():
@@ -225,23 +232,14 @@ def test_build_state_constructs_fading_sampler():
 
 
 # ----------------------------------------------------------------------
-# Testbed wiring errors
-# ----------------------------------------------------------------------
-def test_testbed_rejects_propagation_plus_sinr():
-    with pytest.raises(ValueError, match="propagation model or a SinrConfig"):
-        MacTestbed([(0, 0), (50, 0)], propagation=UnitDiskModel(75.0),
-                   sinr=SinrConfig())
-
-
-# ----------------------------------------------------------------------
-# Power-mode link tables feeding the channel
+# SINR-wired link tables feeding the channel
 # ----------------------------------------------------------------------
 def _power_world(coords, config, seed=1):
-    """Channel + recorders over power-mode link tables for ``config``."""
+    """Channel + recorders over the link tables ``config`` wires."""
     sim = Simulator()
     wiring = wire_sinr(config, DEFAULT_PHY, len(coords), seed)
     svc = NeighborService(StaticPositions(coords), wiring.model,
-                          power_spec=wiring.power_spec)
+                          wiring.power_spec)
     state = wiring.build_state(random.Random(seed))
     channel = DataChannel(sim, svc, DEFAULT_PHY, sinr=state)
     recorders = []
@@ -271,7 +269,9 @@ def test_hidden_interferer_drops_frame_threshold_model_delivers():
     # Threshold model: the interferer has no link to the receiver, so
     # the overlap rule sees a clean solo reception.
     sim = Simulator()
-    svc = NeighborService(StaticPositions(coords), LogDistanceModel())
+    model = LogDistanceModel()
+    svc = NeighborService(StaticPositions(coords), model,
+                          threshold_spec(model))
     channel = DataChannel(sim, svc, DEFAULT_PHY)
     recs = [Recorder() for _ in coords]
     for node, rec in enumerate(recs):
@@ -340,7 +340,7 @@ def test_unitdisk_sinr_reproduces_overlap_collision():
     wiring = wire_sinr(config, DEFAULT_PHY, 3, 1)
     sim = Simulator()
     svc = NeighborService(StaticPositions([(0, 0), (60, 0), (120, 0)]),
-                          wiring.model)
+                          wiring.model, wiring.power_spec)
     state = wiring.build_state()
     channel = DataChannel(sim, svc, DEFAULT_PHY, sinr=state)
     recs = [Recorder() for _ in range(3)]
@@ -378,7 +378,7 @@ def test_tone_reaches_sensed_links_only():
     wiring = wire_sinr(config, DEFAULT_PHY, len(coords), 1)
     sim = Simulator()
     svc = NeighborService(StaticPositions(coords), wiring.model,
-                          power_spec=wiring.power_spec)
+                          wiring.power_spec)
     tone = BusyToneChannel(sim, svc, ToneType.RBT,
                            detect_time=DEFAULT_PHY.cca_time)
     # Node 0 emits: node 1 (-61.4 dBm) clears the -75 dBm carrier-sense

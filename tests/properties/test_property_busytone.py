@@ -4,10 +4,10 @@ per-node counter form it replaced."""
 from hypothesis import given, settings, strategies as st
 
 from repro.phy.busytone import BusyToneChannel, ToneType
-from repro.phy.neighbors import NeighborService, StaticPositions
-from repro.phy.propagation import UnitDiskModel
+from repro.phy.neighbors import StaticPositions
 from repro.sim.engine import Simulator
 from repro.sim.units import US
+from tests.phy.link_oracle import unit_disk_service
 from tests.phy.tone_count_oracle import ToneCountOracle
 
 
@@ -37,8 +37,7 @@ def pulse_schedules(draw):
 @given(pulses=pulse_schedules())
 def test_presence_always_clears_after_all_pulses(pulses):
     sim = Simulator()
-    svc = NeighborService(StaticPositions([(0, 0), (50, 0), (100, 0)]),
-                          UnitDiskModel(75.0))
+    svc = unit_disk_service(StaticPositions([(0, 0), (50, 0), (100, 0)]))
     tone = BusyToneChannel(sim, svc, ToneType.ABT, detect_time=15 * US)
     for emitter, start, duration in pulses:
         sim.at(start, lambda e=emitter, d=duration: tone.pulse(e, d))
@@ -53,8 +52,7 @@ def test_presence_always_clears_after_all_pulses(pulses):
 @given(pulses=pulse_schedules())
 def test_longest_presence_bounded_by_window_and_total(pulses):
     sim = Simulator()
-    svc = NeighborService(StaticPositions([(0, 0), (50, 0), (100, 0)]),
-                          UnitDiskModel(75.0))
+    svc = unit_disk_service(StaticPositions([(0, 0), (50, 0), (100, 0)]))
     tone = BusyToneChannel(sim, svc, ToneType.ABT, detect_time=15 * US)
     for emitter, start, duration in pulses:
         sim.at(start, lambda e=emitter, d=duration: tone.pulse(e, d))
@@ -106,7 +104,7 @@ class _Side:
 
     def __init__(self, make_channel, script):
         self.sim = sim = Simulator()
-        svc = NeighborService(StaticPositions(NODES), UnitDiskModel(75.0))
+        svc = unit_disk_service(StaticPositions(NODES))
         self.channel = channel = make_channel(sim, svc)
         self.log = []
         delays = {e: svc.table_from(e, 0).view.sensed.delays

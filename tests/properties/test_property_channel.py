@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from hypothesis import given, settings, strategies as st
 
 from repro.phy.channel import DataChannel
-from repro.phy.neighbors import NeighborService, StaticPositions
+from repro.phy.neighbors import StaticPositions
 from repro.phy.params import DEFAULT_PHY
-from repro.phy.propagation import UnitDiskModel
 from repro.phy.sinr import SinrReceptionModel, SinrState
 from repro.sim.engine import Simulator
 from repro.sim.units import US
+from tests.phy.link_oracle import unit_disk_service
 
 COORDS = [(0.0, 0.0), (50.0, 0.0), (100.0, 0.0), (150.0, 0.0)]
 
@@ -69,7 +69,7 @@ def schedules(draw):
 @given(schedule=schedules())
 def test_channel_conservation(schedule):
     sim = Simulator()
-    svc = NeighborService(StaticPositions(COORDS), UnitDiskModel(75.0))
+    svc = unit_disk_service(StaticPositions(COORDS))
     channel = DataChannel(sim, svc, DEFAULT_PHY)
     recorders = [Recorder() for _ in COORDS]
     for node, rec in enumerate(recorders):
@@ -166,7 +166,7 @@ RECEPTION_MODES = {
 
 def run_schedule(schedule, sinr):
     sim = Simulator()
-    svc = NeighborService(StaticPositions(COORDS), UnitDiskModel(75.0))
+    svc = unit_disk_service(StaticPositions(COORDS))
     channel = DataChannel(sim, svc, DEFAULT_PHY, sinr=sinr)
     log = []
     for node in range(len(COORDS)):

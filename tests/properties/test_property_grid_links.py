@@ -5,9 +5,11 @@ spatial grid: all senders at once when a static placement freezes, and
 only the senders asked for in each mobile bucket. For every sender, the
 table must have the same node set, the same ``delay_ns``, the same ``in_rx_range`` flag and the
 same ``power_dbm`` (to the last bit) as the scan-everything oracle in
-``tests/phy/link_oracle.py``, for both propagation models, in power
-mode, across mobility bucket epochs, and with nodes straddling
-grid-cell boundaries. Both builders keep every decodable link sensed.
+``tests/phy/link_oracle.py``, under the unit-disk spec and under
+threshold specs on the log-distance models (with and without shadowing,
+heterogeneous radios and interference-only tails), across mobility
+bucket epochs, and with nodes straddling grid-cell boundaries. Every
+decodable link is sensed.
 """
 
 import random
@@ -17,19 +19,22 @@ from hypothesis import strategies as st
 
 from repro.mobility.base import MobilityProvider
 from repro.mobility.waypoint import RandomWaypointModel
-from repro.phy.neighbors import NeighborService, StaticPositions
+from repro.phy.neighbors import LinkPowerSpec, NeighborService, StaticPositions
 from repro.phy.params import DEFAULT_PHY
 from repro.phy.propagation import LogDistanceModel, UnitDiskModel
 from repro.phy.sinr import SinrConfig, wire_sinr
-from tests.phy.link_oracle import oracle_links
+from tests.phy.link_oracle import oracle_links, threshold_spec
 
 WIDTH, HEIGHT = 400.0, 250.0
 
 
-def make_model(kind, sense_extra):
+def make_rule(kind, sense_extra_db):
+    """The unit disk, or log-distance thresholds whose carrier sense
+    reaches ``sense_extra_db`` below decode."""
     if kind == "unit":
-        return UnitDiskModel(75.0, 75.0 + sense_extra)
-    return LogDistanceModel()
+        return UnitDiskModel(75.0), LinkPowerSpec.unit_disk(75.0)
+    model = LogDistanceModel()
+    return model, threshold_spec(model, -65.0, -65.0 - sense_extra_db)
 
 
 def make_coords(rng, n, clustered):
@@ -54,24 +59,25 @@ def make_coords(rng, n, clustered):
     seed=st.integers(0, 10**6),
     n=st.integers(2, 50),
     kind=st.sampled_from(["unit", "log"]),
-    sense_extra=st.sampled_from([0.0, 25.0]),
+    sense_extra_db=st.sampled_from([0.0, 10.0]),
     clustered=st.booleans(),
 )
-def test_static_grid_tables_equal_brute(seed, n, kind, sense_extra, clustered):
+def test_static_grid_tables_equal_brute(seed, n, kind, sense_extra_db,
+                                        clustered):
     rng = random.Random(seed)
     provider = StaticPositions(make_coords(rng, n, clustered))
-    model = make_model(kind, sense_extra)
-    grid = NeighborService(provider, model)
+    model, spec = make_rule(kind, sense_extra_db)
+    grid = NeighborService(provider, model, spec)
     pos = provider.positions(0)
     for sender in range(n):
         links = grid.links_from(sender, 0)
-        assert links == oracle_links(pos, sender, model)
+        assert links == oracle_links(pos, sender, model, spec)
         # Decodable => sensed: every link that decodes gets arrival events.
         assert all(link.sensed for link in links if link.in_rx_range)
 
 
 def make_power_spec(kind, hetero, n, seed):
-    """Power-mode wiring (SINR subsystem): model + LinkPowerSpec."""
+    """The SINR subsystem's wiring: model + LinkPowerSpec."""
     overrides = dict(antenna_gain_db=2.0, antenna_gain_jitter_db=1.0,
                      tx_power_jitter_db=3.0) if hetero else {}
     config = SinrConfig(propagation=kind, **overrides)
@@ -89,7 +95,7 @@ def make_power_spec(kind, hetero, n, seed):
 )
 def test_static_power_mode_grid_tables_equal_brute(
         seed, n, kind, hetero, clustered):
-    """Power-mode links (pair-aware shadowing, heterogeneous radio
+    """SINR-wired links (pair-aware shadowing, heterogeneous radio
     offsets, interference-only tails) keep the grid == oracle
     bit-identity contract: same nodes, delays, flags and ``power_dbm``
     to the last bit. The shadow cache is per-model, so the service and
@@ -98,7 +104,7 @@ def test_static_power_mode_grid_tables_equal_brute(
     rng = random.Random(seed)
     provider = StaticPositions(make_coords(rng, n, clustered))
     model, spec = make_power_spec(kind, hetero, n, seed)
-    grid = NeighborService(provider, model, power_spec=spec)
+    grid = NeighborService(provider, model, spec)
     pos = provider.positions(0)
     for sender in range(n):
         links = grid.links_from(sender, 0)
@@ -126,8 +132,7 @@ def test_mobile_power_mode_grid_tables_equal_brute(seed, n, hetero):
     provider = MobilityProvider(models)
     model, spec = make_power_spec("shadowing", hetero, n, seed)
     window = 50_000_000
-    grid = NeighborService(provider, model, cache_window=window,
-                           power_spec=spec)
+    grid = NeighborService(provider, model, spec, cache_window=window)
     for epoch in range(3):
         t = epoch * window + window // 3
         pos = provider.positions(t - t % window)
@@ -151,10 +156,11 @@ def test_mobile_grid_tables_equal_brute_across_epochs(seed, n, kind, window):
         for i, (x, y) in enumerate(make_coords(rng, n, clustered=True))
     ]
     provider = MobilityProvider(models)
-    model = make_model(kind, 0.0)
-    grid = NeighborService(provider, model, cache_window=window)
+    model, spec = make_rule(kind, 0.0)
+    grid = NeighborService(provider, model, spec, cache_window=window)
     for epoch in range(4):
         t = epoch * window + window // 3
         pos = provider.positions(t - t % window)
         for sender in range(n):
-            assert grid.links_from(sender, t) == oracle_links(pos, sender, model)
+            assert grid.links_from(sender, t) == oracle_links(
+                pos, sender, model, spec)

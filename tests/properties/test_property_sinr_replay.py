@@ -6,7 +6,7 @@ its window from the recent transmissions
 (:meth:`repro.phy.sinr.SinrState.replay`), and gives interference-only
 links no arrival events. The path it replaced -- one event per link and
 a per-node interference tracker updated on each -- survives as the
-oracle in ``tests/phy/sinr_tracker_oracle.py``. Random power-mode
+oracle in ``tests/phy/sinr_tracker_oracle.py``. Random SINR-wired
 layouts run through both, with interference-only links, log-distance
 or shadowing propagation, heterogeneous radios, no fading or Rayleigh
 or Rician fading, interference accounting on or off, aborts (at the
@@ -135,7 +135,7 @@ def build(coords, config, seed, channel_cls, state_cls):
     sim = Simulator()
     wiring = wire_sinr(config, DEFAULT_PHY, len(coords), seed)
     svc = NeighborService(StaticPositions(coords), wiring.model,
-                          power_spec=wiring.power_spec)
+                          wiring.power_spec)
     base = wiring.build_state(random.Random(seed))
     state = state_cls(base.reception, interference=base.interference,
                       fading=base.fading, rng=base.rng)

@@ -6,7 +6,9 @@ from repro.core import RmacConfig, RmacProtocol
 from repro.mobility.base import MobilityProvider
 from repro.mobility.stationary import StationaryModel
 from repro.phy.busytone import ToneType
-from repro.phy.propagation import LogDistanceModel
+from repro.phy.neighbors import LinkPowerSpec
+from repro.phy.propagation import UnitDiskModel
+from repro.phy.sinr import SinrConfig
 from repro.world.testbed import MacTestbed
 
 
@@ -50,10 +52,17 @@ def test_build_macs_starts_protocols():
     assert started == [0, 1]
 
 
-def test_custom_propagation_model():
-    model = LogDistanceModel()
-    tb = MacTestbed(coords=[(0, 0), (10, 0)], propagation=model)
-    assert tb.neighbors.model is model
+def test_links_default_to_the_unit_disk_spec():
+    tb = MacTestbed(coords=[(0, 0), (10, 0)])
+    model, spec = tb.neighbors.model, tb.neighbors.power_spec
+    assert isinstance(model, UnitDiskModel)
+    assert model.radio_range == spec.prune_range == tb.phy.radio_range
+    unit = LinkPowerSpec.unit_disk(tb.phy.radio_range)
+    assert ((spec.rx_threshold_dbm, spec.cs_threshold_dbm,
+             spec.keep_threshold_dbm)
+            == (unit.rx_threshold_dbm, unit.cs_threshold_dbm,
+                unit.keep_threshold_dbm))
+    assert tb.sinr_state is None
 
 
 def test_run_advances_clock():
@@ -64,9 +73,10 @@ def test_run_advances_clock():
 
 def test_rmac_protocol_over_log_distance_model():
     """The stack works over a non-unit-disk propagation model too."""
-    # Default LogDistanceModel decodes out to ~27 m; keep nodes inside.
+    # Log-distance at the default thresholds decodes out to ~27 m; keep
+    # nodes inside.
     tb = MacTestbed(coords=[(0, 0), (20, 0), (0, 20)],
-                    propagation=LogDistanceModel())
+                    sinr=SinrConfig(propagation="logdistance"))
     cfg = RmacConfig(phy=tb.phy)
     tb.build_macs(lambda i, t: RmacProtocol(i, t.sim, t.radios[i],
                                             t.node_rng(i), cfg))
