@@ -27,7 +27,6 @@ def main(n_nodes: int = 25, n_packets: int = 100) -> None:
         rate_pps=20,
         n_packets=n_packets,
         seed=42,
-        trace=True,
     )
     ring = RingBuffer(capacity=200)
     tracer = Tracer(enabled=True, buffer=ring)

@@ -74,23 +74,26 @@ def _make_sinr(args: argparse.Namespace):
         overrides["fading"] = args.sinr_fading
     if getattr(args, "tx_jitter", None) is not None:
         overrides["tx_power_jitter_db"] = args.tx_jitter
-    return sinr_preset(profile, **overrides)
+    try:
+        return sinr_preset(profile, **overrides)
+    except ValueError as exc:
+        print(f"repro: error: --sinr {profile}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     use_oracle = bool(args.oracle or args.oracle_report)
+    mobility = (dict(mobile=True, max_speed=args.speed, pause_s=args.pause)
+                if args.speed > 0 else {})
     config = ScenarioConfig(
         protocol=args.protocol,
         n_nodes=args.nodes,
         width=args.width,
         height=args.height,
-        mobile=args.speed > 0,
-        max_speed=args.speed or 4.0,
-        pause_s=args.pause,
         rate_pps=args.rate,
         n_packets=args.packets,
         seed=args.seed,
-        trace=bool(args.trace_jsonl),
+        **mobility,
         faults=_load_faults(args.faults),
         oracle=use_oracle,
         sinr=_make_sinr(args),
@@ -355,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--packets", type=int, default=100)
     run.add_argument("--speed", type=float, default=0.0,
                      help="max waypoint speed m/s (0 = stationary)")
-    run.add_argument("--pause", type=float, default=10.0)
+    run.add_argument("--pause", type=float, default=10.0,
+                     help="waypoint pause s (read only with --speed)")
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--trace-jsonl", metavar="OUT.jsonl",
                      help="stream the full protocol trace to a JSONL file "

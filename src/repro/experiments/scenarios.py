@@ -115,15 +115,14 @@ def scaled_scenario(
     config = paper_scenario(protocol, scenario, rate_pps, seed, n_packets=n_packets)
     if n_nodes != config.n_nodes:
         shrink = (n_nodes / config.n_nodes) ** 0.5
-        config = config.variant(
-            n_nodes=n_nodes,
-            width=config.width * shrink,
-            height=config.height * shrink,
+        changes = dict(n_nodes=n_nodes, width=config.width * shrink,
+                       height=config.height * shrink)
+        if config.mobile:
             # Scale speeds with the plain so relative mobility (meters
             # moved per radio range per second) matches the paper's.
-            min_speed=config.min_speed * shrink,
-            max_speed=config.max_speed * shrink,
-        )
+            changes.update(min_speed=config.min_speed * shrink,
+                           max_speed=config.max_speed * shrink)
+        config = config.variant(**changes)
     return config
 
 
@@ -160,9 +159,7 @@ def scale_make_config(scale: str, faults: Optional[FaultPlan] = None,
             n_nodes, n_packets, _rates, _seeds = FIGURE_SCALES[scale]
             config = scaled_scenario(protocol, scenario, rate, seed,
                                      n_packets=n_packets, n_nodes=n_nodes)
-        if faults is not None or oracle or sinr is not None:
-            config = config.variant(faults=faults, oracle=oracle, sinr=sinr)
-        return config
+        return config.variant(faults=faults, oracle=oracle, sinr=sinr)
     return make_config
 
 

@@ -27,7 +27,10 @@ Record schema (version 1)::
 ``config_hash`` is SHA-256 over the canonical JSON of the full
 :class:`~repro.world.network.ScenarioConfig` (sorted keys), truncated
 to 16 hex characters: a stored point is only reused when the *entire*
-configuration that produced it is unchanged.
+configuration that produced it is unchanged. The store does not
+interpret the config: a config holds only what its run reads (each
+config class rejects values its run would ignore), so equal runs hash
+equally.
 
 Compatibility rules:
 
@@ -74,25 +77,8 @@ def _canonical_default(obj) -> object:
 
 
 def canonical_config_json(config) -> str:
-    """The canonical JSON form of a ScenarioConfig (hashing input).
-
-    Fields still at the value they had before they existed (``faults``
-    is None, ``oracle`` is False) are dropped, so every hash computed
-    before those fields were added remains valid and stored campaign
-    points survive the schema growth without re-simulating.
-    """
-    payload = asdict(config)
-    # Configs once had a ``collect_telemetry`` flag, so every stored
-    # hash was computed with it; writing its default keeps the hashes
-    # of configs that left it off valid.
-    payload["collect_telemetry"] = False
-    if payload.get("faults", "absent") is None:
-        del payload["faults"]
-    if payload.get("oracle", "absent") is False:
-        del payload["oracle"]
-    if payload.get("sinr", "absent") is None:
-        del payload["sinr"]
-    return json.dumps(payload, sort_keys=True, default=_canonical_default)
+    """The canonical JSON form of a ScenarioConfig (hashing input)."""
+    return json.dumps(asdict(config), sort_keys=True, default=_canonical_default)
 
 
 def config_hash(config) -> str:

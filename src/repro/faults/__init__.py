@@ -10,7 +10,7 @@ machinery the paper claims. This package supplies that attack surface:
   bit-error model override (e.g. the bursty
   :class:`~repro.phy.error.GilbertElliott`). A plan is part of the
   ``ScenarioConfig``, so it flows into the result store's
-  ``config_hash`` and the campaign resume machinery unchanged.
+  ``config_hash`` and the campaign resume machinery.
 * :class:`~repro.faults.injector.FaultInjector` -- the compiled runtime
   form the PHY consults: the data channel asks it whether an arrival is
   suppressed or corrupted, the busy-tone channels ask it whether an

@@ -16,10 +16,9 @@ Every arrival the receiver's radio senses runs through one pipeline
 (``_arrival_start`` / ``_arrival_end``), fanned out over the ``sensed``
 links of the sender's :class:`~repro.phy.neighbors.LinkView`. The only
 optional stage is the reception decision of a
-:class:`repro.phy.sinr.SinrState` (``sinr``):
-it replaces the overlap rule with accumulated interference when its
-accounting is on, and at arrival end decodes only if the
-signal-to-(peak interference + noise) ratio clears its threshold. The
+:class:`repro.phy.sinr.SinrState` (``sinr``): it replaces the overlap
+rule with accumulated interference, and at arrival end decodes only if
+the signal-to-(peak interference + noise) ratio clears its threshold. The
 stage reads the transmissions themselves: each one reports its start
 and end with the seqs its arrivals take, and a decode replays the
 reception's window from them. Interference-only links (below carrier
@@ -189,9 +188,6 @@ class DataChannel:
         self._sinr = sinr
         if sinr is not None:
             sinr.bind(sim)
-        #: Whether overlapping sensed arrivals corrupt each other (False
-        #: when the SINR stage accounts interference instead).
-        self._overlap_rule = sinr is None or not sinr.interference
         #: Every node's carrier sense, receptions, listener, transmission
         #: and waiters (see :class:`_NodeState`).
         self._nodes = _NodeStates()
@@ -356,9 +352,8 @@ class DataChannel:
         """First bit of ``tx`` reaches ``link.node``, a sensed link.
 
         The node's busy counter rises. An overlap between arrivals
-        corrupts every reception involved -- unless the SINR decision
-        accounts interference, in which case the SINR check at arrival
-        end replaces the boolean rule.
+        corrupts every reception involved -- unless a SINR stage is set,
+        whose check at arrival end replaces the boolean rule.
         """
         node = link.node
         state = self._nodes[node]
@@ -367,7 +362,7 @@ class DataChannel:
         prior = state.busy
         state.busy = prior + 1
         if prior:
-            overlap = self._overlap_rule
+            overlap = self._sinr is None
         else:
             waiter = state.busy_waiter
             if waiter is not None:

@@ -43,7 +43,8 @@ node pair, radio jitter per node, and fading off a dedicated RNG stream,
 drawn lazily but in the order of the arrival starts' positions --
 identical seeds give bit-identical runs, and
 interrupted campaigns resume exactly (the whole config participates in
-the result store's ``config_hash``).
+the result store's ``config_hash``, and it holds only what the run
+reads).
 
 With SINR *disabled* (``ScenarioConfig.sinr = None``, the default) each
 step of the channel's arrival pipeline pays one ``is None`` test -- the
@@ -83,8 +84,20 @@ def mw_to_dbm(mw: float) -> float:
     return 10.0 * math.log10(mw) if mw > 0.0 else -math.inf
 
 
-#: Propagation choices for :attr:`SinrConfig.propagation`.
-PROPAGATION_KINDS = ("shadowing", "logdistance", "unitdisk")
+#: The link-power fields of :class:`SinrConfig`.
+POWER_FIELDS = ("tx_power_dbm", "tx_power_jitter_db", "antenna_gain_db",
+                "antenna_gain_jitter_db", "path_loss_exponent",
+                "rx_threshold_dbm", "cs_threshold_dbm",
+                "interference_cutoff_dbm", "shadowing_sigma_db")
+
+#: :attr:`SinrConfig.propagation` choice -> the power fields its run
+#: reads. Unit disk reads none (every in-range signal has one power),
+#: log-distance all but the shadowing sigma.
+PROPAGATION_READS = {
+    "shadowing": POWER_FIELDS,
+    "logdistance": POWER_FIELDS[:-1],
+    "unitdisk": (),
+}
 
 #: Fast-fading choices for :attr:`SinrConfig.fading`.
 FADING_KINDS = ("rayleigh", "rician")
@@ -95,9 +108,10 @@ class SinrConfig:
     """Declarative description of one run's SINR/interference setup.
 
     Part of :class:`~repro.world.network.ScenarioConfig` (and therefore
-    of the result store's ``config_hash``): two configs differing in any
-    field here are different experiment points, and ``None`` hashes
-    identically to configs that predate the field.
+    of the result store's ``config_hash``). Each propagation model reads
+    only some of the power fields (:data:`PROPAGATION_READS`); the others
+    must stay at their defaults, so two configs that differ in a field
+    differ in their run.
     """
 
     #: Propagation substrate: "shadowing" (LogDistanceShadowing, the
@@ -112,11 +126,6 @@ class SinrConfig:
     sinr_threshold_db: Optional[float] = 10.0
     #: Thermal-noise floor (dBm) added to the interference sum.
     noise_floor_dbm: float = -90.0
-    #: When False concurrent power is not accounted: the classic
-    #: all-overlaps-collide rule applies and SINR reduces to a
-    #: signal-vs-noise check. With a permissive threshold this is
-    #: behaviorally identical to the threshold path (property-tested).
-    interference: bool = True
     #: Concurrent signals weaker than this (dBm, at the receiver) are
     #: ignored -- they also bound the spatial grid's interference
     #: radius. ``None`` means the noise floor. Must not exceed the
@@ -153,9 +162,9 @@ class SinrConfig:
     _OPT_FLOAT_FIELDS = ("sinr_threshold_db", "interference_cutoff_dbm")
 
     def __post_init__(self):
-        if self.propagation not in PROPAGATION_KINDS:
+        if self.propagation not in PROPAGATION_READS:
             raise ValueError(
-                f"propagation must be one of {PROPAGATION_KINDS}, "
+                f"propagation must be one of {tuple(PROPAGATION_READS)}, "
                 f"got {self.propagation!r}")
         if self.fading is not None and self.fading not in FADING_KINDS:
             raise ValueError(
@@ -171,17 +180,20 @@ class SinrConfig:
                 object.__setattr__(self, name, float(value))
         if self.tx_power_jitter_db < 0 or self.antenna_gain_jitter_db < 0:
             raise ValueError("jitter ranges must be non-negative")
-        cutoff = self.effective_cutoff_dbm()
-        if self.propagation != "unitdisk" and cutoff > self.cs_threshold_dbm:
+        reads = PROPAGATION_READS[self.propagation]
+        ignored = {name: f"{self.propagation!r} propagation"
+                   for name in POWER_FIELDS if name not in reads}
+        if self.fading != "rician":
+            ignored["rician_k_db"] = f"fading {self.fading!r}"
+        for name, setting in ignored.items():
+            if getattr(self, name) != self.__dataclass_fields__[name].default:
+                raise ValueError(f"{name} is not read under {setting}; "
+                                 f"leave it at its default")
+        if ("cs_threshold_dbm" in reads
+                and self.effective_cutoff_dbm() > self.cs_threshold_dbm):
             raise ValueError(
                 "interference_cutoff_dbm must not exceed cs_threshold_dbm "
                 "(links would lose carrier sense before losing interference)")
-        if self.propagation == "unitdisk" and (
-                self.tx_power_jitter_db or self.antenna_gain_db
-                or self.antenna_gain_jitter_db):
-            raise ValueError(
-                "heterogeneous radios (tx/antenna jitter) require a "
-                "power-threshold propagation model, not unitdisk")
 
     def effective_cutoff_dbm(self) -> float:
         """The interference cutoff actually applied (noise floor default)."""
@@ -326,27 +338,24 @@ class SinrState:
     ends otherwise intact (:meth:`replay`). No arrival event calls in.
     """
 
-    __slots__ = ("reception", "interference", "fading", "rng", "counters",
+    __slots__ = ("reception", "fading", "rng", "counters",
                  "high_water", "_sim", "_recent", "_undrawn", "_deferred")
 
     def __init__(
         self,
         reception: SinrReceptionModel,
-        interference: bool = True,
         fading=None,
         rng: Optional[random.Random] = None,
     ):
         self.reception = reception
-        self.interference = interference
         self.fading = fading
         self.rng = rng if rng is not None else random.Random(0)
         self.counters = SinrCounters()
-        #: The most signals ever concurrently in the air at one node
-        #: (a counter; stays 0 without interference accounting).
+        #: The most signals ever concurrently in the air at one node.
         self.high_water = 0
         self._sim: Optional["Simulator"] = None
         #: Transmissions whose arrivals a later replay may read, in
-        #: start order (interference accounting only).
+        #: start order.
         self._recent: List[TxArrivals] = []
         #: Transmissions with arrivals whose fading gain is not drawn yet.
         self._undrawn: List[TxArrivals] = []
@@ -377,9 +386,6 @@ class SinrState:
                 self._draw(now, sim.now_seq)  # type: ignore[union-attr]
             air.signals = [0.0] * len(view.delays)
             self._undrawn.append(air)
-        if not self.interference:
-            # Decodes then read the reception's own signal only.
-            return air
         recent = self._recent
         anchor = floor = oldest = now
         for other in recent:
@@ -405,12 +411,10 @@ class SinrState:
         ends took the seqs from ``end_seq``. Counts its arrival starts for
         the high water mark once they have all passed."""
         sim = self._sim
-        air.end = sim.now  # type: ignore[union-attr]
-        air.end_seq = end_seq
-        if not self.interference:
-            return
         now = sim.now  # type: ignore[union-attr]
         now_seq = sim.now_seq  # type: ignore[union-attr]
+        air.end = now
+        air.end_seq = end_seq
         deferred = self._deferred
         if deferred:
             deferred[:] = [other for other in deferred
@@ -506,8 +510,6 @@ class SinrState:
         view = air.view
         k = view.index[node]
         signal = air.signal(k)
-        if not self.interference:
-            return signal, 0.0
         delay = view.delays[k]
         lo = (air.start + delay, air.seq + k)
         hi = (air.end + delay, air.end_seq + k)  # type: ignore[operator]
@@ -568,7 +570,7 @@ class SinrState:
         position.
         """
         sim = self._sim
-        if self.interference and sim is not None:
+        if sim is not None:
             for air in self._recent:
                 if not air.counted:
                     self._count(air, sim.now, sim.now_seq)
@@ -603,7 +605,6 @@ class SinrWiring:
         return SinrState(
             SinrReceptionModel(config.sinr_threshold_db,
                                config.noise_floor_dbm),
-            interference=config.interference,
             fading=fading,
             rng=rng,
         )

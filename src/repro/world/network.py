@@ -34,6 +34,8 @@ from repro.net.bless import BlessConfig
 from repro.net.multicast import MulticastConfig
 from repro.net.stack import NetworkLayer
 from repro.oracle import InvariantOracle
+from repro.phy.error import NoErrors, UniformBitErrors, error_model_from_dict
+from repro.phy.params import DEFAULT_PHY
 from repro.phy.sinr import SinrConfig
 from repro.sim.rng import derive_seed
 from repro.sim.trace import NullBuffer, Tracer
@@ -63,17 +65,11 @@ class ScenarioConfig:
     warmup_s: float = 5.0
     #: Extra time after the last source emission for in-flight packets.
     drain_s: float = 5.0
-    #: BLESS heartbeat. The paper does not give its routing period; these
-    #: defaults are calibrated against its Fig. 7: a 0.5 s heartbeat with
-    #: a 4-period expiry keeps static delivery ~1.0 (shorter expiries let
-    #: clustered hello losses evict live children under load) while
-    #: repairing mobile trees fast enough to approach the paper's mobile
-    #: delivery levels. ``tests/integration/test_ablations.py`` sweeps
-    #: the period.
-    bless_period_s: float = 0.5
-    bless_expiry_s: float = 2.0
+    #: BLESS heartbeat period and neighbor expiry (calibrated defaults:
+    #: see :class:`~repro.net.bless.BlessConfig`).
+    bless_period_s: float = BlessConfig.period / SEC
+    bless_expiry_s: float = BlessConfig.expiry / SEC
     require_connected: bool = True
-    trace: bool = False
     #: Uniform bit-error rate on the data channel (0 = collision-only
     #: losses, the paper's setting). Section 3.4 notes the MRTS cap
     #: "can be further reduced in case of high error bit rate";
@@ -84,18 +80,15 @@ class ScenarioConfig:
     #: Optional fault-injection plan (crashes, fades, corruption windows,
     #: replacement error model). Part of the config -- and therefore of
     #: the result store's config_hash -- so faulted campaign points
-    #: resume exactly like fault-free ones. ``None`` hashes identically
-    #: to configs that predate the field.
+    #: resume exactly like fault-free ones.
     faults: Optional[FaultPlan] = None
     #: Attach the protocol invariant oracle to the run (violations
-    #: surface in the RunSummary). ``False`` hashes identically to
-    #: configs that predate the field.
+    #: surface in the RunSummary).
     oracle: bool = False
     #: Optional SINR interference subsystem (see repro.phy.sinr):
     #: accumulated-power reception, shadowing/fading propagation,
-    #: heterogeneous radios. Part of the config hash; ``None`` (the
-    #: threshold path) hashes identically to configs that predate the
-    #: field, and keeps every channel hot path on one ``is None`` test.
+    #: heterogeneous radios. ``None`` (the threshold path) keeps every
+    #: channel hot path on one ``is None`` test.
     sinr: Optional[SinrConfig] = None
 
     #: Float-typed fields coerced in __post_init__ so a config built
@@ -106,11 +99,24 @@ class ScenarioConfig:
                      "max_speed", "pause_s", "rate_pps", "warmup_s",
                      "drain_s", "bless_period_s", "bless_expiry_s", "ber")
 
+    #: Fields only a mobile run reads.
+    _MOBILITY_FIELDS = ("min_speed", "max_speed", "pause_s")
+
     def __post_init__(self):
         for name in self._FLOAT_FIELDS:
             value = getattr(self, name)
             if type(value) is not float:
                 object.__setattr__(self, name, float(value))
+        if not self.mobile:
+            for name in self._MOBILITY_FIELDS:
+                if getattr(self, name) != self.__dataclass_fields__[name].default:
+                    raise ValueError(
+                        f"{name} is not read by a stationary run "
+                        f"(mobile=False); leave it at its default")
+        if (self.ber and self.faults is not None
+                and self.faults.error_model is not None):
+            raise ValueError("ber is not read when the fault plan replaces "
+                             "the error model; leave it at 0")
 
     def variant(self, **changes) -> "ScenarioConfig":
         """A copy with fields replaced (sweep helper)."""
@@ -154,9 +160,10 @@ register_protocol("mx", _dot11_family(MxProtocol))
 class Network:
     """A fully wired simulated network, ready to run.
 
-    ``tracer`` overrides the testbed's default tracer -- the hook for
-    bounded-memory backends (``RingBuffer``, ``JsonlTraceSink``) on long
-    traced runs.
+    ``tracer`` overrides the testbed's default, disabled tracer: it is
+    the one way to ask a run for a trace (``Tracer(enabled=True)``, or a
+    bounded-memory backend such as ``RingBuffer`` or ``JsonlTraceSink``
+    on long traced runs). A trace never changes the run.
     """
 
     def __init__(self, config: ScenarioConfig, tracer: Optional[Tracer] = None):
@@ -194,13 +201,7 @@ class Network:
         else:
             models = [StationaryModel(x, y) for x, y in self.coords]
         provider = MobilityProvider(models)
-
-        from repro.phy.params import DEFAULT_PHY
-        from dataclasses import replace as dc_replace
-
-        phy = dc_replace(DEFAULT_PHY, radio_range=config.radio_range)
-        from repro.phy.error import NoErrors, UniformBitErrors, error_model_from_dict
-
+        phy = replace(DEFAULT_PHY, radio_range=config.radio_range)
         plan = config.faults
         if plan is not None and plan.error_model is not None:
             # Rebuild from parameters so a stateful model (GilbertElliott)
@@ -212,7 +213,7 @@ class Network:
         else:
             error_model = NoErrors()
         injector = FaultInjector(plan) if plan else None
-        if config.oracle and tracer is None and not config.trace:
+        if config.oracle and tracer is None:
             # The oracle needs the trace stream but the run did not ask
             # for a trace: enable one that retains nothing.
             tracer = Tracer(enabled=True, buffer=NullBuffer())
@@ -221,7 +222,6 @@ class Network:
             n_nodes=config.n_nodes,
             phy=phy,
             seed=config.seed,
-            trace=config.trace,
             error_model=error_model,
             tracer=tracer,
             faults=injector,

@@ -6,13 +6,17 @@ import pytest
 
 from repro.experiments.farm import farm_status
 from repro.experiments.runner import results_from_store, run_point
-from repro.experiments.scenarios import scaled_scenario
+from repro.experiments.scenarios import scaled_scenario, sinr_preset
 from repro.experiments.store import (
     ResultStore,
     config_hash,
     point_key,
 )
+from repro.faults import FaultPlan
 from repro.metrics.summary import RunSummary
+from repro.phy.error import GilbertElliott
+from repro.phy.sinr import POWER_FIELDS, SinrConfig
+from repro.world.network import ScenarioConfig
 
 
 @pytest.fixture(scope="module")
@@ -174,9 +178,39 @@ def test_run_summary_from_dict_rejects_non_dataclass_junk():
         RunSummary.from_dict({"protocol": "rmac"})
 
 
+#: Configs whose run would ignore one field: each must be rejected, so
+#: equal runs never hash differently.
+IGNORED_FIELDS = (
+    [(f"unitdisk-{name}", lambda name=name: SinrConfig(
+        propagation="unitdisk", **{name: -80.0 if "dbm" in name else 3.0}))
+     for name in POWER_FIELDS]
+    + [("logdistance-shadowing_sigma_db", lambda: SinrConfig(
+        propagation="logdistance", shadowing_sigma_db=3.0))]
+    + [(f"stationary-{name}", lambda name=name: ScenarioConfig(
+        mobile=False, **{name: 1.0})) for name in ScenarioConfig._MOBILITY_FIELDS]
+    + [("rayleigh-rician_k_db", lambda: SinrConfig(
+        fading="rayleigh", rician_k_db=9.0)),
+       ("error-model-ber", lambda: ScenarioConfig(
+           ber=1e-5, faults=FaultPlan(error_model=GilbertElliott(
+               p_gb=0.1, p_bg=0.3))))]
+)
+
+
+@pytest.mark.parametrize("make", [make for _, make in IGNORED_FIELDS],
+                         ids=[name for name, _ in IGNORED_FIELDS])
+def test_a_field_the_run_ignores_is_rejected(make):
+    with pytest.raises(ValueError, match="not read"):
+        make()
+
+
 def test_config_hash_is_pinned():
     # Stored campaign points are keyed by this hash: a change to the
     # canonical config JSON silently re-simulates every stored point.
-    config = scaled_scenario("rmac", "stationary", 10, 1,
-                             n_packets=4, n_nodes=10)
-    assert config_hash(config) == "a82959b3b35d35ee"
+    stationary = scaled_scenario("rmac", "stationary", 10, 1,
+                                 n_packets=4, n_nodes=10)
+    mobile = scaled_scenario("bmmm", "speed2", 60, 2, n_packets=4, n_nodes=10)
+    shadowing = stationary.variant(
+        sinr=sinr_preset("shadowing", tx_power_dbm=27.5))
+    assert config_hash(stationary) == "b7ff673533aa8033"
+    assert config_hash(mobile) == "9051d1390508f9f3"
+    assert config_hash(shadowing) == "f995e2d97a883193"

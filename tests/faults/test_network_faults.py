@@ -1,15 +1,13 @@
 """Fault plans through the full network stack, the config hash, and
 store-backed resume."""
 
-import json
-
 import pytest
 
 import repro.experiments.runner as runner_module
 from repro.experiments.farm import CampaignFarm
 from repro.experiments.runner import run_point
 from repro.experiments.scenarios import scaled_scenario
-from repro.experiments.store import canonical_config_json, config_hash
+from repro.experiments.store import config_hash
 from repro.faults import FaultPlan, LinkFade, NodeCrash
 from repro.phy.error import GilbertElliott
 from repro.world.network import ScenarioConfig
@@ -63,17 +61,6 @@ def test_gilbert_elliott_state_does_not_leak_across_runs():
 # ---------------------------------------------------------------------------
 # Config hash
 # ---------------------------------------------------------------------------
-def test_default_fields_drop_out_of_canonical_json():
-    """faults=None / oracle=False serialize exactly like configs that
-    predate the fields, keeping every stored config_hash valid."""
-    canonical = canonical_config_json(_base_config())
-    payload = json.loads(canonical)
-    assert "faults" not in payload
-    assert "oracle" not in payload
-    assert config_hash(_base_config()) == config_hash(
-        _base_config(faults=None, oracle=False))
-
-
 def test_plan_and_oracle_change_the_hash():
     base = config_hash(_base_config())
     assert config_hash(_base_config(faults=_crash_plan())) != base

@@ -48,10 +48,10 @@ def test_mobile_runs_reproducible():
 
 
 def test_trace_identical_for_same_seed():
-    config = ScenarioConfig(protocol="rmac", seed=7, trace=True, **SMALL)
-    net_a = build_network(config)
+    config = ScenarioConfig(protocol="rmac", seed=7, **SMALL)
+    net_a = build_network(config, tracer=Tracer(enabled=True))
     net_a.run()
-    net_b = build_network(config)
+    net_b = build_network(config, tracer=Tracer(enabled=True))
     net_b.run()
     trace_a = [(e.time, e.node, e.kind) for e in net_a.testbed.tracer.events]
     trace_b = [(e.time, e.node, e.kind) for e in net_b.testbed.tracer.events]

@@ -21,6 +21,7 @@ from repro.mac.addresses import BROADCAST
 from repro.mac.dot11 import Dot11Config
 from repro.mac.frames import RtsFrame
 from repro.phy.params import DEFAULT_PHY
+from repro.sim.trace import Tracer
 from repro.sim.units import MS, US
 from repro.world.network import ScenarioConfig, build_network
 
@@ -143,11 +144,11 @@ def test_countdown_matches_pumps_on_random_networks(protocol, n_nodes, side,
     config = ScenarioConfig(
         protocol=protocol, n_nodes=n_nodes, width=side, height=side,
         rate_pps=40, n_packets=6, warmup_s=1.0, drain_s=0.5, seed=seed,
-        mobile=mobile, trace=True,
+        mobile=mobile,
         sinr=sinr_preset("shadowing", tx_power_dbm=27.5) if sinr else None)
 
     def scenario():
-        network = build_network(config)
+        network = build_network(config, tracer=Tracer(enabled=True))
         summary = network.run()
         return (asdict(summary), node_ordered(network.testbed),
                 network.sim.events_processed)

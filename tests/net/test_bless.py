@@ -42,7 +42,7 @@ def test_non_root_starts_unjoined():
 
 
 def test_periodic_broadcast_with_jitter():
-    sim, mac, bless = make_bless(0, jitter=0.2)
+    sim, mac, bless = make_bless(0, period=1 * SEC, jitter=0.2)
     bless.start()
     sim.run(until=10 * SEC)
     count = len(mac.broadcasts)

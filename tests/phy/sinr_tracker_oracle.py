@@ -100,16 +100,14 @@ class TrackerSinr(SinrState):
                ongoing: dict) -> Tuple[float, float]:
         """Price one arrival at ``node``: ``(signal_mw, interference_mw)``.
 
-        Fading draws once per arrival, in event order. With interference
-        accounting on, the signal lands in the tracker and raises the
-        peak interference of every reception in ``ongoing``.
+        Fading draws once per arrival, in event order. The signal lands
+        in the tracker and raises the peak interference of every
+        reception in ``ongoing``.
         """
         power_mw = 10.0 ** (power_dbm / 10.0)
         fading = self.fading
         if fading is not None:
             power_mw *= fading.gain(self.rng)
-        if not self.interference:
-            return power_mw, 0.0
         total = self.tracker.add(node, tx, power_mw)
         for rec in ongoing.values():
             itf = total - rec.signal_mw
@@ -119,8 +117,7 @@ class TrackerSinr(SinrState):
 
     def depart(self, node: int, tx: object) -> None:
         """The arrival of ``tx`` at ``node`` ended: drop its power."""
-        if self.interference:
-            self.tracker.remove(node, tx)
+        self.tracker.remove(node, tx)
 
     def stats(self) -> dict:
         stats = super().stats()
@@ -217,7 +214,7 @@ class TrackerChannel(DataChannel):
             overlap = prior > 0
         else:
             signal_mw, itf_mw = sinr.arrive(node, tx, link.power_dbm, ongoing)
-            overlap = prior > 0 and not sinr.interference
+            overlap = False
         if overlap:
             for rec in ongoing.values():
                 rec.corrupted = True

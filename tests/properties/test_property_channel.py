@@ -7,8 +7,8 @@ one terminal event (delivery or error) per decodable transmission.
 
 The one arrival pipeline must also decide every reception the way a
 plain reference model of the paper's overlap rule does -- with no
-reception stage, and with unit-disk SINR stages that reproduce the rule
-(vacuous SINR check, or accumulated interference against 10 dB).
+reception stage, and with the unit-disk SINR stage that reproduces the
+rule (accumulated interference against 10 dB).
 """
 
 from dataclasses import dataclass
@@ -155,11 +155,9 @@ def reference_outcomes(launched):
     return sorted(outcomes)
 
 
-#: The three reception configurations that must realise the overlap rule.
+#: The reception configurations that must realise the overlap rule.
 RECEPTION_MODES = {
     "threshold": lambda: None,
-    "sinr-vacuous": lambda: SinrState(SinrReceptionModel(None, -90.0),
-                                      interference=False),
     "sinr-derived": lambda: SinrState(SinrReceptionModel(10.0, -90.0)),
 }
 

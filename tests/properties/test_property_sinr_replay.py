@@ -9,9 +9,9 @@ a per-node interference tracker updated on each -- survives as the
 oracle in ``tests/phy/sinr_tracker_oracle.py``. Random SINR-wired
 layouts run through both, with interference-only links, log-distance
 or shadowing propagation, heterogeneous radios, no fading or Rayleigh
-or Rician fading, interference accounting on or off, aborts (at the
-start, before the first arrival, within a microsecond and mid-frame),
-same-nanosecond edges, and ``run(until=...)`` cuts and ``step()``.
+or Rician fading, aborts (at the start, before the first arrival,
+within a microsecond and mid-frame), same-nanosecond edges, and
+``run(until=...)`` cuts and ``step()``.
 Both must deliver and drop the same frames at the same times, see the
 same ``(signal_mw, peak_itf_mw)`` at every decode, and report the same
 ``stats()`` at every ``run(until=...)`` cut and at the end (after a
@@ -104,7 +104,6 @@ def scenarios(draw):
     config = SinrConfig(
         propagation=draw(st.sampled_from(["logdistance", "shadowing"])),
         fading=draw(st.sampled_from([None, "rayleigh", "rician"])),
-        interference=draw(st.booleans()),
         sinr_threshold_db=draw(st.sampled_from([10.0, 3.0, None])),
         tx_power_jitter_db=draw(st.sampled_from([0.0, 3.0])),
         # Decodable to ~75 m, sensed to ~170 m, interference beyond.
@@ -137,8 +136,7 @@ def build(coords, config, seed, channel_cls, state_cls):
     svc = NeighborService(StaticPositions(coords), wiring.model,
                           wiring.power_spec)
     base = wiring.build_state(random.Random(seed))
-    state = state_cls(base.reception, interference=base.interference,
-                      fading=base.fading, rng=base.rng)
+    state = state_cls(base.reception, fading=base.fading, rng=base.rng)
     state.clock = sim
     channel = channel_cls(sim, svc, DEFAULT_PHY, sinr=state)
     log = []

@@ -135,7 +135,7 @@ def test_network_ring_buffer_trace_memory_bounded():
 
     tracer = Tracer(enabled=True, buffer=RingBuffer(capacity=50))
     config = ScenarioConfig(protocol="rmac", n_nodes=8, width=180, height=130,
-                            n_packets=5, rate_pps=10, seed=2, trace=True)
+                            n_packets=5, rate_pps=10, seed=2)
     network = build_network(config, tracer=tracer)
     network.run()
     assert len(tracer) > 50           # the run emitted far more...

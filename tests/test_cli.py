@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.world.network import ScenarioConfig
 
 
 def test_protocols_lists_registry(capsys):
@@ -351,6 +352,36 @@ def test_run_sinr_overrides_forwarded(capsys):
                  "--sinr-fading", "rician", "--tx-jitter", "2"])
     assert code == 0
     assert "sinr:" in capsys.readouterr().out
+
+
+def test_run_sinr_flag_a_profile_does_not_read_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--nodes", "10", "--sinr", "unitdisk",
+              "--sinr-sigma", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: --sinr unitdisk: shadowing_sigma_db")
+    assert err.count("\n") == 1
+
+
+def test_run_pause_without_speed_builds_a_stationary_config(capsys,
+                                                            monkeypatch):
+    import repro.cli as cli
+
+    built = []
+    real = cli.build_network
+
+    def recording(config, tracer=None):
+        built.append(config)
+        return real(config, tracer=tracer)
+
+    monkeypatch.setattr(cli, "build_network", recording)
+    code = main(["run", "--nodes", "10", "--width", "180", "--height", "130",
+                 "--packets", "4", "--rate", "5", "--pause", "5"])
+    assert code == 0
+    [config] = built
+    assert not config.mobile
+    assert config.pause_s == ScenarioConfig.pause_s
 
 
 def test_sinr_flags_without_profile_are_ignored(capsys):

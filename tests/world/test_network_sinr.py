@@ -1,7 +1,6 @@
 """The SINR subsystem through the full stack: config hashing, run stats,
 store round trips, oracle-clean protocol sweeps, campaign resume."""
 
-import json
 from dataclasses import asdict
 
 import pytest
@@ -9,7 +8,7 @@ import pytest
 import repro.experiments.runner as runner_module
 from repro.experiments.farm import CampaignFarm
 from repro.experiments.scenarios import scaled_scenario, sinr_preset
-from repro.experiments.store import ResultStore, canonical_config_json, config_hash
+from repro.experiments.store import ResultStore, config_hash
 from repro.metrics.summary import RunSummary
 from repro.phy.sinr import SinrConfig
 from repro.world.network import ScenarioConfig, build_network
@@ -24,15 +23,6 @@ SHADOWING = sinr_preset("shadowing")
 # ----------------------------------------------------------------------
 # Config hashing
 # ----------------------------------------------------------------------
-def test_none_sinr_hashes_like_pre_field_configs():
-    """``sinr=None`` must not appear in the canonical JSON, so every
-    campaign hash from before the field existed still resolves."""
-    payload = json.loads(canonical_config_json(ScenarioConfig()))
-    assert "sinr" not in payload
-    assert config_hash(ScenarioConfig()) == config_hash(
-        ScenarioConfig(sinr=None))
-
-
 def test_sinr_config_is_part_of_the_hash():
     base = ScenarioConfig(**SMALL)
     shadowed = base.variant(sinr=SHADOWING)
