@@ -11,12 +11,14 @@ responses checked window-by-window at the sender.
 """
 
 from repro.core import RmacConfig, RmacProtocol
+from repro.sim.trace import Tracer
 from repro.sim.units import MS
 from repro.world.testbed import MacTestbed
 
 
 def main() -> None:
-    testbed = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)], seed=7, trace=True)
+    testbed = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)], seed=7,
+                         tracer=Tracer(enabled=True))
     config = RmacConfig(phy=testbed.phy)
     testbed.build_macs(
         lambda i, t: RmacProtocol(

@@ -52,6 +52,22 @@ def _store_dir(path: str) -> str:
     raise SystemExit(2)
 
 
+def _farm_status(path: str) -> dict:
+    """The campaign status of the store at ``path`` (see
+    :func:`_store_dir`). A store this version cannot read (say, a
+    manifest naming a config field a later version dropped) exits 2
+    with one line on stderr naming the store and the problem."""
+    from repro.experiments.farm import farm_status
+
+    store = _store_dir(path)
+    try:
+        return farm_status(store)
+    except ValueError as exc:
+        print(f"repro: error: result store {path!r} cannot be read by "
+              f"this version: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _load_faults(path: Optional[str]):
     if not path:
         return None
@@ -223,9 +239,11 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
     from repro.core import RmacConfig, RmacProtocol
+    from repro.sim.trace import Tracer
     from repro.world.testbed import MacTestbed
 
-    tb = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)], seed=7, trace=True)
+    tb = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)], seed=7,
+                    tracer=Tracer(enabled=True))
     config = RmacConfig(phy=tb.phy)
     tb.build_macs(lambda i, t: RmacProtocol(i, t.sim, t.radios[i],
                                             t.node_rng(i), config,
@@ -315,12 +333,12 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_serve(args: argparse.Namespace) -> int:
-    from repro.experiments.farm import farm_status, make_status_server
+    from repro.experiments.farm import make_status_server
 
     if args.once:
         import json
 
-        print(json.dumps(farm_status(_store_dir(args.out)), indent=1,
+        print(json.dumps(_farm_status(args.out), indent=1,
                          sort_keys=True))
         return 0
     server = make_status_server(args.out, args.host, args.port)
@@ -337,10 +355,9 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    from repro.experiments.farm import farm_status
     from repro.experiments.report import render_status
 
-    print(render_status(farm_status(_store_dir(args.out)),
+    print(render_status(_farm_status(args.out),
                         title=f"campaign store: {args.out}"), end="")
     return 0
 

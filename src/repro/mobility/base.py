@@ -22,9 +22,6 @@ class MobilityModel(ABC):
         """Position in meters at ``time_ns``. Must be time-monotonic safe:
         querying out of order is allowed for times already materialized."""
 
-    def is_static(self) -> bool:
-        return False
-
 
 class MobilityProvider:
     """Adapts per-node mobility models to the PHY's PositionProvider."""
@@ -33,7 +30,6 @@ class MobilityProvider:
         if not models:
             raise ValueError("need at least one mobility model")
         self._models: List[MobilityModel] = list(models)
-        self._static = all(m.is_static() for m in self._models)
 
     def __len__(self) -> int:
         return len(self._models)
@@ -45,4 +41,6 @@ class MobilityProvider:
         return np.array([m.position(time_ns) for m in self._models], dtype=float)
 
     def is_static(self) -> bool:
-        return self._static
+        """Never: the models move (a placement that does not is a
+        :class:`~repro.phy.neighbors.StaticPositions`)."""
+        return False

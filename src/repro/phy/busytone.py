@@ -128,10 +128,10 @@ class BusyToneChannel:
             raise RuntimeError(f"node {emitter} already emits {self.tone.value}")
         sim = self._sim
         now = sim.now
-        table = self._neighbors.table_from(emitter, now)
+        sensed = self._neighbors.table_from(emitter, now).sensed
         faults = self._faults
         if faults is None:
-            view = table.view.sensed
+            view = sensed
         elif faults.node_down(emitter, now):
             # A crashed emitter's tone reaches nobody. The emission is
             # still registered (with no listeners) so the MAC's matching
@@ -143,7 +143,7 @@ class BusyToneChannel:
                                   tone=self.tone.value)
         else:
             # Deaf listeners (crashed at emission start) sense nothing.
-            view = LinkView(tuple([link for link in table.view.sensed.links
+            view = LinkView(tuple([link for link in sensed.links
                                    if not faults.node_down(link.node, now)]))
         # The on positions take their seqs ahead of the detections.
         delays = view.delays

@@ -280,7 +280,7 @@ class DataChannel:
         sim = self._sim
         now = sim.now
         airtime = self._phy.frame_airtime(frame.size_bytes)  # type: ignore[attr-defined]
-        view = self._neighbors.table_from(sender, now).view
+        view = self._neighbors.table_from(sender, now)
         sensed = view.sensed
         delays = sensed.delays
         links = sensed.links

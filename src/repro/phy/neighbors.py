@@ -7,26 +7,21 @@ computation over a position provider, and gives every reader one view
 of a sender's links (:class:`LinkView`, in arrival order) and one record
 of an emission on the air (:class:`Emission`):
 
-* static scenarios: every sender's link table is computed once and frozen
-  (later calls are a single list index);
-* mobile scenarios: positions are bucketed to a configurable window
-  (default 50 ms -- at the paper's top speed of 8 m/s a node moves 0.4 mm
-  per us and 0.4 m per 50 ms, negligible against the 75 m radio range),
-  and cached link tables are keyed on the *same* bucket epoch, so links
-  and positions can never disagree mid-window. Set ``cache_window=0``
-  for exact per-call evaluation.
+* one cache: the links of a bucket of simulated time. A mobile
+  provider's positions are bucketed to :data:`BUCKET_NS` (50 ms); a
+  query in a new bucket drops the old bucket's snapshot and tables, so
+  links and positions can never disagree. A static provider's bucket
+  is always 0: its tables are built on first ask and never dropped.
 
 Links are found through a :class:`~repro.phy.grid.SpatialGrid` (cell
-size = the spec's ``prune_range``), which prunes candidates to the
-3 x 3 cell neighborhoods. One per-sender builder,
-:meth:`NeighborService._table_of`, serves every table: a static
-placement freezes by building all senders' tables through it once, and
-a mobile bucket builds only the tables that are asked for, against one
-grid per bucket. It computes the candidates' distances in numpy, one
-``link_power_dbm_batch`` call gives their powers, and one pass over
-plain Python lists constructs the links. The tests check it against a
-brute-force oracle that scans all n nodes per sender with the scalar
-``link_power_dbm`` (``tests/phy/link_oracle.py``).
+size = the spec's ``prune_range``), built once per bucket from the
+bucket's position snapshot. One per-sender builder,
+:meth:`NeighborService._table_of`, serves every table, and only the
+tables that are asked for are built. It computes the candidates'
+distances in numpy, one ``link_power_dbm_batch`` call gives their
+powers, and one pass over plain Python lists constructs the links. The
+tests check it against a brute-force oracle that scans all n nodes per
+sender with the scalar ``link_power_dbm`` (``tests/phy/link_oracle.py``).
 
 **One link rule** (:class:`LinkPowerSpec`): the model reports power,
 and every decision -- kept at all, carrier-sensed, decodable -- is a
@@ -35,7 +30,7 @@ shadowing (``model.link_power_dbm``) and per-node heterogeneous radio
 offsets. Links are kept down to an *interference* cutoff. Links below
 carrier sense but above the cutoff are *interference-only*
 (``Link.sensed`` False): their power counts in SINR decodes (read from
-the table's :class:`LinkView` when a decode replays its window), but
+the sender's :class:`LinkView` when a decode replays its window), but
 they never raise carrier sense or busy-tone detection, and the data
 channel gives them no arrival events. A decodable link is always
 sensed (the spec rejects ``rx_threshold_dbm < cs_threshold_dbm``), so
@@ -65,6 +60,12 @@ _delay = itemgetter(1)
 #: Speed of light in meters per nanosecond.
 _LIGHT_SPEED_M_PER_NS = 0.299792458
 
+#: The position bucket of a mobile provider (ns): links and positions
+#: are evaluated once per 50 ms of simulated time. At the paper's top
+#: speed of 8 m/s a node moves 0.4 m per bucket, negligible against
+#: the 75 m radio range.
+BUCKET_NS = 50_000_000
+
 
 def propagation_delay_ns(distance_m: float) -> int:
     """One-way propagation delay for ``distance_m`` meters, >= 1 ns."""
@@ -78,7 +79,7 @@ class PositionProvider(Protocol):
         """(N, 2) float array of node positions in meters."""
 
     def is_static(self) -> bool:
-        """True if positions never change (enables permanent caching)."""
+        """True if positions never change (one bucket for the whole run)."""
 
 
 class StaticPositions:
@@ -216,32 +217,6 @@ class Emission:
         return self.started(k, now, now_seq) and not self.ended(k, now, now_seq)
 
 
-class LinkTable:
-    """One sender's links for one bucket epoch, and their :class:`LinkView`.
-
-    The view is built on first read, once per table, and shared by every
-    transmission and busy-tone emission of the epoch: the data channel
-    fans out over its sensed links, the SINR stage replays over all of
-    them and the tone channels reach its sensed links. Most mobile
-    tables are never read, so most never build one.
-    """
-
-    __slots__ = ("links", "_view")
-
-    def __init__(self, links: Tuple[Link, ...]):
-        self.links = links
-        self._view: Optional[LinkView] = None
-
-    @property
-    def view(self) -> LinkView:
-        """The links as a :class:`LinkView`, sorted by delay, ties in link order."""
-        view = self._view
-        if view is None:
-            view = self._view = LinkView(
-                tuple(sorted(self.links, key=_delay)))
-        return view
-
-
 @dataclass(eq=False)
 class LinkPowerSpec:
     """The link rule: power thresholds that build every link table.
@@ -297,66 +272,52 @@ class NeighborCounters:
     """Plain counters for the neighbor layer (``NeighborService.counters``).
 
     ``table_hits``/``table_misses`` count :meth:`NeighborService.table_from`
-    calls served from a cached table vs ones that built one;
-    ``table_rebuilds`` counts static freezes (all senders' tables built
-    at once, at most one per service); ``links_built`` counts Link
-    objects constructed; ``grid_cells`` accumulates the occupied cells of
-    every grid built and ``grid_pairs`` the candidates evaluated per
-    table built; ``pos_cache_*`` count the mobility position-snapshot
-    cache.
+    calls served from the current bucket's tables vs ones that built a
+    table; ``table_rebuilds`` counts spatial grids built (one per
+    bucket that builds a table, so one per static placement);
+    ``links_built`` counts Link objects constructed.
     """
 
     __slots__ = ("table_hits", "table_misses", "table_rebuilds",
-                 "links_built", "grid_cells", "grid_pairs",
-                 "pos_cache_hits", "pos_cache_misses")
+                 "links_built")
 
     def __init__(self):
         self.table_hits = 0
         self.table_misses = 0
         self.table_rebuilds = 0
         self.links_built = 0
-        self.grid_cells = 0
-        self.grid_pairs = 0
-        self.pos_cache_hits = 0
-        self.pos_cache_misses = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
 class NeighborService:
-    """Computes and caches per-sender neighbor/link information."""
+    """Computes and caches per-sender link tables, one bucket at a time.
+
+    The cache holds one bucket: its position snapshot, its spatial grid
+    (built on the first table asked for) and a dict from sender to the
+    sender's :class:`LinkView`. A query in another bucket drops them
+    all and starts that bucket afresh, so a cached table always agrees
+    with what :meth:`positions_at` returns for the same time. A static
+    provider's bucket is always 0: its tables are built on first ask
+    and kept for the run.
+    """
 
     def __init__(
         self,
         provider: PositionProvider,
         model: PropagationModel,
         power_spec: LinkPowerSpec,
-        cache_window: int = 50_000_000,
     ):
         self._provider = provider
         self._model = model
         self._power_spec = power_spec
         self._static = provider.is_static()
-        self._cache_window = int(cache_window)
-        #: Static providers: one LinkTable per sender, indexed by sender
-        #: id, frozen on first use.
-        self._tables: Optional[List[LinkTable]] = None
-        #: Mobile providers: sender -> (position bucket, table). An entry
-        #: is valid iff its bucket equals the bucket of the query time --
-        #: one integer comparison, and links can never disagree with what
-        #: ``positions_at`` returns for the same time.
-        self._cache: Dict[int, Tuple[int, LinkTable]] = {}
-        #: Spatial index over the positions of bucket ``_grid_bucket``.
+        #: The current bucket and its snapshot, grid and tables.
+        self._bucket = -1
+        self._positions: Optional[np.ndarray] = None
         self._grid: Optional[SpatialGrid] = None
-        self._grid_bucket: int = -1
-        #: Two-slot LRU of position snapshots, keyed by bucket epoch.
-        #: One slot thrashes when two different times are interleaved
-        #: (e.g. an oracle or trace lookback alongside the live clock);
-        #: two slots make that access pattern all hits.
-        self._pos_buckets: List[int] = [-1, -1]
-        self._pos_arrays: List[Optional[np.ndarray]] = [None, None]
-        self._pos_mru: int = 0
+        self._views: Dict[int, LinkView] = {}
         self.counters = NeighborCounters()
 
     @property
@@ -368,112 +329,69 @@ class NeighborService:
         """The link rule every table is built by."""
         return self._power_spec
 
-    def _bucket(self, time_ns: int) -> int:
-        """The position-bucket epoch ``time_ns`` falls into."""
-        window = self._cache_window
-        return time_ns if window == 0 else time_ns - time_ns % window
+    def _refresh(self, time_ns: int) -> None:
+        """Make the bucket of ``time_ns`` current, dropping the old one's
+        snapshot, grid and tables if it changes."""
+        bucket = 0 if self._static else time_ns - time_ns % BUCKET_NS
+        if bucket != self._bucket:
+            self._bucket = bucket
+            self._positions = self._provider.positions(bucket)
+            self._grid = None
+            self._views = {}
 
     def positions_at(self, time_ns: int) -> np.ndarray:
-        """Positions at ``time_ns`` (cached within the mobility window)."""
-        arrays = self._pos_arrays
-        if self._static:
-            pos = arrays[0]
-            if pos is None:
-                pos = self._provider.positions(0)
-                arrays[0] = pos
-            return pos
-        bucket = self._bucket(time_ns)
-        buckets = self._pos_buckets
-        mru = self._pos_mru
-        counters = self.counters
-        if buckets[mru] == bucket:
-            counters.pos_cache_hits += 1
-            return arrays[mru]  # type: ignore[return-value]
-        lru = 1 - mru
-        if buckets[lru] == bucket:
-            counters.pos_cache_hits += 1
-            self._pos_mru = lru
-            return arrays[lru]  # type: ignore[return-value]
-        counters.pos_cache_misses += 1
-        pos = self._provider.positions(bucket)
-        buckets[lru] = bucket
-        arrays[lru] = pos
-        self._pos_mru = lru
-        return pos
+        """Positions at the start of ``time_ns``'s bucket."""
+        self._refresh(time_ns)
+        return self._positions  # type: ignore[return-value]
 
     def links_from(self, sender: int, time_ns: int) -> Tuple[Link, ...]:
-        """All nodes that sense a transmission from ``sender`` at ``time_ns``.
+        """All nodes that sense a transmission from ``sender`` at
+        ``time_ns``, in ascending node order.
 
         Excludes the sender itself. For each, reports the propagation delay
         and whether the node can actually decode (vs carrier-sense only).
         """
-        return self.table_from(sender, time_ns).links
+        # Nodes are unique in a table, so tuples sort by node alone.
+        return tuple(sorted(self.table_from(sender, time_ns).links))
 
-    def table_from(self, sender: int, time_ns: int) -> LinkTable:
-        """The sender's :class:`LinkTable` at ``time_ns``.
-
-        Static providers are frozen on first use: every sender's table is
-        built then and later calls are a single list index. Mobile
-        providers build a table only when it is asked for, against one
-        spatial grid per position bucket, and cache it until the bucket
-        changes -- so cached links are exactly the ones implied by
-        ``positions_at`` at the same time, never a stale set left over
-        from the previous bucket, and nobody pays for tables nobody
-        asks for.
-        """
+    def table_from(self, sender: int, time_ns: int) -> LinkView:
+        """The sender's links at ``time_ns`` as a delay-ordered
+        :class:`LinkView`, built on the first ask in the bucket and
+        shared by every transmission and busy tone of the bucket."""
+        self._refresh(time_ns)
         counters = self.counters
-        if self._static:
-            tables = self._tables
-            if tables is None:
-                tables = self._tables = self._freeze()
-            if not 0 <= sender < len(tables):
-                raise ValueError(f"unknown sender id {sender}")
+        view = self._views.get(sender)
+        if view is not None:
             counters.table_hits += 1
-            return tables[sender]
-        bucket = self._bucket(time_ns)
-        cached = self._cache.get(sender)
-        if cached is not None and cached[0] == bucket:
-            counters.table_hits += 1
-            return cached[1]
+            return view
         grid = self._grid
-        if grid is None or self._grid_bucket != bucket:
-            grid = self._grid = self._new_grid(self.positions_at(time_ns))
-            self._grid_bucket = bucket
+        if grid is None:
+            grid = self._grid = SpatialGrid(
+                self._positions, self._power_spec.prune_range)  # type: ignore[arg-type]
+            counters.table_rebuilds += 1
         if not 0 <= sender < grid.n:
             raise ValueError(f"unknown sender id {sender}")
         counters.table_misses += 1
-        table = self._table_of(sender, grid)
-        self._cache[sender] = (bucket, table)
-        return table
+        view = self._views[sender] = self._table_of(sender, grid)
+        return view
 
-    def _new_grid(self, pos: np.ndarray) -> SpatialGrid:
-        grid = SpatialGrid(pos, self._power_spec.prune_range)
-        self.counters.grid_cells += grid.n_cells
-        return grid
-
-    def _freeze(self) -> List[LinkTable]:
-        """Every sender's table over the static placement, built once."""
-        grid = self._new_grid(self.positions_at(0))
-        self.counters.table_rebuilds += 1
-        return [self._table_of(sender, grid) for sender in range(grid.n)]
-
-    def _table_of(self, sender: int, grid: SpatialGrid) -> LinkTable:
+    def _table_of(self, sender: int, grid: SpatialGrid) -> LinkView:
         """One sender's links against its 3x3 cell neighborhood.
 
         ``grid.candidates_of(sender)`` is a sorted superset of every node
         within ``prune_range``, so links come out in ascending-node
-        order. Per candidate, the float64 operations are the oracle's
-        (``tests/phy/link_oracle.py``): the same subtraction and
-        ``np.hypot`` for distances, ``link_power_dbm_batch`` (bit-identical
-        to the scalar ``link_power_dbm`` the oracle calls) plus the radio
-        offsets in the oracle's order, and banker's-rounded delays -- so
-        every Link equals the oracle's to the last bit.
+        order before the view sorts them by delay (a stable sort: equal
+        delays stay in node order). Per candidate, the float64
+        operations are the oracle's (``tests/phy/link_oracle.py``): the
+        same subtraction and ``np.hypot`` for distances,
+        ``link_power_dbm_batch`` (bit-identical to the scalar
+        ``link_power_dbm`` the oracle calls) plus the radio offsets in
+        the oracle's order, and banker's-rounded delays -- so every Link
+        equals the oracle's to the last bit.
         """
         cand = grid.candidates_of(sender)
         xs, ys = grid.xs, grid.ys
         dists = np.hypot(xs[cand] - xs[sender], ys[cand] - ys[sender])
-        counters = self.counters
-        counters.grid_pairs += len(cand)
         spec = self._power_spec
         near = dists <= spec.prune_range
         nodes, dists = cand[near], dists[near]
@@ -494,10 +412,11 @@ class NeighborService:
         # per link); every construction supplies all five fields, so the
         # result is the 5-tuple Link(...) would build. ``round(d / c) or 1``
         # is propagation_delay_ns inlined (d >= 0, so ``or 1`` is the floor).
-        links = tuple([
+        links = [
             new(Link, (node, round(d / c) or 1, p >= rx, p, p >= cs))
             for node, d, p in zip(nodes.tolist(), dists.tolist(),
                                   powers.tolist())
-            if p >= keep and node != sender])
-        counters.links_built += len(links)
-        return LinkTable(links)
+            if p >= keep and node != sender]
+        self.counters.links_built += len(links)
+        links.sort(key=_delay)
+        return LinkView(tuple(links))

@@ -28,13 +28,13 @@ from repro.mac.mx import MxProtocol
 from repro.metrics.collectors import MetricsCollector
 from repro.metrics.summary import RunSummary, summarize
 from repro.mobility.base import MobilityProvider
-from repro.mobility.stationary import StationaryModel
 from repro.mobility.waypoint import RandomWaypointModel
 from repro.net.bless import BlessConfig
 from repro.net.multicast import MulticastConfig
 from repro.net.stack import NetworkLayer
 from repro.oracle import InvariantOracle
 from repro.phy.error import NoErrors, UniformBitErrors, error_model_from_dict
+from repro.phy.neighbors import StaticPositions
 from repro.phy.params import DEFAULT_PHY
 from repro.phy.sinr import SinrConfig
 from repro.sim.rng import derive_seed
@@ -198,9 +198,9 @@ class Network:
                         leg_rng,
                     )
                 )
+            provider = MobilityProvider(models)
         else:
-            models = [StationaryModel(x, y) for x, y in self.coords]
-        provider = MobilityProvider(models)
+            provider = StaticPositions(self.coords)
         phy = replace(DEFAULT_PHY, radio_range=config.radio_range)
         plan = config.faults
         if plan is not None and plan.error_model is not None:

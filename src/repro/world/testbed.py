@@ -23,7 +23,7 @@ from repro.phy.propagation import PropagationModel, UnitDiskModel
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.faults.injector import FaultInjector
@@ -42,9 +42,7 @@ class MacTestbed:
         phy: PhyParams = DEFAULT_PHY,
         error_model: Optional[BitErrorModel] = None,
         seed: int = 1,
-        trace: bool = False,
         tracer: Optional[Tracer] = None,
-        cache_window: int = 50_000_000,
         faults: Optional["FaultInjector"] = None,
         sinr: Optional["SinrConfig"] = None,
     ):
@@ -59,9 +57,9 @@ class MacTestbed:
         self.phy = phy
         self.sim = Simulator()
         self.rngs = RngRegistry(seed)
-        #: ``tracer`` overrides the default (e.g. to use a RingBuffer or
-        #: JsonlTraceSink backend); otherwise one is built from ``trace``.
-        self.tracer = tracer if tracer is not None else Tracer(enabled=trace)
+        #: ``Tracer(enabled=True)`` (with any backend, e.g. a RingBuffer
+        #: or JsonlTraceSink) asks for a trace; by default none is kept.
+        self.tracer = tracer if tracer is not None else Tracer()
         #: SINR subsystem (see repro.phy.sinr): the wiring supplies the
         #: propagation model and the link spec; the per-run channel state
         #: (recent transmissions, counters) hangs off the data channel.
@@ -77,9 +75,7 @@ class MacTestbed:
         else:
             model = UnitDiskModel(phy.radio_range)
             power_spec = LinkPowerSpec.unit_disk(phy.radio_range)
-        self.neighbors = NeighborService(
-            provider, model, power_spec, cache_window=cache_window,
-        )
+        self.neighbors = NeighborService(provider, model, power_spec)
         #: Optional fault injector shared by the data and tone channels.
         self.faults = faults
         self.data_channel = DataChannel(

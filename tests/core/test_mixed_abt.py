@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import RmacConfig, RmacProtocol
 from repro.phy.busytone import ToneType
+from repro.sim.trace import Tracer
 from repro.sim.units import MS, US
 
 from tests.conftest import collect_upper, make_rmac_testbed
@@ -25,7 +26,7 @@ def _line(n_receivers):
 def test_foreign_abt_in_window_causes_false_ack(monkeypatch):
     """Receiver 2 never gets the data (injected deafness), but a foreign
     ABT pulse in its window makes the sender count it as acknowledged."""
-    tb = make_rmac_testbed(_line(3), seed=1, trace=True)
+    tb = make_rmac_testbed(_line(3), seed=1, tracer=Tracer(enabled=True))
     rx_lost = collect_upper(tb.macs[2])
 
     original = RmacProtocol._handle_reliable_data

@@ -5,6 +5,7 @@ import pytest
 from repro.core import RmacConfig, RmacProtocol
 from repro.core.states import RmacState
 from repro.phy.busytone import ToneType
+from repro.sim.trace import Tracer
 from repro.sim.units import MS, US
 
 from tests.conftest import TRIANGLE, collect_upper, make_rmac_testbed
@@ -36,7 +37,7 @@ def test_cw_doubles_then_resets_after_drop():
 
 def test_partial_abt_triggers_selective_retransmission(monkeypatch):
     """Receiver 2 misses the first MRTS; the retry names only node 2."""
-    tb = make_rmac_testbed(TRIANGLE, seed=9, trace=True)
+    tb = make_rmac_testbed(TRIANGLE, seed=9, tracer=Tracer(enabled=True))
     rx2 = collect_upper(tb.macs[2])
     original = RmacProtocol._handle_mrts
     dropped = []
@@ -64,7 +65,7 @@ def test_mrts_abort_on_rbt():
     """A node mid-MRTS aborts tau + lambda after a foreign RBT rises."""
     # Long MRTS (10 receivers -> 72 B -> 384 us) leaves room to abort.
     tb = make_rmac_testbed([(0, 0)] + [(30 + i, 0) for i in range(10)], seed=1,
-                           trace=True)
+                           tracer=Tracer(enabled=True))
     mac = tb.macs[0]
     # Send at 1 ms: the medium has been idle, so the MRTS starts instantly
     # (C10) and the tone timing below is deterministic.
@@ -97,7 +98,7 @@ def test_unreliable_tx_aborts_on_rbt():
 
 def test_receiver_releases_rbt_when_data_never_comes():
     """Twf_rdata expiry: RBT off 2 tau + lambda (+guard) after MRTS."""
-    tb = make_rmac_testbed(TRIANGLE, seed=1, trace=True)
+    tb = make_rmac_testbed(TRIANGLE, seed=1, tracer=Tracer(enabled=True))
     # Sender never follows up with data (stub the Twf_rbt action; the
     # timer holds a bound callback, so patch the instance's timer).
     tb.macs[0]._twf_rbt._callback = lambda: None

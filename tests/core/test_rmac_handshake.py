@@ -5,6 +5,7 @@ import pytest
 from repro.core import RmacConfig
 from repro.core.states import RmacState
 from repro.phy.busytone import ToneType
+from repro.sim.trace import Tracer
 from repro.sim.units import MS, US
 
 from tests.conftest import TRIANGLE, collect_upper, make_rmac_testbed
@@ -50,7 +51,7 @@ def test_reliable_broadcast_uses_all_neighbors(triangle_rmac):
 
 def test_handshake_timing_matches_fig4():
     """MRTS airtime, Twf_rbt = 17 us, data, then n ABT windows."""
-    tb = make_rmac_testbed(TRIANGLE, seed=5, trace=True)
+    tb = make_rmac_testbed(TRIANGLE, seed=5, tracer=Tracer(enabled=True))
     outcomes = []
     tb.macs[0].send_reliable((1, 2), "pkt", 500, on_complete=outcomes.append)
     tb.run(50 * MS)
@@ -83,7 +84,7 @@ def test_receivers_hold_rbt_during_data():
 
 
 def test_abt_order_follows_mrts_sequence():
-    tb = make_rmac_testbed(TRIANGLE, seed=5, trace=True)
+    tb = make_rmac_testbed(TRIANGLE, seed=5, tracer=Tracer(enabled=True))
     tb.macs[0].send_reliable((2, 1), "pkt", 500)  # note: 2 first
     tb.run(50 * MS)
     abt_ons = [e for e in tb.tracer.events if e.kind == "abt-on"]

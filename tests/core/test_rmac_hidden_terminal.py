@@ -8,13 +8,14 @@ reception.
 
 from repro.core.states import RmacState
 from repro.phy.busytone import ToneType
+from repro.sim.trace import Tracer
 from repro.sim.units import MS, US
 
 from tests.conftest import CHAIN, collect_upper, make_rmac_testbed
 
 
 def test_hidden_node_defers_while_rbt_on():
-    tb = make_rmac_testbed(CHAIN[:3], seed=8, trace=True)
+    tb = make_rmac_testbed(CHAIN[:3], seed=8, tracer=Tracer(enabled=True))
     rx1 = collect_upper(tb.macs[1])
     # 0 starts a long reliable send to 1 at 1 ms (immediate access).
     tb.sim.at(1 * MS, lambda: tb.macs[0].send_reliable((1,), "protected", 1400))

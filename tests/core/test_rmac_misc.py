@@ -5,6 +5,7 @@ import pytest
 from repro.core import RmacConfig, RmacProtocol
 from repro.core.states import RmacState
 from repro.phy.busytone import ToneType
+from repro.sim.trace import Tracer
 from repro.sim.units import MS, US
 
 from tests.conftest import TRIANGLE, collect_upper, make_rmac_testbed
@@ -20,7 +21,7 @@ def test_sequence_numbers_wrap_at_16_bits():
 
 
 def test_state_trace_emitted_when_enabled():
-    tb = make_rmac_testbed(TRIANGLE, seed=1, trace=True)
+    tb = make_rmac_testbed(TRIANGLE, seed=1, tracer=Tracer(enabled=True))
     tb.macs[0].send_reliable((1,), "pkt", 100)
     tb.run(20 * MS)
     states = [e for e in tb.tracer.events if e.kind == "state" and e.node == 0]

@@ -6,13 +6,14 @@ then B's ABT followed by C's ABT in MRTS order -- with the paper's
 timer spacings.
 """
 
+from repro.sim.trace import Tracer
 from repro.sim.units import US
 
 from tests.conftest import TRIANGLE, make_rmac_testbed
 
 
 def run_fig4():
-    tb = make_rmac_testbed(TRIANGLE, seed=5, trace=True)
+    tb = make_rmac_testbed(TRIANGLE, seed=5, tracer=Tracer(enabled=True))
     tb.macs[0].send_reliable((1, 2), "fig4", 500)
     tb.run(50_000_000)
     return tb

@@ -9,6 +9,7 @@ from repro.sim.units import MS
 from repro.world.network import PROTOCOLS
 from repro.world.testbed import MacTestbed
 from repro.core import RmacProtocol, RmacConfig
+from repro.sim.trace import Tracer
 
 from tests.conftest import make_dot11_testbed, make_rmac_testbed
 
@@ -102,7 +103,8 @@ class TestRequestLifecycle:
         assert tb.macs[0]._request is None and not tb.macs[0].in_txn
 
     def test_rmac_units_take_fresh_seqs_and_count_one_drop(self):
-        tb = make_rmac_testbed(self.COORDS, seed=1, trace=True,
+        tb = make_rmac_testbed(self.COORDS, seed=1,
+                               tracer=Tracer(enabled=True),
                                config=RmacConfig(retry_limit=1, max_receivers=1))
         outcomes = []
         tb.macs[0].send_reliable((1, 2), "pkt", 300, on_complete=outcomes.append)

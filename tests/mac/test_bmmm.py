@@ -4,6 +4,7 @@ import pytest
 
 from repro.mac.bmmm import BmmmProtocol
 from repro.mac.dot11 import Dot11Config
+from repro.sim.trace import Tracer
 from repro.sim.units import MS, US
 
 from tests.conftest import TRIANGLE, collect_upper, make_dot11_testbed
@@ -11,7 +12,8 @@ from tests.conftest import TRIANGLE, collect_upper, make_dot11_testbed
 
 def test_batch_round_structure():
     """One contention phase: n RTS/CTS pairs, one DATA, n RAK/ACK pairs."""
-    tb = make_dot11_testbed(TRIANGLE, protocol="bmmm", seed=1, trace=True)
+    tb = make_dot11_testbed(TRIANGLE, protocol="bmmm", seed=1,
+                            tracer=Tracer(enabled=True))
     rx1 = collect_upper(tb.macs[1])
     rx2 = collect_upper(tb.macs[2])
     outcomes = []

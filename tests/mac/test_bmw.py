@@ -4,6 +4,7 @@ import pytest
 
 from repro.mac.bmw import BmwProtocol
 from repro.mac.dot11 import Dot11Config
+from repro.sim.trace import Tracer
 from repro.sim.units import MS
 
 from tests.conftest import TRIANGLE, collect_upper, make_dot11_testbed
@@ -28,7 +29,8 @@ def test_overhearing_skips_redundant_unicasts():
 def test_each_unicast_has_contention_phase():
     """Per Fig. 1a every per-receiver unicast is preceded by contention:
     the second RTS is separated from the first exchange by more than SIFS."""
-    tb = make_dot11_testbed(TRIANGLE, protocol="bmw", seed=1, trace=True)
+    tb = make_dot11_testbed(TRIANGLE, protocol="bmw", seed=1,
+                            tracer=Tracer(enabled=True))
     tb.sim.at(1 * MS, lambda: tb.macs[0].send_reliable((1, 2), "pkt", 500))
     tb.run(100 * MS)
     rts_starts = [e.time for e in tb.tracer.events

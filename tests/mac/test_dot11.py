@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mac.dot11 import Dot11Config
+from repro.sim.trace import Tracer
 from repro.sim.units import MS, US
 
 from tests.conftest import CHAIN, TRIANGLE, collect_upper, make_dot11_testbed
@@ -24,7 +25,8 @@ def test_reliable_unicast_full_handshake():
 
 
 def test_handshake_sifs_timing():
-    tb = make_dot11_testbed(TRIANGLE, protocol="dot11", seed=1, trace=True)
+    tb = make_dot11_testbed(TRIANGLE, protocol="dot11", seed=1,
+                            tracer=Tracer(enabled=True))
     tb.sim.at(1 * MS, lambda: tb.macs[0].send_reliable((1,), "uni", 100))
     tb.run(50 * MS)
     starts = [e for e in tb.tracer.events if e.kind == "tx-start"]
@@ -66,7 +68,8 @@ def test_unreliable_broadcast_reaches_all(triangle=TRIANGLE):
 
 def test_nav_defers_third_party():
     """Node 2 (in range of both) overhears the RTS and defers via NAV."""
-    tb = make_dot11_testbed(TRIANGLE, protocol="dot11", seed=1, trace=True)
+    tb = make_dot11_testbed(TRIANGLE, protocol="dot11", seed=1,
+                            tracer=Tracer(enabled=True))
     tb.sim.at(1 * MS, lambda: tb.macs[0].send_reliable((1,), "uni", 1000))
     # 2 queues a broadcast right after the RTS goes out.
     tb.sim.at(1 * MS + 210 * US, lambda: tb.macs[2].send_unreliable(-1, "b", 50))

@@ -3,13 +3,15 @@
 import pytest
 
 from repro.mac.dot11 import Dot11Config
+from repro.sim.trace import Tracer
 from repro.sim.units import MS, US
 
 from tests.conftest import TRIANGLE, collect_upper, make_dot11_testbed
 
 
 def test_broadcast_defers_under_nav():
-    tb = make_dot11_testbed(TRIANGLE, protocol="dot11", seed=1, trace=True)
+    tb = make_dot11_testbed(TRIANGLE, protocol="dot11", seed=1,
+                            tracer=Tracer(enabled=True))
     tb.sim.at(1 * MS, lambda: setattr(tb.macs[0], "nav_until", tb.sim.now + 4 * MS))
     tb.sim.at(1 * MS + 10 * US, lambda: tb.macs[0].send_unreliable(-1, "b", 20))
     tb.run(50 * MS)

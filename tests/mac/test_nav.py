@@ -4,6 +4,7 @@ import pytest
 
 from repro.mac.bmmm import BmmmProtocol
 from repro.mac.frames import CtsFrame, DataFrame, RtsFrame
+from repro.sim.trace import Tracer
 from repro.sim.units import MS, US
 
 from tests.conftest import TRIANGLE, make_dot11_testbed
@@ -57,7 +58,8 @@ def test_bmmm_nav_remaining_monotone_through_round():
 
 
 def test_rts_refused_while_nav_busy():
-    tb = make_dot11_testbed(TRIANGLE, protocol="dot11", seed=1, trace=True)
+    tb = make_dot11_testbed(TRIANGLE, protocol="dot11", seed=1,
+                            tracer=Tracer(enabled=True))
     tb.macs[1].nav_until = 5 * MS
     tb.sim.at(1 * MS, lambda: tb.macs[0].send_reliable((1,), "pkt", 100))
     tb.run(3 * MS)

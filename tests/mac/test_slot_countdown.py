@@ -64,9 +64,10 @@ def node_ordered(tb):
 
 def make_testbed(protocol, coords, seed=1, **kwargs):
     if protocol == "rmac":
-        return make_rmac_testbed(coords, seed=seed, trace=True, **kwargs)
-    return make_dot11_testbed(coords, protocol=protocol, seed=seed, trace=True,
-                              **kwargs)
+        return make_rmac_testbed(coords, seed=seed,
+                                 tracer=Tracer(enabled=True), **kwargs)
+    return make_dot11_testbed(coords, protocol=protocol, seed=seed,
+                              tracer=Tracer(enabled=True), **kwargs)
 
 
 def link_delay(tb, src, dst):
@@ -198,7 +199,7 @@ def test_rbt_presence_mid_countdown_suspends_rmac():
     t0 = 1 * MS
 
     def scenario():
-        tb = make_rmac_testbed(CHAIN[:3], seed=4, trace=True)
+        tb = make_rmac_testbed(CHAIN[:3], seed=4, tracer=Tracer(enabled=True))
         tb.macs[2].backoff.bi = 30
         tb.sim.at(t0, lambda: tb.macs[2].send_unreliable(BROADCAST, "x", 100))
         tb.sim.at(t0 + 100 * US,

@@ -1,4 +1,4 @@
-"""Mobility models: stationary and random waypoint."""
+"""Mobility models: random waypoint and the provider over them."""
 
 import math
 import random
@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.mobility.base import MobilityProvider
-from repro.mobility.stationary import StationaryModel
 from repro.mobility.waypoint import RandomWaypointModel
 from repro.sim.units import SEC
 
@@ -17,14 +16,6 @@ def make_rwp(**kw):
                     rng=random.Random(7))
     defaults.update(kw)
     return RandomWaypointModel(**defaults)
-
-
-class TestStationary:
-    def test_never_moves(self):
-        model = StationaryModel(3.5, 7.5)
-        assert model.position(0) == (3.5, 7.5)
-        assert model.position(10**12) == (3.5, 7.5)
-        assert model.is_static()
 
 
 class TestRandomWaypoint:
@@ -101,13 +92,10 @@ class TestRandomWaypoint:
 
 class TestProvider:
     def test_positions_array_shape(self):
-        provider = MobilityProvider([StationaryModel(0, 0), StationaryModel(1, 2)])
+        provider = MobilityProvider([make_rwp(), make_rwp(x=1.0, y=2.0)])
         arr = provider.positions(0)
         assert arr.shape == (2, 2)
-        assert provider.is_static()
-
-    def test_mixed_models_not_static(self):
-        provider = MobilityProvider([StationaryModel(0, 0), make_rwp()])
+        assert arr.tolist() == [[100.0, 100.0], [1.0, 2.0]]
         assert not provider.is_static()
 
     def test_empty_rejected(self):

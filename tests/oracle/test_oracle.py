@@ -202,8 +202,8 @@ def test_oracle_violation_count_lands_in_summary():
 # oracle attributes the violation to that node, time, and rule.
 # ---------------------------------------------------------------------------
 def _reliable_send_testbed(faults=None) -> MacTestbed:
-    tb = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)], seed=7, trace=True,
-                    faults=faults)
+    tb = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)], seed=7,
+                    tracer=Tracer(enabled=True), faults=faults)
     config = RmacConfig(phy=tb.phy)
     tb.build_macs(lambda i, t: RmacProtocol(i, t.sim, t.radios[i],
                                             t.node_rng(i), config,

@@ -53,11 +53,11 @@ def oracle_links(pos, sender: int, model: PropagationModel,
     return tuple(links)
 
 
-def unit_disk_service(provider: PositionProvider, radio_range: float = 75.0,
-                      **kwargs) -> NeighborService:
+def unit_disk_service(provider: PositionProvider,
+                      radio_range: float = 75.0) -> NeighborService:
     """A service over the paper's unit disk of ``radio_range`` meters."""
     return NeighborService(provider, UnitDiskModel(radio_range),
-                           LinkPowerSpec.unit_disk(radio_range), **kwargs)
+                           LinkPowerSpec.unit_disk(radio_range))
 
 
 def threshold_spec(model: LogDistanceModel, rx_threshold_dbm: float = -65.0,

@@ -160,7 +160,7 @@ class TrackerChannel(DataChannel):
             waiter()
         now = self._sim.now
         airtime = self._phy.frame_airtime(frame.size_bytes)  # type: ignore[attr-defined]
-        view = self._neighbors.table_from(sender, now).view
+        view = self._neighbors.table_from(sender, now)
         delays, links = view.delays, view.links
         tx = Transmission(sender, frame, now, airtime, delays, links)
         state.tx = tx

@@ -299,7 +299,7 @@ def _sensed_and_hidden_setup(sensed_sender):
     """SINR channel where ``sensed_sender``'s links are ordinary decodable
     links at -40 dBm and the other sender's are interference-only
     (``sensed=False``, -80 dBm): energy the receiver's radio never sees."""
-    from repro.phy.neighbors import Link, LinkTable
+    from repro.phy.neighbors import Link, LinkView
     from repro.phy.sinr import SinrReceptionModel, SinrState
 
     sim = Simulator()
@@ -317,9 +317,9 @@ def _sensed_and_hidden_setup(sensed_sender):
     def mixed(sender, time_ns):
         links = compute(sender, time_ns).links
         if sender == sensed_sender:
-            return LinkTable(tuple(
+            return LinkView(tuple(
                 Link(l.node, l.delay_ns, l.in_rx_range, -40.0) for l in links))
-        return LinkTable(tuple(
+        return LinkView(tuple(
             Link(l.node, l.delay_ns, False, -80.0, sensed=False) for l in links))
 
     svc.table_from = mixed

@@ -41,7 +41,7 @@ class ToneCountOracle:
         if emitter in self._active:
             raise RuntimeError(f"node {emitter} already emits")
         now = self._sim.now
-        sensed = self._neighbors.table_from(emitter, now).view.sensed
+        sensed = self._neighbors.table_from(emitter, now).sensed
         delays = sensed.delays
         nodes = [link.node for link in sensed.links]
         self._active[emitter] = (delays, nodes)

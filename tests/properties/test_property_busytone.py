@@ -107,7 +107,7 @@ class _Side:
         svc = unit_disk_service(StaticPositions(NODES))
         self.channel = channel = make_channel(sim, svc)
         self.log = []
-        delays = {e: svc.table_from(e, 0).view.sensed.delays
+        delays = {e: svc.table_from(e, 0).sensed.delays
                   for e in range(len(NODES))}
         for action in script:
             kind, at = action[0], action[1]

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.mobility.base import MobilityProvider
 from repro.mobility.waypoint import RandomWaypointModel
-from repro.phy.neighbors import LinkPowerSpec, NeighborService, StaticPositions
+from repro.phy.neighbors import (BUCKET_NS, LinkPowerSpec, NeighborService,
+                                 StaticPositions)
 from repro.phy.params import DEFAULT_PHY
 from repro.phy.propagation import LogDistanceModel, UnitDiskModel
 from repro.phy.sinr import SinrConfig, wire_sinr
@@ -131,8 +132,8 @@ def test_mobile_power_mode_grid_tables_equal_brute(seed, n, hetero):
     ]
     provider = MobilityProvider(models)
     model, spec = make_power_spec("shadowing", hetero, n, seed)
-    window = 50_000_000
-    grid = NeighborService(provider, model, spec, cache_window=window)
+    window = BUCKET_NS
+    grid = NeighborService(provider, model, spec)
     for epoch in range(3):
         t = epoch * window + window // 3
         pos = provider.positions(t - t % window)
@@ -146,9 +147,8 @@ def test_mobile_power_mode_grid_tables_equal_brute(seed, n, hetero):
     seed=st.integers(0, 10**6),
     n=st.integers(2, 30),
     kind=st.sampled_from(["unit", "log"]),
-    window=st.sampled_from([10_000_000, 50_000_000]),
 )
-def test_mobile_grid_tables_equal_brute_across_epochs(seed, n, kind, window):
+def test_mobile_grid_tables_equal_brute_across_epochs(seed, n, kind):
     rng = random.Random(seed)
     models = [
         RandomWaypointModel(x, y, WIDTH, HEIGHT, 0.5, 8.0, 1.0,
@@ -157,7 +157,8 @@ def test_mobile_grid_tables_equal_brute_across_epochs(seed, n, kind, window):
     ]
     provider = MobilityProvider(models)
     model, spec = make_rule(kind, 0.0)
-    grid = NeighborService(provider, model, spec, cache_window=window)
+    window = BUCKET_NS
+    grid = NeighborService(provider, model, spec)
     for epoch in range(4):
         t = epoch * window + window // 3
         pos = provider.positions(t - t % window)

@@ -247,6 +247,33 @@ def test_bad_store_path_is_a_one_line_usage_error(command, capsys, tmp_path):
             f"repro: error: result store {str(path)!r} {problem}\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["campaign", "status", "--out"],
+    ["campaign", "serve", "--once", "--out"],
+])
+def test_unreadable_manifest_is_a_one_line_error(command, capsys, tmp_path):
+    """A SINR manifest carrying a field this version dropped (the
+    ``interference`` switch) exits 2 with one line on stderr naming the
+    store and the field, not a traceback."""
+    from repro.experiments.scenarios import sinr_preset
+    from repro.experiments.store import ResultStore
+
+    sinr = sinr_preset("unitdisk").to_dict()
+    sinr["interference"] = True
+    path = str(tmp_path / "old_store")
+    ResultStore(path).write_manifest({
+        "protocols": ["rmac"], "scenarios": ["stationary"], "rates": [20],
+        "seeds": [1], "scale": "smoke", "sinr": sinr})
+    with pytest.raises(SystemExit) as exc:
+        main(command + [path])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"repro: error: result store {path!r}")
+    assert "['interference']" in captured.err
+
+
 def test_campaign_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["campaign"])

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.core import RmacConfig, RmacProtocol
-from repro.mobility.base import MobilityProvider
-from repro.mobility.stationary import StationaryModel
 from repro.phy.busytone import ToneType
-from repro.phy.neighbors import LinkPowerSpec
+from repro.phy.neighbors import LinkPowerSpec, StaticPositions
 from repro.phy.propagation import UnitDiskModel
 from repro.phy.sinr import SinrConfig
 from repro.world.testbed import MacTestbed
@@ -15,7 +13,7 @@ from repro.world.testbed import MacTestbed
 def test_requires_coords_or_provider():
     with pytest.raises(ValueError):
         MacTestbed()
-    provider = MobilityProvider([StationaryModel(0, 0)])
+    provider = StaticPositions([(0, 0)])
     with pytest.raises(ValueError):
         MacTestbed(provider=provider)  # n_nodes missing
     tb = MacTestbed(provider=provider, n_nodes=1)
