@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.mobility.base import MobilityProvider
+from repro.mobility.base import MobilityModel, MobilityProvider
 from repro.mobility.waypoint import RandomWaypointModel
 from repro.sim.units import SEC
 
@@ -96,6 +96,16 @@ class TestProvider:
         arr = provider.positions(0)
         assert arr.shape == (2, 2)
         assert arr.tolist() == [[100.0, 100.0], [1.0, 2.0]]
+
+    def test_mixed_models_not_static(self):
+        # A provider is never static, even when some of its models stay
+        # put: a placement that never moves is a StaticPositions instead.
+        class Parked(MobilityModel):
+            def position(self, time_ns):
+                return (0.0, 0.0)
+
+        provider = MobilityProvider([Parked(), make_rwp()])
+        assert provider.positions(10**12)[0].tolist() == [0.0, 0.0]
         assert not provider.is_static()
 
     def test_empty_rejected(self):
