@@ -34,7 +34,7 @@ class RmacNoRbt(RmacProtocol):
         self._rx_mrts = mrts
         self._rx_first_bit = False
         self._set_state(RmacState.WF_RDATA)
-        self._twf_rdata.start(self.config.twf_rdata)
+        self._twf_rdata.start(self.radio.phy.l_abt + self.config.rdata_guard)
         # NOTE: no self.radio.tone_on(ToneType.RBT)
 
     def _on_twf_rbt_expired(self):
@@ -57,7 +57,7 @@ class RmacNoRbt(RmacProtocol):
 
 
 def factory(node_id, testbed, rng, overrides):
-    config = RmacConfig(phy=testbed.phy, **overrides)
+    config = RmacConfig(**overrides)
     return RmacNoRbt(node_id, testbed.sim, testbed.radios[node_id], rng,
                      config, tracer=testbed.tracer)
 

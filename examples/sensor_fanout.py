@@ -40,7 +40,7 @@ def ring_coords(n_sensors: int, radius: float = 60.0):
 def main() -> None:
     n_sensors = 30
     testbed = MacTestbed(coords=ring_coords(n_sensors), seed=3)
-    config = RmacConfig(phy=testbed.phy)
+    config = RmacConfig()
     testbed.build_macs(
         lambda i, t: RmacProtocol(i, t.sim, t.radios[i], t.node_rng(i), config)
     )

@@ -19,7 +19,7 @@ from repro.world.testbed import MacTestbed
 def main() -> None:
     testbed = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)], seed=7,
                          tracer=Tracer(enabled=True))
-    config = RmacConfig(phy=testbed.phy)
+    config = RmacConfig()
     testbed.build_macs(
         lambda i, t: RmacProtocol(
             i, t.sim, t.radios[i], t.node_rng(i), config, tracer=t.tracer
@@ -45,7 +45,8 @@ def main() -> None:
     print(f"deliveries: {received}")
     print(f"sender outcome: acked={outcome.acked} failed={outcome.failed} "
           f"dropped={outcome.dropped}")
-    print(f"timers: Twf_rbt = {config.twf_rbt} ns, l_abt = {config.l_abt} ns")
+    l_abt = testbed.phy.l_abt  # |Twf_rbt| = l_abt = 2 tau + lambda
+    print(f"timers: Twf_rbt = {l_abt} ns, l_abt = {l_abt} ns")
 
 
 if __name__ == "__main__":

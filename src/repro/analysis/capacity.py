@@ -24,18 +24,17 @@ from repro.mac.frames import (
     RTS_BYTES,
 )
 from repro.phy.params import DEFAULT_PHY, PhyParams
-from repro.sim.units import SEC, US
+from repro.sim.units import SEC
 
 
 def rmac_transaction_time(
     n_receivers: int,
     payload_bytes: int,
     phy: PhyParams = DEFAULT_PHY,
-    tau: int = 1 * US,
 ) -> int:
     """Airtime floor of one successful RMAC Reliable Send (ns):
     MRTS + Twf_rbt + DATA + n ABT windows."""
-    l_abt = 2 * tau + phy.cca_time
+    l_abt = phy.l_abt
     return (
         phy.frame_airtime(mrts_bytes(n_receivers))
         + l_abt  # Twf_rbt

@@ -11,7 +11,8 @@ most floor(352 / 17) = 20 ABT windows fit before a neighboring Reliable
 Send could complete and alias its ABT into ours.
 
 All functions take a :class:`~repro.phy.params.PhyParams` so ablations
-can re-derive the numbers for other PHYs.
+can re-derive the numbers for other PHYs; tau, lambda and 2 tau + lambda
+come from it, as they do for the MACs.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from repro.mac.frames import (
     CTS_BYTES,
     MRTS_FIXED_BYTES,
     ADDRESS_BYTES,
+    DOT11_DATA_OVERHEAD,
     RAK_BYTES,
     RMAC_DATA_OVERHEAD,
     RTS_BYTES,
 )
 from repro.phy.params import DEFAULT_PHY, PhyParams
-from repro.sim.units import US
 
 
 def mrts_bytes(n_receivers: int) -> int:
@@ -53,22 +54,19 @@ def bmmm_control_overhead(n_receivers: int, phy: PhyParams = DEFAULT_PHY) -> int
     return n_receivers * per_receiver
 
 
-def rmac_control_overhead(
-    n_receivers: int, phy: PhyParams = DEFAULT_PHY, tau: int = 1 * US
-) -> int:
+def rmac_control_overhead(n_receivers: int, phy: PhyParams = DEFAULT_PHY) -> int:
     """Airtime (ns) of RMAC's control machinery for one data frame:
     the MRTS plus the n ABT windows (2 tau + lambda each).
 
     The paper's headline comparison: one frame of 12 + 6n bytes versus
     BMMM's 2n whole control frames.
     """
-    l_abt = 2 * tau + phy.cca_time
-    return phy.frame_airtime(mrts_bytes(n_receivers)) + n_receivers * l_abt
+    return phy.frame_airtime(mrts_bytes(n_receivers)) + n_receivers * phy.l_abt
 
 
-def abt_detection_time(phy: PhyParams = DEFAULT_PHY, tau: int = 1 * US) -> int:
+def abt_detection_time(phy: PhyParams = DEFAULT_PHY) -> int:
     """One ABT window: 2 tau + lambda = 17 us with paper values."""
-    return 2 * tau + phy.cca_time
+    return phy.l_abt
 
 
 def rmac_min_exchange_time(phy: PhyParams = DEFAULT_PHY) -> int:
@@ -82,16 +80,15 @@ def rmac_min_exchange_time(phy: PhyParams = DEFAULT_PHY) -> int:
     return shortest_mrts + shortest_data
 
 
-def max_receivers_per_mrts(phy: PhyParams = DEFAULT_PHY, tau: int = 1 * US) -> int:
+def max_receivers_per_mrts(phy: PhyParams = DEFAULT_PHY) -> int:
     """Section 3.4: floor(shortest-exchange / ABT-window) = 20."""
-    return rmac_min_exchange_time(phy) // abt_detection_time(phy, tau)
+    return rmac_min_exchange_time(phy) // phy.l_abt
 
 
 def bmw_transaction_time(
     n_receivers: int,
     payload_bytes: int,
     phy: PhyParams = DEFAULT_PHY,
-    data_overhead: int = 28,
 ) -> int:
     """Nominal airtime of BMW's n sequential unicasts (Fig. 1a), ignoring
     contention: n x (RTS + CTS + DATA + ACK + 3 SIFS). Used to compare the
@@ -101,7 +98,7 @@ def bmw_transaction_time(
     one = (
         phy.frame_airtime(RTS_BYTES)
         + phy.frame_airtime(CTS_BYTES)
-        + phy.frame_airtime(payload_bytes + data_overhead)
+        + phy.frame_airtime(payload_bytes + DOT11_DATA_OVERHEAD)
         + phy.frame_airtime(ACK_BYTES)
         + 3 * phy.sifs
     )

@@ -57,14 +57,14 @@ def _farm_status(path: str) -> dict:
     :func:`_store_dir`). A store this version cannot read (say, a
     manifest naming a config field a later version dropped) exits 2
     with one line on stderr naming the store and the problem."""
-    from repro.experiments.farm import farm_status
+    from repro.experiments.farm import farm_status, unreadable_store_reason
 
     store = _store_dir(path)
     try:
         return farm_status(store)
     except ValueError as exc:
-        print(f"repro: error: result store {path!r} cannot be read by "
-              f"this version: {exc}", file=sys.stderr)
+        print(f"repro: error: {unreadable_store_reason(path, exc)}",
+              file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -244,7 +244,7 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
 
     tb = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)], seed=7,
                     tracer=Tracer(enabled=True))
-    config = RmacConfig(phy=tb.phy)
+    config = RmacConfig()
     tb.build_macs(lambda i, t: RmacProtocol(i, t.sim, t.radios[i],
                                             t.node_rng(i), config,
                                             tracer=t.tracer))

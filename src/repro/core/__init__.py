@@ -1,7 +1,8 @@
 """RMAC -- the paper's contribution.
 
-* :mod:`repro.core.config` -- protocol parameters (tau, lambda, timer
-  periods, retry limit, the 20-receiver MRTS cap).
+* :mod:`repro.core.config` -- protocol parameters (retry limit, the
+  20-receiver MRTS cap, the Twf_rdata guard); tau and lambda are the
+  PHY's (:mod:`repro.phy.params`).
 * :mod:`repro.core.states` -- the appendix's state machine: the 8 states
   of Fig. 14 and the transition conditions C1-C19 of Table 1, encoded as
   data so tests can exercise every condition.

@@ -33,7 +33,7 @@ from repro.core.states import RmacState, valid_transition
 from repro.mac.addresses import BROADCAST
 from repro.mac.backoff import Backoff, SlotCountdown
 from repro.mac.base import MacProtocol, SendRequest
-from repro.mac.frames import DataFrame, MrtsFrame
+from repro.mac.frames import RMAC_DATA_OVERHEAD, DataFrame, MrtsFrame
 from repro.phy.busytone import ToneType
 from repro.phy.channel import Transmission
 from repro.phy.radio import Radio
@@ -48,6 +48,7 @@ class RmacProtocol(MacProtocol):
     NAME = "rmac"
     FRESH_SEQ_PER_UNIT = True
     TRACES_REQUESTS = True
+    DATA_OVERHEAD = RMAC_DATA_OVERHEAD
 
     def __init__(
         self,
@@ -66,7 +67,7 @@ class RmacProtocol(MacProtocol):
             queue_capacity=self.config.queue_capacity,
             tracer=tracer,
         )
-        phy = self.config.phy
+        phy = radio.phy
         self.state = RmacState.IDLE
         self.backoff = Backoff(rng, phy.cw_min, phy.cw_max)
 
@@ -192,7 +193,7 @@ class RmacProtocol(MacProtocol):
         if self.state in (RmacState.IDLE, RmacState.BACKOFF) and (
             self.backoff.bi > 0 or self._has_work()
         ):
-            self._ensure_tick(self.config.phy.slot_time)
+            self._ensure_tick(self.radio.phy.slot_time)
 
     def _enter_contention(self, draw: bool) -> None:
         """Return to IDLE/BACKOFF, optionally invoking the backoff draw."""
@@ -203,7 +204,7 @@ class RmacProtocol(MacProtocol):
         else:
             self._set_state(RmacState.IDLE)
         if self.backoff.bi > 0 or self._has_work():
-            self._ensure_tick(self.config.phy.slot_time)
+            self._ensure_tick(self.radio.phy.slot_time)
 
     # ------------------------------------------------------------------
     # Reliable Send, sender side (Section 3.3.2)
@@ -244,7 +245,7 @@ class RmacProtocol(MacProtocol):
             self.radio.tone_longest_presence(
                 ToneType.RBT, self._rbt_window_start, self.sim.now
             )
-            >= self.config.detect_time
+            >= self.radio.phy.cca_time
         )
         if detected:
             # C18: at least one receiver is ready; send the data frame.
@@ -275,14 +276,15 @@ class RmacProtocol(MacProtocol):
         history is equivalent to the paper's per-window timer cycling.
         """
         n = len(self._pending)
-        end = data_tx_end + n * self.config.l_abt
+        end = data_tx_end + n * self.radio.phy.l_abt
         self.sim.at(end, self._on_abt_windows_done, label="Twf_abt")
 
     def _on_abt_windows_done(self) -> None:
         assert self.state is RmacState.WF_ABT
         pending = self._pending
         n = len(pending)
-        l_abt = self.config.l_abt
+        phy = self.radio.phy
+        l_abt = phy.l_abt
         start = self.sim.now - n * l_abt
         self.stats.abt_check_time += n * l_abt
         still_pending: List[int] = []
@@ -290,7 +292,7 @@ class RmacProtocol(MacProtocol):
             t0 = start + i * l_abt
             t1 = t0 + l_abt
             presence = self.radio.tone_longest_presence(ToneType.ABT, t0, t1)
-            if presence >= self.config.detect_time:
+            if presence >= phy.cca_time:
                 self._acked.append(receiver)
                 self.tracer.emit(self.sim.now, self.node_id, "abt-heard", receiver=receiver)
             else:
@@ -331,7 +333,7 @@ class RmacProtocol(MacProtocol):
             else:
                 self._set_state(RmacState.WF_RBT)  # C17
                 self._rbt_window_start = self.sim.now
-                self._twf_rbt.start(self.config.twf_rbt)
+                self._twf_rbt.start(self.radio.phy.l_abt)  # 2 tau + lambda
         elif isinstance(frame, DataFrame) and frame.reliable:
             self.stats.data_tx_time += duration
             self._set_state(RmacState.WF_ABT)  # C19
@@ -395,7 +397,8 @@ class RmacProtocol(MacProtocol):
         self.radio.tone_on(ToneType.RBT)
         self.tracer.emit(self.sim.now, self.node_id, "rbt-on-rx",
                          index=mrts.index_of(self.node_id))
-        self._twf_rdata.start(self.config.twf_rdata)
+        # |Twf_rdata| = 2 tau + lambda plus the guard (see RmacConfig).
+        self._twf_rdata.start(self.radio.phy.l_abt + self.config.rdata_guard)
 
     def _on_twf_rdata_expired(self) -> None:
         assert self.state is RmacState.WF_RDATA
@@ -414,7 +417,7 @@ class RmacProtocol(MacProtocol):
             return
         self.stats.count_rx("RDATA")
         index = mrts.index_of(self.node_id)
-        l_abt = self.config.l_abt
+        l_abt = self.radio.phy.l_abt
         # Step 4: reply an ABT in the slot given by the MRTS ordering.
         delay = index * l_abt
         self.tracer.emit(

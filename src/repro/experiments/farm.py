@@ -553,34 +553,46 @@ def render_farm_status(status: dict) -> str:
 # The serve endpoint
 # ---------------------------------------------------------------------------
 
+def unreadable_store_reason(out: str, exc: ValueError) -> str:
+    """The one line naming a store whose manifest this version cannot
+    read (``farm_status`` raised ``exc``, say on a dropped config field)."""
+    return f"result store {out!r} cannot be read by this version: {exc}"
+
+
 def make_status_server(out: str, host: str = "127.0.0.1", port: int = 8765):
     """A threading HTTP server publishing a farm directory's status.
 
     ``GET /status`` returns the :func:`farm_status` JSON (recomputed
     from disk per request, so long-polling it streams live progress);
-    ``GET /`` returns the human-readable rendering. The caller owns the
-    server lifecycle (``serve_forever`` / ``shutdown``).
+    ``GET /`` returns the human-readable rendering. A store this version
+    cannot read answers 500 with :func:`unreadable_store_reason` as the
+    plain-text body. The caller owns the server lifecycle
+    (``serve_forever`` / ``shutdown``).
     """
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     class Handler(BaseHTTPRequestHandler):
         def do_GET(self):  # noqa: N802 (http.server API)
+            text = "text/plain; charset=utf-8"
             try:
                 status = farm_status(out)
             except (FileNotFoundError, NotADirectoryError):
                 self.send_error(404, "no farm store at %r" % out)
                 return
+            except ValueError as exc:
+                self._reply(500, unreadable_store_reason(out, exc) + "\n", text)
+                return
             if self.path.rstrip("/") in ("", "/"):
-                body = render_farm_status(status).encode()
-                content_type = "text/plain; charset=utf-8"
+                self._reply(200, render_farm_status(status), text)
             elif self.path == "/status":
-                body = (json.dumps(status, indent=1, sort_keys=True)
-                        + "\n").encode()
-                content_type = "application/json"
+                self._reply(200, json.dumps(status, indent=1, sort_keys=True)
+                            + "\n", "application/json")
             else:
                 self.send_error(404, "unknown path (try / or /status)")
-                return
-            self.send_response(200)
+
+        def _reply(self, code: int, text: str, content_type: str) -> None:
+            body = text.encode()
+            self.send_response(code)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()

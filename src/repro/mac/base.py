@@ -22,7 +22,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mac.addresses import BROADCAST, MULTICAST_FLAG, is_unicast
 from repro.mac.backoff import BackoffTick
@@ -125,7 +125,8 @@ class MacProtocol(ABC):
     lifecycle below. A subclass owns its contention procedure (``_kick``,
     its tick, ``_enter_contention``), its exchange and its state (RMAC's
     ``RmacState``, the 802.11 family's ``_phase``). It sets ``config``
-    (with ``retry_limit`` and ``data_overhead``) and ``backoff``.
+    (with ``retry_limit``), ``backoff`` and the class constant
+    ``DATA_OVERHEAD``. Timing constants come from ``radio.phy``.
 
     **The request lifecycle.** When contention is won, the subclass calls
     ``_start_transmission``. That pops the next request and bumps the
@@ -171,6 +172,8 @@ class MacProtocol(ABC):
     #: trace events (RMAC's vocabulary; the 802.11 family traces no MAC
     #: events).
     TRACES_REQUESTS = False
+    #: MAC header + FCS bytes on the family's data frames (frames.py).
+    DATA_OVERHEAD: ClassVar[int]
 
     def __init__(
         self,
@@ -368,7 +371,7 @@ class MacProtocol(ABC):
             payload_bytes=request.payload_bytes,
             reliable=reliable,
             payload=request.payload,
-            overhead=self.config.data_overhead,
+            overhead=self.DATA_OVERHEAD,
         )
 
     def _on_unreliable_sent(self, frame: object, aborted: bool) -> None:

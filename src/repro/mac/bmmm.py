@@ -74,7 +74,7 @@ class BmmmProtocol(Dot11Base):
     def _send_next_rts(self) -> None:
         if self._round_index >= len(self._round_receivers):
             self._phase = "data"
-            self.sim.after(self.config.phy.sifs, self._send_data, label="sifs-data")
+            self.sim.after(self.radio.phy.sifs, self._send_data, label="sifs-data")
             return
         receiver = self._round_receivers[self._round_index]
         rts = RtsFrame(self.node_id, receiver, aux=self._nav_remaining_us())
@@ -93,15 +93,15 @@ class BmmmProtocol(Dot11Base):
         self._round_index += 1
         if self._round_index < len(self._round_receivers):
             self._phase = "rts"
-            self.sim.after(self.config.phy.sifs, self._send_next_rts, label="sifs-rts")
+            self.sim.after(self.radio.phy.sifs, self._send_next_rts, label="sifs-rts")
         else:
             self._phase = "data"
-            self.sim.after(self.config.phy.sifs, self._send_data, label="sifs-data")
+            self.sim.after(self.radio.phy.sifs, self._send_data, label="sifs-data")
 
     # -- DATA --------------------------------------------------------------
     def _send_data(self) -> None:
         if self.radio.is_transmitting:  # extremely rare; retry one SIFS later
-            self.sim.after(self.config.phy.sifs, self._send_data, label="sifs-data")
+            self.sim.after(self.radio.phy.sifs, self._send_data, label="sifs-data")
             return
         frame = self._data_frame(BROADCAST, reliable=True)
         self.stats.count_tx("RDATA")
@@ -110,7 +110,7 @@ class BmmmProtocol(Dot11Base):
     def _on_data_sent(self, frame: object, aborted: bool) -> None:
         self._round_index = 0
         self._phase = "rak"
-        self.sim.after(self.config.phy.sifs, self._send_next_rak, label="sifs-rak")
+        self.sim.after(self.radio.phy.sifs, self._send_next_rak, label="sifs-rak")
 
     # -- RAK/ACK sequence ---------------------------------------------------
     def _send_next_rak(self) -> None:
@@ -118,7 +118,7 @@ class BmmmProtocol(Dot11Base):
             self._finish_round()
             return
         if self.radio.is_transmitting:
-            self.sim.after(self.config.phy.sifs, self._send_next_rak, label="sifs-rak")
+            self.sim.after(self.radio.phy.sifs, self._send_next_rak, label="sifs-rak")
             return
         receiver = self._round_receivers[self._round_index]
         rak = RakFrame(self.node_id, receiver, aux=self._seq)
@@ -126,7 +126,7 @@ class BmmmProtocol(Dot11Base):
 
     def _on_rak_sent(self, frame: object, aborted: bool) -> None:
         self._phase = "wait-ack"
-        self._phase_timer.start(self.config.response_timeout(AckFrame.SIZE))
+        self._phase_timer.start(self.response_timeout(AckFrame.SIZE))
 
     def _handle_ack(self, frame: AckFrame) -> None:
         if self._phase != "wait-ack" or frame.receiver != self.node_id:
@@ -143,7 +143,7 @@ class BmmmProtocol(Dot11Base):
         self._round_index += 1
         if self._round_index < len(self._round_receivers):
             self._phase = "rak"
-            self.sim.after(self.config.phy.sifs, self._send_next_rak, label="sifs-rak")
+            self.sim.after(self.radio.phy.sifs, self._send_next_rak, label="sifs-rak")
         else:
             self._finish_round()
 
@@ -162,7 +162,7 @@ class BmmmProtocol(Dot11Base):
 
     def _nav_remaining_us(self) -> int:
         """Nominal remaining transaction time, for third-party NAVs."""
-        phy = self.config.phy
+        phy = self.radio.phy
         request = self._request
         n = len(self._round_receivers)
         i = self._round_index
@@ -171,7 +171,7 @@ class BmmmProtocol(Dot11Base):
         rts = phy.frame_airtime(RtsFrame.SIZE)
         rak = phy.frame_airtime(RakFrame.SIZE)
         ack = phy.frame_airtime(AckFrame.SIZE)
-        data = phy.frame_airtime(request.payload_bytes + self.config.data_overhead)
+        data = phy.frame_airtime(request.payload_bytes + self.DATA_OVERHEAD)
         remaining = (sifs + cts)  # the CTS answering this RTS
         remaining += (n - i - 1) * (sifs + rts + sifs + cts)
         remaining += sifs + data

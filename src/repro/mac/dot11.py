@@ -30,7 +30,7 @@ CTS) and ``_send_data_after_sifs``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.mac.backoff import Backoff, SlotCountdown
@@ -47,7 +47,6 @@ from repro.mac.frames import (
     RtsFrame,
 )
 from repro.phy.channel import Transmission
-from repro.phy.params import DEFAULT_PHY, PhyParams
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
@@ -60,34 +59,25 @@ CONTROL_FRAMES = frozenset(
     (RtsFrame, CtsFrame, AckFrame, RakFrame, NctsFrame, NakFrame, MrtsFrame))
 
 
+#: Extra slack added to CTS/ACK timeouts beyond SIFS + airtime + 2 tau.
+RESPONSE_GUARD = 2 * US
+
+
 @dataclass(frozen=True)
 class Dot11Config:
-    """Parameters for the 802.11-family protocols."""
+    """Parameters for the 802.11-family protocols (timing is the PHY's)."""
 
-    phy: PhyParams = field(default_factory=lambda: DEFAULT_PHY)
     #: Retry limit per packet (802.11 short retry limit).
     retry_limit: int = 7
     queue_capacity: Optional[int] = None
-    #: MAC header + FCS bytes on data frames (802.11: 24 + 4).
-    data_overhead: int = DOT11_DATA_OVERHEAD
-    #: Extra slack added to CTS/ACK timeouts beyond SIFS + airtime + 2 tau.
-    response_guard: int = 2 * US
-    tau: int = 1 * US
-
-    def response_timeout(self, response_bytes: int) -> int:
-        """Timeout armed at the end of the soliciting frame's transmission."""
-        return (
-            self.phy.sifs
-            + self.phy.frame_airtime(response_bytes)
-            + 2 * self.tau
-            + self.response_guard
-        )
 
 
 class Dot11Base(MacProtocol):
     """Shared DCF machinery: DIFS + backoff contention, NAV, responders."""
 
     NAME = "dot11-base"
+    #: MAC header + FCS bytes on data frames (802.11: 24 + 4).
+    DATA_OVERHEAD = DOT11_DATA_OVERHEAD
 
     def __init__(
         self,
@@ -106,7 +96,7 @@ class Dot11Base(MacProtocol):
             queue_capacity=self.config.queue_capacity,
             tracer=tracer,
         )
-        phy = self.config.phy
+        phy = radio.phy
         self.backoff = Backoff(rng, phy.cw_min, phy.cw_max)
         self.nav_until: int = 0
         #: The countdown spanning the idle slots between ticks, as in
@@ -121,6 +111,12 @@ class Dot11Base(MacProtocol):
         #: The sender side's phase of the exchange: anything but
         #: ``"idle"`` means a transaction owns the node.
         self._phase = "idle"
+
+    def response_timeout(self, response_bytes: int) -> int:
+        """Timeout armed at the end of the soliciting frame's transmission."""
+        phy = self.radio.phy
+        return (phy.sifs + phy.frame_airtime(response_bytes)
+                + 2 * phy.max_propagation_delay + RESPONSE_GUARD)
 
     @property
     def in_txn(self) -> bool:
@@ -147,7 +143,7 @@ class Dot11Base(MacProtocol):
             # already been idle for DIFS when the frame arrives; otherwise
             # the station must perform a backoff. Without the draw, sibling
             # receivers forwarding the same multicast all fire at once.
-            if self.backoff.bi == 0 and self._idle_duration() < self.config.phy.difs:
+            if self.backoff.bi == 0 and self._idle_duration() < self.radio.phy.difs:
                 self.backoff.draw()
             self._tick_pending = True
             sim = self.sim
@@ -158,7 +154,7 @@ class Dot11Base(MacProtocol):
         self._tick_pending = False
         if self._phase != "idle":
             return
-        phy = self.config.phy
+        phy = self.radio.phy
         if self.radio.is_transmitting:  # mid-response; try again next slot
             self._ensure_tick(phy.slot_time)
             return
@@ -198,7 +194,7 @@ class Dot11Base(MacProtocol):
     def _on_medium_cleared(self) -> None:
         self._idle_wait_pending = False
         if self._phase == "idle" and (self.backoff.bi > 0 or self._has_work()):
-            self._ensure_tick(self.config.phy.slot_time)
+            self._ensure_tick(self.radio.phy.slot_time)
 
     def _enter_contention(self, draw: bool) -> None:
         self._phase = "idle"
@@ -206,7 +202,7 @@ class Dot11Base(MacProtocol):
         if draw:
             self.backoff.draw()
         if self.backoff.bi > 0 or self._has_work():
-            self._ensure_tick(self.config.phy.slot_time)
+            self._ensure_tick(self.radio.phy.slot_time)
 
     # ==================================================================
     # Frame transmission helpers
@@ -225,7 +221,7 @@ class Dot11Base(MacProtocol):
         """Queue a SIFS-separated response (CTS/ACK/...). Responses preempt
         contention; if the radio is mid-transmission when the SIFS elapses
         the response is dropped, as on real hardware."""
-        self.sim.after(self.config.phy.sifs, _Responder(self, frame), label="sifs-response")
+        self.sim.after(self.radio.phy.sifs, _Responder(self, frame), label="sifs-response")
 
     def _emit_response(self, frame: object) -> None:
         if self.radio.is_transmitting:
@@ -245,7 +241,7 @@ class Dot11Base(MacProtocol):
             callback(frame, aborted)
         if self._phase == "idle" and (self.backoff.bi > 0 or self._has_work()):
             # e.g. a CTS/ACK response finished while our own traffic waits.
-            self._ensure_tick(self.config.phy.slot_time)
+            self._ensure_tick(self.radio.phy.slot_time)
 
     # ==================================================================
     # Receive path
@@ -311,14 +307,14 @@ class Dot11Base(MacProtocol):
 
     def _on_rts_sent(self, frame: object, aborted: bool) -> None:
         self._phase = "wait-cts"
-        self._phase_timer.start(self.config.response_timeout(CtsFrame.SIZE))
+        self._phase_timer.start(self.response_timeout(CtsFrame.SIZE))
 
     def _send_data_after_sifs(self, dst: int) -> None:
         """Send the reliable data frame to ``dst`` one SIFS from now."""
         data = self._data_frame(dst, reliable=True)
         self._phase = "send-data"
         self.sim.after(
-            self.config.phy.sifs,
+            self.radio.phy.sifs,
             lambda: self._send_frame(data, self._on_data_sent),
             label="sifs-data",
         )
@@ -326,7 +322,7 @@ class Dot11Base(MacProtocol):
     def _on_data_sent(self, frame: object, aborted: bool) -> None:
         self.stats.count_tx("RDATA")
         self._phase = "wait-ack"
-        self._phase_timer.start(self.config.response_timeout(AckFrame.SIZE))
+        self._phase_timer.start(self.response_timeout(AckFrame.SIZE))
 
     def _on_phase_timeout(self) -> None:
         if self._phase in ("wait-cts", "wait-ack"):
@@ -389,12 +385,12 @@ class Dot11Dcf(Dot11Base):
 
     def _attempt(self, request: SendRequest) -> None:
         self._phase = "tx-rts"
-        phy = self.config.phy
+        phy = self.radio.phy
         # NAV covers CTS + DATA + ACK with SIFS gaps.
         nav = (
             3 * phy.sifs
             + phy.frame_airtime(CtsFrame.SIZE)
-            + phy.frame_airtime(request.payload_bytes + self.config.data_overhead)
+            + phy.frame_airtime(request.payload_bytes + self.DATA_OVERHEAD)
             + phy.frame_airtime(AckFrame.SIZE)
         )
         rts = RtsFrame(self.node_id, request.receivers[0], aux=min(0xFFFF, nav // US))
@@ -421,7 +417,7 @@ class Dot11Dcf(Dot11Base):
             return  # virtual carrier sense forbids the CTS
         if self.radio.is_transmitting or self.in_txn:
             return
-        phy = self.config.phy
+        phy = self.radio.phy
         nav = max(0, frame.aux * US - phy.sifs - phy.frame_airtime(CtsFrame.SIZE))
         self._respond_after_sifs(CtsFrame(self.node_id, frame.transmitter, aux=nav // US))
 

@@ -36,12 +36,10 @@ class MxProtocol(Dot11Base):
 
     NAME = "mx"
 
-    #: NAK tone window/duration: 2 tau + lambda, as for RMAC's ABT.
-    NAK_WINDOW = 17 * US
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: Ends the NAK window, ``NAK_WINDOW`` after the data frame.
+        #: Ends the NAK window, one ``phy.l_abt`` (2 tau + lambda, as for
+        #: RMAC's ABT) after the data frame; a NAK pulse lasts as long.
         self._nak_timer = Timer(self.sim, self._on_nak_window_done, "nak-window")
         # Receiver side: the announcing sender whose data frame is due,
         # and the wait for its first bit. While ``_expect_from`` is set,
@@ -66,15 +64,16 @@ class MxProtocol(Dot11Base):
     def _on_data_sent(self, frame: object, aborted: bool) -> None:
         self.stats.count_tx("RDATA")
         self._phase = "nak-window"
-        self._nak_timer.start(self.NAK_WINDOW)
+        self._nak_timer.start(self.radio.phy.l_abt)
 
     def _on_nak_window_done(self) -> None:
         now = self.sim.now
+        phy = self.radio.phy
         nak = (
-            self.radio.tone_longest_presence(ToneType.ABT, now - self.NAK_WINDOW, now)
-            >= self.config.phy.cca_time
+            self.radio.tone_longest_presence(ToneType.ABT, now - phy.l_abt, now)
+            >= phy.cca_time
         )
-        self.stats.abt_check_time += self.NAK_WINDOW
+        self.stats.abt_check_time += phy.l_abt
         if nak:
             self._attempt_failed()
         else:
@@ -92,8 +91,9 @@ class MxProtocol(Dot11Base):
             if not self.in_txn:
                 self._expect_from = frame.transmitter
                 # DATA follows after SIFS; generous guard.
+                phy = self.radio.phy
                 self._expect_timer.start(
-                    self.config.phy.sifs + 2 * self.config.tau + 4 * US
+                    phy.sifs + 2 * phy.max_propagation_delay + 4 * US
                 )
 
     def on_rx_start(self, sender: int) -> None:
@@ -122,4 +122,4 @@ class MxProtocol(Dot11Base):
     def _nak_pulse(self) -> None:
         channel = self.radio.tone_channel(ToneType.ABT)
         if not channel.is_emitting(self.node_id):
-            self.radio.tone_pulse(ToneType.ABT, self.NAK_WINDOW)
+            self.radio.tone_pulse(ToneType.ABT, self.radio.phy.l_abt)

@@ -9,8 +9,15 @@ constants:
 * an ACK frame (14 bytes) at 2 Mb/s -> 56 us of MAC payload airtime
 * slot time 20 us, CCA 15 us, SIFS 10 us, DIFS = SIFS + 2*slot = 50 us
 
-RMAC reuses the slot time and CCA (lambda = 15 us) but drops SIFS/DIFS/NAV;
-the 802.11-family baselines (DCF, BMMM, BMW, LBP) use all of them.
+Section 3.3's busy-tone timing lives here and nowhere else: tau =
+``max_propagation_delay`` (1 us), lambda = ``cca_time`` (15 us) and
+``l_abt`` = 2 tau + lambda (17 us: one ABT window, |Twf_rbt|, MX's NAK
+window, the base of |Twf_rdata| and the divisor of the 352/17 receiver
+cap). Every MAC reads them from its radio's ``phy``, and
+:mod:`repro.analysis` takes the same object.
+
+RMAC reuses the slot time and CCA but drops SIFS/DIFS/NAV; the
+802.11-family baselines (DCF, BMMM, BMW, LAMM, LBP, MX) use all of them.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ class PhyParams:
     plcp_header_bits: int = 48
     #: Backoff slot time in ns (802.11b: 20 us).
     slot_time: int = 20 * US
-    #: Clear Channel Assessment / busy-tone detection time in ns (15 us).
+    #: Clear Channel Assessment / busy-tone detection time lambda in ns (15 us).
     cca_time: int = 15 * US
     #: Short interframe space in ns (802.11b: 10 us).
     sifs: int = 10 * US
@@ -51,6 +58,9 @@ class PhyParams:
     cw_max: int = 1023
 
     def __post_init__(self) -> None:
+        if self.max_propagation_delay <= 0 or self.cca_time <= 0:
+            raise ValueError("max_propagation_delay (tau) and cca_time "
+                             "(lambda) must be positive")
         # frame_airtime's memo, size -> ns. Not a field: equality, hash,
         # repr and asdict (the config hash) see the parameters only.
         object.__setattr__(self, "_airtime", {})
@@ -63,6 +73,11 @@ class PhyParams:
     def difs(self) -> int:
         """DIFS = SIFS + 2 * slot (802.11): 50 us with 802.11b numbers."""
         return self.sifs + 2 * self.slot_time
+
+    @property
+    def l_abt(self) -> int:
+        """2 tau + lambda: one ABT window (17 us with the paper's values)."""
+        return 2 * self.max_propagation_delay + self.cca_time
 
     @property
     def phy_overhead(self) -> int:

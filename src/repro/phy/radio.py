@@ -28,6 +28,9 @@ class Radio:
         self.node_id = node_id
         #: The shared data channel this radio transmits and senses on.
         self.data_channel = data_channel
+        #: The data channel's PHY: the one source of the timing constants
+        #: (slot, SIFS, tau, lambda, 2 tau + lambda) its MAC reads.
+        self.phy: PhyParams = data_channel.phy
         self._tones = dict(tones)
         # Direct RBT/ABT references: Enum.__hash__ is a Python-level call,
         # so dict-by-enum lookups showed up in profiles of the tone hot
@@ -50,10 +53,6 @@ class Radio:
         callbacks: the channel calls it directly, with no hop through
         the radio on the arrival hot path."""
         self.data_channel.attach(self.node_id, listener)
-
-    @property
-    def phy(self) -> PhyParams:
-        return self.data_channel.phy
 
     def frame_airtime(self, frame: object) -> int:
         """Airtime (ns) of ``frame`` including the PHY preamble/header."""

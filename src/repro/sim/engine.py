@@ -232,6 +232,9 @@ class EventHandle:
         return not self._cancelled and not self._fired
 
     def __lt__(self, other: "EventHandle") -> bool:
+        # Reached only on a tie: a reserved position scheduled again
+        # (``Simulator.at_seq``) after its first handle was cancelled
+        # stores both entries until the cancelled one pops.
         return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -255,12 +258,12 @@ class Simulator:
     def __init__(self) -> None:
         #: The event heap of ``(time, seq, item)`` entries. Ordering
         #: comparisons run entirely in C (time and seq are ints; seq is
-        #: unique, so the item itself is never compared) -- profiling
-        #: showed Python-level ``__lt__`` dominating queue churn
-        #: otherwise. ``item`` is an :class:`EventHandle` (cancellable)
-        #: or a bare :class:`FastEvent` callable (a :class:`_FanOut`
-        #: batch is one). Only ever mutated in place: the run loop holds
-        #: a local reference.
+        #: unique but for a cancelled entry, see ``EventHandle.__lt__``)
+        #: -- profiling showed Python-level ``__lt__`` dominating queue
+        #: churn otherwise. ``item`` is an :class:`EventHandle`
+        #: (cancellable) or a bare :class:`FastEvent` callable (a
+        #: :class:`_FanOut` batch is one). Only ever mutated in place:
+        #: the run loop holds a local reference.
         self._queue: list = []
         #: Lazily-cancelled entries still stored in ``_queue``.
         self._cancelled = 0

@@ -135,13 +135,13 @@ def register_protocol(name: str, factory: MacFactory) -> None:
 
 
 def _make_rmac(node_id: int, tb: MacTestbed, rng: random.Random, overrides: dict):
-    config = RmacConfig(phy=tb.phy, **overrides)
+    config = RmacConfig(**overrides)
     return RmacProtocol(node_id, tb.sim, tb.radios[node_id], rng, config, tracer=tb.tracer)
 
 
 def _dot11_family(cls):
     def factory(node_id: int, tb: MacTestbed, rng: random.Random, overrides: dict):
-        config = Dot11Config(phy=tb.phy, **overrides)
+        config = Dot11Config(**overrides)
         return cls(node_id, tb.sim, tb.radios[node_id], rng, config, tracer=tb.tracer)
 
     return factory

@@ -18,7 +18,7 @@ from repro.world.testbed import MacTestbed
 def make_rmac_testbed(coords, seed=1, config=None, **tb_kwargs):
     """A testbed with one RmacProtocol per node."""
     tb = MacTestbed(coords=coords, seed=seed, **tb_kwargs)
-    cfg = config or RmacConfig(phy=tb.phy)
+    cfg = config or RmacConfig()
     tb.build_macs(
         lambda i, t: RmacProtocol(i, t.sim, t.radios[i], t.node_rng(i), cfg, tracer=t.tracer)
     )
@@ -38,7 +38,7 @@ _DOT11_CLASSES = {
 def make_dot11_testbed(coords, protocol="dot11", seed=1, config=None, **tb_kwargs):
     """A testbed with one 802.11-family MAC per node."""
     tb = MacTestbed(coords=coords, seed=seed, **tb_kwargs)
-    cfg = config or Dot11Config(phy=tb.phy)
+    cfg = config or Dot11Config()
     cls = _DOT11_CLASSES[protocol]
     tb.build_macs(
         lambda i, t: cls(i, t.sim, t.radios[i], t.node_rng(i), cfg, tracer=t.tracer)

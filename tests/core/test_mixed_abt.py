@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import RmacConfig, RmacProtocol
 from repro.phy.busytone import ToneType
+from repro.phy.params import DEFAULT_PHY
 from repro.sim.trace import Tracer
 from repro.sim.units import MS, US
 
@@ -71,9 +72,9 @@ def test_receiver_cap_limits_window_span():
     ABT-collection span exceeds 20 windows = 340 us < 352 us (the
     shortest neighboring exchange)."""
     config = RmacConfig()
-    assert config.max_receivers * config.l_abt < 352 * US
+    assert config.max_receivers * DEFAULT_PHY.l_abt < 352 * US
 
 
 def test_raised_cap_would_violate_the_bound():
     config = RmacConfig(max_receivers=25)
-    assert config.max_receivers * config.l_abt > 352 * US
+    assert config.max_receivers * DEFAULT_PHY.l_abt > 352 * US

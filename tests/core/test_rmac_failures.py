@@ -108,7 +108,7 @@ def test_receiver_releases_rbt_when_data_never_comes():
     offs = [e for e in tb.tracer.events if e.kind == "rbt-off" and e.node == 1]
     assert len(ons) == 1 and len(offs) == 1
     cfg = RmacConfig()
-    assert offs[0].time - ons[0].time == cfg.twf_rdata
+    assert offs[0].time - ons[0].time == tb.phy.l_abt + cfg.rdata_guard
     assert tb.macs[1].state in (RmacState.IDLE, RmacState.BACKOFF)
     assert not tb.radios[1].tone_emitting(ToneType.RBT)
 

@@ -280,3 +280,35 @@ def test_serve_endpoint(tmp_path):
         server.shutdown()
         server.server_close()
         thread.join()
+
+
+def test_serve_answers_an_unreadable_store_with_its_reason(tmp_path):
+    """A SINR manifest written before the ``interference`` switch was
+    dropped: both pages answer an HTTP error whose body is the one line
+    ``repro campaign status`` prints, and the server keeps serving."""
+    from repro.experiments.scenarios import sinr_preset
+
+    sinr = sinr_preset("unitdisk").to_dict()
+    sinr["interference"] = True
+    root = str(tmp_path / "old_store")
+    ResultStore(root).write_manifest({
+        "protocols": ["rmac"], "scenarios": ["stationary"], "rates": [20],
+        "seeds": [1], "scale": "smoke", "sinr": sinr})
+    server = make_status_server(root, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        base = "http://127.0.0.1:%d" % server.server_address[1]
+        for page in ("/status", "/"):
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                urllib.request.urlopen(base + page)
+            assert exc.value.code == 500
+            body = exc.value.read().decode()
+            exc.value.close()
+            assert body.count("\n") == 1
+            assert body.startswith(f"result store {root!r} cannot be read")
+            assert "['interference']" in body
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()

@@ -50,7 +50,7 @@ def rmac_per_slot_tick(self: RmacProtocol) -> None:
         if not self._tick_pending:
             self._tick_pending = True
             sim = self.sim
-            sim.schedule_fast(sim.now + self.config.phy.slot_time, self._tick_event)
+            sim.schedule_fast(sim.now + self.radio.phy.slot_time, self._tick_event)
     else:
         if state is not RmacState.IDLE:
             self._set_state(RmacState.IDLE)  # C9: suspended, BI kept
@@ -63,7 +63,7 @@ def dcf_per_slot_tick(self: Dot11Base) -> None:
     self._tick_pending = False
     if self._phase != "idle":
         return
-    phy = self.config.phy
+    phy = self.radio.phy
     if self.radio.is_transmitting:  # mid-response; try again next slot
         self._ensure_tick(phy.slot_time)
         return

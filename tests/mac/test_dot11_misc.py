@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.mac.dot11 import Dot11Config
 from repro.sim.trace import Tracer
 from repro.sim.units import MS, US
 
@@ -20,10 +19,10 @@ def test_broadcast_defers_under_nav():
 
 
 def test_response_timeout_formula():
-    config = Dot11Config()
-    # SIFS + airtime(CTS) + 2 tau + guard.
+    tb = make_dot11_testbed(TRIANGLE, protocol="dot11", seed=1)
+    # SIFS + airtime(CTS) + 2 tau + guard, tau read from the radio's PHY.
     expected = 10 * US + (96 + 56) * US + 2 * US + 2 * US
-    assert config.response_timeout(14) == expected
+    assert tb.macs[0].response_timeout(14) == expected
 
 
 def test_idle_duration_blends_physical_and_virtual():

@@ -91,9 +91,10 @@ def test_announcement_without_data_naks(monkeypatch):
             # Pretend the data went out and ended just as the receivers'
             # expectation times out, so their NAK fills the NAK window.
             self._phase = "nak-window"
-            expect_timeout = self.config.phy.sifs + 2 * self.config.tau + 4 * US
+            phy = self.radio.phy
+            expect_timeout = phy.sifs + 2 * phy.max_propagation_delay + 4 * US
             self.sim.after(expect_timeout,
-                           lambda: self._nak_timer.start(self.NAK_WINDOW))
+                           lambda: self._nak_timer.start(phy.l_abt))
             return
         original(self, frame, aborted)
 

@@ -204,7 +204,7 @@ def test_oracle_violation_count_lands_in_summary():
 def _reliable_send_testbed(faults=None) -> MacTestbed:
     tb = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)], seed=7,
                     tracer=Tracer(enabled=True), faults=faults)
-    config = RmacConfig(phy=tb.phy)
+    config = RmacConfig()
     tb.build_macs(lambda i, t: RmacProtocol(i, t.sim, t.radios[i],
                                             t.node_rng(i), config,
                                             tracer=t.tracer))

@@ -475,6 +475,21 @@ def test_at_seq_handle_cancels_like_any_other():
     assert log == [] and sim.events_processed == 0
 
 
+def test_at_seq_position_scheduled_again_after_a_cancel_runs_once():
+    """A busy-tone waiter dropped and registered again schedules the same
+    reserved position twice; the cancelled entry stays stored next to the
+    live one, so the heap compares the two handles."""
+    sim = Simulator()
+    log = []
+    seq0 = sim.reserve(0, (3,))
+    sim.at_seq(3, seq0, lambda: log.append("dropped")).cancel()
+    sim.at_seq(3, seq0, lambda: log.append("again"))
+    sim.at(1, lambda: None)
+    sim.at(5, lambda: None)
+    sim.run()
+    assert log == ["again"] and sim.events_processed == 3
+
+
 def test_at_seq_rejects_a_seq_never_reserved():
     sim = Simulator()
     seq0 = sim.reserve(0, (3, 4))

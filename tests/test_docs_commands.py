@@ -7,6 +7,7 @@ flag without updating the docs fails tier-1, not just the CI step.
 
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
@@ -34,6 +35,26 @@ def test_repo_docs_have_no_stale_commands(parser):
         check_docs.default_files(str(ROOT)), parser)
     assert problems == []
     assert total >= 6  # the extractor must actually be finding commands
+
+
+def _python_blocks(markdown):
+    """The bodies of every ```python fenced block, in order."""
+    return re.findall(r"^```python\n(.*?)^```$", markdown, re.S | re.M)
+
+
+def test_readme_python_blocks_run(capsys):
+    """README's library examples run as printed: the quickstart prints
+    its two ratios and the MAC-only example delivers to B."""
+    blocks = _python_blocks((ROOT / "README.md").read_text())
+    assert len(blocks) == 2
+    outputs = []
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+        outputs.append(capsys.readouterr().out.splitlines())
+    quickstart, mac_only = outputs
+    assert len(quickstart) == 2
+    assert all(0.0 <= float(line) <= 1.0 for line in quickstart)
+    assert mac_only == ["B got hello"]
 
 
 def test_valid_commands_pass(parser):

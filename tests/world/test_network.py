@@ -65,7 +65,7 @@ def test_custom_protocol_registration():
 
     def factory(node_id, tb, rng, overrides):
         return RmacProtocol(node_id, tb.sim, tb.radios[node_id], rng,
-                            RmacConfig(phy=tb.phy))
+                            RmacConfig())
 
     register_protocol("custom-rmac", factory)
     try:

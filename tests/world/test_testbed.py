@@ -75,7 +75,7 @@ def test_rmac_protocol_over_log_distance_model():
     # nodes inside.
     tb = MacTestbed(coords=[(0, 0), (20, 0), (0, 20)],
                     sinr=SinrConfig(propagation="logdistance"))
-    cfg = RmacConfig(phy=tb.phy)
+    cfg = RmacConfig()
     tb.build_macs(lambda i, t: RmacProtocol(i, t.sim, t.radios[i],
                                             t.node_rng(i), cfg))
     got = []
