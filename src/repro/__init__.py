@@ -25,10 +25,16 @@ Quickstart::
         protocol="rmac", n_nodes=40, rate_pps=10, n_packets=100, seed=1,
     )).run()
     print(summary.delivery_ratio)
+
+Importing the package loads the simulator only. ``run_point`` and
+``run_sweep`` resolve on first access (PEP 562), as every name of
+:mod:`repro.experiments` does, so a process that builds and runs a
+network never loads the campaign farm, the result store or
+``multiprocessing``; and SHA-256 comes from the interpreter's built-in
+module (:mod:`repro.sim.rng`), not from ``hashlib`` and OpenSSL.
 """
 
 from repro.core import RmacConfig, RmacProtocol
-from repro.experiments import run_point, run_sweep
 from repro.mac.base import BROADCAST, MacProtocol, SendOutcome, SendRequest
 from repro.metrics import MetricsCollector, RunSummary, summarize
 from repro.sim import Simulator
@@ -42,6 +48,20 @@ from repro.world.network import (
 from repro.world.testbed import MacTestbed
 
 __version__ = "1.0.0"
+
+#: Names resolved from :mod:`repro.experiments` on first access.
+_LAZY = ("run_point", "run_sweep")
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro import experiments
+
+    value = getattr(experiments, name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "RmacConfig",

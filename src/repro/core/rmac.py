@@ -265,7 +265,8 @@ class RmacProtocol(MacProtocol):
             self._current_tx = self.radio.transmit(frame)
         else:
             # C12/C15: nobody heard the MRTS; back off and retransmit.
-            self.tracer.emit(self.sim.now, self.node_id, "no-rbt")
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.node_id, "no-rbt")
             self._attempt_failed()
 
     def _begin_abt_check(self, data_tx_end: int) -> None:
@@ -294,16 +295,21 @@ class RmacProtocol(MacProtocol):
             presence = self.radio.tone_longest_presence(ToneType.ABT, t0, t1)
             if presence >= phy.cca_time:
                 self._acked.append(receiver)
-                self.tracer.emit(self.sim.now, self.node_id, "abt-heard", receiver=receiver)
+                if self.tracer.enabled:
+                    self.tracer.emit(
+                        self.sim.now, self.node_id, "abt-heard", receiver=receiver
+                    )
             else:
                 still_pending.append(receiver)
         self._pending = still_pending
         if not still_pending:
             self._unit_succeeded()
         else:
-            self.tracer.emit(
-                self.sim.now, self.node_id, "abt-missing", receivers=tuple(still_pending)
-            )
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    self.sim.now, self.node_id, "abt-missing",
+                    receivers=tuple(still_pending),
+                )
             self._attempt_failed()
 
     # ------------------------------------------------------------------
@@ -328,7 +334,8 @@ class RmacProtocol(MacProtocol):
             if aborted:
                 # C11: abortion counts as a failed attempt and retransmits.
                 self.stats.mrts_aborted += 1
-                self.tracer.emit(self.sim.now, self.node_id, "mrts-abort")
+                if self.tracer.enabled:
+                    self.tracer.emit(self.sim.now, self.node_id, "mrts-abort")
                 self._attempt_failed()
             else:
                 self._set_state(RmacState.WF_RBT)  # C17
@@ -372,7 +379,8 @@ class RmacProtocol(MacProtocol):
         if self.state is RmacState.WF_RDATA and self._rx_first_bit:
             # The protected data frame was corrupted anyway (e.g. truncated
             # by an aborting neighbor); give up, no ABT.
-            self.tracer.emit(self.sim.now, self.node_id, "rdata-error")
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.node_id, "rdata-error")
             self._receiver_finish(success=False)
 
     # ------------------------------------------------------------------
@@ -395,14 +403,16 @@ class RmacProtocol(MacProtocol):
         self.countdown.interrupt()
         self._set_state(RmacState.WF_RDATA)  # C3
         self.radio.tone_on(ToneType.RBT)
-        self.tracer.emit(self.sim.now, self.node_id, "rbt-on-rx",
-                         index=mrts.index_of(self.node_id))
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.node_id, "rbt-on-rx",
+                             index=mrts.index_of(self.node_id))
         # |Twf_rdata| = 2 tau + lambda plus the guard (see RmacConfig).
         self._twf_rdata.start(self.radio.phy.l_abt + self.config.rdata_guard)
 
     def _on_twf_rdata_expired(self) -> None:
         assert self.state is RmacState.WF_RDATA
-        self.tracer.emit(self.sim.now, self.node_id, "rdata-timeout")
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.node_id, "rdata-timeout")
         self._receiver_finish(success=False)
 
     def _handle_reliable_data(self, frame: DataFrame) -> None:
@@ -420,10 +430,11 @@ class RmacProtocol(MacProtocol):
         l_abt = self.radio.phy.l_abt
         # Step 4: reply an ABT in the slot given by the MRTS ordering.
         delay = index * l_abt
-        self.tracer.emit(
-            self.sim.now, self.node_id, "abt-scheduled",
-            index=index, src=frame.src, slot_end=self.sim.now + delay + l_abt,
-        )
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.sim.now, self.node_id, "abt-scheduled",
+                index=index, src=frame.src, slot_end=self.sim.now + delay + l_abt,
+            )
         pulse = _AbtPulse(self.radio, l_abt)
         if delay == 0:
             pulse()

@@ -32,58 +32,51 @@ API reference for its layer):
 * :mod:`~repro.experiments.bench` — ``METRIC_FIELDS``, the
   ``RunSummary`` fields that pin a run's outcome. Performance is
   measured by ``benchmarks/e2e`` only (end to end, uninstrumented).
+
+Every public name below resolves on first access (PEP 562) from the one
+name -> submodule table ``_EXPORTS``, so ``from repro.experiments import
+CampaignFarm`` works as always, but importing the package, or
+:mod:`~repro.experiments.bench` or :mod:`~repro.experiments.scenarios`
+alone, loads no farm (``multiprocessing``, ``socket``), store, runner,
+figures or report: a simulation process pays only for what its run uses.
 """
 
-from repro.experiments.scenarios import (
-    PAPER_RATES,
-    SCENARIOS,
-    paper_scenario,
-    scaled_scenario,
-)
-from repro.experiments.store import (
-    ResultStore,
-    config_hash,
-    point_key,
-)
-from repro.experiments.farm import CampaignFarm, FarmCounters, farm_status
-from repro.experiments.runner import (
-    PointFailure,
-    SweepResult,
-    results_from_store,
-    run_point,
-    run_sweep,
-    sweep_failures,
-)
-from repro.experiments.figures import (
-    FIGURES,
-    FigureSpec,
-    figure_rows,
-    figure_rows_from_store,
-)
-from repro.experiments.report import format_table, render_status, rows_to_csv
+from importlib import import_module
 
-__all__ = [
-    "CampaignFarm",
-    "FarmCounters",
-    "PAPER_RATES",
-    "ResultStore",
-    "SCENARIOS",
-    "config_hash",
-    "farm_status",
-    "paper_scenario",
-    "point_key",
-    "scaled_scenario",
-    "PointFailure",
-    "SweepResult",
-    "results_from_store",
-    "run_point",
-    "run_sweep",
-    "sweep_failures",
-    "FIGURES",
-    "FigureSpec",
-    "figure_rows",
-    "figure_rows_from_store",
-    "format_table",
-    "render_status",
-    "rows_to_csv",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "PAPER_RATES": "scenarios",
+    "SCENARIOS": "scenarios",
+    "paper_scenario": "scenarios",
+    "scaled_scenario": "scenarios",
+    "ResultStore": "store",
+    "config_hash": "store",
+    "point_key": "store",
+    "CampaignFarm": "farm",
+    "FarmCounters": "farm",
+    "farm_status": "farm",
+    "PointFailure": "runner",
+    "SweepResult": "runner",
+    "results_from_store": "runner",
+    "run_point": "runner",
+    "run_sweep": "runner",
+    "sweep_failures": "runner",
+    "FIGURES": "figures",
+    "FigureSpec": "figures",
+    "figure_rows": "figures",
+    "figure_rows_from_store": "figures",
+    "format_table": "report",
+    "render_status": "report",
+    "rows_to_csv": "report",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -48,13 +48,13 @@ Compatibility rules:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import asdict
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.metrics.summary import RunSummary
+from repro.sim.rng import sha256
 
 #: Record schema version written by this code.
 SCHEMA_VERSION = 1
@@ -84,7 +84,7 @@ def canonical_config_json(config) -> str:
 def config_hash(config) -> str:
     """Stable fingerprint of a full scenario configuration: SHA-256 of
     its canonical JSON, truncated to 16 hex chars."""
-    return hashlib.sha256(
+    return sha256(
         canonical_config_json(config).encode()).hexdigest()[:16]
 
 

@@ -6,13 +6,30 @@ Giving each purpose (and each node) its own stream, derived from one
 master seed, means changing e.g. the traffic model does not perturb the
 backoff draws of an otherwise identical run. This mirrors how serious
 network simulators (ns-3, GloMoSim/Parsec) manage substreams.
+
+The module is also the package's one home of SHA-256: :func:`sha256`
+is the interpreter's built-in implementation (``_sha2`` on CPython
+3.12+, ``_sha256`` before), exactly as CPython's own :mod:`random`
+takes ``_sha512``, because ``hashlib`` loads OpenSSL's libcrypto
+(about 3.5 MiB of resident memory per process) for one digest. The
+digests are identical, so every derived seed and every store config
+hash (:func:`repro.experiments.store.config_hash` imports it from
+here) is the same whichever implementation a process gets.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Dict
+
+try:
+    # hashlib is heavy to load (OpenSSL); try the lean built-in first.
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 def derive_seed(master_seed: int, *names: object) -> int:
@@ -22,7 +39,7 @@ def derive_seed(master_seed: int, *names: object) -> int:
     Python versions and platforms (unlike ``hash()``).
     """
     key = repr((int(master_seed),) + tuple(str(n) for n in names)).encode()
-    digest = hashlib.sha256(key).digest()
+    digest = sha256(key).digest()
     return int.from_bytes(digest[:8], "little")
 
 
