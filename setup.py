@@ -1,9 +1,12 @@
 """Setup shim.
 
-The execution environment has no network access and no ``wheel`` package,
-so PEP-517 editable installs fail; this classic setup.py keeps
-``pip install -e .`` working through the legacy develop path. All project
-metadata lives in pyproject.toml and is mirrored here.
+``python setup.py develop`` installs the checkout in editable mode
+without network access or the ``wheel`` package; so does running from
+the repo root with ``PYTHONPATH=src`` and no install. ``pip install -e
+.`` does not work offline: pip's isolated build cannot fetch
+setuptools, and without ``wheel`` the non-isolated build stops at
+``invalid command 'bdist_wheel'``. All project metadata lives in
+pyproject.toml and is mirrored here.
 """
 
 from setuptools import find_packages, setup

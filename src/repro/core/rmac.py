@@ -107,14 +107,12 @@ class RmacProtocol(MacProtocol):
     def _channels_idle(self) -> bool:
         """Both the data channel and the RBT channel are idle (3.3.1).
 
-        The tones sensed are the countdown's (see
+        The media sensed are the countdown's (see
         :meth:`SlotCountdown.ignore_tone`).
         """
-        if self.radio.data_busy():
-            return False
         node = self.node_id
-        for tone in self.countdown.tones:
-            if tone.present(node):
+        for medium in self.countdown.media:
+            if medium.busy(node):
                 return False
         return True
 
@@ -179,12 +177,11 @@ class RmacProtocol(MacProtocol):
         if self._idle_wait_pending:
             return
         self._idle_wait_pending = True
-        if self.radio.data_busy():
-            self.radio.notify_data_idle(self._on_channel_cleared)
-        else:
-            node = self.node_id
-            tone = next(t for t in self.countdown.tones if t.present(node))
-            tone.notify_clear(node, self._on_channel_cleared)
+        node = self.node_id
+        for medium in self.countdown.media:
+            if medium.busy(node):
+                medium.notify_idle(node, self._on_channel_cleared)
+                return
 
     def _on_channel_cleared(self) -> None:
         # One of the two channels cleared; re-run the tick a slot later --

@@ -30,9 +30,10 @@ progress is reported.
   its config and the record is written by the same code.
 
 Liveness is observable while the farm runs: the coordinator maintains
-``DIR/farm.json`` and every worker heartbeats ``DIR/workers/worker-NN
-.json`` (atomic replace, one write per lease/completion), which is what
-``repro campaign serve --out DIR`` reads. :func:`farm_status` is the
+``DIR/farm.json`` (atomic replace), with each worker's pid, status,
+done count and last key under ``"workers"``, rewritten on every lease,
+outcome and death, which is what ``repro campaign serve --out DIR``
+reads. Workers write nothing. :func:`farm_status` is the
 one progress count of a store directory: ``repro campaign status`` and
 ``repro campaign serve`` both print it. The farm counters
 (done/requeued, worker deaths) are in ``farm.json`` under
@@ -69,14 +70,9 @@ from repro.experiments.store import (
 )
 from repro.metrics.summary import RunSummary
 
-#: Subdirectory holding one heartbeat JSON file per worker.
-WORKERS_DIR = "workers"
-#: Coordinator state file (started_at, totals, progress, state).
+#: Coordinator state file (started_at, totals, progress, state, workers).
 FARM_STATE = "farm.json"
 
-#: A worker heartbeat older than this is reported dead by the serve
-#: endpoint even if its pid still exists (e.g. a stopped process).
-HEARTBEAT_STALE_S = 30.0
 #: How long the coordinator waits on the result queue before it
 #: re-checks worker liveness.
 POLL_S = 0.2
@@ -109,18 +105,6 @@ def _write_json_atomic(path: str, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def _write_heartbeat(path: str, worker_id: int, done: int, status: str,
-                     last_key: Optional[str]) -> None:
-    _write_json_atomic(path, {
-        "worker": worker_id,
-        "pid": os.getpid(),
-        "time": time.time(),
-        "status": status,
-        "done": done,
-        "last_key": last_key,
-    })
-
-
 #: A job's final outcome: (summary, error, traceback, attempts) — the
 #: summary on success, else the last error and its formatted traceback.
 JobOutcome = Tuple[Optional[RunSummary], Optional[str], Optional[str], int]
@@ -144,20 +128,14 @@ def run_job(job: Job, retries: int) -> JobOutcome:
     return None, error, tb, attempts
 
 
-def _worker_main(worker_id: int, heartbeat_path: str, task_queue,
-                 result_queue, retries: int) -> None:
+def _worker_main(worker_id: int, task_queue, result_queue,
+                 retries: int) -> None:
     """One farm worker: lease → :func:`run_job` → send the outcome."""
-    done = 0
     while True:
         job = task_queue.get()
         if job is None:
-            _write_heartbeat(heartbeat_path, worker_id, done, "stopped", None)
             return
-        _write_heartbeat(heartbeat_path, worker_id, done, "leased", job.key)
-        outcome = run_job(job, retries)
-        done += 1
-        _write_heartbeat(heartbeat_path, worker_id, done, "idle", job.key)
-        result_queue.put((worker_id, job.key, outcome))
+        result_queue.put((worker_id, job.key, run_job(job, retries)))
 
 
 class CampaignFarm:
@@ -173,6 +151,9 @@ class CampaignFarm:
     def __init__(self, out):
         self.store = out if isinstance(out, ResultStore) else ResultStore(out)
         self.counters = FarmCounters()
+        #: One record per worker of the current run (``farm.json``'s
+        #: ``"workers"``): pid, status, done count, last key.
+        self._workers: List[dict] = []
 
     @property
     def path(self) -> str:
@@ -227,20 +208,24 @@ class CampaignFarm:
         total = len(jobs)
         counters = self.counters = FarmCounters(
             points_total=total, points_cached=len(cached))
+        self._workers = []
         if progress is not None:
             for done, key in enumerate(cached, start=1):
                 progress(done, total, key + " (cached)", None)
 
         outcomes: Dict[str, object] = dict(cached)
         started_at = last_state_write = time.time()
-        self._write_state("running", started_at, total, counters)
+
+        def write_state(state: str = "running") -> None:
+            nonlocal last_state_write
+            last_state_write = time.time()
+            self._write_state(state, started_at, total, counters)
 
         def write_state_if_due() -> None:
-            nonlocal last_state_write
-            now = time.time()
-            if now - last_state_write >= STATE_WRITE_S:
-                last_state_write = now
-                self._write_state("running", started_at, total, counters)
+            if time.time() - last_state_write >= STATE_WRITE_S:
+                write_state()
+
+        write_state()
 
         def finish(job: Job, outcome: JobOutcome) -> None:
             """Record a job's first completion: durable record,
@@ -267,14 +252,14 @@ class CampaignFarm:
         try:
             if n_workers:
                 self._execute_processes(to_run, n_workers, retries, finish,
-                                        write_state_if_due)
+                                        write_state, write_state_if_due)
             else:
                 for job in to_run:
                     finish(job, run_job(job, retries))
         except BaseException:
-            self._write_state("aborted", started_at, total, counters)
+            write_state("aborted")
             raise
-        self._write_state("done", started_at, total, counters)
+        write_state("done")
         return aggregate_points(
             ((job.protocol, job.scenario, job.rate_pps, job.seed),
              outcomes[job.key]) for job in jobs)
@@ -293,10 +278,10 @@ class CampaignFarm:
 
     # ------------------------------------------------------------------
     def _execute_processes(self, to_run, n_workers, retries, finish,
-                           write_state_if_due) -> None:
-        """The coordinator loop: dispatch, detect death, requeue."""
+                           write_state, write_state_if_due) -> None:
+        """The coordinator loop: dispatch, detect death, requeue. Every
+        lease, outcome and death is written to ``farm.json`` at once."""
         counters = self.counters
-        os.makedirs(os.path.join(self.path, WORKERS_DIR), exist_ok=True)
         jobs_by_key = {job.key: job for job in to_run}
         pending: Deque[Job] = deque(to_run)
 
@@ -304,17 +289,18 @@ class CampaignFarm:
         result_queue = ctx.Queue()
         task_queues = [ctx.Queue() for _ in range(n_workers)]
         procs: Dict[int, object] = {}
+        workers = self._workers
         for i in range(n_workers):
-            heartbeat = os.path.join(self.path, WORKERS_DIR,
-                                     f"worker-{i:02d}.json")
             proc = ctx.Process(
                 target=_worker_main,
-                args=(i, heartbeat, task_queues[i], result_queue, retries),
+                args=(i, task_queues[i], result_queue, retries),
                 daemon=True,
             )
             proc.start()
             procs[i] = proc
             counters.workers_spawned += 1
+            workers.append({"worker": i, "pid": proc.pid, "status": "idle",
+                            "done": 0, "last_key": None})
 
         leased: Dict[int, Job] = {}
         idle: Set[int] = set()
@@ -323,22 +309,27 @@ class CampaignFarm:
 
         def dispatch(worker_id: int) -> None:
             if pending:
-                leased[worker_id] = pending.popleft()
-                task_queues[worker_id].put(leased[worker_id])
+                job = leased[worker_id] = pending.popleft()
+                task_queues[worker_id].put(job)
+                workers[worker_id].update(status="leased", last_key=job.key)
             else:
                 idle.add(worker_id)
+                workers[worker_id]["status"] = "idle"
 
         try:
             for i in range(n_workers):
                 dispatch(i)
+            write_state()
             while len(completed) < len(to_run):
                 try:
                     message = result_queue.get(timeout=POLL_S)
                 except queue_module.Empty:
                     message = None
+                changed = message is not None
                 if message is not None:
                     worker_id, key, outcome = message
                     leased.pop(worker_id, None)
+                    workers[worker_id]["done"] += 1
                     if key not in completed:
                         completed.add(key)
                         job = jobs_by_key[key]
@@ -353,6 +344,8 @@ class CampaignFarm:
                         continue
                     dead.add(worker_id)
                     idle.discard(worker_id)
+                    workers[worker_id]["status"] = "dead"
+                    changed = True
                     counters.workers_died += 1
                     job = leased.pop(worker_id, None)
                     if job is not None and job.key not in completed:
@@ -366,9 +359,15 @@ class CampaignFarm:
                         f"{len(to_run) - len(completed)} point(s) "
                         f"unfinished; completed work is in the root "
                         f"store — re-run to resume")
-                write_state_if_due()
+                if changed:
+                    write_state()
+                else:
+                    write_state_if_due()
         finally:
+            # The caller's final farm.json write records these.
             for worker_id, proc in procs.items():
+                if worker_id not in dead:
+                    workers[worker_id]["status"] = "stopped"
                 if proc.is_alive():
                     task_queues[worker_id].put(None)
             for proc in procs.values():
@@ -390,6 +389,7 @@ class CampaignFarm:
             "updated_at": time.time(),
             "total": total,
             "counters": asdict(counters),
+            "workers": self._workers,
         })
 
 
@@ -414,7 +414,7 @@ def farm_status(out: str, now: Optional[float] = None,
     """One JSON-ready snapshot of a store directory's progress.
 
     Computed purely from on-disk state (the root store, its manifest,
-    heartbeats, ``farm.json``) so it works from any process at any
+    ``farm.json``) so it works from any process at any
     moment — during the run, after a crash, or long after completion.
     ``repro campaign status`` and ``repro campaign serve`` both print
     it; fields are documented in ``docs/campaign-farm.md`` ("The serve
@@ -484,30 +484,15 @@ def farm_status(out: str, now: Optional[float] = None,
         if missing is not None and points_per_sec > 0:
             eta_s = (missing + stale) / points_per_sec
 
-    workers = []
-    workers_dir = os.path.join(out, WORKERS_DIR)
-    if os.path.isdir(workers_dir):
-        for name in sorted(os.listdir(workers_dir)):
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(os.path.join(workers_dir, name)) as fh:
-                    beat = json.load(fh)
-            except (OSError, ValueError):
-                continue
-            age = now - beat.get("time", 0.0)
-            alive = (beat.get("status") not in ("stopped",)
-                     and _pid_alive(beat.get("pid"))
-                     and age < HEARTBEAT_STALE_S)
-            workers.append({
-                "worker": beat.get("worker"),
-                "pid": beat.get("pid"),
-                "status": beat.get("status"),
-                "alive": alive,
-                "age_s": round(age, 3),
-                "done": beat.get("done"),
-                "last_key": beat.get("last_key"),
-            })
+    # A worker is alive while it holds or awaits a lease, its pid
+    # exists, and so does the coordinator that records it: a killed
+    # coordinator leaves its last statuses behind.
+    coordinator_alive = _pid_alive(state.get("pid"))
+    workers = [
+        {**record, "alive": (coordinator_alive
+                             and record["status"] in ("leased", "idle")
+                             and _pid_alive(record["pid"]))}
+        for record in state.get("workers", ())]
 
     return {
         "state": state.get("state", "unknown"),
@@ -544,8 +529,7 @@ def render_farm_status(status: dict) -> str:
     for worker in status["workers"]:
         flag = "alive" if worker["alive"] else "dead"
         lines.append(f"worker {worker['worker']}: {flag} "
-                     f"({worker['status']}, {worker['done']} done, "
-                     f"heartbeat {worker['age_s']:.1f}s ago)")
+                     f"({worker['status']}, {worker['done']} done)")
     return "\n".join(lines) + "\n"
 
 

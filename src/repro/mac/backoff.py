@@ -30,7 +30,7 @@ so the countdown takes *busy notices* from everything that can:
 * the data channel, when a sensed arrival starts on an idle medium and
   when the node itself transmits (:meth:`DataChannel.notify_busy`);
 * each sensed tone channel (RMAC: the RBT), when the tone's presence at
-  the node goes from 0 to 1 (:meth:`BusyToneChannel.notify_present`);
+  the node goes from 0 to 1 (:meth:`BusyToneChannel.notify_busy`);
 * the protocol, for busy conditions only it knows about: an 802.11 NAV
   update, or an RMAC receiver committing to an MRTS (:meth:`interrupt`).
 
@@ -58,12 +58,13 @@ every per-slot tick, the very events this class removes.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 from repro.sim.engine import EventHandle, FastEvent, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.phy.busytone import BusyToneChannel, ToneType
+    from repro.phy.channel import DataChannel
     from repro.phy.radio import Radio
 
 
@@ -134,19 +135,23 @@ class SlotCountdown:
     ``tick`` is the protocol's :class:`BackoffTick`; ``tones`` are the
     busy-tone channels the protocol senses in contention besides the
     data channel (RMAC: the RBT channel; the 802.11 family: none).
+    Both kinds answer the same carrier-sense calls (``busy``,
+    ``notify_idle``, ``notify_busy``, ``cancel_notify_busy``), so the
+    countdown and the protocol's idle check sense :attr:`media`.
     """
 
     def __init__(self, sim: Simulator, radio: "Radio", backoff: Backoff,
                  slot_time: int, tick: BackoffTick,
                  tones: Sequence["BusyToneChannel"] = ()):
         self.sim = sim
-        self.radio = radio
         self.node = radio.node_id
         self.backoff = backoff
         self.slot_time = slot_time
         self.tick = tick
-        #: The tone channels that suspend the countdown (see ignore_tone).
-        self.tones: Tuple["BusyToneChannel", ...] = tuple(tones)
+        #: The media that suspend the countdown: the data channel, then
+        #: the sensed tone channels (see ignore_tone).
+        self.media: Tuple[Union["DataChannel", "BusyToneChannel"], ...] = (
+            (radio.data_channel,) + tuple(tones))
         #: The running countdown: its first slot boundary, the BI it
         #: started from, and the pending expiry (None when not running).
         self._start = 0
@@ -170,9 +175,8 @@ class SlotCountdown:
                               label="backoff-expiry")
         node = self.node
         notice = self._notice
-        self.radio.notify_data_busy(notice)
-        for tone in self.tones:
-            tone.notify_present(node, notice)
+        for medium in self.media:
+            medium.notify_busy(node, notice)
 
     def interrupt(self) -> None:
         """The busy notice: the medium turned busy at ``now``.
@@ -201,14 +205,15 @@ class SlotCountdown:
         """Stop sensing ``tone`` in contention.
 
         Its presence no longer suspends the countdown, and the protocol's
-        idle check (which reads :attr:`tones`) treats it as silent. This
+        idle check (which reads :attr:`media`) treats it as silent. This
         is the one way to model a node deaf to a busy tone, e.g. to show
         that RBT is what protects a reception from a hidden node.
         """
-        for channel in self.tones:
+        data, *tones = self.media
+        for channel in tones:
             if channel.tone is tone:
-                channel.cancel_notify_present(self.node)
-        self.tones = tuple(c for c in self.tones if c.tone is not tone)
+                channel.cancel_notify_busy(self.node)
+        self.media = (data,) + tuple(c for c in tones if c.tone is not tone)
 
     def _expire(self) -> None:
         self._expiry = None
@@ -219,6 +224,5 @@ class SlotCountdown:
 
     def _unsubscribe(self) -> None:
         node = self.node
-        self.radio.cancel_notify_data_busy()
-        for tone in self.tones:
-            tone.cancel_notify_present(node)
+        for medium in self.media:
+            medium.cancel_notify_busy(node)

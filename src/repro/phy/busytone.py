@@ -19,19 +19,28 @@ Semantics, following Section 3 of the paper:
     what lets the model reproduce the paper's "mixed-up ABT" phenomenon
     (Fig. 5) instead of assuming oracle knowledge.
 
+A tone channel is a medium in the data channel's sense: it answers the
+same carrier-sense calls (``busy``, ``notify_idle``, ``notify_busy``,
+``cancel_notify_busy``), so a MAC senses both through one loop.
+
 Presence is judged from the emissions themselves, not kept by events.
 Each emission is an :class:`~repro.phy.neighbors.Emission` over its
 listeners: it reserves the simulator seqs its per-listener on and off
 deltas would have taken as events (:meth:`Simulator.reserve`), and each
-listener keeps the emissions that reach it. ``present(node)`` asks
-whether an emission's on position has passed at the node and its off
-position has not (:meth:`Emission.live`), at the executing event's
-``(now, now_seq)``; a same-nanosecond event therefore sees a delta
-exactly when it would have run after it. The presence waiters
-(``notify_present`` / ``notify_clear``) cost one check event per
-reserved position of a listener that has a waiter, scheduled under that
-position's seq (:meth:`Simulator.at_seq`), which fires the waiter only
-on a real 0 -> 1 or 1 -> 0 transition.
+listener keeps the emissions that reach it. ``busy(node)`` asks whether
+an emission's on position has passed at the node and its off position
+has not (:meth:`Emission.live`), at the executing event's ``(now,
+now_seq)``; a same-nanosecond event therefore sees a delta exactly when
+it would have run after it.
+
+Only the waiters need events, and they share one mechanism: a
+:class:`_Waiter` per (kind, node), with one check event per pending
+position of the node's reach. A busy notice (``notify_busy``) checks at
+each on position, under that position's seq (:meth:`Simulator.at_seq`),
+and fires on a real 0 -> 1 transition; an idle notice (``notify_idle``)
+checks at each off position and fires on 1 -> 0; a detection watcher
+(``watch_detection``) checks lambda after each on position, under a
+fresh seq, and fires if that emission is still present.
 
 Tone reach: an emission reaches the *sensed* links of the emitter (the
 ``sensed`` group of its table's :class:`~repro.phy.neighbors.LinkView`),
@@ -73,6 +82,21 @@ _SUPPRESSED = LinkView(())
 #: k)``, the listener being link ``k`` of ``emission.view``.
 _Reach = Tuple[Emission, int]
 
+#: The waiter kinds, indexing ``BusyToneChannel._waiters``: the busy
+#: notice, the idle notices and the detection watcher.
+_BUSY, _IDLE, _DETECT = range(3)
+
+
+class _Waiter:
+    """One node's waiter of one kind: the callbacks to fire and the
+    handles of its pending check events."""
+
+    __slots__ = ("callbacks", "handles")
+
+    def __init__(self, callback: Callable[[], None]):
+        self.callbacks = [callback]
+        self.handles: List[EventHandle] = []
+
 
 class BusyToneChannel:
     """One narrow-band tone channel shared by all nodes."""
@@ -109,15 +133,8 @@ class BusyToneChannel:
         self._recent: List[Emission] = []
         #: listener -> the active and recent emissions that reach it.
         self._reach: Dict[int, List[_Reach]] = defaultdict(list)
-        #: node -> [callbacks, check handles]: one-shot callbacks fired
-        #: when the tone clears at the node.
-        self._clear_waiters: Dict[int, list] = {}
-        #: node -> [[callback], check handles]: the one-shot callback
-        #: fired when the tone appears at the node (the busy notices of
-        #: RMAC's slot countdown, one per node).
-        self._present_waiters: Dict[int, list] = {}
-        #: node -> (callback, pending detection event handles)
-        self._watchers: Dict[int, Tuple[Callable[[ToneType], None], List[EventHandle]]] = {}
+        #: kind -> node -> its waiter of that kind.
+        self._waiters: Tuple[Dict[int, _Waiter], ...] = ({}, {}, {})
 
     # ------------------------------------------------------------------
     # Emission
@@ -146,25 +163,13 @@ class BusyToneChannel:
             view = LinkView(tuple([link for link in sensed.links
                                    if not faults.node_down(link.node, now)]))
         # The on positions take their seqs ahead of the detections.
-        delays = view.delays
-        emission = Emission(view, now, sim.reserve(now, delays))
+        emission = Emission(view, now, sim.reserve(now, view.delays))
         self._active[emitter] = emission
         reach = self._reach
         for k, link in enumerate(view.links):
             reach[link.node].append((emission, k))
-        waiters = self._present_waiters
-        if waiters:
-            self._check_new(waiters, emission, True)
-        watchers = self._watchers
-        if watchers:
-            # In delay order, equal delays in link-table order: the order
-            # the detections have always taken their seqs in.
-            index = view.index
-            detect_at = now + self.detect_time
-            for k in sorted([index[node] for node in watchers
-                             if node in index]):
-                self._schedule_detection(emission, view.links[k].node,
-                                         detect_at + delays[k])
+        self._arm_new(_BUSY, emission)
+        self._arm_new(_DETECT, emission)
         if self._tracer.enabled and view is not _SUPPRESSED:
             self._tracer.emit(now, emitter, self._on_kind)
 
@@ -177,30 +182,11 @@ class BusyToneChannel:
         now = sim.now
         emission.end = now
         emission.end_seq = sim.reserve(now, emission.view.delays)
-        waiters = self._clear_waiters
-        if waiters:
-            self._check_new(waiters, emission, False)
+        self._arm_new(_IDLE, emission)
         self._recent.append(emission)
         self._prune(now)
         if self._tracer.enabled and emission.view is not _SUPPRESSED:
             self._tracer.emit(now, emitter, self._off_kind)
-
-    def _check_new(self, waiters: Dict[int, list], emission: Emission,
-                   on: bool) -> None:
-        """Check events for ``waiters`` at the on (off) positions that
-        ``emission`` has just reserved."""
-        if on:
-            base, seq = emission.start, emission.seq
-        else:
-            base, seq = emission.end, emission.end_seq
-        view = emission.view
-        index = view.index
-        delays = view.delays
-        for node, waiter in waiters.items():
-            k = index.get(node)
-            if k is not None:
-                waiter[1].append(self._check_at(node, base + delays[k],
-                                                seq + k, on))
 
     def pulse(self, emitter: int, duration: int) -> None:
         """Emit the tone for exactly ``duration`` ns (used for ABT)."""
@@ -213,7 +199,7 @@ class BusyToneChannel:
     # ------------------------------------------------------------------
     # Sensing
     # ------------------------------------------------------------------
-    def present(self, node: int) -> bool:
+    def busy(self, node: int) -> bool:
         """Instantaneous presence of the tone at ``node`` (excludes self)."""
         reach = self._reach.get(node)
         if not reach:
@@ -260,140 +246,130 @@ class BusyToneChannel:
         return max(best, cur_hi - cur_lo)
 
     # ------------------------------------------------------------------
-    # Detection watchers (RMAC's abort-on-RBT)
+    # Waiters
     # ------------------------------------------------------------------
+    def notify_idle(self, node: int, callback: Callable[[], None]) -> None:
+        """Register a one-shot callback for the next busy->idle
+        transition at ``node``. Fires immediately if already idle."""
+        if not self.busy(node):
+            callback()
+            return
+        waiter = self._waiters[_IDLE].get(node)
+        if waiter is None:
+            self._wait(_IDLE, node, callback)
+        else:
+            waiter.callbacks.append(callback)
+
+    def notify_busy(self, node: int, callback: Callable[[], None]) -> None:
+        """Register a one-shot callback for the next idle->busy
+        transition at ``node``. One per node; a new one replaces it."""
+        waiter = self._waiters[_BUSY].get(node)
+        if waiter is None:
+            self._wait(_BUSY, node, callback)
+        else:
+            waiter.callbacks = [callback]
+
+    def cancel_notify_busy(self, node: int) -> None:
+        """Drop ``node``'s busy callback, if any."""
+        self._drop(_BUSY, node)
+
     def watch_detection(self, node: int, callback: Callable[[ToneType], None]) -> None:
-        """Arm a detection watcher at ``node``.
+        """Arm a detection watcher at ``node`` (RMAC's abort-on-RBT).
 
         The callback fires as soon as any in-range emission has been
         present for ``detect_time`` -- including emissions already active
         but not yet detectable when the watcher is armed (the race that
         makes MRTS abortion possible at all, per Section 3.3.2 note 3).
         """
-        if node in self._watchers:
+        if node in self._waiters[_DETECT]:
             raise RuntimeError(f"node {node} already watches {self.tone.value}")
-        self._watchers[node] = (callback, [])
-        now = self._sim.now
-        for emission, k in self._reach.get(node, ()):
-            if emission.end is not None:
-                continue
-            detect_at = (emission.start + emission.view.delays[k]
-                         + self.detect_time)
-            if detect_at >= now:
-                self._schedule_detection(emission, node, detect_at)
-            else:
-                # Tone already detectable: fire immediately (still async,
-                # so the caller's state settles first).
-                self._schedule_detection(emission, node, now)
+        self._wait(_DETECT, node, partial(callback, self.tone))
 
     def unwatch_detection(self, node: int) -> None:
         """Disarm the watcher at ``node`` (no-op if absent)."""
-        entry = self._watchers.pop(node, None)
-        if entry is None:
-            return
-        for handle in entry[1]:
-            handle.cancel()
+        self._drop(_DETECT, node)
 
-    def _schedule_detection(self, emission: Emission, node: int, when: int) -> None:
-        entry = self._watchers.get(node)
-        if entry is None:
-            return
-        handle = self._sim.at(
-            when, _DetectionCheck(self, emission, node), label="tone-detect"
-        )
-        entry[1].append(handle)
-
-    def _run_detection(self, emission: Emission, node: int) -> None:
-        entry = self._watchers.get(node)
-        if entry is None:
-            return
-        # Valid only if the emission lasted the full detection time.
-        if emission.end is not None and emission.end < emission.start + self.detect_time:
-            # The watcher stays armed: drop handles that already fired or
-            # were cancelled (including this one), so a long-armed watcher
-            # holds only genuinely pending cancel targets.
-            handles = entry[1]
-            handles[:] = [h for h in handles if h.pending]
-            return
-        callback, _handles = entry
-        self.unwatch_detection(node)
-        callback(self.tone)
-
-    # ------------------------------------------------------------------
-    def notify_clear(self, node: int, callback: Callable[[], None]) -> None:
-        """Register a one-shot callback for the next present->absent
-        transition at ``node``. Fires immediately if already absent."""
-        if not self.present(node):
-            callback()
-            return
-        waiter = self._clear_waiters.get(node)
-        if waiter is None:
-            self._clear_waiters[node] = [[callback],
-                                         self._schedule_checks(node, on=False)]
-        else:
-            waiter[0].append(callback)
-
-    def notify_present(self, node: int, callback: Callable[[], None]) -> None:
-        """Register a one-shot callback for the next absent->present
-        transition at ``node``. One per node; a new one replaces it."""
-        waiter = self._present_waiters.get(node)
-        if waiter is None:
-            self._present_waiters[node] = [[callback],
-                                           self._schedule_checks(node, on=True)]
-        else:
-            waiter[0] = [callback]
-
-    def cancel_notify_present(self, node: int) -> None:
-        """Drop ``node``'s presence callback, if any."""
-        waiter = self._present_waiters.pop(node, None)
-        if waiter is not None:
-            for handle in waiter[1]:
-                handle.cancel()
-
-    def _schedule_checks(self, node: int, on: bool) -> List[EventHandle]:
-        """Check events at ``node``'s pending on (or off) positions, for a
-        newly registered waiter; later ones are added by turn_on/off."""
+    def _wait(self, kind: int, node: int, callback: Callable[[], None]) -> None:
+        """Register ``node``'s waiter of ``kind``, armed at the pending
+        positions of its reach; later ones are armed by turn_on/off."""
+        waiter = self._waiters[kind][node] = _Waiter(callback)
         sim = self._sim
         now = sim.now
         now_seq = sim.now_seq
-        checks = []
         for emission, k in self._reach.get(node, ()):
-            delay = emission.view.delays[k]
-            if on:
-                if not emission.started(k, now, now_seq):
-                    checks.append(self._check_at(
-                        node, emission.start + delay, emission.seq + k, on))
-            elif (emission.end is not None
-                  and not emission.ended(k, now, now_seq)):
-                checks.append(self._check_at(
-                    node, emission.end + delay, emission.end_seq + k, on))
-        return checks
+            if kind == _BUSY:
+                pending = not emission.started(k, now, now_seq)
+            elif kind == _IDLE:
+                pending = (emission.end is not None
+                           and not emission.ended(k, now, now_seq))
+            else:
+                pending = emission.end is None
+            if pending:
+                self._arm(kind, waiter, node, emission, k)
 
-    def _check_at(self, node: int, time: int, seq: int, on: bool) -> EventHandle:
-        """The check event of ``node``'s waiter at a reserved position."""
-        return self._sim.at_seq(time, seq, partial(self._check, node, on),
-                                "tone-check")
+    def _arm_new(self, kind: int, emission: Emission) -> None:
+        """Arm the waiters of ``kind`` at the positions ``emission`` has
+        just reserved, in delay order (equal delays in link-table order):
+        the order detections have always taken their seqs in."""
+        waiters = self._waiters[kind]
+        if not waiters:
+            return
+        view = emission.view
+        index = view.index
+        links = view.links
+        for k in sorted([index[node] for node in waiters if node in index]):
+            node = links[k].node
+            self._arm(kind, waiters[node], node, emission, k)
 
-    def _check(self, node: int, on: bool) -> None:
-        """At one of ``node``'s on (off) positions: fire its presence
-        (clear) waiters if the tone just appeared (cleared) there, that
-        is, if exactly one emission (none) is present now."""
-        waiters = self._present_waiters if on else self._clear_waiters
-        waiter = waiters[node]
+    def _arm(self, kind: int, waiter: _Waiter, node: int, emission: Emission,
+             k: int) -> None:
+        """Schedule ``waiter``'s check at its position in ``emission``:
+        the on or off position of link ``k`` (a busy or idle notice), or
+        lambda after the on position, but not before now (a detection)."""
+        sim = self._sim
+        delay = emission.view.delays[k]
+        check = partial(self._check, kind, node, emission, k)
+        if kind == _BUSY:
+            handle = sim.at_seq(emission.start + delay, emission.seq + k,
+                                check, "tone-check")
+        elif kind == _IDLE:
+            handle = sim.at_seq(emission.end + delay, emission.end_seq + k,
+                                check, "tone-check")
+        else:
+            handle = sim.at(max(emission.start + delay + self.detect_time,
+                                sim.now), check, label="tone-detect")
+        waiter.handles.append(handle)
+
+    def _check(self, kind: int, node: int, emission: Emission, k: int) -> None:
+        """At one of ``node``'s positions in ``emission``: fire its waiter
+        of ``kind`` if the tone has just appeared there (exactly one
+        emission present), just cleared (none present), or been present
+        for lambda (``emission`` still present)."""
         sim = self._sim
         now = sim.now
         now_seq = sim.now_seq
-        present = sum([emission.live(k, now, now_seq)
-                       for emission, k in self._reach[node]])
-        if present != (1 if on else 0):
-            # No transition here: drop this check's spent handle.
-            waiter[1] = [handle for handle in waiter[1] if handle.pending]
+        if kind == _DETECT:
+            fire = emission.live(k, now, now_seq)
+        else:
+            present = sum([other.live(j, now, now_seq)
+                           for other, j in self._reach[node]])
+            fire = present == (1 if kind == _BUSY else 0)
+        if not fire:
+            # The waiter stays armed: drop this check's spent handle, so
+            # a long-armed waiter holds only pending cancel targets.
+            waiter = self._waiters[kind][node]
+            waiter.handles = [h for h in waiter.handles if h.pending]
             return
-        del waiters[node]
-        for handle in waiter[1]:
-            handle.cancel()
-        for callback in waiter[0]:
+        for callback in self._drop(kind, node).callbacks:
             callback()
+
+    def _drop(self, kind: int, node: int) -> Optional[_Waiter]:
+        """Remove ``node``'s waiter of ``kind``, cancelling its checks."""
+        waiter = self._waiters[kind].pop(node, None)
+        if waiter is not None:
+            for handle in waiter.handles:
+                handle.cancel()
+        return waiter
 
     def _prune(self, now: int) -> None:
         """Forget emissions that ended more than RETENTION before ``now``,
@@ -413,15 +389,3 @@ class BusyToneChannel:
                 if not listened:
                     del reach[link.node]
         del recent[:stale]
-
-
-class _DetectionCheck:
-    __slots__ = ("channel", "emission", "node")
-
-    def __init__(self, channel: BusyToneChannel, emission: Emission, node: int):
-        self.channel = channel
-        self.emission = emission
-        self.node = node
-
-    def __call__(self) -> None:
-        self.channel._run_detection(self.emission, self.node)

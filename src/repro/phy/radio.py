@@ -87,15 +87,6 @@ class Radio:
         on the data channel. Fires immediately (synchronously) if idle."""
         self.data_channel.notify_idle(self.node_id, callback)
 
-    def notify_data_busy(self, callback: Callable[[], None]) -> None:
-        """Register a one-shot callback for the next idle->busy transition
-        on the data channel (see :meth:`DataChannel.notify_busy`)."""
-        self.data_channel.notify_busy(self.node_id, callback)
-
-    def cancel_notify_data_busy(self) -> None:
-        """Drop the callback registered by :meth:`notify_data_busy`."""
-        self.data_channel.cancel_notify_busy(self.node_id)
-
     # ------------------------------------------------------------------
     # Busy tones
     # ------------------------------------------------------------------
@@ -116,7 +107,7 @@ class Radio:
 
     def tone_present(self, tone: ToneType) -> bool:
         """Tone sensing (self-emissions excluded)."""
-        return self._tone(tone).present(self.node_id)
+        return self._tone(tone).busy(self.node_id)
 
     def tone_longest_presence(self, tone: ToneType, t0: int, t1: int) -> int:
         return self._tone(tone).longest_presence(self.node_id, t0, t1)

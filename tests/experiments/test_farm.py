@@ -18,7 +18,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.farm import (
-    WORKERS_DIR,
+    FARM_STATE,
     CampaignFarm,
     FarmError,
     farm_status,
@@ -114,7 +114,7 @@ def test_in_process_mode_spawns_nothing(tmp_path):
     results = farm.run(*MATRIX, tiny_config, workers=1)
     assert farm.counters.workers_spawned == 0
     assert farm.counters.points_done == 4
-    assert not os.path.exists(os.path.join(root, WORKERS_DIR))
+    assert not os.path.exists(os.path.join(root, "workers"))
     assert not os.path.exists(os.path.join(root, "shards"))
     # Records land straight in the root store; status reads it.
     assert len(ResultStore(root)) == 4 and len(results) == 2
@@ -149,6 +149,7 @@ def test_coordinator_is_the_only_writer(tmp_path):
     root = str(tmp_path / "farm")
     CampaignFarm(root).run(*MATRIX, tiny_config, workers=2)
     assert not os.path.exists(os.path.join(root, "shards"))
+    assert not os.path.exists(os.path.join(root, "workers"))
     with open(os.path.join(root, "results.jsonl")) as fh:
         lines = [json.loads(line) for line in fh]
     keys = [(r["protocol"], r["scenario"], r["rate_pps"], r["seed"])
@@ -186,26 +187,23 @@ KILL_MATRIX = (["rmac"], ["stationary"], [60], [1, 2, 3, 4, 5, 6])
 
 
 def _assassinate_first_leased_worker(root, killed):
-    """Poll heartbeats until some worker leases a job, then SIGKILL it."""
-    workers_dir = os.path.join(root, WORKERS_DIR)
+    """Poll farm.json until some worker leases a job, then SIGKILL it."""
+    state_path = os.path.join(root, FARM_STATE)
     deadline = time.time() + 30.0
     while time.time() < deadline:
-        if os.path.isdir(workers_dir):
-            for name in sorted(os.listdir(workers_dir)):
-                if not name.endswith(".json"):
-                    continue
+        try:
+            with open(state_path) as fh:
+                workers = json.load(fh).get("workers", ())
+        except (OSError, ValueError):
+            workers = ()
+        for worker in workers:
+            if worker["status"] == "leased":
                 try:
-                    with open(os.path.join(workers_dir, name)) as fh:
-                        beat = json.load(fh)
-                except (OSError, ValueError):
-                    continue
-                if beat.get("status") == "leased":
-                    try:
-                        os.kill(beat["pid"], signal.SIGKILL)
-                    except OSError:
-                        return
-                    killed.append(beat)
+                    os.kill(worker["pid"], signal.SIGKILL)
+                except OSError:
                     return
+                killed.append(worker)
+                return
         time.sleep(0.01)
 
 
@@ -246,6 +244,25 @@ def test_sigkilled_worker_requeues_lease_and_farm_completes(tmp_path):
 # Status + serve endpoint
 # ---------------------------------------------------------------------------
 
+def test_leased_worker_reads_alive_however_long_its_point_runs(tmp_path):
+    # A worker simulating one point for minutes is busy, not dead: its
+    # liveness does not age. Read at the first completion, while both
+    # workers still hold their first leases, with the clock 31 s ahead.
+    root = str(tmp_path / "farm")
+    seen = []
+
+    def progress(done, total, key, error):
+        if not seen:
+            seen.append(farm_status(root, now=time.time() + 31.0))
+
+    CampaignFarm(root).run(*MATRIX, tiny_config, workers=2,
+                           progress=progress)
+    (status,) = seen
+    leased = [w for w in status["workers"] if w["status"] == "leased"]
+    assert leased and all(w["alive"] for w in leased), status["workers"]
+    assert status["workers_alive"] == len(status["workers"]) == 2
+
+
 def test_farm_status_fields_and_rendering(tmp_path):
     root = str(tmp_path / "farm")
     CampaignFarm(root).run(*MATRIX, tiny_config, workers=2)
@@ -255,7 +272,9 @@ def test_farm_status_fields_and_rendering(tmp_path):
     assert status["failed"] == 0 and status["missing"] == 0
     assert status["counters"]["workers_spawned"] == 2
     assert "shards" not in status
-    assert all(not w["alive"] for w in status["workers"])  # all stopped
+    assert [w["status"] for w in status["workers"]] == ["stopped"] * 2
+    assert all(not w["alive"] for w in status["workers"])
+    assert status["workers_alive"] == 0
 
     text = render_farm_status(status)
     assert "4/4 points done" in text and "farm [done]" in text

@@ -33,7 +33,7 @@ def rmac_per_slot_tick(self: RmacProtocol) -> None:
     if state is not RmacState.IDLE and state is not RmacState.BACKOFF:
         return  # a transaction owns the node; it will resume the pump
     rbt = self.radio.tone_channel(ToneType.RBT)
-    if not self.radio.data_busy() and not rbt.present(self.node_id):
+    if not self.radio.data_busy() and not rbt.busy(self.node_id):
         backoff = self.backoff
         bi = backoff.bi
         if bi > 0:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.phy.busytone import BusyToneChannel, ToneType
+from repro.phy.busytone import _DETECT, BusyToneChannel, ToneType
 from repro.phy.neighbors import StaticPositions
 from repro.sim.engine import Simulator
 from repro.sim.units import US
@@ -22,11 +22,11 @@ def test_presence_appears_after_propagation():
     sim, tone = make_tone([(0, 0), (50, 0)])  # delay 167 ns
     tone.turn_on(0)
     seen = {}
-    sim.at(100, lambda: seen.update(early=tone.present(1)))
-    sim.at(200, lambda: seen.update(later=tone.present(1)))
+    sim.at(100, lambda: seen.update(early=tone.busy(1)))
+    sim.at(200, lambda: seen.update(later=tone.busy(1)))
     sim.at(500, lambda: tone.turn_off(0))
-    sim.at(500 + 100, lambda: seen.update(lingering=tone.present(1)))
-    sim.at(500 + 200, lambda: seen.update(gone=tone.present(1)))
+    sim.at(500 + 100, lambda: seen.update(lingering=tone.busy(1)))
+    sim.at(500 + 200, lambda: seen.update(gone=tone.busy(1)))
     sim.run()
     assert seen == {"early": False, "later": True, "lingering": True, "gone": False}
 
@@ -41,7 +41,7 @@ def test_same_nanosecond_events_split_at_the_reserved_position():
     seen = []
 
     def probe(tag):
-        return lambda: seen.append((tag, sim.now, tone.present(1)))
+        return lambda: seen.append((tag, sim.now, tone.busy(1)))
 
     def switch(turn, tag, at):
         def act():
@@ -53,8 +53,8 @@ def test_same_nanosecond_events_split_at_the_reserved_position():
     sim.at(0, switch(tone.turn_on, "on-after", 167))
     sim.at(1167, probe("off-before"))
     sim.at(1000, switch(tone.turn_off, "off-after", 1167))
-    tone.notify_present(1, probe("appeared"))
-    sim.at(500, lambda: tone.notify_clear(1, probe("cleared")))
+    tone.notify_busy(1, probe("appeared"))
+    sim.at(500, lambda: tone.notify_idle(1, probe("cleared")))
     sim.run()
     assert seen == [("on-before", 167, False), ("appeared", 167, True),
                     ("on-after", 167, True), ("off-before", 1167, True),
@@ -65,7 +65,7 @@ def test_self_emission_not_sensed():
     sim, tone = make_tone([(0, 0), (50, 0)])
     tone.turn_on(0)
     seen = {}
-    sim.at(1000, lambda: seen.update(self_=tone.present(0), other=tone.present(1)))
+    sim.at(1000, lambda: seen.update(self_=tone.busy(0), other=tone.busy(1)))
     sim.run(until=1000)
     assert seen == {"self_": False, "other": True}
 
@@ -74,7 +74,7 @@ def test_out_of_range_never_present():
     sim, tone = make_tone([(0, 0), (200, 0)])
     tone.turn_on(0)
     sim.run(until=10 * US)
-    assert not tone.present(1)
+    assert not tone.busy(1)
 
 
 def test_presence_or_of_multiple_emitters():
@@ -83,9 +83,9 @@ def test_presence_or_of_multiple_emitters():
     sim.at(5 * US, lambda: tone.turn_on(2))
     sim.at(10 * US, lambda: tone.turn_off(0))
     seen = {}
-    sim.at(12 * US, lambda: seen.update(mid=tone.present(1)))
+    sim.at(12 * US, lambda: seen.update(mid=tone.busy(1)))
     sim.at(20 * US, lambda: tone.turn_off(2))
-    sim.at(25 * US, lambda: seen.update(end=tone.present(1)))
+    sim.at(25 * US, lambda: seen.update(end=tone.busy(1)))
     sim.run()
     assert seen == {"mid": True, "end": False}
 
@@ -227,6 +227,23 @@ class TestDetectionWatch:
         assert hits == []
 
 
+@pytest.mark.parametrize("armed_at", [0, 5 * US], ids=["before", "during"])
+@pytest.mark.parametrize("duration, detected",
+                         [(LAMBDA, True), (LAMBDA - 1, False)],
+                         ids=["lambda", "lambda-1ns"])
+def test_detection_needs_exactly_lambda_of_presence(armed_at, duration,
+                                                    detected):
+    # Node 1 has the pulse over [167, 167 + duration): detected iff it
+    # lasts lambda, at 167 + lambda, however late in it the watch starts.
+    sim, tone = make_tone([(0, 0), (50, 0)])
+    hits = []
+    sim.at(0, lambda: tone.pulse(0, duration))
+    sim.at(armed_at, lambda: tone.watch_detection(
+        1, lambda t: hits.append((t, sim.now))))
+    sim.run()
+    assert hits == ([(ToneType.RBT, 167 + LAMBDA)] if detected else [])
+
+
 class TestWatcherHandleHygiene:
     def test_fired_detection_handles_pruned_from_watcher(self):
         # A long-armed watcher sees many short (sub-lambda) pulses, none
@@ -238,8 +255,8 @@ class TestWatcherHandleHygiene:
             sim.at(start, lambda: tone.turn_on(0))
             sim.at(start + 5 * US, lambda: tone.turn_off(0))
         sim.run()
-        assert 1 in tone._watchers  # never detected, still armed
-        handles = tone._watchers[1][1]
+        assert 1 in tone._waiters[_DETECT]  # never detected, still armed
+        handles = tone._waiters[_DETECT][1].handles
         assert all(h.pending for h in handles)
         assert len(handles) == 0
 

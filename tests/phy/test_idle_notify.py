@@ -3,6 +3,8 @@ slot countdown."""
 
 from dataclasses import dataclass
 
+import pytest
+
 from repro.phy.busytone import ToneType
 from repro.sim.units import US
 from repro.world.testbed import MacTestbed
@@ -60,28 +62,28 @@ def test_notify_idle_fires_at_abort():
     assert fired == [40 * US]
 
 
-def test_tone_notify_clear_immediate_and_at_transition():
+def test_tone_notify_idle_immediate_and_at_transition():
     tb = MacTestbed(coords=[(0, 0), (50, 0)])
     channel = tb.tones[ToneType.RBT]
     fired = []
-    channel.notify_clear(1, lambda: fired.append(("immediate", tb.sim.now)))
+    channel.notify_idle(1, lambda: fired.append(("immediate", tb.sim.now)))
     assert fired == [("immediate", 0)]
     channel.turn_on(0)
     tb.run(1 * US)
-    tb.sim.at(100 * US, lambda: channel.notify_clear(1, lambda: fired.append(("cleared", tb.sim.now))))
+    tb.sim.at(100 * US, lambda: channel.notify_idle(1, lambda: fired.append(("cleared", tb.sim.now))))
     tb.sim.at(200 * US, lambda: channel.turn_off(0))
     tb.run(1_000_000)
     assert fired[-1] == ("cleared", 200 * US + 167)
 
 
-def test_tone_notify_clear_waits_for_all_emitters():
+def test_tone_notify_idle_waits_for_all_emitters():
     tb = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)])
     channel = tb.tones[ToneType.RBT]
     channel.turn_on(0)
     channel.turn_on(2)
     tb.run(1 * US)
     fired = []
-    tb.sim.at(10 * US, lambda: channel.notify_clear(1, lambda: fired.append(tb.sim.now)))
+    tb.sim.at(10 * US, lambda: channel.notify_idle(1, lambda: fired.append(tb.sim.now)))
     tb.sim.at(100 * US, lambda: channel.turn_off(0))
     tb.sim.at(300 * US, lambda: channel.turn_off(2))
     tb.run(1_000_000)
@@ -111,21 +113,94 @@ def test_notify_busy_fires_on_own_transmission_and_can_be_cancelled():
     assert fired == [("own", 10 * US)]
 
 
-def test_tone_notify_present_fires_only_when_presence_starts():
+def test_tone_notify_busy_fires_only_when_presence_starts():
     tb = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)])
     channel = tb.tones[ToneType.RBT]
     channel.turn_on(2)
     tb.run(1 * US)
     fired = []
     # Already present at node 1: a second emitter does not fire it.
-    channel.notify_present(1, lambda: fired.append(("second", tb.sim.now)))
+    channel.notify_busy(1, lambda: fired.append(("second", tb.sim.now)))
     tb.sim.at(10 * US, lambda: channel.turn_on(0))
     tb.run(100 * US)
-    channel.cancel_notify_present(1)
+    channel.cancel_notify_busy(1)
     tb.sim.at(200 * US, lambda: channel.turn_off(0))
     tb.sim.at(200 * US, lambda: channel.turn_off(2))
     tb.run(300 * US)
-    channel.notify_present(1, lambda: fired.append(("fresh", tb.sim.now)))
+    channel.notify_busy(1, lambda: fired.append(("fresh", tb.sim.now)))
     tb.sim.at(400 * US, lambda: channel.turn_on(0))
     tb.run(1_000_000)
     assert fired == [("fresh", 400 * US + 167)]
+
+
+# ---------------------------------------------------------------------------
+# One carrier-sense contract for both media
+# ---------------------------------------------------------------------------
+
+class _DataMedium:
+    """The data channel, made busy by a transmission and idle by its abort."""
+
+    def __init__(self, tb):
+        self.channel = tb.data_channel
+        self._tx = {}
+
+    def on(self, node):
+        self._tx[node] = self.channel.transmit(node, Frame(1000))  # ~4 ms
+
+    def off(self, node):
+        self.channel.abort(self._tx.pop(node))
+
+
+class _ToneMedium:
+    """The RBT channel, made busy and idle by turning the tone on and off."""
+
+    def __init__(self, tb):
+        self.channel = tb.tones[ToneType.RBT]
+        self.on = self.channel.turn_on
+        self.off = self.channel.turn_off
+
+
+@pytest.fixture(params=[_DataMedium, _ToneMedium], ids=["data", "tone"])
+def medium(request):
+    # Nodes 1 and 2 both sense node 0, 167 ns away.
+    tb = MacTestbed(coords=[(0, 0), (50, 0), (0, 50)])
+    return tb, request.param(tb)
+
+
+def test_medium_notify_idle_contract(medium):
+    tb, m = medium
+    fired = []
+
+    def log(tag):
+        return lambda: fired.append((tag, tb.sim.now, m.channel.busy(1)))
+
+    m.channel.notify_idle(1, log("immediate"))
+    assert fired == [("immediate", 0, False)]
+    tb.sim.at(10 * US, lambda: m.on(0))
+    tb.sim.at(20 * US, lambda: m.channel.notify_idle(1, log("idle")))
+    tb.sim.at(50 * US, lambda: m.off(0))
+    # One-shot: the next busy period does not fire it again.
+    tb.sim.at(100 * US, lambda: m.on(0))
+    tb.sim.at(150 * US, lambda: m.off(0))
+    tb.run(1_000_000)
+    assert fired == [("immediate", 0, False), ("idle", 50 * US + 167, False)]
+
+
+def test_medium_notify_busy_contract(medium):
+    tb, m = medium
+    fired = []
+
+    def log(tag):
+        return lambda: fired.append((tag, tb.sim.now))
+
+    m.channel.notify_busy(1, log("replaced"))
+    m.channel.notify_busy(1, log("first"))  # one per node: replaces it
+    m.channel.notify_busy(2, log("cancelled"))
+    m.channel.cancel_notify_busy(2)
+    tb.sim.at(10 * US, lambda: m.on(0))
+    tb.sim.at(50 * US, lambda: m.off(0))
+    # One-shot: the next busy period does not fire it again.
+    tb.sim.at(100 * US, lambda: m.on(0))
+    tb.sim.at(150 * US, lambda: m.off(0))
+    tb.run(1_000_000)
+    assert fired == [("first", 10 * US + 167)]

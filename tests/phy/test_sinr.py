@@ -385,8 +385,8 @@ def test_tone_reaches_sensed_links_only():
     # threshold, node 2 (-75.2 dBm) is interference-only and must not.
     tone.turn_on(0)
     seen = {}
-    sim.at(20 * US, lambda: seen.update(near=tone.present(1),
-                                        far=tone.present(2)))
+    sim.at(20 * US, lambda: seen.update(near=tone.busy(1),
+                                        far=tone.busy(2)))
     sim.at(30 * US, lambda: tone.turn_off(0))
     sim.run()
     assert seen == {"near": True, "far": False}

@@ -9,7 +9,7 @@ taking one away (``tone-off``). The member that took a counter from 0 to
 fired its clear waiters, from inside those events.
 
 :class:`ToneCountOracle` is that form, for the presence API only
-(``turn_on``, ``turn_off``, ``pulse``, ``present`` and the waiters), on
+(``turn_on``, ``turn_off``, ``pulse``, ``busy`` and the waiters), on
 unit-disk reach with no faults and no detection watchers. Its fan-outs
 take the same seqs the channel reserves, so a script run against both
 gives every event the same ``(time, seq)``, and differential tests can
@@ -61,19 +61,19 @@ class ToneCountOracle:
     def is_emitting(self, emitter: int) -> bool:
         return emitter in self._active
 
-    def present(self, node: int) -> bool:
+    def busy(self, node: int) -> bool:
         return self._present.get(node, 0) > 0
 
-    def notify_clear(self, node: int, callback: Callable[[], None]) -> None:
-        if not self.present(node):
+    def notify_idle(self, node: int, callback: Callable[[], None]) -> None:
+        if not self.busy(node):
             callback()
             return
         self._clear_waiters.setdefault(node, []).append(callback)
 
-    def notify_present(self, node: int, callback: Callable[[], None]) -> None:
+    def notify_busy(self, node: int, callback: Callable[[], None]) -> None:
         self._present_waiters[node] = callback
 
-    def cancel_notify_present(self, node: int) -> None:
+    def cancel_notify_busy(self, node: int) -> None:
         self._present_waiters.pop(node, None)
 
     def _tone_on(self, node: int) -> None:

@@ -44,7 +44,7 @@ def test_presence_always_clears_after_all_pulses(pulses):
     sim.run()
     sim.run(until=sim.now + 10 * US)
     for node in range(3):
-        assert not tone.present(node)
+        assert not tone.busy(node)
         assert not tone.is_emitting(node)
 
 
@@ -127,12 +127,12 @@ class _Side:
                 sim.at(at, self.query)
             elif kind == "present":
                 sim.at(at, lambda n=action[2], r=action[3]:
-                       channel.notify_present(n, self.on_present(n, r)))
+                       channel.notify_busy(n, self.on_present(n, r)))
             elif kind == "clear":
                 sim.at(at, lambda n=action[2]:
-                       channel.notify_clear(n, lambda: self.record("clear", n)))
+                       channel.notify_idle(n, lambda: self.record("clear", n)))
             else:
-                sim.at(at, lambda n=action[2]: channel.cancel_notify_present(n))
+                sim.at(at, lambda n=action[2]: channel.cancel_notify_busy(n))
 
     @property
     def position(self):
@@ -141,7 +141,7 @@ class _Side:
     def record(self, *what):
         channel = self.channel
         self.log.append(what + self.position
-                        + (tuple(channel.present(n) for n in range(len(NODES))),))
+                        + (tuple(channel.busy(n) for n in range(len(NODES))),))
 
     def query(self):
         self.record("query")
@@ -171,7 +171,7 @@ class _Side:
         def fire():
             self.record("present", node)
             if rearm:
-                self.channel.notify_present(node, fire)
+                self.channel.notify_busy(node, fire)
         return fire
 
 

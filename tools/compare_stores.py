@@ -13,8 +13,8 @@ Usage::
 
 Exit status: 0 when every point matches (keys, config hashes, statuses
 and summaries all equal), 1 with a per-point diff on stderr otherwise.
-Extra files in either directory (heartbeats, manifests,
-``farm.json``) are ignored — only the loaded records are compared.
+Extra files in either directory (manifests, ``farm.json``) are
+ignored — only the loaded records are compared.
 """
 
 from __future__ import annotations
